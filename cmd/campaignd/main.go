@@ -9,8 +9,7 @@
 //	campaignd [-addr host:port] [-queue N] [-concurrency N] [-spool file]
 //	          [-cache-max N] [-store-dir dir] [-store-max N] [-warm-load N]
 //	          [-quarantine-max N] [-quarantine-max-bytes N]
-//	          [-segment-format jsonl|binary] [-drain-timeout d]
-//	          [-fault-plan plan]
+//	          [-drain-timeout d] [-fault-plan plan]
 //	          [-auth-keys k=tenant,...] [-auth-keyfile file]
 //	          [-rate-limit req/s] [-rate-burst N] [-max-streams N]
 //	          [-peers host:port,... -peer-id host:port [-fleet-secret s]]
@@ -70,11 +69,10 @@
 // pointed at the same directory warm-loads its cache from the store's
 // manifest, and resubmissions of characterizations measured by an earlier
 // process replay from disk without re-running the grid. -store-max bounds
-// the store (segments; LRU-compacted past the bound). -segment-format
-// selects the encoding of newly committed segments: "jsonl" (default,
-// human-greppable) or "binary" (compact length-prefixed records with
-// per-record CRCs; see internal/wire). Reads auto-detect the format, so a
-// store written under one setting restarts cleanly under the other.
+// the store (segments; LRU-compacted past the bound). Segments are written
+// in the compact binary wire format with per-record CRCs (see
+// internal/wire); a store left by an older daemon with JSONL segments
+// opens cleanly, quarantines those segments and re-runs them on demand.
 //
 // A huge store does not slow the boot: the registry warm-loads at most
 // -warm-load manifest entries (default: -cache-max) and pages the rest in
@@ -144,7 +142,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/loadtest"
 	"repro/internal/serve"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -172,7 +169,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 	quarMax := fs.Int("quarantine-max", 0, "quarantine directory bound (files; oldest deleted past it); 0 = unbounded")
 	quarMaxBytes := fs.Int64("quarantine-max-bytes", 0, "quarantine directory bound (total bytes; oldest deleted past it); 0 = unbounded")
 	warmLoad := fs.Int("warm-load", 0, "manifest entries adopted eagerly at boot; the rest page in on demand (0 = -cache-max)")
-	segFormat := fs.String("segment-format", "", "on-disk segment encoding for new commits: jsonl (default) or binary; existing segments of either format always load")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight campaigns to finish and commit")
 	authKeys := fs.String("auth-keys", "", "inline API keys as secret=tenant[,secret=tenant...]; enables auth on the campaign API")
 	authKeyfile := fs.String("auth-keyfile", "", "JSON keyfile (array of {key,tenant[,disabled,rate_limit,rate_burst,max_streams]}); reloaded on SIGHUP")
@@ -206,13 +202,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 	}
 	if *warmLoad != 0 && *storeDir == "" {
 		return errors.New("-warm-load needs -store-dir")
-	}
-	format, err := wire.ParseFormat(*segFormat)
-	if err != nil {
-		return err
-	}
-	if *segFormat != "" && *storeDir == "" {
-		return errors.New("-segment-format needs -store-dir")
 	}
 	if *rateBurst != 0 && *rateLimit <= 0 {
 		return errors.New("-rate-burst needs -rate-limit")
@@ -296,7 +285,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 		QuarantineMaxFiles:  *quarMax,
 		QuarantineMaxBytes:  *quarMaxBytes,
 		WarmLoad:            *warmLoad,
-		SegmentFormat:       format,
 		AuthKeys:            keys,
 		RateLimit:           *rateLimit,
 		RateBurst:           *rateBurst,

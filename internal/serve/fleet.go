@@ -107,10 +107,9 @@ func (s *Server) handleFleetRing(w http.ResponseWriter, r *http.Request) {
 var errRingMismatch = errors.New("serve: fleet ring version mismatch")
 
 // handleFleetSegment streams a committed characterization to a peer: the
-// manifest metadata in a header, the frames as a wire segment in the body
-// (binary framing with per-record CRCs by default, ?format=jsonl for
-// debugging). Only finished, whole campaigns are served; anything else is
-// a 404 and the requester characterizes locally.
+// manifest metadata in a header, the frames as a binary wire segment (with
+// per-record CRCs) in the body. Only finished, whole campaigns are served;
+// anything else is a 404 and the requester characterizes locally.
 func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 	ring := s.fleet.Ring()
 	w.Header().Set(fleet.HeaderPeer, s.fleet.Self().ID)
@@ -138,39 +137,23 @@ func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusServiceUnavailable, err)
 		return
 	}
-
-	format := wire.FormatBinary
-	if q := r.URL.Query().Get("format"); q != "" {
-		if format, err = wire.ParseFormat(q); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-	}
 	w.Header().Set(fleet.HeaderMeta, base64.StdEncoding.EncodeToString(meta))
 	w.Header().Set(fleet.HeaderRecords, strconv.Itoa(len(frames)))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	if format == wire.FormatJSONL {
-		for _, f := range frames {
-			if err := countWrite(w.Write(f.Line)); err != nil {
-				return
-			}
+	if err := countWrite(w.Write(wire.Header())); err != nil {
+		return
+	}
+	var scratch []byte
+	for _, f := range frames {
+		scratch, err = wire.AppendBinaryRecord(scratch[:0], f.Rec)
+		if err != nil {
+			s.logger.Warn("fleet segment encode failed",
+				"fingerprint", fp, "err", err)
+			return // mid-body: the peer's CRC/count check rejects the tail
 		}
-	} else {
-		if err := countWrite(w.Write(wire.Header())); err != nil {
+		if err := countWrite(w.Write(scratch)); err != nil {
 			return
-		}
-		var scratch []byte
-		for _, f := range frames {
-			scratch, err = wire.AppendBinaryRecord(scratch[:0], f.Rec)
-			if err != nil {
-				s.logger.Warn("fleet segment encode failed",
-					"fingerprint", fp, "err", err)
-				return // mid-body: the peer's CRC/count check rejects the tail
-			}
-			if err := countWrite(w.Write(scratch)); err != nil {
-				return
-			}
 		}
 	}
 	s.fleetServed.Add(1)

@@ -14,14 +14,13 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/store"
-	"repro/internal/wire"
 )
 
 // crashDaemonDir fabricates the exact on-disk state a daemon killed
 // mid-campaign leaves behind: an intent journal holding the accepted
 // submission's begin, and a flushed-but-uncommitted segment .tmp with the
 // first crashRecords records of the grid.
-func crashDaemonDir(t *testing.T, spec Spec, format wire.Format, crashRecords int) (string, string) {
+func crashDaemonDir(t *testing.T, spec Spec, crashRecords int) (string, string) {
 	t.Helper()
 	spec = spec.withDefaults()
 	fp := spec.Fingerprint()
@@ -36,7 +35,7 @@ func crashDaemonDir(t *testing.T, spec Spec, format wire.Format, crashRecords in
 		t.Fatal(err)
 	}
 	if crashRecords > 0 {
-		st, err := store.Open(store.Options{Dir: dir, Format: format})
+		st, err := store.Open(store.Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,73 +109,74 @@ func segmentBytes(t *testing.T, dir string) []byte {
 // campaign from the intent journal, restores the checkpointed prefix,
 // executes only the remaining cells, and both the stream and the committed
 // segment come out byte-identical to an uninterrupted run — at several
-// worker counts and in both segment formats. The crash point (5 records)
-// deliberately tears a cell: two whole cells (4 records) restore, the torn
-// fifth re-runs.
+// worker counts. The crash point (5 records) deliberately tears a cell:
+// two whole cells (4 records) restore, the torn fifth re-runs.
 func TestCrashResumeByteIdentical(t *testing.T) {
-	for _, format := range []wire.Format{wire.FormatJSONL, wire.FormatBinary} {
-		t.Run(string(format), func(t *testing.T) {
-			// Reference: the same spec characterized by an uninterrupted
-			// daemon, for segment-level comparison.
-			refDir := t.TempDir()
-			_, refTS := storeServer(t, refDir, Options{SegmentFormat: format})
-			refSub := submit(t, refTS, testSpec(2), http.StatusAccepted)
-			wantStream := streamBytes(t, refTS, refSub.ID)
-			wantSeg := segmentBytes(t, refDir)
+	// Segments and checkpoints are binary-framed; the subtest names
+	// the on-disk format the body exercises.
+	t.Run("binary", crashResumeByteIdentical)
+}
 
-			for _, workers := range []int{1, 4, 16} {
-				spec := testSpec(workers)
-				total := expectedRecords(spec)
-				perCell := spec.Repetitions
-				crashAt := 2*perCell + 1 // two whole cells + a torn one
-				dir, fp := crashDaemonDir(t, spec, format, crashAt)
+func crashResumeByteIdentical(t *testing.T) {
+	// Reference: the same spec characterized by an uninterrupted daemon,
+	// for segment-level comparison.
+	refDir := t.TempDir()
+	_, refTS := storeServer(t, refDir, Options{})
+	refSub := submit(t, refTS, testSpec(2), http.StatusAccepted)
+	wantStream := streamBytes(t, refTS, refSub.ID)
+	wantSeg := segmentBytes(t, refDir)
 
-				s, ts := storeServer(t, dir, Options{SegmentFormat: format})
-				c := waitFingerprintDone(t, s, fp)
-				if c.Status() != StatusDone {
-					t.Fatalf("workers=%d: requeued campaign ended %s (%s)", workers, c.Status(), c.view().Error)
-				}
-				if got := streamBytes(t, ts, c.id); !bytes.Equal(got, wantStream) {
-					t.Errorf("workers=%d: resumed stream differs from uninterrupted run", workers)
-				}
-				if got := segmentBytes(t, dir); !bytes.Equal(got, wantSeg) {
-					t.Errorf("workers=%d: resumed segment differs from uninterrupted run", workers)
-				}
-				stats := serverStats(t, ts)
-				if stats.Store == nil {
-					t.Fatalf("workers=%d: no store stats", workers)
-				}
-				if stats.Store.Requeued != 1 || stats.Store.GridsResumed != 1 {
-					t.Errorf("workers=%d: requeued=%d grids_resumed=%d, want 1/1",
-						workers, stats.Store.Requeued, stats.Store.GridsResumed)
-				}
-				if want := 2 * perCell; stats.Store.RunsSaved != want {
-					t.Errorf("workers=%d: runs_saved = %d, want %d (whole cells only)",
-						workers, stats.Store.RunsSaved, want)
-				}
-				if v := c.view(); v.Runs != total-2*perCell {
-					t.Errorf("workers=%d: engine ran %d records, want %d", workers, v.Runs, total-2*perCell)
-				}
-				if tn := c.view().Tenant; tn != "crash-tenant" {
-					t.Errorf("workers=%d: requeued campaign lost its tenant: %q", workers, tn)
-				}
-				// The intent is terminal and the checkpoint consumed: a
-				// THIRD boot must find nothing to requeue or resume.
-				ts.Close()
-				s.Close()
-				s2, ts2 := storeServer(t, dir, Options{SegmentFormat: format})
-				stats2 := serverStats(t, ts2)
-				if stats2.Store.Requeued != 0 || stats2.Store.Checkpoints != 0 {
-					t.Errorf("workers=%d: third boot requeued=%d checkpoints=%d, want 0/0",
-						workers, stats2.Store.Requeued, stats2.Store.Checkpoints)
-				}
-				if got := s2.gridsRunCount(); got != 0 {
-					t.Errorf("workers=%d: third boot ran %d grids", workers, got)
-				}
-				ts2.Close()
-				s2.Close()
-			}
-		})
+	for _, workers := range []int{1, 4, 16} {
+		spec := testSpec(workers)
+		total := expectedRecords(spec)
+		perCell := spec.Repetitions
+		crashAt := 2*perCell + 1 // two whole cells + a torn one
+		dir, fp := crashDaemonDir(t, spec, crashAt)
+
+		s, ts := storeServer(t, dir, Options{})
+		c := waitFingerprintDone(t, s, fp)
+		if c.Status() != StatusDone {
+			t.Fatalf("workers=%d: requeued campaign ended %s (%s)", workers, c.Status(), c.view().Error)
+		}
+		if got := streamBytes(t, ts, c.id); !bytes.Equal(got, wantStream) {
+			t.Errorf("workers=%d: resumed stream differs from uninterrupted run", workers)
+		}
+		if got := segmentBytes(t, dir); !bytes.Equal(got, wantSeg) {
+			t.Errorf("workers=%d: resumed segment differs from uninterrupted run", workers)
+		}
+		stats := serverStats(t, ts)
+		if stats.Store == nil {
+			t.Fatalf("workers=%d: no store stats", workers)
+		}
+		if stats.Store.Requeued != 1 || stats.Store.GridsResumed != 1 {
+			t.Errorf("workers=%d: requeued=%d grids_resumed=%d, want 1/1",
+				workers, stats.Store.Requeued, stats.Store.GridsResumed)
+		}
+		if want := 2 * perCell; stats.Store.RunsSaved != want {
+			t.Errorf("workers=%d: runs_saved = %d, want %d (whole cells only)",
+				workers, stats.Store.RunsSaved, want)
+		}
+		if v := c.view(); v.Runs != total-2*perCell {
+			t.Errorf("workers=%d: engine ran %d records, want %d", workers, v.Runs, total-2*perCell)
+		}
+		if tn := c.view().Tenant; tn != "crash-tenant" {
+			t.Errorf("workers=%d: requeued campaign lost its tenant: %q", workers, tn)
+		}
+		// The intent is terminal and the checkpoint consumed: a THIRD boot
+		// must find nothing to requeue or resume.
+		ts.Close()
+		s.Close()
+		s2, ts2 := storeServer(t, dir, Options{})
+		stats2 := serverStats(t, ts2)
+		if stats2.Store.Requeued != 0 || stats2.Store.Checkpoints != 0 {
+			t.Errorf("workers=%d: third boot requeued=%d checkpoints=%d, want 0/0",
+				workers, stats2.Store.Requeued, stats2.Store.Checkpoints)
+		}
+		if got := s2.gridsRunCount(); got != 0 {
+			t.Errorf("workers=%d: third boot ran %d grids", workers, got)
+		}
+		ts2.Close()
+		s2.Close()
 	}
 }
 
@@ -185,7 +185,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 func TestIntentRequeueWithoutCheckpoint(t *testing.T) {
 	spec := testSpec(2)
 	want := batchJSONL(t, spec)
-	dir, fp := crashDaemonDir(t, spec, wire.FormatJSONL, 0)
+	dir, fp := crashDaemonDir(t, spec, 0)
 
 	s, ts := storeServer(t, dir, Options{})
 	c := waitFingerprintDone(t, s, fp)

@@ -58,7 +58,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/wire"
 )
 
 func init() {
@@ -104,13 +103,6 @@ type Options struct {
 	// means unbounded (keep everything for forensics).
 	QuarantineMaxFiles int
 	QuarantineMaxBytes int64
-	// SegmentFormat selects the on-disk encoding of newly committed
-	// segments: wire.FormatJSONL (default, human-greppable, byte-identical
-	// to the stream) or wire.FormatBinary (compact, CRC-protected). Old
-	// segments of either format keep replaying regardless — the reader
-	// auto-detects — and the replayed stream bytes are identical either
-	// way.
-	SegmentFormat wire.Format
 	// WarmLoad bounds how many manifest entries the registry adopts
 	// eagerly at boot. A store can outgrow the registry by orders of
 	// magnitude (CacheMax bounds memory, the store bounds disk), and a
@@ -294,7 +286,6 @@ func New(opts Options) (*Server, error) {
 			Dir:                opts.StoreDir,
 			MaxSegments:        opts.StoreMaxSegments,
 			MaxBytes:           opts.StoreMaxBytes,
-			Format:             opts.SegmentFormat,
 			QuarantineMaxFiles: opts.QuarantineMaxFiles,
 			QuarantineMaxBytes: opts.QuarantineMaxBytes,
 		})
@@ -369,7 +360,6 @@ func New(opts Options) (*Server, error) {
 		"concurrency", opts.Concurrency,
 		"cache_max", opts.CacheMax,
 		"store_dir", opts.StoreDir,
-		"segment_format", string(opts.SegmentFormat),
 		"warm_loaded", s.warmLoaded,
 		"warm_deferred", s.warmDeferred,
 		"auth_enabled", s.AuthEnabled(),
@@ -561,10 +551,11 @@ func (s *Server) execute(c *Campaign) {
 			}
 		}
 	}
-	c.finish(stats, workers, err)
 	// The intent is terminal either way: done campaigns have their segment
 	// (or at worst their buffer), failed ones re-run on resubmission — a
-	// requeue at next boot would add nothing.
+	// requeue at next boot would add nothing. The intent end and the
+	// terminal log precede finish, so a client that has read the whole
+	// stream can rely on both having happened.
 	s.wal.end(c.fingerprint)
 	status := "done"
 	if err != nil {
@@ -574,6 +565,7 @@ func (s *Server) execute(c *Campaign) {
 		"trace_id", c.traceID, "campaign", c.id, "status", status,
 		"runs", stats.Runs, "planned", stats.Planned, "recoveries", stats.Recoveries,
 		"run_ms", float64(time.Since(runStart).Microseconds()) / 1000, "err", errString(err)}, c.tenant)...)
+	c.finish(stats, workers, err)
 }
 
 // errString renders an error for a log attribute without nil panics.

@@ -190,8 +190,8 @@ func (t *storeTee) Record(rec core.RunRecord) error {
 	return nil
 }
 
-// Frame keeps the tee on the encode-once fast path: the live buffer and a
-// JSONL segment writer both consume the shared pre-rendered line.
+// Frame keeps the tee on the encode-once fast path: the live buffer takes
+// the shared pre-rendered line and the segment writer the decoded record.
 func (t *storeTee) Frame(f core.Frame) error {
 	if err := core.EmitFrame(t.live, f); err != nil {
 		return err

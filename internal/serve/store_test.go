@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/store"
 )
 
@@ -166,8 +167,8 @@ func TestCrashRecoveryRerun(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 
-	// Tear the damaged spec's segment mid-record (mid final line).
-	seg := filepath.Join(dir, "seg-"+badSub.Fingerprint+".jsonl")
+	// Tear the damaged spec's segment mid-record (inside the final one).
+	seg := filepath.Join(dir, "seg-"+badSub.Fingerprint+".bin")
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +207,66 @@ func TestCrashRecoveryRerun(t *testing.T) {
 	// The clean re-run recommitted its segment.
 	if st.Store.Segments != 2 {
 		t.Errorf("segments after re-run = %d, want 2", st.Store.Segments)
+	}
+}
+
+// TestJSONLStoreUpgrade: a store left by a daemon that wrote JSONL
+// segments boots cleanly. Its manifest-claimed seg-<fp>.jsonl and a stray
+// unclaimed seg-* file are quarantined, so resubmitting the spec re-runs
+// once, streams exactly what a fresh daemon streams, and commits a binary
+// segment that answers the next submission.
+func TestJSONLStoreUpgrade(t *testing.T) {
+	spec := testSpec(2)
+	refDir := t.TempDir()
+	_, refTS := storeServer(t, refDir, Options{})
+	want := streamBytes(t, refTS, submit(t, refTS, spec, http.StatusAccepted).ID)
+
+	// The old daemon's store: the same campaign as a claimed JSONL segment.
+	d := spec.withDefaults()
+	fp := d.Fingerprint()
+	dir := t.TempDir()
+	legacy := batchJSONL(t, spec)
+	seg := "seg-" + fp + ".jsonl"
+	if err := os.WriteFile(filepath.Join(dir, seg), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(metaOf(d, 1, campaign.Stats{Shards: 1, Runs: expectedRecords(spec), Planned: expectedRecords(spec)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := json.Marshal(map[string]any{
+		"op": "put", "fp": fp, "segment": seg,
+		"records": expectedRecords(spec), "bytes": len(legacy), "meta": json.RawMessage(meta),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.jsonl"), append(put, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-stray.jsonl"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := storeServer(t, dir, Options{})
+	if st := serverStats(t, ts); st.Store == nil || st.Store.Quarantined != 2 || st.Store.Segments != 0 {
+		t.Fatalf("store stats after upgrade boot = %+v, want 2 quarantined, 0 segments", st.Store)
+	}
+	sub := submit(t, ts, spec, http.StatusAccepted)
+	if sub.Cached {
+		t.Fatal("JSONL segment served as a cache hit")
+	}
+	if got := streamBytes(t, ts, sub.ID); !bytes.Equal(got, want) {
+		t.Error("re-run after upgrade differs from a fresh daemon's stream")
+	}
+	if again := submit(t, ts, spec, http.StatusOK); !again.Cached {
+		t.Error("resubmission after the re-run not served from the store")
+	}
+	if got := s.gridsRunCount(); got != 1 {
+		t.Errorf("grids run = %d, want 1", got)
+	}
+	if got := segmentBytes(t, dir); !bytes.HasPrefix(got, []byte("WIRESEGM")) {
+		t.Error("re-run did not commit a binary segment")
 	}
 }
 

@@ -6,42 +6,25 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/wire"
 )
 
-// commitFmt is commit for a store opened with an explicit segment format.
-func commitFmt(t *testing.T, s *Store, fp, label string, n int) {
-	t.Helper()
-	w, err := s.Begin(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range testRecords(label, n) {
-		if err := w.Record(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	meta, _ := json.Marshal(map[string]string{"label": label})
-	if err := w.Commit(meta); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBinaryFormatRoundTrip commits through the binary writer and checks
+// TestBinaryFormatRoundTrip commits through the segment writer and checks
 // the on-disk segment is a real binary segment whose replay is
 // byte-identical to the live JSONL stream.
 func TestBinaryFormatRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, Format: wire.FormatBinary})
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitFmt(t, s, "aaaa", "mcf", 4)
+	commit(t, s, "aaaa", "mcf", 4)
 
-	raw, err := os.ReadFile(filepath.Join(dir, segNameOf("aaaa", wire.FormatBinary)))
+	raw, err := os.ReadFile(filepath.Join(dir, segName("aaaa")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,91 +53,105 @@ func TestBinaryFormatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedFormatRecovery reopens one directory under alternating formats:
-// existing segments of either encoding must survive verification, load,
-// and warm restarts — the format option only affects new commits.
+// TestMixedFormatRecovery is the upgrade path from a store written when
+// JSONL segments were still an option: a manifest-claimed seg-<fp>.jsonl
+// and a stray unclaimed seg-* file must not stop the store from opening.
+// Both are quarantined, binary siblings keep loading, and the JSONL
+// entry's fingerprint simply commits afresh as a binary segment.
 func TestMixedFormatRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, Format: wire.FormatBinary})
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitFmt(t, s, "aaaa", "mcf", 3)
+	commit(t, s, "aaaa", "mcf", 3)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reopen with the default (JSONL) format: the binary segment must be
-	// adopted as-is, and a new commit lands as JSONL beside it.
+	// A JSONL segment the manifest claims, as an older daemon committed it.
+	var legacy bytes.Buffer
+	sink := core.NewJSONLSink(&legacy)
+	for _, rec := range testRecords("lbm", 2) {
+		sink.Record(rec)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-bbbb.jsonl"), legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	put, _ := json.Marshal(manifestOp{
+		Op: "put", Fingerprint: "bbbb", Segment: "seg-bbbb.jsonl",
+		Records: 2, Bytes: int64(legacy.Len()), Meta: json.RawMessage(`{"label":"lbm"}`),
+	})
+	mf, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mf.Write(append(put, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	mf.Close()
+	// A stray segment nobody claims.
+	if err := os.WriteFile(filepath.Join(dir, "seg-cccc.jsonl"), legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	s2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitFmt(t, s2, "bbbb", "lbm", 2)
-	for fp, want := range map[string][]core.RunRecord{
-		"aaaa": testRecords("mcf", 3),
-		"bbbb": testRecords("lbm", 2),
-	} {
-		got, err := s2.Load(fp)
-		if err != nil {
-			t.Fatalf("load %s: %v", fp, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s loaded %d records, want %d (or content differs)", fp, len(got), len(want))
-		}
+	if st := s2.Stats(); st.Segments != 1 || st.Quarantined != 2 {
+		t.Fatalf("stats after upgrade = %+v, want 1 segment, 2 quarantined", st)
 	}
-	if _, err := os.Stat(filepath.Join(dir, segNameOf("aaaa", wire.FormatBinary))); err != nil {
-		t.Error("binary segment gone after JSONL reopen:", err)
+	if _, ok := s2.Get("bbbb"); ok {
+		t.Error("JSONL segment still indexed")
 	}
-	if _, err := os.Stat(filepath.Join(dir, segNameOf("bbbb", wire.FormatJSONL))); err != nil {
-		t.Error("JSONL segment missing:", err)
+	q, err := os.ReadDir(filepath.Join(dir, quarantineDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range q {
+		names = append(names, de.Name())
+	}
+	sort.Strings(names)
+	if want := []string{"seg-bbbb.jsonl", "seg-cccc.jsonl"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("quarantine holds %v, want %v", names, want)
+	}
+	if got, err := s2.Load("aaaa"); err != nil || !reflect.DeepEqual(got, testRecords("mcf", 3)) {
+		t.Errorf("binary sibling lost in upgrade: %d records, err %v", len(got), err)
+	}
+	commit(t, s2, "bbbb", "lbm", 2)
+	if got, err := s2.Load("bbbb"); err != nil || !reflect.DeepEqual(got, testRecords("lbm", 2)) {
+		t.Errorf("re-committed entry: %d records, err %v", len(got), err)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Third generation, binary again: both mixed segments still verify and
-	// load, and re-committing the JSONL entry under binary replaces its
-	// segment file (no stale twin of the other format left behind).
-	s3, err := Open(Options{Dir: dir, Format: wire.FormatBinary})
+	// The upgraded store reopens clean.
+	s3, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s3.Close()
 	if st := s3.Stats(); st.Segments != 2 || st.Quarantined != 0 {
-		t.Fatalf("mixed store stats after reopen = %+v", st)
-	}
-	commitFmt(t, s3, "bbbb", "lbm", 2)
-	if _, err := os.Stat(filepath.Join(dir, segNameOf("bbbb", wire.FormatBinary))); err != nil {
-		t.Error("re-committed entry has no binary segment:", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, segNameOf("bbbb", wire.FormatJSONL))); !os.IsNotExist(err) {
-		t.Errorf("superseded JSONL segment still present (err=%v)", err)
-	}
-	got, err := s3.Load("bbbb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, testRecords("lbm", 2)) {
-		t.Error("re-committed entry loads wrong records")
-	}
-	if err := s3.Close(); err != nil {
-		t.Fatal(err)
+		t.Errorf("stats after second reopen = %+v, want 2 segments, 0 quarantined", st)
 	}
 }
 
-// TestTruncatedBinarySegmentQuarantined mirrors the JSONL damage test for
-// the binary format: a segment cut mid-record is quarantined at reopen.
+// TestTruncatedBinarySegmentQuarantined: a segment cut mid-record is
+// quarantined at reopen.
 func TestTruncatedBinarySegmentQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, Format: wire.FormatBinary})
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitFmt(t, s, "aaaa", "mcf", 4)
+	commit(t, s, "aaaa", "mcf", 4)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, segNameOf("aaaa", wire.FormatBinary))
+	path := filepath.Join(dir, segName("aaaa"))
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +159,7 @@ func TestTruncatedBinarySegmentQuarantined(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-5); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(Options{Dir: dir, Format: wire.FormatBinary})
+	s2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,43 +34,48 @@ func crashWriter(t *testing.T, s *Store, fp, label string, n int) {
 // TestTmpSalvagedIntoCheckpoint: boot recovery turns a crashed campaign's
 // .tmp into a resumable checkpoint instead of quarantining it.
 func TestTmpSalvagedIntoCheckpoint(t *testing.T) {
-	for _, format := range []wire.Format{wire.FormatJSONL, wire.FormatBinary} {
-		t.Run(string(format), func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := Open(Options{Dir: dir, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			crashWriter(t, s, "deadbeef", "mcf", 3)
-			s.Close()
+	// Segments and checkpoints are binary-framed; the subtest names
+	// the on-disk format the body exercises.
+	t.Run("binary", tmpSalvagedIntoCheckpoint)
+}
 
-			s2, err := Open(Options{Dir: dir, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			st := s2.Stats()
-			if st.Quarantined != 0 || st.Checkpoints != 1 {
-				t.Fatalf("stats = %+v, want 0 quarantined, 1 checkpoint", st)
-			}
-			frames := s2.Checkpoint("deadbeef")
-			if len(frames) != 3 {
-				t.Fatalf("checkpoint holds %d frames, want 3", len(frames))
-			}
-			want := testRecords("mcf", 3)
-			for i, f := range frames {
-				if f.Rec.Benchmark != want[i].Benchmark || f.Rec.Repetition != want[i].Repetition {
-					t.Errorf("frame %d = %+v", i, f.Rec)
-				}
-				if len(f.Line) == 0 || f.Line[len(f.Line)-1] != '\n' {
-					t.Errorf("frame %d line not canonical JSONL: %q", i, f.Line)
-				}
-			}
-			// The .tmp itself is gone.
-			if _, err := os.Stat(filepath.Join(dir, segNameOf("deadbeef", format)+tmpSuffix)); !os.IsNotExist(err) {
-				t.Error(".tmp survived salvage")
-			}
-		})
+func tmpSalvagedIntoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashWriter(t, s, "deadbeef", "mcf", 3)
+	s.Close()
+
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	st := s2.Stats()
+	if st.Quarantined != 0 || st.Checkpoints != 1 {
+		t.Fatalf("stats = %+v, want 0 quarantined, 1 checkpoint", st)
+	}
+	frames := s2.Checkpoint("deadbeef")
+	if len(frames) != 3 {
+		t.Fatalf("checkpoint holds %d frames, want 3", len(frames))
+	}
+	want := testRecords("mcf", 3)
+	for i, f := range frames {
+		if f.Rec.Benchmark != want[i].Benchmark || f.Rec.Repetition != want[i].Repetition {
+			t.Errorf("frame %d = %+v", i, f.Rec)
+		}
+		if len(f.Line) == 0 || f.Line[len(f.Line)-1] != '\n' {
+			t.Errorf("frame %d line not canonical JSONL: %q", i, f.Line)
+		}
+	}
+	// The checkpoint is in the segment framing; the .tmp itself is gone.
+	if raw, err := os.ReadFile(s2.checkpointPath("deadbeef")); err != nil || !bytes.HasPrefix(raw, wire.Header()) {
+		t.Errorf("checkpoint is not a binary segment (err=%v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName("deadbeef")+tmpSuffix)); !os.IsNotExist(err) {
+		t.Error(".tmp survived salvage")
 	}
 }
 
@@ -107,79 +112,81 @@ func TestTornTmpSalvagesPrefix(t *testing.T) {
 // TestResumeCommitsIdenticalSegment: checkpoint + Resume + remaining
 // records commits a segment byte-identical to an uninterrupted run.
 func TestResumeCommitsIdenticalSegment(t *testing.T) {
-	for _, format := range []wire.Format{wire.FormatJSONL, wire.FormatBinary} {
-		t.Run(string(format), func(t *testing.T) {
-			recs := testRecords("mcf", 6)
-			meta, _ := json.Marshal(map[string]string{"label": "mcf"})
+	// Segments and checkpoints are binary-framed; the subtest names
+	// the on-disk format the body exercises.
+	t.Run("binary", resumeCommitsIdenticalSegment)
+}
 
-			// Reference: uninterrupted commit.
-			refDir := t.TempDir()
-			ref, err := Open(Options{Dir: refDir, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := ref.Begin("cafe")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs {
-				if err := w.Record(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Commit(meta); err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join(refDir, segNameOf("cafe", format)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Close()
+func resumeCommitsIdenticalSegment(t *testing.T) {
+	recs := testRecords("mcf", 6)
+	meta, _ := json.Marshal(map[string]string{"label": "mcf"})
 
-			// Crashed run: 4 of 6 records land, then resume.
-			dir := t.TempDir()
-			s, err := Open(Options{Dir: dir, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			crashWriter(t, s, "cafe", "mcf", 4)
-			s.Close()
-			s2, err := Open(Options{Dir: dir, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			ck := s2.Checkpoint("cafe")
-			if len(ck) != 4 {
-				t.Fatalf("checkpoint holds %d frames, want 4", len(ck))
-			}
-			w2, err := s2.Resume("cafe", ck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs[4:] {
-				if err := w2.Record(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w2.Commit(meta); err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(filepath.Join(dir, segNameOf("cafe", format)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("resumed segment differs from uninterrupted run:\n got %d bytes\nwant %d bytes", len(got), len(want))
-			}
-			// Commit cleared the checkpoint.
-			if ck := s2.Checkpoint("cafe"); ck != nil {
-				t.Errorf("checkpoint survived commit: %d frames", len(ck))
-			}
-			if st := s2.Stats(); st.Checkpoints != 0 {
-				t.Errorf("stats = %+v, want 0 checkpoints", st)
-			}
-		})
+	// Reference: uninterrupted commit.
+	refDir := t.TempDir()
+	ref, err := Open(Options{Dir: refDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ref.Begin("cafe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Record(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(meta); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(refDir, segName("cafe")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+
+	// Crashed run: 4 of 6 records land, then resume.
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashWriter(t, s, "cafe", "mcf", 4)
+	s.Close()
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	ck := s2.Checkpoint("cafe")
+	if len(ck) != 4 {
+		t.Fatalf("checkpoint holds %d frames, want 4", len(ck))
+	}
+	w2, err := s2.Resume("cafe", ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs[4:] {
+		if err := w2.Record(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w2.Commit(meta); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, segName("cafe")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed segment differs from uninterrupted run:\n got %d bytes\nwant %d bytes", len(got), len(want))
+	}
+	// Commit cleared the checkpoint.
+	if ck := s2.Checkpoint("cafe"); ck != nil {
+		t.Errorf("checkpoint survived commit: %d frames", len(ck))
+	}
+	if st := s2.Stats(); st.Checkpoints != 0 {
+		t.Errorf("stats = %+v, want 0 checkpoints", st)
 	}
 }
 

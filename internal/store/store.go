@@ -1,5 +1,6 @@
 // Package store is the durable characterization store behind campaignd: an
-// append-only, fingerprint-keyed segment log of core.RunRecord JSON Lines.
+// append-only, fingerprint-keyed segment log of core.RunRecords in the
+// CRC-framed binary wire format (internal/wire).
 // The paper's premise is that characterization is expensive — hours of Vmin
 // descent per (benchmark, board) — so a finished campaign's records must
 // survive daemon restarts and cache eviction instead of being re-measured.
@@ -9,19 +10,17 @@
 //	MANIFEST.jsonl        append-only journal of put/touch/del operations;
 //	                      replaying it yields the fingerprint -> segment
 //	                      index with a summary per entry and the LRU order
-//	seg-<fp>.jsonl        one committed segment per characterization: the
-//	                      campaign's record stream, byte-identical to the
-//	                      live NDJSON stream that produced it
-//	seg-<fp>.bin          the same stream in the compact binary wire
-//	                      format (Options.Format = wire.FormatBinary);
-//	                      loads re-render the canonical JSONL, and a
-//	                      directory may mix both suffixes freely
-//	seg-<fp>.*.tmp        a campaign still being written (crash debris if
+//	seg-<fp>.bin          one committed segment per characterization: the
+//	                      campaign's records in the binary wire format;
+//	                      loads re-render the canonical JSONL, so a replay
+//	                      is byte-identical to the live NDJSON stream that
+//	                      produced it
+//	seg-<fp>.bin.tmp      a campaign still being written (crash debris if
 //	                      one survives a restart)
 //	ckpt-<fp>             a checkpoint: the intact record prefix salvaged
-//	                      from a crashed campaign's .tmp segment, kept as
-//	                      canonical JSONL so the campaign can resume from
-//	                      its completed records instead of re-running
+//	                      from a crashed campaign's .tmp segment, in the
+//	                      same binary framing, so the campaign can resume
+//	                      from its completed records instead of re-running
 //	quarantine/           segments recovery refused to trust, kept for
 //	                      forensics instead of deleted (bounded by
 //	                      Options.QuarantineMaxFiles/Bytes)
@@ -31,15 +30,19 @@
 // itself is fsync'd does a "put" line (fsync'd too) enter the manifest —
 // so a manifest entry always names a fully durable segment. Recovery
 // (Open) distrusts everything anyway: the manifest is parsed with prefix
-// salvage (a line truncated by a crash drops, the intact prefix stands),
-// leftover .tmp files have their intact record prefix salvaged into a
-// checkpoint (the wire reader's prefix-salvage contract), segments the
-// manifest doesn't claim are quarantined, and every claimed segment is
-// re-parsed and length-checked — a truncated or corrupt segment is
-// quarantined and its entry dropped, so the damaged campaign simply
-// re-runs while intact ones replay. The writer flushes its buffer every
-// Options.CheckpointEvery records (default: every record), so the bytes a
-// crash can lose are bounded to the tail past the last flush.
+// salvage (a line truncated by a crash drops, the intact prefix stands)
+// and a put naming anything but seg-<fp>.bin is dropped, leftover .tmp
+// files have their intact record prefix salvaged into a checkpoint (the
+// wire reader's prefix-salvage contract), seg-* files the manifest doesn't
+// claim are quarantined, and every claimed segment is re-parsed and
+// length-checked — a truncated or corrupt segment is quarantined and its
+// entry dropped, so the damaged campaign simply re-runs while intact ones
+// replay. The same rules upgrade a store written before binary became the
+// only format: its seg-<fp>.jsonl files lose their claims, are
+// quarantined, and re-run on demand.
+// The writer flushes its buffer every Options.CheckpointEvery records
+// (default: every record), so the bytes a crash can lose are bounded to the
+// tail past the last flush.
 //
 // Compaction. The store is size/count-bounded (Options.MaxSegments,
 // MaxBytes): committing past a bound evicts least-recently-used segments
@@ -73,8 +76,7 @@ const (
 	manifestName  = "MANIFEST.jsonl"
 	quarantineDir = "quarantine"
 	segPrefix     = "seg-"
-	segSuffix     = ".jsonl"
-	segBinSuffix  = ".bin"
+	segSuffix     = ".bin"
 	tmpSuffix     = ".tmp"
 	ckptPrefix    = "ckpt-"
 )
@@ -97,13 +99,6 @@ type Options struct {
 	// unbounded. The newest segment is never evicted by its own commit,
 	// so one oversized campaign can transiently exceed the bound.
 	MaxBytes int64
-	// Format selects how NEW segments are encoded: wire.FormatJSONL (the
-	// default) or wire.FormatBinary (compact, CRC-protected). Reading is
-	// always format-agnostic — wire.ReadSegment auto-detects per segment —
-	// so a store written under one format reopens cleanly under the other
-	// and mixed-format directories replay fine; only future commits follow
-	// this option. Replayed streams are byte-identical either way.
-	Format wire.Format
 	// CheckpointEvery flushes the segment writer's buffer every N records
 	// so a crash loses at most the tail past the last flush and boot
 	// recovery can salvage the rest into a checkpoint. Zero means 1
@@ -199,12 +194,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: no directory")
 	}
-	if _, err := wire.ParseFormat(string(opts.Format)); err != nil {
-		return nil, err
-	}
-	if opts.Format == "" {
-		opts.Format = wire.FormatJSONL
-	}
 	if err := os.MkdirAll(filepath.Join(opts.Dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", opts.Dir, err)
 	}
@@ -255,26 +244,10 @@ func Open(opts Options) (*Store, error) {
 
 func (s *Store) manifestPath() string { return filepath.Join(s.opts.Dir, manifestName) }
 
-// segName is the canonical segment file name for a fingerprint in the
-// legacy JSONL format.
+// segName is the segment file name for a fingerprint.
 func segName(fp string) string { return segPrefix + fp + segSuffix }
 
-// segNameOf is the canonical segment file name under a given format.
-func segNameOf(fp string, format wire.Format) string {
-	if format == wire.FormatBinary {
-		return segPrefix + fp + segBinSuffix
-	}
-	return segName(fp)
-}
-
-// isSegName reports whether a directory entry looks like a committed
-// segment of either format.
-func isSegName(name string) bool {
-	return strings.HasPrefix(name, segPrefix) &&
-		(strings.HasSuffix(name, segSuffix) || strings.HasSuffix(name, segBinSuffix))
-}
-
-// readSegmentFile reads a segment of either format back into frames.
+// readSegmentFile reads a segment or checkpoint back into frames.
 func readSegmentFile(path string) ([]core.Frame, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -324,6 +297,13 @@ func (s *Store) replayManifest() (dirty bool, err error) {
 		s.ops++
 		switch op.Op {
 		case "put":
+			if validFingerprint(op.Fingerprint) != nil || op.Segment != segName(op.Fingerprint) {
+				// Not a segment this store writes (an older format's, or a
+				// corrupt line): drop the claim and leave any file to the
+				// orphan sweep, so no path is taken from the journal.
+				dirty = true
+				continue
+			}
 			s.seq++
 			s.entries[op.Fingerprint] = &Entry{
 				Fingerprint: op.Fingerprint,
@@ -344,19 +324,16 @@ func (s *Store) replayManifest() (dirty bool, err error) {
 	}
 	// A journal not ending in a newline had its tail torn off even if the
 	// bytes so far parsed.
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		return true, nil
-	}
-	return false, nil
+	return dirty || len(data) > 0 && data[len(data)-1] != '\n', nil
 }
 
 // sweepDir handles crash debris. A .tmp segment from a campaign that
 // never committed has its intact record prefix salvaged into a
 // ckpt-<fp> checkpoint (so the campaign can resume from its completed
 // records) unless the fingerprint is already committed; an unreadable
-// .tmp, a committed-looking segment the manifest does not claim (a crash
-// between rename and manifest append), and checkpoints obsoleted by a
-// commit are quarantined or removed.
+// .tmp, any other seg-* file the manifest does not claim (a crash between
+// rename and manifest append, or a segment from an older format), and
+// checkpoints obsoleted by a commit are quarantined or removed.
 func (s *Store) sweepDir(dirty *bool) error {
 	claimed := make(map[string]bool, len(s.entries))
 	for _, e := range s.entries {
@@ -387,7 +364,7 @@ func (s *Store) sweepDir(dirty *bool) error {
 			} else {
 				s.checkpoints++
 			}
-		case isSegName(name) && !claimed[name]:
+		case strings.HasPrefix(name, segPrefix) && !claimed[name]:
 			if err := s.quarantine(name); err != nil {
 				return err
 			}
@@ -400,16 +377,8 @@ func (s *Store) sweepDir(dirty *bool) error {
 // tmpFingerprint recovers the fingerprint from a .tmp segment name, or ""
 // if the name does not parse.
 func tmpFingerprint(name string) string {
-	fp := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), tmpSuffix)
-	switch {
-	case strings.HasSuffix(fp, segSuffix):
-		fp = strings.TrimSuffix(fp, segSuffix)
-	case strings.HasSuffix(fp, segBinSuffix):
-		fp = strings.TrimSuffix(fp, segBinSuffix)
-	default:
-		return ""
-	}
-	if validFingerprint(fp) != nil {
+	fp, ok := strings.CutSuffix(strings.TrimPrefix(name, segPrefix), segSuffix+tmpSuffix)
+	if !ok || validFingerprint(fp) != nil {
 		return ""
 	}
 	return fp
@@ -417,10 +386,9 @@ func tmpFingerprint(name string) string {
 
 // salvageTmp turns an uncommitted .tmp segment into a resume checkpoint:
 // the intact record prefix (wire.ReadSegment's salvage contract tolerates
-// a torn tail in either format) is written as canonical JSONL to
-// ckpt-<fp>, fsync'd, and the .tmp removed. A .tmp with no salvageable
-// records, an unparseable name, or a fingerprint that already has a
-// committed segment is quarantined as before.
+// a torn tail) is written to ckpt-<fp>, fsync'd, and the .tmp removed. A
+// .tmp with no salvageable records, an unparseable name, or a fingerprint
+// that already has a committed segment is quarantined as before.
 func (s *Store) salvageTmp(name string) error {
 	fp := tmpFingerprint(name)
 	_, committed := s.entries[fp]
@@ -460,7 +428,7 @@ func (s *Store) checkpointPath(fp string) string {
 	return filepath.Join(s.opts.Dir, ckptPrefix+fp)
 }
 
-// writeCheckpoint persists frames as a JSONL checkpoint, fsync'd, and
+// writeCheckpoint persists frames as a binary checkpoint, fsync'd, and
 // counts it. Overwriting an existing checkpoint keeps the count right.
 func (s *Store) writeCheckpoint(fp string, frames []core.Frame) error {
 	_, existed := os.Stat(s.checkpointPath(fp))
@@ -468,16 +436,16 @@ func (s *Store) writeCheckpoint(fp string, frames []core.Frame) error {
 	if err != nil {
 		return fmt.Errorf("store: write checkpoint %s: %w", fp, err)
 	}
-	bw := bufio.NewWriter(f)
+	buf := wire.Header()
 	for _, fr := range frames {
-		if _, err := bw.Write(fr.Line); err != nil {
+		if buf, err = wire.AppendBinaryRecord(buf, fr.Rec); err != nil {
 			f.Close()
-			return fmt.Errorf("store: write checkpoint %s: %w", fp, err)
+			return fmt.Errorf("store: encode checkpoint %s: %w", fp, err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
-		return fmt.Errorf("store: flush checkpoint %s: %w", fp, err)
+		return fmt.Errorf("store: write checkpoint %s: %w", fp, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -776,14 +744,11 @@ func (s *Store) appendOpLocked(op manifestOp, sync bool) error {
 
 // Writer streams one campaign's records into an uncommitted segment. It
 // implements core.Sink and core.FrameSink, so it can ride the existing
-// sink fan-out: fed from a frame-producing pipeline a JSONL writer appends
-// the shared pre-rendered line without encoding anything, and a binary
-// writer re-frames the already-decoded record without JSON work. Exactly
-// one of Commit or Abort must be called.
+// sink fan-out: it frames the already-decoded record without JSON work.
+// Exactly one of Commit or Abort must be called.
 type Writer struct {
 	st        *Store
 	fp        string
-	format    wire.Format
 	f         *os.File
 	bw        *bufio.Writer
 	scratch   []byte
@@ -793,10 +758,9 @@ type Writer struct {
 	done      bool
 }
 
-// Begin opens a segment writer for a fingerprint, in the store's
-// configured format. The segment becomes visible (and durable) only at
-// Commit; a crash before that leaves .tmp debris that the next Open
-// quarantines.
+// Begin opens a segment writer for a fingerprint. The segment becomes
+// visible (and durable) only at Commit; a crash before that leaves .tmp
+// debris that the next Open salvages into a checkpoint or quarantines.
 func (s *Store) Begin(fp string) (*Writer, error) {
 	if err := validFingerprint(fp); err != nil {
 		return nil, err
@@ -807,7 +771,7 @@ func (s *Store) Begin(fp string) (*Writer, error) {
 	if closed {
 		return nil, errors.New("store: closed")
 	}
-	path := filepath.Join(s.opts.Dir, segNameOf(fp, s.opts.Format)+tmpSuffix)
+	path := filepath.Join(s.opts.Dir, segName(fp)+tmpSuffix)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: begin segment %s: %w", fp, err)
@@ -819,14 +783,11 @@ func (s *Store) Begin(fp string) (*Writer, error) {
 	if every < 0 {
 		every = 0
 	}
-	w := &Writer{st: s, fp: fp, format: s.opts.Format, f: f, bw: bufio.NewWriter(f), ckptEvery: every}
-	if w.format == wire.FormatBinary {
-		if err := w.write(wire.Header()); err != nil {
-			f.Close()
-			os.Remove(path)
-			return nil, err
-		}
-	}
+	// The header goes straight into the buffer, outside the store.write
+	// fault site, so a fault plan's store.write:...@N counts records.
+	hdr := wire.Header()
+	w := &Writer{st: s, fp: fp, f: f, bw: bufio.NewWriter(f), bytes: int64(len(hdr)), ckptEvery: every}
+	w.bw.Write(hdr) // a bufio write into an empty buffer cannot fail
 	return w, nil
 }
 
@@ -858,20 +819,13 @@ func (w *Writer) checkpoint() error {
 	return nil
 }
 
-// Record implements core.Sink: the record is encoded by this writer (the
-// canonical JSONL bytes, or a binary frame). Frame-fed pipelines use Frame
-// instead and skip the JSONL encoding entirely.
+// Record implements core.Sink: the record is appended as one binary frame.
 func (w *Writer) Record(rec core.RunRecord) error {
 	if w.done {
 		return errors.New("store: segment writer already finished")
 	}
 	var err error
-	if w.format == wire.FormatBinary {
-		w.scratch, err = wire.AppendBinaryRecord(w.scratch[:0], rec)
-	} else {
-		w.scratch, err = wire.AppendRecordLine(w.scratch[:0], rec)
-	}
-	if err != nil {
+	if w.scratch, err = wire.AppendBinaryRecord(w.scratch[:0], rec); err != nil {
 		return fmt.Errorf("store: encode record: %w", err)
 	}
 	if err := w.write(w.scratch); err != nil {
@@ -881,22 +835,9 @@ func (w *Writer) Record(rec core.RunRecord) error {
 	return w.checkpoint()
 }
 
-// Frame implements core.FrameSink: a JSONL segment appends the shared
-// pre-rendered line as-is (zero encoding cost), a binary segment re-frames
-// the decoded record.
-func (w *Writer) Frame(f core.Frame) error {
-	if w.format != wire.FormatJSONL {
-		return w.Record(f.Rec)
-	}
-	if w.done {
-		return errors.New("store: segment writer already finished")
-	}
-	if err := w.write(f.Line); err != nil {
-		return err
-	}
-	w.records++
-	return w.checkpoint()
-}
+// Frame implements core.FrameSink: the segment stores the decoded record,
+// not the pre-rendered line, which replay re-renders.
+func (w *Writer) Frame(f core.Frame) error { return w.Record(f.Rec) }
 
 var _ core.Sink = (*Writer)(nil)
 var _ core.FrameSink = (*Writer)(nil)
@@ -926,7 +867,7 @@ func (w *Writer) Commit(meta json.RawMessage) error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("store: close segment: %w", err)
 	}
-	s, name := w.st, segNameOf(w.fp, w.format)
+	s, name := w.st, segName(w.fp)
 	final := filepath.Join(s.opts.Dir, name)
 	if err := fault.Inject("store.rename"); err != nil {
 		return fmt.Errorf("store: install segment: %w", err)
@@ -948,13 +889,6 @@ func (w *Writer) Commit(meta json.RawMessage) error {
 	}, true); err != nil {
 		return err
 	}
-	// A re-commit under a different format leaves the predecessor segment
-	// under its old name; remove it now that the manifest points away (a
-	// crash in between merely leaves an orphan for the next Open to
-	// quarantine).
-	if prev := s.entries[w.fp]; prev != nil && prev.Segment != name {
-		_ = os.Remove(filepath.Join(s.opts.Dir, prev.Segment))
-	}
 	s.seq++
 	s.entries[w.fp] = &Entry{
 		Fingerprint: w.fp, Segment: name,
@@ -971,12 +905,11 @@ func (w *Writer) Commit(meta json.RawMessage) error {
 
 // Adopt commits an externally produced segment — a characterization
 // replicated from a fleet peer — as if this store had written it: the
-// frames stream through an ordinary segment writer in the store's
-// configured format and durability follows the same flush/fsync/rename
+// frames stream through an ordinary segment writer and durability follows the same flush/fsync/rename
 // path as a local commit, so every recovery and quarantine invariant
-// applies unchanged. Each frame carries its canonical JSONL line, which is
-// what makes the adopted segment replay byte-identically to the peer that
-// ran it. meta is the peer's manifest metadata, stored verbatim;
+// applies unchanged. Replay re-renders each record's canonical JSONL line,
+// which is what makes the adopted segment replay byte-identically to the
+// peer that ran it. meta is the peer's manifest metadata, stored verbatim;
 // validating that it belongs to fp is the caller's job (the serve layer
 // refuses segments whose spec does not fingerprint back to fp).
 func (s *Store) Adopt(fp string, meta json.RawMessage, frames []core.Frame) error {
@@ -1000,7 +933,7 @@ func (w *Writer) Abort() error {
 	}
 	w.done = true
 	w.f.Close()
-	path := filepath.Join(w.st.opts.Dir, segNameOf(w.fp, w.format)+tmpSuffix)
+	path := filepath.Join(w.st.opts.Dir, segName(w.fp)+tmpSuffix)
 	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("store: abort segment: %w", err)
 	}
@@ -1034,8 +967,8 @@ func (s *Store) Entries() []Entry {
 
 // LoadFrames reads a fingerprint's segment back as frames — each record
 // with its canonical JSONL line, so replaying to a subscriber costs no
-// re-encoding and is byte-identical to the original live stream whatever
-// format the segment used on disk. The segment is verified against its
+// further encoding and is byte-identical to the original live stream. The
+// segment is verified against its
 // manifest line; one that fails verification here (damaged after boot) is
 // quarantined and its entry dropped, so the caller can fall back to
 // re-running the campaign. A failure to even open the segment is treated

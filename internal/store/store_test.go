@@ -80,19 +80,20 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The segment file's bytes are exactly the JSONL stream a live
-	// subscriber would have seen.
-	var wantBytes bytes.Buffer
-	sink := core.NewJSONLSink(&wantBytes)
+	// The segment file's bytes are exactly the binary framing of the
+	// records a live subscriber would have seen.
+	wantBytes := wire.Header()
 	for _, rec := range want {
-		sink.Record(rec)
+		if wantBytes, err = wire.AppendBinaryRecord(wantBytes, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, err := os.ReadFile(filepath.Join(dir, segName("aaaa")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, wantBytes.Bytes()) {
-		t.Error("segment bytes differ from the live JSONL stream")
+	if !bytes.Equal(got, wantBytes) {
+		t.Error("segment bytes differ from the binary framing of the records")
 	}
 }
 
@@ -186,7 +187,11 @@ func TestCrashDebrisQuarantined(t *testing.T) {
 	// Simulate the crash: no Commit, no Abort; also drop an orphan that
 	// looks committed but is absent from the manifest.
 	orphan := filepath.Join(dir, segName("orphan"))
-	if err := os.WriteFile(orphan, []byte("{}\n"), 0o644); err != nil {
+	seg, err := wire.AppendBinaryRecord(wire.Header(), testRecords("mcf", 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(orphan, seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -452,55 +457,56 @@ func TestTouchChurnCompactsManifest(t *testing.T) {
 }
 
 func TestAdoptReplaysByteIdentically(t *testing.T) {
+	// Segments and checkpoints are binary-framed; the subtest names
+	// the on-disk format the body exercises.
+	t.Run("binary", adoptReplaysByteIdentically)
+}
+
+func adoptReplaysByteIdentically(t *testing.T) {
 	// A segment adopted from a peer (frames + verbatim meta) must behave
 	// exactly like a locally committed one: indexed, durable across
-	// reopen, and replaying the peer's canonical bytes — in either
-	// configured format.
-	for _, format := range []wire.Format{wire.FormatJSONL, wire.FormatBinary} {
-		t.Run(string(format), func(t *testing.T) {
-			recs := testRecords("adopted", 5)
-			frames, err := wire.EncodeFrames(recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want bytes.Buffer
-			for _, f := range frames {
-				want.Write(f.Line)
-			}
-			meta := json.RawMessage(`{"label":"adopted","workers":3}`)
+	// reopen, and replaying the peer's canonical bytes.
+	recs := testRecords("adopted", 5)
+	frames, err := wire.EncodeFrames(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, f := range frames {
+		want.Write(f.Line)
+	}
+	meta := json.RawMessage(`{"label":"adopted","workers":3}`)
 
-			dir := t.TempDir()
-			s, err := Open(Options{Dir: dir, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Adopt("feedface00000001", meta, frames); err != nil {
-				t.Fatal(err)
-			}
-			e, ok := s.Get("feedface00000001")
-			if !ok || e.Records != 5 || string(e.Meta) != string(meta) {
-				t.Fatalf("entry = %+v, ok = %v", e, ok)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Adopt("feedface00000001", meta, frames); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.Get("feedface00000001")
+	if !ok || e.Records != 5 || string(e.Meta) != string(meta) {
+		t.Fatalf("entry = %+v, ok = %v", e, ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-			s2, err := Open(Options{Dir: dir, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			got, err := s2.LoadFrames("feedface00000001")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var replay bytes.Buffer
-			for _, f := range got {
-				replay.Write(f.Line)
-			}
-			if !bytes.Equal(replay.Bytes(), want.Bytes()) {
-				t.Fatal("adopted segment did not replay byte-identically")
-			}
-		})
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, err := s2.LoadFrames("feedface00000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replay bytes.Buffer
+	for _, f := range got {
+		replay.Write(f.Line)
+	}
+	if !bytes.Equal(replay.Bytes(), want.Bytes()) {
+		t.Fatal("adopted segment did not replay byte-identically")
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"math"
 	"time"
 
-	"encoding/json"
-
 	"repro/internal/core"
 	"repro/internal/silicon"
 	"repro/internal/xgene"
@@ -32,10 +30,14 @@ import (
 // record, a bit flip, an over-long length — surfaces as a *ReadError with
 // the intact prefix, mirroring core.ParseLog's salvage contract.
 //
+// This is the only on-disk record format: the store writes committed
+// segments and crash checkpoints in it. The live stream, the spool and batch
+// logs stay JSONL, rendered from the decoded records.
+//
 // Compatibility rule: the version byte is bumped for any incompatible
-// payload change; readers reject versions they do not know. JSONL segments
-// (which can never start with the magic, as '"W' cannot open a JSON
-// object) remain the default and are always readable.
+// payload change; readers reject versions they do not know, and input that
+// does not open with the magic (a JSONL segment from an older store, say)
+// fails at record 0.
 
 // magic identifies a binary segment; version is the current format.
 const (
@@ -47,31 +49,6 @@ const (
 // prefix cannot drive allocation. Real payloads are ~100 bytes; the bound
 // leaves three orders of magnitude of headroom.
 const maxPayload = 1 << 20
-
-// Format selects how a segment encodes its records on disk.
-type Format string
-
-const (
-	// FormatJSONL is the legacy (and default) format: one JSON line per
-	// record, byte-identical to the live NDJSON stream.
-	FormatJSONL Format = "jsonl"
-	// FormatBinary is the compact length-prefixed binary format; ~3x
-	// smaller and decoded without JSON parsing. Readers re-render the
-	// canonical JSONL, so replayed streams are byte-identical either way.
-	FormatBinary Format = "binary"
-)
-
-// ParseFormat validates a format name (the campaignd -segment-format flag).
-func ParseFormat(s string) (Format, error) {
-	switch Format(s) {
-	case FormatJSONL, FormatBinary:
-		return Format(s), nil
-	case "":
-		return FormatJSONL, nil
-	default:
-		return "", fmt.Errorf("wire: unknown segment format %q (want %q or %q)", s, FormatJSONL, FormatBinary)
-	}
-}
 
 // Header returns the binary segment header a writer must emit before the
 // first record.
@@ -233,6 +210,10 @@ func decodePayload(b []byte) (core.RunRecord, error) {
 	}
 	rec.Repetition = int(p.varint())
 	rec.Outcome = xgene.Outcome(p.varint())
+	// Refuse what the JSONL decoder refuses, so every replayed line parses.
+	if _, err := xgene.ParseOutcome(rec.Outcome.String()); p.err == nil && err != nil {
+		p.err = err
+	}
 	rec.DroopMV = p.float()
 	rec.DRAMCE = int(p.varint())
 	rec.DRAMUE = int(p.varint())
@@ -252,11 +233,11 @@ func decodePayload(b []byte) (core.RunRecord, error) {
 
 // ReadError is ReadSegment's failure report, mirroring core.LogError's
 // prefix-salvage contract: Record is the 1-based index of the first
-// damaged record (for JSONL segments, its line number), the frames decoded
-// before it are returned alongside the error, and nothing beyond the
-// damage is ever returned.
+// damaged record (0 for a bad header), the frames decoded before it are
+// returned alongside the error, and nothing beyond the damage is ever
+// returned.
 type ReadError struct {
-	// Record is the 1-based index (JSONL: line number) of the damage.
+	// Record is the 1-based index of the damage; 0 is the header.
 	Record int
 	// Err is the underlying decode, CRC or read error.
 	Err error
@@ -268,30 +249,22 @@ func (e *ReadError) Error() string {
 
 func (e *ReadError) Unwrap() error { return e.Err }
 
-// ReadSegment reads a stored segment — binary or JSONL, auto-detected —
-// back into frames: each frame carries the decoded record and its
-// canonical JSONL line, so replaying a segment to a subscriber is
-// byte-identical to the live stream that produced it regardless of how the
-// segment was persisted.
+// ReadSegment reads a stored binary segment back into frames: each frame
+// carries the decoded record and its canonical JSONL line, so replaying a
+// segment to a subscriber is byte-identical to the live stream that
+// produced it.
 //
 // Salvage contract (same as core.ParseLog): on damage, the frames decoded
 // before the damage are returned together with a *ReadError locating it —
 // never a nil slice alongside frames, never frames from beyond the damage.
 func ReadSegment(r io.Reader) ([]core.Frame, error) {
 	br := bufio.NewReaderSize(r, 64*1024)
-	head, err := br.Peek(len(magic))
-	if err == nil && bytes.Equal(head, []byte(magic)) {
-		return readBinary(br)
-	}
-	// Not a binary segment (or shorter than the magic): JSONL.
-	return readJSONL(br)
-}
-
-// readBinary decodes the binary framing after verifying the header.
-func readBinary(br *bufio.Reader) ([]core.Frame, error) {
 	hdr := make([]byte, len(magic)+1)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, &ReadError{Record: 0, Err: fmt.Errorf("short header: %w", err)}
+	}
+	if !bytes.Equal(hdr[:len(magic)], []byte(magic)) {
+		return nil, &ReadError{Record: 0, Err: errors.New("not a binary segment")}
 	}
 	if hdr[len(magic)] != version {
 		return nil, &ReadError{Record: 0, Err: fmt.Errorf("unsupported segment version %d", hdr[len(magic)])}
@@ -333,42 +306,4 @@ func readBinary(br *bufio.Reader) ([]core.Frame, error) {
 		}
 		frames = append(frames, core.Frame{Rec: rec, Line: line})
 	}
-}
-
-// parseLine decodes one JSONL record the same way core.ParseLog does.
-func parseLine(line []byte) (core.RunRecord, error) {
-	var rec core.RunRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return core.RunRecord{}, err
-	}
-	return rec, nil
-}
-
-// readJSONL parses a JSONL segment keeping each original line as the
-// frame's pre-rendered bytes — old segments replay without re-encoding
-// (and without trusting this package's encoder to reproduce them).
-func readJSONL(br *bufio.Reader) ([]core.Frame, error) {
-	var frames []core.Frame
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		rec, perr := parseLine(line)
-		if perr != nil {
-			return frames, &ReadError{Record: lineNo, Err: perr}
-		}
-		stored := make([]byte, len(line)+1)
-		copy(stored, line)
-		stored[len(line)] = '\n'
-		frames = append(frames, core.Frame{Rec: rec, Line: stored})
-	}
-	if err := sc.Err(); err != nil {
-		return frames, &ReadError{Record: lineNo + 1, Err: err}
-	}
-	return frames, nil
 }

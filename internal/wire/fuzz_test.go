@@ -1,12 +1,15 @@
 package wire_test
 
-// FuzzWireReader throws arbitrary bytes at the auto-detecting segment
-// reader. The invariants, regardless of input: never panic, never return
-// an error other than *wire.ReadError, and every returned frame must be
-// internally consistent — a newline-terminated valid-JSON line that
-// decodes back to the frame's record. Damage seeds (truncations, bit
-// flips, lying length prefixes) live in the in-code corpus below and in
-// committed files under testdata/fuzz/FuzzWireReader.
+// FuzzWireReader throws arbitrary bytes at the segment reader. The
+// invariants, regardless of input: never panic, never return an error
+// other than *wire.ReadError, locate the damage exactly one past the
+// salvaged prefix (or at record 0 for a bad header, with nothing
+// salvaged), and every returned frame must be internally consistent — a
+// newline-terminated valid-JSON line that decodes back to the frame's
+// record. Input without the magic, JSONL included, must fail at record 0.
+// Damage seeds (truncations, bit flips, lying length prefixes) live in the
+// in-code corpus below and in committed files under
+// testdata/fuzz/FuzzWireReader.
 //
 // CI runs this as a smoke pass (corpus only, via `go test`); run it as a
 // real fuzzer with:
@@ -66,6 +69,7 @@ func FuzzWireReader(f *testing.F) {
 	f.Add(wire.Header())    // header only
 	f.Add(seg[:4])          // shorter than the magic
 	f.Add([]byte{})         // empty
+	// JSONL from an older store and plain junk: both must fail at record 0.
 	f.Add([]byte(`{"Benchmark":"mcf","Setup":{"PMDVoltage":0,"SoCVoltage":0,"PMDFreqHz":[0,0,0,0],"TREFP":0,"Cores":null},"Repetition":0,"Outcome":"OK","DroopMV":0,"DRAMCE":0,"DRAMUE":0,"DRAMSDC":0,"Recovered":false,"SimTime":0}` + "\n"))
 	f.Add([]byte("not json at all\n"))
 	flipped := append([]byte(nil), seg...)
@@ -84,18 +88,15 @@ func FuzzWireReader(f *testing.F) {
 			if !errors.As(err, &re) {
 				t.Fatalf("non-ReadError failure: %v", err)
 			}
-			if bytes.HasPrefix(data, []byte("WIRESEGM")) {
-				// Binary: every record before the damage yields a frame, so
-				// the damage index is exactly one past the salvaged prefix
-				// (0 means the header itself was bad).
-				if re.Record != 0 && re.Record != len(frames)+1 {
-					t.Fatalf("binary damage at record %d with %d salvaged frames", re.Record, len(frames))
-				}
-			} else if re.Record < len(frames)+1 {
-				// JSONL: Record is a line number; blank lines make it run
-				// ahead of the frame count, never behind.
-				t.Fatalf("JSONL damage at line %d with %d salvaged frames", re.Record, len(frames))
+			// Every record before the damage yields a frame, so the damage
+			// index is exactly one past the salvaged prefix; 0 means the
+			// header itself was bad and nothing was salvaged.
+			if (re.Record == 0 && len(frames) != 0) || (re.Record != 0 && re.Record != len(frames)+1) {
+				t.Fatalf("damage at record %d with %d salvaged frames", re.Record, len(frames))
 			}
+		}
+		if !bytes.HasPrefix(data, wire.Header()[:8]) && (err == nil || len(frames) != 0) {
+			t.Fatalf("input without the magic: frames=%d err=%v, want a record-0 failure", len(frames), err)
 		}
 		for i, fr := range frames {
 			if len(fr.Line) == 0 || fr.Line[len(fr.Line)-1] != '\n' {

@@ -1,17 +1,19 @@
 // Package wire is the daemon's wire-format layer: an allocation-lean,
 // append-style encoder for core.RunRecord that renders byte-identical
-// output to encoding/json, plus an opt-in compact binary segment format
-// (binary.go) with a reader that replays either format as the canonical
-// JSONL stream.
+// output to encoding/json, plus the compact binary segment format
+// (binary.go), the store's only on-disk record format, with a reader that
+// replays a segment as the canonical JSONL stream.
 //
 // The encoder exists because, with simulation at ~µs per run (see
 // BENCH_hotpath.json), JSONL encoding dominates a streamed campaign and
 // every subscriber used to pay it independently. Encoding each record
-// exactly once — into a core.Frame whose Line every NDJSON/SSE subscriber,
-// spool file and store segment writer shares — only works if the rendered
-// bytes are exactly what encoding/json would have produced; the golden and
-// equivalence tests in this package pin that, field by field, including
-// encoding/json's float formatting and HTML-escaping quirks.
+// exactly once — into a core.Frame whose Line every NDJSON/SSE subscriber
+// and spool file shares — only works if the rendered bytes are exactly
+// what encoding/json would have produced; the golden and equivalence tests
+// in this package pin that, field by field, including encoding/json's
+// float formatting and HTML-escaping quirks. The same encoder re-renders
+// every stored segment on replay, so it is also what keeps a replayed
+// stream byte-identical to the live one.
 package wire
 
 import (
@@ -262,7 +264,7 @@ var scratchPool = sync.Pool{
 
 // EncodeFrame renders one record into a core.Frame whose Line is an
 // exact-size immutable allocation (the shared slice every subscriber and
-// the segment writer will hold); encoding scratch comes from a pool.
+// the spool will hold); encoding scratch comes from a pool.
 func EncodeFrame(rec core.RunRecord) (core.Frame, error) {
 	bp := scratchPool.Get().(*[]byte)
 	b, err := AppendRecordLine((*bp)[:0], rec)

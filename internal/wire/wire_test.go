@@ -181,39 +181,21 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadSegmentJSONL checks the auto-detected legacy path: original line
-// bytes pass through verbatim, even if this package's encoder would have
-// rendered them differently.
+// TestReadSegmentJSONL: a JSONL segment from a store that predates the
+// binary-only format is not a segment. It fails at record 0 with nothing
+// salvaged, which is what routes it into the store's quarantine.
 func TestReadSegmentJSONL(t *testing.T) {
-	recs := sampleRecords()[:3]
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for _, rec := range recs {
+	for _, rec := range sampleRecords()[:3] {
 		if err := enc.Encode(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A spacing quirk the canonical encoder would never emit: it must
-	// survive replay untouched.
-	quirk := "{\"Benchmark\":\"quirk\", \"Setup\":{\"PMDVoltage\":0.98,\"SoCVoltage\":0.98,\"PMDFreqHz\":[1,1,1,1],\"TREFP\":1,\"Cores\":null},\"Repetition\":0,\"Outcome\":\"OK\",\"DroopMV\":0,\"DRAMCE\":0,\"DRAMUE\":0,\"DRAMSDC\":0,\"Recovered\":false,\"SimTime\":0}\n"
-	buf.WriteString(quirk)
-	raw := buf.Bytes()
-	frames, err := ReadSegment(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("ReadSegment: %v", err)
-	}
-	if len(frames) != len(recs)+1 {
-		t.Fatalf("decoded %d frames, want %d", len(frames), len(recs)+1)
-	}
-	var replay bytes.Buffer
-	for _, f := range frames {
-		replay.Write(f.Line)
-	}
-	if !bytes.Equal(replay.Bytes(), raw) {
-		t.Errorf("JSONL replay is not verbatim:\n got %q\nwant %q", replay.Bytes(), raw)
-	}
-	if frames[len(frames)-1].Rec.Benchmark != "quirk" {
-		t.Errorf("quirk line decoded to %q", frames[len(frames)-1].Rec.Benchmark)
+	frames, err := ReadSegment(bytes.NewReader(buf.Bytes()))
+	var re *ReadError
+	if !errors.As(err, &re) || re.Record != 0 || len(frames) != 0 {
+		t.Fatalf("JSONL input: frames=%d err=%v, want 0 frames and a record-0 ReadError", len(frames), err)
 	}
 }
 
@@ -253,6 +235,11 @@ func TestReadSegmentSalvage(t *testing.T) {
 			return b
 		}, 0, 0},
 		{"short header", func(b []byte) []byte { return b[:len(magic)] }, 0, 0},
+		{"unknown outcome", func(b []byte) []byte {
+			// Intact framing around an outcome the JSONL decoder refuses.
+			out, _ := AppendBinaryRecord(append([]byte(nil), b[:bounds[0]]...), core.RunRecord{Benchmark: "x"})
+			return out
+		}, 1, 2},
 	}
 	for _, d := range damage {
 		t.Run(d.name, func(t *testing.T) {
@@ -277,25 +264,14 @@ func TestReadSegmentSalvage(t *testing.T) {
 	}
 }
 
-// TestReadSegmentEmpty: empty inputs and header-only segments are clean.
+// TestReadSegmentEmpty: a header-only segment is clean and empty; an
+// empty input lacks even the header, so it fails at record 0.
 func TestReadSegmentEmpty(t *testing.T) {
-	if frames, err := ReadSegment(bytes.NewReader(nil)); err != nil || len(frames) != 0 {
-		t.Errorf("empty input: frames=%d err=%v, want 0, nil", len(frames), err)
+	var re *ReadError
+	if frames, err := ReadSegment(bytes.NewReader(nil)); !errors.As(err, &re) || re.Record != 0 || len(frames) != 0 {
+		t.Errorf("empty input: frames=%d err=%v, want 0 frames and a record-0 ReadError", len(frames), err)
 	}
 	if frames, err := ReadSegment(bytes.NewReader(Header())); err != nil || len(frames) != 0 {
 		t.Errorf("header-only segment: frames=%d err=%v, want 0, nil", len(frames), err)
-	}
-}
-
-// TestParseFormat covers the flag-parsing helper.
-func TestParseFormat(t *testing.T) {
-	for in, want := range map[string]Format{"jsonl": FormatJSONL, "binary": FormatBinary, "": FormatJSONL} {
-		got, err := ParseFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = %q, %v; want %q, nil", in, got, err, want)
-		}
-	}
-	if _, err := ParseFormat("protobuf"); err == nil {
-		t.Error("ParseFormat(protobuf): want error")
 	}
 }
