@@ -108,7 +108,7 @@ func TestDaemonCrashResume(t *testing.T) {
 	}
 
 	// The crash must leave debris for the next boot to salvage: an
-	// in-flight segment and a journaled intent.
+	// in-flight segment and an intent journaled in the manifest.
 	tmps, err := filepath.Glob(filepath.Join(dir, "seg-*.tmp"))
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +116,12 @@ func TestDaemonCrashResume(t *testing.T) {
 	if len(tmps) != 1 {
 		t.Fatalf("crash left %d in-flight segments, want 1", len(tmps))
 	}
-	if _, err := os.Stat(filepath.Join(dir, "INTENT.jsonl")); err != nil {
-		t.Fatalf("crash left no intent journal: %v", err)
+	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST.jsonl"))
+	if err != nil {
+		t.Fatalf("crash left no manifest: %v", err)
+	}
+	if !strings.Contains(string(manifest), `"op":"begin"`) {
+		t.Fatalf("manifest holds no journaled intent:\n%s", manifest)
 	}
 
 	// Life 2: in-process restart, no fault plan. The journaled intent

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	campaignd [-addr host:port] [-queue N] [-concurrency N] [-spool file]
-//	          [-cache-max N] [-store-dir dir] [-store-max N] [-warm-load N]
+//	          [-cache-max N] [-store-dir dir] [-store-max N]
 //	          [-quarantine-max N] [-quarantine-max-bytes N]
 //	          [-drain-timeout d] [-fault-plan plan]
 //	          [-auth-keys k=tenant,...] [-auth-keyfile file]
@@ -75,12 +75,12 @@
 // opens cleanly, quarantines those segments and re-runs them on demand.
 //
 // A huge store does not slow the boot: the registry warm-loads at most
-// -warm-load manifest entries (default: -cache-max) and pages the rest in
-// on first demand; GET /stats reports the split and the boot time under
-// "store"."boot".
+// -cache-max manifest entries and pages the rest in on first demand;
+// GET /stats reports the split and the boot time under "store"."boot".
 //
 // A durable daemon is also crash-resumable: accepted submissions are
-// journaled to an intent WAL before they run, interrupted segment writes
+// journaled as intents in the store's manifest (fsync'd) before they run,
+// so the store directory holds one journal; interrupted segment writes
 // are salvaged into checkpoints at boot, and the restarted daemon requeues
 // the interrupted campaigns and finishes them from their checkpoints —
 // executing only the grid cells the crash cut short, with the committed
@@ -168,7 +168,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 	storeMax := fs.Int("store-max", 0, "durable store bound (segments, LRU-compacted); 0 = unbounded")
 	quarMax := fs.Int("quarantine-max", 0, "quarantine directory bound (files; oldest deleted past it); 0 = unbounded")
 	quarMaxBytes := fs.Int64("quarantine-max-bytes", 0, "quarantine directory bound (total bytes; oldest deleted past it); 0 = unbounded")
-	warmLoad := fs.Int("warm-load", 0, "manifest entries adopted eagerly at boot; the rest page in on demand (0 = -cache-max)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight campaigns to finish and commit")
 	authKeys := fs.String("auth-keys", "", "inline API keys as secret=tenant[,secret=tenant...]; enables auth on the campaign API")
 	authKeyfile := fs.String("auth-keyfile", "", "JSON keyfile (array of {key,tenant[,disabled,rate_limit,rate_burst,max_streams]}); reloaded on SIGHUP")
@@ -199,9 +198,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 	}
 	if (*quarMax != 0 || *quarMaxBytes != 0) && *storeDir == "" {
 		return errors.New("-quarantine-max/-quarantine-max-bytes need -store-dir")
-	}
-	if *warmLoad != 0 && *storeDir == "" {
-		return errors.New("-warm-load needs -store-dir")
 	}
 	if *rateBurst != 0 && *rateLimit <= 0 {
 		return errors.New("-rate-burst needs -rate-limit")
@@ -284,7 +280,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 		StoreMaxSegments:    *storeMax,
 		QuarantineMaxFiles:  *quarMax,
 		QuarantineMaxBytes:  *quarMaxBytes,
-		WarmLoad:            *warmLoad,
 		AuthKeys:            keys,
 		RateLimit:           *rateLimit,
 		RateBurst:           *rateBurst,

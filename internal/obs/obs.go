@@ -10,13 +10,14 @@
 // profile. Rendering (/metrics scrapes) is the slow path and takes the
 // registry lock.
 //
-// Layout convention: each instrumented package declares its metrics as
-// package-level vars through the auto-registering constructors
+// Layout convention: each instrumented library package declares its
+// metrics as package-level vars through the auto-registering constructors
 // (NewCounter, NewGauge, NewHistogram, NewCounterVec), which attach them
-// to the process-wide Default registry; the daemon serves
-// Default().WritePrometheus on GET /metrics. Counters are process-global:
-// two Servers in one process share them, so tests assert deltas, not
-// absolutes.
+// to the process-wide Default registry; those counters are shared by
+// everything in the process, so tests assert deltas, not absolutes. A
+// component with per-instance traffic (the daemon's Server) registers its
+// own instruments in a NewRegistry and renders it after Default on
+// GET /metrics.
 package obs
 
 import (
@@ -85,6 +86,15 @@ func (v *CounterVec) With(value string) *Counter {
 	return &v.counters[i]
 }
 
+// Total sums every series.
+func (v *CounterVec) Total() uint64 {
+	var n uint64
+	for i := range v.counters {
+		n += v.counters[i].Value()
+	}
+	return n
+}
+
 // LabeledCounter is a counter family over one label whose series are
 // minted on first use — the shape for label sets discovered at runtime
 // (tenants from a reloadable keyfile) where CounterVec's frozen series
@@ -127,6 +137,17 @@ func (lc *LabeledCounter) Value(value string) uint64 {
 		return c.Value()
 	}
 	return 0
+}
+
+// Total sums every minted series.
+func (lc *LabeledCounter) Total() uint64 {
+	lc.mu.RLock()
+	defer lc.mu.RUnlock()
+	var n uint64
+	for _, c := range lc.series {
+		n += c.Value()
+	}
+	return n
 }
 
 // snapshot returns the series in sorted label-value order for exposition.

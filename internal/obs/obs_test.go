@@ -33,6 +33,9 @@ func TestCounterVec(t *testing.T) {
 	if got := v.With("ok").Value(); got != 3 {
 		t.Errorf("ok = %d, want 3", got)
 	}
+	if got := v.Total(); got != 4 {
+		t.Errorf("total = %d, want 4", got)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("unknown series did not panic")
@@ -67,6 +70,9 @@ func TestLabeledCounter(t *testing.T) {
 	}
 	if got := lc.Value("never-minted"); got != 0 {
 		t.Errorf("unknown series = %d, want 0", got)
+	}
+	if got := lc.Total(); got != 3 {
+		t.Errorf("total = %d, want 3", got)
 	}
 
 	var out strings.Builder

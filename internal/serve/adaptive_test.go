@@ -100,9 +100,7 @@ func TestAdaptiveSubmission(t *testing.T) {
 	if !again.Cached || again.ID != sr.ID {
 		t.Fatalf("adaptive resubmission not served from cache: %+v", again)
 	}
-	s.mu.Lock()
-	gridsRun := s.gridsRun
-	s.mu.Unlock()
+	gridsRun := s.gridsRunCount()
 	if gridsRun != 1 {
 		t.Errorf("grids run = %d, want 1", gridsRun)
 	}
@@ -229,7 +227,7 @@ func TestCacheEviction(t *testing.T) {
 	streamBytes(t, ts, again.ID)
 
 	s.mu.Lock()
-	gridsRun, evictions, cached := s.gridsRun, s.evictions, len(s.order)
+	gridsRun, evictions, cached := s.gridsRunCount(), s.metrics.evictions.Value(), len(s.order)
 	s.mu.Unlock()
 	if gridsRun != 3 {
 		t.Errorf("grids run = %d, want 3 (eviction must force a re-run)", gridsRun)

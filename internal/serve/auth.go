@@ -315,8 +315,7 @@ func (s *Server) authed(h http.HandlerFunc) http.HandlerFunc {
 
 // rejectAuth writes an auth failure and accounts for it.
 func (s *Server) rejectAuth(w http.ResponseWriter, r *http.Request, reason string, status int, err error) {
-	s.authFailures.Add(1)
-	mAuthFailures.With(reason).Inc()
+	s.metrics.authFailures.With(reason).Inc()
 	if status == http.StatusUnauthorized {
 		w.Header().Set("WWW-Authenticate", `Bearer realm="campaignd"`)
 	}

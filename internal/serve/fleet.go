@@ -13,7 +13,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -27,15 +26,6 @@ import (
 // rate limiter — it authenticates with the shared fleet secret, and a
 // noisy tenant exhausting its token bucket must never starve peers of
 // replication (see TestFleetBypassesTenantLimits).
-
-var (
-	mFleetReplications = obs.NewCounter("fleet_replications_total",
-		"Characterizations adopted from fleet peers instead of running locally — each one is a whole campaign not re-measured.")
-	mFleetServed = obs.NewCounter("fleet_segments_served_total",
-		"Committed segments streamed to fleet peers over GET /fleet/segments.")
-	mFleetAuthFailures = obs.NewCounter("fleet_auth_failures_total",
-		"Fleet protocol requests rejected for a missing or wrong shared secret.")
-)
 
 // fleetStatsView is the federation's slice of GET /stats: the client's
 // ring/health/fetch counters plus this server's adoption bookkeeping.
@@ -74,7 +64,7 @@ func (s *Server) fleetAuthed(h http.HandlerFunc) http.HandlerFunc {
 			want := sha256.Sum256([]byte(secret))
 			got := sha256.Sum256([]byte(r.Header.Get(fleet.HeaderSecret)))
 			if subtle.ConstantTimeCompare(want[:], got[:]) != 1 {
-				mFleetAuthFailures.Inc()
+				s.metrics.fleetAuthFailures.Inc()
 				s.logger.Warn("fleet request rejected: bad secret",
 					"path", r.URL.Path, "remote", r.RemoteAddr,
 					"peer", r.Header.Get(fleet.HeaderPeer))
@@ -141,7 +131,7 @@ func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(fleet.HeaderRecords, strconv.Itoa(len(frames)))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	if err := countWrite(w.Write(wire.Header())); err != nil {
+	if err := s.countWrite(w.Write(wire.Header())); err != nil {
 		return
 	}
 	var scratch []byte
@@ -152,12 +142,11 @@ func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 				"fingerprint", fp, "err", err)
 			return // mid-body: the peer's CRC/count check rejects the tail
 		}
-		if err := countWrite(w.Write(scratch)); err != nil {
+		if err := s.countWrite(w.Write(scratch)); err != nil {
 			return
 		}
 	}
-	s.fleetServed.Add(1)
-	mFleetServed.Inc()
+	s.metrics.fleetServed.Inc()
 	s.logger.Info("fleet segment served",
 		"fingerprint", fp, "records", len(frames),
 		"peer", r.Header.Get(fleet.HeaderPeer))
@@ -276,7 +265,7 @@ func (s *Server) adoptRemote(fp string, seg *fleet.Segment) error {
 		// into a failure — the in-memory adoption below still answers the
 		// submission, exactly like a local campaign whose commit failed.
 		if err := s.store.Adopt(fp, seg.Meta, seg.Frames); err != nil {
-			s.noteStoreError()
+			s.metrics.storeErrors.Inc()
 			s.logger.Warn("replicated segment not persisted",
 				"fingerprint", fp, "err", err)
 		}
@@ -295,7 +284,6 @@ func (s *Server) adoptRemote(fp string, seg *fleet.Segment) error {
 	s.order = append(s.order, c)
 	s.touchLocked(c)
 	c.hydrateWith(seg.Frames)
-	s.fleetReplications.Add(1)
-	mFleetReplications.Inc()
+	s.metrics.fleetReplications.Inc()
 	return nil
 }

@@ -68,11 +68,7 @@ func startFleet(t *testing.T, n int, secret string, mod func(i int, o *Options))
 	return out
 }
 
-func (h *fleetHarness) gridsRun() int {
-	h.srv.mu.Lock()
-	defer h.srv.mu.Unlock()
-	return h.srv.gridsRun
-}
+func (h *fleetHarness) gridsRun() int { return h.srv.gridsRunCount() }
 
 // streamBytes tails a campaign over HTTP to EOF.
 func fleetStreamBytes(t *testing.T, base, id string) []byte {
@@ -103,7 +99,7 @@ func TestFleetReplicatesAcrossPeers(t *testing.T) {
 	spec := testSpec(2)
 	want := batchJSONL(t, spec)
 
-	ca, cached, err := a.srv.Submit(spec)
+	ca, cached, err := a.srv.Submit(spec, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +108,7 @@ func TestFleetReplicatesAcrossPeers(t *testing.T) {
 	}
 	waitForStatus(t, a.srv, ca.id, StatusDone)
 
-	cb, cached, err := b.srv.Submit(spec)
+	cb, cached, err := b.srv.Submit(spec, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +121,18 @@ func TestFleetReplicatesAcrossPeers(t *testing.T) {
 	if got := fleetStreamBytes(t, b.base, cb.id); !bytes.Equal(got, want) {
 		t.Fatal("replicated stream is not byte-identical to the batch report")
 	}
-	if n := b.srv.fleetReplications.Load(); n != 1 {
+	if n := b.srv.metrics.fleetReplications.Value(); n != 1 {
 		t.Fatalf("peer B replications = %d, want 1", n)
 	}
 	if _, ok := b.srv.store.Get(ca.fingerprint); !ok {
 		t.Fatal("replica was not persisted in peer B's store")
 	}
-	if n := a.srv.fleetServed.Load(); n != 1 {
+	if n := a.srv.metrics.fleetServed.Value(); n != 1 {
 		t.Fatalf("peer A served = %d, want 1", n)
 	}
 
 	// C can now get it from A or B; either way, no local run.
-	cc, cached, err := c.srv.Submit(spec)
+	cc, cached, err := c.srv.Submit(spec, "", "")
 	if err != nil || !cached {
 		t.Fatalf("peer C: cached=%v err=%v", cached, err)
 	}
@@ -150,7 +146,7 @@ func TestFleetReplicatesAcrossPeers(t *testing.T) {
 	// A second submission on B is an ordinary cache hit — the fleet is
 	// consulted once per miss, never per request.
 	before := b.srv.fleet.Stats()
-	if _, cached, err = b.srv.Submit(spec); err != nil || !cached {
+	if _, cached, err = b.srv.Submit(spec, "", ""); err != nil || !cached {
 		t.Fatalf("resubmit on B: cached=%v err=%v", cached, err)
 	}
 	after := b.srv.fleet.Stats()
@@ -207,8 +203,8 @@ func TestFleetSecretGatesPeerProtocol(t *testing.T) {
 			t.Fatalf("secret %q: status = %d, want %d", tc.secret, resp.StatusCode, tc.want)
 		}
 	}
-	if mFleetAuthFailures.Value() == 0 {
-		t.Fatal("rejections must be counted")
+	if n := hs[0].srv.metrics.fleetAuthFailures.Value(); n != 2 {
+		t.Fatalf("fleet auth failures = %d, want 2: both rejections counted", n)
 	}
 }
 
@@ -223,7 +219,7 @@ func TestFleetBypassesTenantLimits(t *testing.T) {
 	})
 	a := hs[0]
 	spec := testSpec(1)
-	ca, _, err := a.srv.Submit(spec) // library path: admitted regardless of HTTP limits
+	ca, _, err := a.srv.Submit(spec, "", "") // library path: admitted regardless of HTTP limits
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +301,7 @@ func newFederatedServer(t *testing.T, peer fleet.Peer) *Server {
 // admitted, not cached, exactly one grid run, stream byte-identical.
 func runsLocally(t *testing.T, s *Server, spec Spec) {
 	t.Helper()
-	c, cached, err := s.Submit(spec)
+	c, cached, err := s.Submit(spec, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,9 +309,7 @@ func runsLocally(t *testing.T, s *Server, spec Spec) {
 		t.Fatal("degraded submission must schedule a local run")
 	}
 	waitForStatus(t, s, c.id, StatusDone)
-	s.mu.Lock()
-	runs := s.gridsRun
-	s.mu.Unlock()
+	runs := s.gridsRunCount()
 	if runs != 1 {
 		t.Fatalf("grids run = %d, want 1", runs)
 	}
@@ -419,7 +413,7 @@ func TestFleetPeerDeathMidFetchRunsLocally(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, _, err := s.Submit(spec)
+			c, _, err := s.Submit(spec, "", "")
 			if err == nil {
 				waitForStatus(t, s, c.id, StatusDone)
 			}
@@ -432,9 +426,7 @@ func TestFleetPeerDeathMidFetchRunsLocally(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	s.mu.Lock()
-	runs := s.gridsRun
-	s.mu.Unlock()
+	runs := s.gridsRunCount()
 	if runs != 1 {
 		t.Fatalf("grids run = %d, want exactly 1 (shared local run)", runs)
 	}

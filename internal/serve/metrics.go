@@ -10,66 +10,113 @@ import (
 	"repro/internal/obs"
 )
 
-// Service-layer metrics (process-wide; GET /metrics renders them in
-// Prometheus text format). The per-server /stats JSON reports the same
-// story scoped to one Server instance; these are the fleet-scrapeable
-// aggregates. Counters sit off the record hot path: submissions, queue
-// transitions and stream lifecycles are per-campaign events, and the
-// per-frame stream byte counter is one atomic add per write.
-var (
-	mSubmissions = obs.NewCounterVec("campaignd_submissions_total",
-		"Campaign submissions by outcome: accepted (a new grid run was scheduled), cached (answered from memory or disk), rejected (invalid spec, full queue, or draining).",
-		"result", "accepted", "cached", "rejected")
-	mCampaignsRun = obs.NewCounter("campaignd_campaigns_run_total",
-		"Campaigns the scheduler handed to the engine (cache and replay hits excluded).")
-	mReplayHits = obs.NewCounter("campaignd_replay_hits_total",
-		"Submissions answered by replaying a durable-store segment instead of re-running.")
-	mEvictions = obs.NewCounter("campaignd_evictions_total",
-		"Finished campaigns evicted from the registry by the cache bound.")
-	mQueueLen = obs.NewGauge("campaignd_queue_length",
-		"Campaigns admitted but not yet executing.")
-	mQueueWait = obs.NewHistogram("campaignd_queue_wait_seconds",
-		"Time a campaign spent queued between admission and execution.", nil)
-	mSubscribers = obs.NewGauge("campaignd_active_subscribers",
-		"Stream subscribers currently attached (NDJSON and SSE).")
-	mStreamBytes = obs.NewCounter("campaignd_stream_bytes_total",
-		"Bytes written to stream subscribers, shared pre-rendered frames included.")
-	mDroppedRecords = obs.NewCounter("campaignd_dropped_records_total",
-		"Records discarded by Drop-policy subscriber sinks that fell behind the broadcast (see core.ChanSink).")
-	mDraining = obs.NewGauge("campaignd_draining",
-		"1 while the server is draining for shutdown (new submissions get 503).")
-	mStoreErrors = obs.NewCounter("campaignd_store_errors_total",
-		"Persistence failures (the affected campaigns themselves completed).")
-	mStoreDegraded = obs.NewGauge("serve_store_degraded",
-		"1 while the durable store is rejecting writes and campaigns run memory-only; clears on the next successful commit.")
-	mGridsResumed = obs.NewCounter("campaignd_grids_resumed_total",
-		"Interrupted campaigns resumed from a crash checkpoint instead of restarting from scratch.")
-	mRunsSaved = obs.NewCounter("campaignd_runs_saved_total",
-		"Characterization runs restored from crash checkpoints — work a restart did not repeat.")
-	mRequeued = obs.NewCounter("campaignd_requeued_total",
-		"Campaigns re-admitted at boot from the intent journal (accepted before a crash, never finished).")
+// metrics are one Server's service-layer instruments, in a registry of
+// their own: GET /metrics renders the process-wide layers (campaign
+// engine, store, wire, fleet client) followed by this registry, and
+// GET /stats reads these same counters, so the two cannot disagree and
+// two Servers in one process never mix their traffic. Counters sit off
+// the record hot path: submissions, queue transitions and stream
+// lifecycles are per-campaign events, and the per-frame stream byte
+// counter is one atomic add per write.
+type metrics struct {
+	reg *obs.Registry
+
+	// Fleet replication (see fleet.go).
+	fleetReplications *obs.Counter
+	fleetServed       *obs.Counter
+	fleetAuthFailures *obs.Counter
+
+	submissions    *obs.CounterVec
+	campaignsRun   *obs.Counter
+	replayHits     *obs.Counter
+	evictions      *obs.Counter
+	queueLen       *obs.Gauge
+	queueWait      *obs.Histogram
+	subscribers    *obs.Gauge
+	streamBytes    *obs.Counter
+	droppedRecords *obs.Counter
+	draining       *obs.Gauge
+	storeErrors    *obs.Counter
+	storeDegraded  *obs.Gauge
+	gridsResumed   *obs.Counter
+	runsSaved      *obs.Counter
+	requeued       *obs.Counter
 
 	// Front-door metrics (auth + rate limiting; see auth.go / limit.go).
 	// The auth-failure reasons are a closed set, so a frozen CounterVec
-	// fits; the tenant families are dynamic LabeledCounters because tenants
-	// arrive at runtime with the keyfile and an unminted family is simply
-	// omitted from the exposition.
-	mAuthFailures = obs.NewCounterVec("serve_auth_failures_total",
-		"Rejected campaign-API requests by reason: missing (no key presented, 401), unknown (key not in the ring, 403), disabled (key present but disabled, 403).",
-		"reason", "missing", "unknown", "disabled")
-	mRateLimited = obs.NewLabeledCounter("serve_rate_limited_total",
-		"Requests rejected with 429 per tenant (token bucket empty or stream-subscriber cap reached); anonymous traffic appears as tenant=\"anonymous\".",
-		"tenant")
-	mTenantSubmissions = obs.NewLabeledCounter("serve_tenant_submissions_total",
-		"Campaign submissions accepted or served from cache over HTTP, per tenant.",
-		"tenant")
-)
+	// fits; the tenant families are dynamic LabeledCounters because
+	// tenants arrive at runtime with the keyfile and an unminted family is
+	// simply omitted from the exposition.
+	authFailures      *obs.CounterVec
+	rateLimited       *obs.LabeledCounter
+	tenantSubmissions *obs.LabeledCounter
+}
 
-// handleMetrics serves the process-wide obs registry: every layer's
-// counters (serve, campaign engine, store, wire) in one scrape.
+func newMetrics() *metrics {
+	r := obs.NewRegistry()
+	return &metrics{
+		reg: r,
+		fleetReplications: r.Counter("fleet_replications_total",
+			"Characterizations adopted from fleet peers instead of running locally — each one is a whole campaign not re-measured."),
+		fleetServed: r.Counter("fleet_segments_served_total",
+			"Committed segments streamed to fleet peers over GET /fleet/segments."),
+		fleetAuthFailures: r.Counter("fleet_auth_failures_total",
+			"Fleet protocol requests rejected for a missing or wrong shared secret."),
+
+		submissions: r.CounterVec("campaignd_submissions_total",
+			"Campaign submissions by outcome: accepted (a new grid run was scheduled), cached (answered from memory or disk), rejected (invalid spec, full queue, or draining).",
+			"result", "accepted", "cached", "rejected"),
+		campaignsRun: r.Counter("campaignd_campaigns_run_total",
+			"Campaigns the scheduler handed to the engine (cache and replay hits excluded)."),
+		replayHits: r.Counter("campaignd_replay_hits_total",
+			"Submissions answered by replaying a durable-store segment instead of re-running."),
+		evictions: r.Counter("campaignd_evictions_total",
+			"Finished campaigns evicted from the registry by the cache bound."),
+		queueLen: r.Gauge("campaignd_queue_length",
+			"Campaigns admitted but not yet executing."),
+		queueWait: r.Histogram("campaignd_queue_wait_seconds",
+			"Time a campaign spent queued between admission and execution.", nil),
+		subscribers: r.Gauge("campaignd_active_subscribers",
+			"Stream subscribers currently attached (NDJSON and SSE)."),
+		streamBytes: r.Counter("campaignd_stream_bytes_total",
+			"Bytes written to stream subscribers, shared pre-rendered frames included."),
+		droppedRecords: r.Counter("campaignd_dropped_records_total",
+			"Records discarded by Drop-policy subscriber sinks that fell behind the broadcast (see core.ChanSink)."),
+		draining: r.Gauge("campaignd_draining",
+			"1 while the server is draining for shutdown (new submissions get 503)."),
+		storeErrors: r.Counter("campaignd_store_errors_total",
+			"Persistence failures (the affected campaigns themselves completed)."),
+		storeDegraded: r.Gauge("serve_store_degraded",
+			"1 while the durable store is rejecting writes and campaigns run memory-only; clears on the next successful commit."),
+		gridsResumed: r.Counter("campaignd_grids_resumed_total",
+			"Interrupted campaigns resumed from a crash checkpoint instead of restarting from scratch."),
+		runsSaved: r.Counter("campaignd_runs_saved_total",
+			"Characterization runs restored from crash checkpoints — work a restart did not repeat."),
+		requeued: r.Counter("campaignd_requeued_total",
+			"Campaigns re-admitted at boot from the intent journal (accepted before a crash, never finished)."),
+
+		authFailures: r.CounterVec("serve_auth_failures_total",
+			"Rejected campaign-API requests by reason: missing (no key presented, 401), unknown (key not in the ring, 403), disabled (key present but disabled, 403).",
+			"reason", "missing", "unknown", "disabled"),
+		rateLimited: r.LabeledCounter("serve_rate_limited_total",
+			"Requests rejected with 429 per tenant (token bucket empty or stream-subscriber cap reached); anonymous traffic appears as tenant=\"anonymous\".",
+			"tenant"),
+		tenantSubmissions: r.LabeledCounter("serve_tenant_submissions_total",
+			"Campaign submissions accepted or served from cache over HTTP, per tenant.",
+			"tenant"),
+	}
+}
+
+// handleMetrics serves every layer's counters in one scrape: the
+// process-wide registry (campaign engine, store, wire, fleet client), then
+// this server's own.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
-	if err := obs.Default().WritePrometheus(w); err != nil {
+	err := obs.Default().WritePrometheus(w)
+	if err == nil {
+		err = s.metrics.reg.WritePrometheus(w)
+	}
+	if err != nil {
 		// Headers are gone; all we can do is drop the connection.
 		s.logger.Error("metrics exposition failed", "err", err)
 	}
@@ -124,8 +171,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 // The returned cancel function unsubscribes and closes the sink.
 func (s *Server) SubscribeChan(buffer int) (*core.ChanSink, func()) {
 	sink := core.NewChanSink(buffer, core.Drop).OnDrop(func(uint64) {
-		s.subDrops.Add(1)
-		mDroppedRecords.Inc()
+		s.metrics.droppedRecords.Inc()
 	})
 	id := s.spool.Subscribe(sink)
 	return sink, func() {
@@ -135,9 +181,9 @@ func (s *Server) SubscribeChan(buffer int) (*core.ChanSink, func()) {
 }
 
 // countWrite tracks stream handler writes in the fan-out byte counter.
-func countWrite(n int, err error) error {
+func (s *Server) countWrite(n int, err error) error {
 	if n > 0 {
-		mStreamBytes.Add(uint64(n))
+		s.metrics.streamBytes.Add(uint64(n))
 	}
 	return err
 }

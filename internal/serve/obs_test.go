@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -91,8 +92,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("cached submissions %g, want %g", got, cachedBefore+1)
 	}
 
-	// Every layer's families must be present in one scrape: the whole
-	// point of the process-wide registry is a single pane of glass.
+	// Every layer's families must be present in one scrape: the
+	// process-wide layers and this server's own, a single pane of glass.
 	for _, family := range []string{
 		"campaignd_submissions_total",
 		"campaignd_campaigns_run_total",
@@ -427,5 +428,94 @@ func TestSubscribeChanDrops(t *testing.T) {
 	after := scrapeMetrics(t, ts.URL)
 	if got := metricValue(t, after, "campaignd_dropped_records_total"); got != droppedBefore+float64(want) {
 		t.Errorf("campaignd_dropped_records_total = %g, want %g", got, droppedBefore+float64(want))
+	}
+}
+
+// TestMetricsScopedToServer pins instance-scoped metrics: two Servers in
+// one process each count only their own traffic. Traffic to A moves A's
+// /stats and /metrics while B's stay at zero, and on both servers every
+// /stats counter equals the /metrics series it is read from.
+func TestMetricsScopedToServer(t *testing.T) {
+	a, tsA := newTestServer(t, Options{
+		AuthKeys:  []Key{{Secret: "k", Tenant: "t"}},
+		RateLimit: 0.001, // two requests of burst, then 429
+		RateBurst: 2,
+	})
+	_, tsB := newTestServer(t, Options{})
+
+	key := map[string]string{"X-API-Key": "k"}
+	spec := testSpec(1)
+	spec.Seed = 8383
+	if resp, _ := authedSubmit(t, tsA, spec, nil); resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("keyless submit = %d, want 401", resp.StatusCode)
+	}
+	if resp, _ := authedSubmit(t, tsA, spec, map[string]string{"X-API-Key": "wrong"}); resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("wrong-key submit = %d, want 403", resp.StatusCode)
+	}
+	resp, body := authedSubmit(t, tsA, spec, key)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+	}
+	var sr submitResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	waitForStatus(t, a, sr.ID, StatusDone)
+	if resp, _ := authedSubmit(t, tsA, spec, key); resp.StatusCode != http.StatusOK {
+		t.Fatalf("resubmit = %d, want 200 (cache hit)", resp.StatusCode)
+	}
+	if resp, _ := authedSubmit(t, tsA, spec, key); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-quota submit = %d, want 429", resp.StatusCode)
+	}
+
+	type want struct {
+		submissions, cacheHits, gridsRun int
+		authFailures, rateLimited        uint64
+	}
+	for _, tc := range []struct {
+		name string
+		ts   *httptest.Server
+		want want
+	}{
+		{"A", tsA, want{submissions: 2, cacheHits: 1, gridsRun: 1, authFailures: 2, rateLimited: 1}},
+		{"B", tsB, want{}},
+	} {
+		stats := serverStats(t, tc.ts)
+		got := want{stats.Submissions, stats.CacheHits, stats.GridsRun, stats.AuthFailures, stats.RateLimited}
+		if got != tc.want {
+			t.Errorf("%s /stats = %+v, want %+v", tc.name, got, tc.want)
+		}
+		m := scrapeMetrics(t, tc.ts.URL)
+		if err := obs.Lint(strings.NewReader(m)); err != nil {
+			t.Fatalf("%s exposition lint: %v", tc.name, err)
+		}
+		accepted := metricValue(t, m, `campaignd_submissions_total{result="accepted"}`)
+		cached := metricValue(t, m, `campaignd_submissions_total{result="cached"}`)
+		authFailures := metricValue(t, m, `serve_auth_failures_total{reason="missing"}`) +
+			metricValue(t, m, `serve_auth_failures_total{reason="unknown"}`) +
+			metricValue(t, m, `serve_auth_failures_total{reason="disabled"}`)
+		for _, pair := range []struct {
+			field       string
+			stats, prom float64
+		}{
+			{"submissions", float64(stats.Submissions), accepted + cached},
+			{"cache_hits", float64(stats.CacheHits), cached},
+			{"grids_run", float64(stats.GridsRun), metricValue(t, m, "campaignd_campaigns_run_total")},
+			{"evictions", float64(stats.Evictions), metricValue(t, m, "campaignd_evictions_total")},
+			{"subscribers", float64(stats.Subscribers), metricValue(t, m, "campaignd_active_subscribers")},
+			{"dropped_records", float64(stats.DroppedRecords), metricValue(t, m, "campaignd_dropped_records_total")},
+			{"auth_failures", float64(stats.AuthFailures), authFailures},
+		} {
+			if pair.stats != pair.prom {
+				t.Errorf("%s: /stats %s = %g, /metrics says %g", tc.name, pair.field, pair.stats, pair.prom)
+			}
+		}
+		if tc.want.rateLimited > 0 {
+			if got := metricValue(t, m, `serve_rate_limited_total{tenant="t"}`); got != float64(stats.RateLimited) {
+				t.Errorf("%s: /stats rate_limited = %d, /metrics says %g", tc.name, stats.RateLimited, got)
+			}
+		} else if strings.Contains(m, "serve_rate_limited_total") {
+			t.Errorf("%s: rate-limit series minted without a 429", tc.name)
+		}
 	}
 }

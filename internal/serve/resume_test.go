@@ -17,9 +17,9 @@ import (
 )
 
 // crashDaemonDir fabricates the exact on-disk state a daemon killed
-// mid-campaign leaves behind: an intent journal holding the accepted
-// submission's begin, and a flushed-but-uncommitted segment .tmp with the
-// first crashRecords records of the grid.
+// mid-campaign leaves behind: a manifest holding the accepted submission's
+// begin, and a flushed-but-uncommitted segment .tmp with the first
+// crashRecords records of the grid.
 func crashDaemonDir(t *testing.T, spec Spec, crashRecords int) (string, string) {
 	t.Helper()
 	spec = spec.withDefaults()
@@ -34,11 +34,12 @@ func crashDaemonDir(t *testing.T, spec Spec, crashRecords int) (string, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	beginIntent(t, st, spec, "crash-tenant")
 	if crashRecords > 0 {
-		st, err := store.Open(store.Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
 		w, err := st.Begin(fp)
 		if err != nil {
 			t.Fatal(err)
@@ -49,16 +50,21 @@ func crashDaemonDir(t *testing.T, spec Spec, crashRecords int) (string, string) 
 			}
 		}
 		// No Commit, no Abort: the .tmp stays, flushed record by record.
-		st.Close()
 	}
-	line, err := json.Marshal(intentOp{Op: "begin", Fingerprint: fp, Spec: &spec, TraceID: "", Tenant: "crash-tenant"})
+	st.Close()
+	return dir, fp
+}
+
+// beginIntent journals an accepted submission exactly as Submit does.
+func beginIntent(t *testing.T, st *store.Store, spec Spec, tenant string) {
+	t.Helper()
+	meta, err := json.Marshal(intentMeta{Spec: spec, Tenant: tenant})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, intentName), append(line, '\n'), 0o644); err != nil {
+	if err := st.BeginIntent(spec.Fingerprint(), meta); err != nil {
 		t.Fatal(err)
 	}
-	return dir, fp
 }
 
 // waitFingerprintDone polls until the fingerprint's campaign (requeued at
@@ -215,6 +221,7 @@ func TestIntentEndAfterCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	beginIntent(t, st, spec, "")
 	grid, err := spec.Grid()
 	if err != nil {
 		t.Fatal(err)
@@ -240,23 +247,13 @@ func TestIntentEndAfterCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	line, err := json.Marshal(intentOp{Op: "begin", Fingerprint: fp, Spec: &spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, intentName), append(line, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	s, ts := storeServer(t, dir, Options{})
 	// The requeue goroutine resolves the intent against the manifest;
 	// give it a beat, then prove nothing ran.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.wal.mu.Lock()
-		pending := len(s.wal.pending)
-		s.wal.mu.Unlock()
-		if pending == 0 {
+		if len(s.store.Intents()) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -339,12 +336,8 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 }
 
-// gridsRunCount snapshots the engine-invocation counter.
-func (s *Server) gridsRunCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gridsRun
-}
+// gridsRunCount reads the engine-invocation counter.
+func (s *Server) gridsRunCount() int { return int(s.metrics.campaignsRun.Value()) }
 
 // TestDrainWaitsForFleetAdoption: a shutdown signal landing while a peer
 // segment is being adopted must not strand the half-fetched replica —
@@ -361,7 +354,7 @@ func TestDrainWaitsForFleetAdoption(t *testing.T) {
 	spec := testSpec(2)
 	fp := spec.withDefaults().Fingerprint()
 
-	ca, _, err := a.srv.Submit(spec)
+	ca, _, err := a.srv.Submit(spec, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +371,7 @@ func TestDrainWaitsForFleetAdoption(t *testing.T) {
 
 	subErr := make(chan error, 1)
 	go func() {
-		_, _, err := b.srv.Submit(spec)
+		_, _, err := b.srv.Submit(spec, "", "")
 		subErr <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)

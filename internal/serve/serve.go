@@ -88,9 +88,12 @@ type Options struct {
 	CacheMax int
 	// StoreDir, when set, enables the durable characterization store
 	// (internal/store) under this directory: every successful campaign's
-	// record stream is committed as a segment, the registry warm-loads
-	// from the manifest on boot, and restarted or evicted campaigns replay
-	// from disk instead of re-running.
+	// record stream is committed as a segment, accepted submissions are
+	// journaled so a crash requeues them, and restarted or evicted
+	// campaigns replay from disk instead of re-running. Boot adopts the
+	// CacheMax most recently used manifest entries into the registry (more
+	// would be evicted at once); the rest stay on disk and page in on
+	// first demand, replaying exactly as an evicted entry would.
 	StoreDir string
 	// StoreMaxSegments / StoreMaxBytes bound the store; commits past a
 	// bound compact least-recently-used segments first. Zero means
@@ -103,17 +106,6 @@ type Options struct {
 	// means unbounded (keep everything for forensics).
 	QuarantineMaxFiles int
 	QuarantineMaxBytes int64
-	// WarmLoad bounds how many manifest entries the registry adopts
-	// eagerly at boot. A store can outgrow the registry by orders of
-	// magnitude (CacheMax bounds memory, the store bounds disk), and a
-	// boot that walks a huge manifest into the registry pays for entries
-	// nobody may ever ask for — so boot adopts only the WarmLoad
-	// most-recently-used entries and defers the rest, which page in on
-	// demand: the first submission of a deferred fingerprint adopts it
-	// from the manifest index exactly as an evicted one would, replaying
-	// from disk with no re-run. Zero means CacheMax (adopting more than
-	// the registry cap would evict the excess immediately anyway).
-	WarmLoad int
 	// AuthKeys, when non-empty, enables API-key auth on the campaign API
 	// (POST /campaigns, GET /campaigns[/{id}[/stream]]): requests must
 	// present a configured key (Authorization: Bearer or X-API-Key) and are
@@ -162,10 +154,11 @@ type Server struct {
 	mux    *http.ServeMux
 	spool  *core.MultiSink
 	store  *store.Store
-	wal    *intentWAL
 	logger *slog.Logger
 	start  time.Time
 	build  buildInfo
+	// metrics are this server's counters, behind both /metrics and /stats.
+	metrics *metrics
 
 	// adopting counts in-flight fleet segment adoptions; Drain waits for
 	// it to reach zero so a SIGTERM mid-adopt cannot strand a half-fetched
@@ -179,47 +172,23 @@ type Server struct {
 	queue  chan *Campaign
 	wg     sync.WaitGroup
 
-	// subscribers and subDrops are touched on stream hot paths and kept
-	// out of the registry mutex.
-	subscribers atomic.Int64
-	subDrops    atomic.Uint64
-
 	// keys is the installed keyring (nil = anonymous mode); swapped
 	// atomically by SetKeys so SIGHUP reloads never block a request.
-	// limiter holds every tenant's token bucket and stream count;
-	// authFailures / rateLimited feed the /stats counters.
-	keys         atomic.Pointer[Keyring]
-	limiter      *limiter
-	authFailures atomic.Uint64
-	rateLimited  atomic.Uint64
+	// limiter holds every tenant's token bucket and stream count.
+	keys    atomic.Pointer[Keyring]
+	limiter *limiter
 
-	// fleet is the peer federation client (nil when not federated);
-	// fleetReplications / fleetServed count segments adopted from peers
-	// and segments streamed to them.
-	fleet             *fleet.Client
-	fleetReplications atomic.Uint64
-	fleetServed       atomic.Uint64
+	// fleet is the peer federation client (nil when not federated).
+	fleet *fleet.Client
 
-	mu          sync.Mutex
-	byID        map[string]*Campaign
-	byFP        map[string]*Campaign
-	order       []*Campaign
-	nextID      int
-	useSeq      uint64
-	submissions int
-	cacheHits   int
-	gridsRun    int
-	evictions   int
-	replayHits  int
-	storeErrors int
-	draining    bool
-	// Crash-resume bookkeeping: campaigns re-admitted from the intent
-	// journal at boot, grids resumed from a checkpoint, and the runs those
-	// checkpoints saved from re-execution.
-	requeued     int
-	gridsResumed int
-	runsSaved    int
-	// Boot-time warm-load bookkeeping (see Options.WarmLoad).
+	mu       sync.Mutex
+	byID     map[string]*Campaign
+	byFP     map[string]*Campaign
+	order    []*Campaign
+	nextID   int
+	useSeq   uint64
+	draining bool
+	// Boot-time warm-load bookkeeping (see Options.StoreDir).
 	warmLoaded   int
 	warmDeferred int
 	bootDur      time.Duration
@@ -231,10 +200,11 @@ type Server struct {
 
 // New builds a Server and starts its scheduler workers. With
 // Options.StoreDir set it also opens (recovering if necessary) the durable
-// store and warm-loads the registry from its manifest — at most
-// Options.WarmLoad entries, most recent last so the in-memory LRU order
-// continues where the last process left off; anything beyond the threshold
-// stays on disk and pages in on first demand.
+// store, warm-loads the registry from its manifest — at most CacheMax
+// entries, most recent last so the in-memory LRU order continues where the
+// last process left off; anything beyond stays on disk and pages in on
+// first demand — and requeues the submissions the last process accepted
+// but never finished.
 func New(opts Options) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 16
@@ -244,9 +214,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.CacheMax <= 0 {
 		opts.CacheMax = 256
-	}
-	if opts.WarmLoad <= 0 {
-		opts.WarmLoad = opts.CacheMax
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -258,6 +225,7 @@ func New(opts Options) (*Server, error) {
 		logger:  logger,
 		start:   time.Now(),
 		build:   readBuildInfo(),
+		metrics: newMetrics(),
 		queue:   make(chan *Campaign, opts.QueueDepth),
 		byID:    make(map[string]*Campaign),
 		byFP:    make(map[string]*Campaign),
@@ -279,7 +247,7 @@ func New(opts Options) (*Server, error) {
 		}
 		s.fleet = fl
 	}
-	var pendingIntents []intentOp
+	var pendingIntents []store.Intent
 	if opts.StoreDir != "" {
 		bootStart := time.Now()
 		st, err := store.Open(store.Options{
@@ -293,20 +261,14 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.store = st
-		wal, pending, err := openIntentWAL(opts.StoreDir)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		s.wal = wal
-		pendingIntents = pending
+		pendingIntents = st.Intents()
 		// Entries arrive least-recently-used first; adopting the most
-		// recent WarmLoad of them preserves relative LRU order, and the
+		// recent CacheMax of them preserves relative LRU order, and the
 		// skipped prefix is exactly the part eviction would drop first.
 		entries := st.Entries()
 		skip := 0
-		if len(entries) > opts.WarmLoad {
-			skip = len(entries) - opts.WarmLoad
+		if len(entries) > opts.CacheMax {
+			skip = len(entries) - opts.CacheMax
 		}
 		s.mu.Lock()
 		for _, e := range entries[skip:] {
@@ -394,17 +356,6 @@ func (s *Server) Close() {
 	if s.store != nil {
 		s.store.Close()
 	}
-	s.wal.close()
-	if s.storeDegraded.Swap(false) {
-		mStoreDegraded.Set(0)
-	}
-	// The draining gauge tracks live servers; a closed one is not draining.
-	s.mu.Lock()
-	if s.draining {
-		s.draining = false
-		mDraining.Dec()
-	}
-	s.mu.Unlock()
 }
 
 // errDraining rejects submissions during graceful shutdown.
@@ -419,7 +370,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		mDraining.Inc()
+		s.metrics.draining.Set(1)
 		s.logger.Info("draining", "uptime_s", time.Since(s.start).Seconds())
 	}
 	s.mu.Unlock()
@@ -471,8 +422,8 @@ func (s *Server) scheduler() {
 // the store is enabled, into an uncommitted segment that becomes durable
 // exactly when the campaign finishes cleanly.
 func (s *Server) execute(c *Campaign) {
-	mQueueLen.Dec()
-	mQueueWait.Observe(time.Since(c.queuedAt))
+	s.metrics.queueLen.Dec()
+	s.metrics.queueWait.Observe(time.Since(c.queuedAt))
 	c.setRunning()
 	runStart := time.Now()
 	s.logger.Info("campaign running", withTenant([]any{
@@ -502,7 +453,7 @@ func (s *Server) execute(c *Campaign) {
 			tee = &storeTee{s: s, c: c, live: c, w: w}
 			sink = tee
 		} else {
-			s.noteStoreError()
+			s.metrics.storeErrors.Inc()
 			ck = nil
 		}
 		if len(ck) > 0 {
@@ -513,12 +464,8 @@ func (s *Server) execute(c *Campaign) {
 			// run.
 			c.preload(ck)
 			resume = recordsOfFrames(ck)
-			s.mu.Lock()
-			s.gridsResumed++
-			s.runsSaved += len(ck)
-			s.mu.Unlock()
-			mGridsResumed.Inc()
-			mRunsSaved.Add(uint64(len(ck)))
+			s.metrics.gridsResumed.Inc()
+			s.metrics.runsSaved.Add(uint64(len(ck)))
 			s.logger.Info("campaign resumed from checkpoint", withTenant([]any{
 				"trace_id", c.traceID, "campaign", c.id, "fingerprint", c.fingerprint,
 				"runs_saved", len(ck)}, c.tenant)...)
@@ -537,13 +484,13 @@ func (s *Server) execute(c *Campaign) {
 			tee.w.Abort()
 		case tee.err != nil:
 			tee.w.Abort()
-			s.noteStoreError()
+			s.metrics.storeErrors.Inc()
 		default:
 			if meta, merr := json.Marshal(metaOf(c.spec, workers, stats)); merr != nil {
 				tee.w.Abort()
-				s.noteStoreError()
+				s.metrics.storeErrors.Inc()
 			} else if cerr := tee.w.Commit(meta); cerr != nil {
-				s.noteStoreError()
+				s.metrics.storeErrors.Inc()
 			} else {
 				s.clearStoreDegraded(c)
 				s.logger.Info("campaign committed",
@@ -556,7 +503,7 @@ func (s *Server) execute(c *Campaign) {
 	// requeue at next boot would add nothing. The intent end and the
 	// terminal log precede finish, so a client that has read the whole
 	// stream can rely on both having happened.
-	s.wal.end(c.fingerprint)
+	s.endIntent(c.fingerprint)
 	status := "done"
 	if err != nil {
 		status = "failed"
@@ -638,7 +585,7 @@ func (s *Server) runEngine(c *Campaign, sink core.Sink, resume []core.RunRecord)
 		if err != nil {
 			return campaign.Stats{}, 0, err
 		}
-		s.countGridRun()
+		s.metrics.campaignsRun.Inc()
 		rep, err := campaign.RunSchedule(cfg, sched)
 		if rep == nil {
 			return campaign.Stats{}, 0, err
@@ -649,7 +596,7 @@ func (s *Server) runEngine(c *Campaign, sink core.Sink, resume []core.RunRecord)
 	if err != nil {
 		return campaign.Stats{}, 0, err
 	}
-	s.countGridRun()
+	s.metrics.campaignsRun.Inc()
 	rep, err := campaign.RunGrid(cfg, grid)
 	if rep == nil {
 		return campaign.Stats{}, 0, err
@@ -657,26 +604,12 @@ func (s *Server) runEngine(c *Campaign, sink core.Sink, resume []core.RunRecord)
 	return rep.Stats, rep.Workers, err
 }
 
-func (s *Server) countGridRun() {
-	s.mu.Lock()
-	s.gridsRun++
-	s.mu.Unlock()
-	mCampaignsRun.Inc()
-}
-
-func (s *Server) noteStoreError() {
-	s.mu.Lock()
-	s.storeErrors++
-	s.mu.Unlock()
-	mStoreErrors.Inc()
-}
-
 // setStoreDegraded marks the durable store unhealthy: writes are failing
 // (disk full, I/O errors) and campaigns continue memory-only. One log line
 // per transition, not per record.
 func (s *Server) setStoreDegraded(c *Campaign, err error) {
 	if !s.storeDegraded.Swap(true) {
-		mStoreDegraded.Set(1)
+		s.metrics.storeDegraded.Set(1)
 		s.logger.Error("store degraded, campaigns continue memory-only", withTenant([]any{
 			"trace_id", c.traceID, "campaign", c.id, "fingerprint", c.fingerprint,
 			"err", errString(err)}, c.tenant)...)
@@ -687,7 +620,7 @@ func (s *Server) setStoreDegraded(c *Campaign, err error) {
 // commit: the disk is accepting whole segments again.
 func (s *Server) clearStoreDegraded(c *Campaign) {
 	if s.storeDegraded.Swap(false) {
-		mStoreDegraded.Set(0)
+		s.metrics.storeDegraded.Set(0)
 		s.logger.Info("store recovered, durability restored",
 			"trace_id", c.traceID, "campaign", c.id, "fingerprint", c.fingerprint)
 	}
@@ -702,35 +635,28 @@ var errQueueFull = errors.New("serve: run queue full")
 // the records replay from disk, no grid re-runs). cached is true when no
 // new grid run was scheduled. A previously failed campaign does not
 // satisfy its fingerprint: resubmitting replaces it with a fresh attempt.
-func (s *Server) Submit(spec Spec) (c *Campaign, cached bool, err error) {
-	return s.submitTenant(spec, obs.NewTraceID(), "")
-}
-
-// SubmitTraced is Submit with a caller-supplied trace ID. A new campaign
-// adopts the ID for its whole life — queue, run, commit, replay — so the
-// submitter's own logs stitch to the daemon's; a submission answered by
-// an existing campaign keeps that campaign's original trace ID (the
-// measurement being followed is the first one). Invalid IDs (see
-// obs.ValidTraceID) are replaced, never rejected.
-func (s *Server) SubmitTraced(spec Spec, trace string) (c *Campaign, cached bool, err error) {
-	return s.submitTenant(spec, trace, "")
-}
-
-// submitTenant is the full submission path: SubmitTraced plus the tenant
-// identity resolved by the auth middleware. A new campaign records the
-// tenant for its lifetime (View.Tenant, lifecycle log lines); a cached hit
-// keeps the original campaign's tenant — the characterization cache is
+//
+// trace is the caller's trace ID. A new campaign adopts it for its whole
+// life — queue, run, commit, replay — so the submitter's own logs stitch
+// to the daemon's; a submission answered by an existing campaign keeps
+// that campaign's original trace ID (the measurement being followed is the
+// first one). An empty or invalid ID (see obs.ValidTraceID) is replaced
+// with a fresh one, never rejected.
+//
+// tenant is the identity the auth middleware resolved; empty means
+// anonymous and adds nothing anywhere, keeping auth-off output
+// byte-identical to a pre-auth daemon. A new campaign records the tenant
+// for its lifetime (View.Tenant, lifecycle log lines); a cached hit keeps
+// the original campaign's tenant — the characterization cache is
 // deliberately shared across tenants, since a fingerprint identifies the
-// same physical measurement no matter who asks for it. Empty tenant is
-// anonymous mode and adds nothing anywhere, keeping auth-off output
-// byte-identical to a pre-auth daemon.
-func (s *Server) submitTenant(spec Spec, trace, tenant string) (c *Campaign, cached bool, err error) {
+// same physical measurement no matter who asks for it.
+func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bool, err error) {
 	if !obs.ValidTraceID(trace) {
 		trace = obs.NewTraceID()
 	}
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
-		mSubmissions.With("rejected").Inc()
+		s.metrics.submissions.With("rejected").Inc()
 		return nil, false, err
 	}
 	fp := spec.Fingerprint()
@@ -748,7 +674,7 @@ func (s *Server) submitTenant(spec Spec, trace, tenant string) (c *Campaign, cac
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
-			mSubmissions.With("rejected").Inc()
+			s.metrics.submissions.With("rejected").Inc()
 			return nil, false, errDraining
 		}
 		prev := s.byFP[fp]
@@ -771,18 +697,15 @@ func (s *Server) submitTenant(spec Spec, trace, tenant string) (c *Campaign, cac
 				}
 				continue
 			}
-			s.submissions++
-			s.cacheHits++
 			if fromDisk {
-				s.replayHits++
-				mReplayHits.Inc()
+				s.metrics.replayHits.Inc()
 			}
 			s.touchLocked(prev)
 			if s.store != nil && prev.fromStore {
 				s.store.Touch(fp)
 			}
 			s.mu.Unlock()
-			mSubmissions.With("cached").Inc()
+			s.metrics.submissions.With("cached").Inc()
 			s.logger.Info("submission served from cache", withTenant([]any{
 				"trace_id", prev.traceID, "campaign", prev.id,
 				"fingerprint", fp, "from_disk", fromDisk}, tenant)...)
@@ -807,7 +730,6 @@ func (s *Server) submitTenant(spec Spec, trace, tenant string) (c *Campaign, cac
 		}
 		break // miss (or failed predecessor): schedule a fresh run
 	}
-	s.submissions++
 	c = newCampaign(fmt.Sprintf("c%06d", s.nextID), spec, fp, s.spool)
 	c.traceID = trace
 	c.tenant = tenant
@@ -817,20 +739,26 @@ func (s *Server) submitTenant(spec Spec, trace, tenant string) (c *Campaign, cac
 	// queued. The send is non-blocking, so holding the lock is safe.
 	if ferr := fault.Inject("serve.queue"); ferr != nil {
 		s.mu.Unlock()
-		mSubmissions.With("rejected").Inc()
+		s.metrics.submissions.With("rejected").Inc()
 		return nil, false, fmt.Errorf("%w: %v", errQueueFull, ferr)
 	}
 	select {
 	case s.queue <- c:
 	default:
 		s.mu.Unlock()
-		mSubmissions.With("rejected").Inc()
+		s.metrics.submissions.With("rejected").Inc()
 		return nil, false, errQueueFull
 	}
-	if werr := s.wal.begin(intentOp{Fingerprint: fp, Spec: &c.spec, TraceID: trace, Tenant: tenant}); werr != nil {
-		// Journal trouble must not reject measurable work; the campaign
-		// just loses crash-requeue coverage.
-		s.logger.Warn("intent journal write failed", "fingerprint", fp, "err", werr)
+	if s.store != nil {
+		meta, werr := json.Marshal(intentMeta{Spec: c.spec, TraceID: trace, Tenant: tenant})
+		if werr == nil {
+			werr = s.store.BeginIntent(fp, meta)
+		}
+		if werr != nil {
+			// Journal trouble must not reject measurable work; the
+			// campaign just loses crash-requeue coverage.
+			s.logger.Warn("intent journal write failed", "fingerprint", fp, "err", werr)
+		}
 	}
 	s.evictLocked()
 	s.nextID++
@@ -839,8 +767,8 @@ func (s *Server) submitTenant(spec Spec, trace, tenant string) (c *Campaign, cac
 	s.order = append(s.order, c)
 	s.touchLocked(c)
 	s.mu.Unlock()
-	mSubmissions.With("accepted").Inc()
-	mQueueLen.Inc()
+	s.metrics.submissions.With("accepted").Inc()
+	s.metrics.queueLen.Inc()
 	s.logger.Info("campaign queued", withTenant([]any{
 		"trace_id", trace, "campaign", c.id, "fingerprint", fp,
 		"strategy", string(spec.Strategy), "benches", len(spec.Benches)}, tenant)...)
@@ -888,8 +816,7 @@ func (s *Server) evictLocked() {
 		if s.byFP[c.fingerprint] == c {
 			delete(s.byFP, c.fingerprint)
 		}
-		s.evictions++
-		mEvictions.Inc()
+		s.metrics.evictions.Inc()
 	}
 }
 
@@ -947,8 +874,7 @@ var errRateLimited = errors.New("serve: rate limit exceeded, see Retry-After")
 
 // rejectRate writes a 429 with Retry-After and accounts for it.
 func (s *Server) rejectRate(w http.ResponseWriter, r *http.Request, tenant string, wait time.Duration) {
-	s.rateLimited.Add(1)
-	mRateLimited.With(tenantLabel(tenant)).Inc()
+	s.metrics.rateLimited.With(tenantLabel(tenant)).Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
 	s.logger.Warn("rate limited",
 		"tenant", tenantLabel(tenant), "path", r.URL.Path, "remote", r.RemoteAddr)
@@ -959,7 +885,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	key := keyOf(r)
 	lim := s.opts.effectiveLimits(key)
 	if ok, wait := s.limiter.allow(key.Tenant, lim); !ok {
-		mSubmissions.With("rejected").Inc()
+		s.metrics.submissions.With("rejected").Inc()
 		s.rejectRate(w, r, key.Tenant, wait)
 		return
 	}
@@ -970,7 +896,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	var spec Spec
 	if err := dec.Decode(&spec); err != nil {
-		mSubmissions.With("rejected").Inc()
+		s.metrics.submissions.With("rejected").Inc()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, r, http.StatusRequestEntityTooLarge,
@@ -981,7 +907,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		mSubmissions.With("rejected").Inc()
+		s.metrics.submissions.With("rejected").Inc()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, r, http.StatusRequestEntityTooLarge,
@@ -995,7 +921,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// A client-supplied X-Trace-ID seeds a NEW campaign's trace; invalid
 	// or absent ones are minted server-side (obs.ValidTraceID gates what
 	// can reach headers and log lines).
-	c, cached, err := s.submitTenant(spec, r.Header.Get("X-Trace-ID"), key.Tenant)
+	c, cached, err := s.Submit(spec, r.Header.Get("X-Trace-ID"), key.Tenant)
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
@@ -1012,7 +938,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, status, err)
 		return
 	}
-	mTenantSubmissions.With(tenantLabel(key.Tenant)).Inc()
+	s.metrics.tenantSubmissions.With(tenantLabel(key.Tenant)).Inc()
 	status := http.StatusAccepted
 	if cached {
 		status = http.StatusOK
@@ -1109,12 +1035,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 
-	s.subscribers.Add(1)
-	mSubscribers.Inc()
-	defer func() {
-		s.subscribers.Add(-1)
-		mSubscribers.Dec()
-	}()
+	s.metrics.subscribers.Inc()
+	defer s.metrics.subscribers.Dec()
 
 	i := 0
 	for {
@@ -1127,16 +1049,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// campaign. SSE reuses the line minus its newline as the data chunk.
 		for _, f := range frames {
 			if sse {
-				if err := countWrite(io.WriteString(w, "data: ")); err != nil {
+				if err := s.countWrite(io.WriteString(w, "data: ")); err != nil {
 					return
 				}
-				if err := countWrite(w.Write(f.Line[:len(f.Line)-1])); err != nil {
+				if err := s.countWrite(w.Write(f.Line[:len(f.Line)-1])); err != nil {
 					return
 				}
-				if err := countWrite(io.WriteString(w, "\n\n")); err != nil {
+				if err := s.countWrite(io.WriteString(w, "\n\n")); err != nil {
 					return
 				}
-			} else if err := countWrite(w.Write(f.Line)); err != nil {
+			} else if err := s.countWrite(w.Write(f.Line)); err != nil {
 				return
 			}
 		}
@@ -1185,9 +1107,9 @@ type statsResponse struct {
 	Queued      int  `json:"queue_len"`
 	QueueDepth  int  `json:"queue_depth"`
 	Draining    bool `json:"draining,omitempty"`
-	// Subscribers counts currently attached stream clients (HTTP tails
-	// plus SubscribeChan sinks are the campaignd_active_subscribers gauge;
-	// this field reports the HTTP side tracked by this Server).
+	// Subscribers counts the HTTP stream clients (NDJSON and SSE)
+	// currently attached: the campaignd_active_subscribers gauge.
+	// SubscribeChan sinks are not counted.
 	Subscribers int64 `json:"subscribers"`
 	// DroppedRecords counts records discarded by this server's
 	// Drop-policy subscriber sinks (slow consumers; see SubscribeChan).
@@ -1240,8 +1162,8 @@ type storeStatsView struct {
 	QuarantineBytes int64 `json:"quarantine_bytes,omitempty"`
 	Degraded        bool  `json:"degraded,omitempty"`
 	// Boot describes the last boot's warm-load: how many manifest entries
-	// were adopted eagerly, how many were deferred to on-demand paging
-	// (Options.WarmLoad), and how long store recovery plus warm-load took.
+	// were adopted eagerly (at most CacheMax), how many were deferred to
+	// on-demand paging, and how long store recovery plus warm-load took.
 	Boot bootStatsView `json:"boot"`
 }
 
@@ -1252,24 +1174,28 @@ type bootStatsView struct {
 	BootMS     float64 `json:"boot_ms"`
 }
 
+// handleStats reports the server's own counters — the same instruments
+// /metrics renders, so the two surfaces cannot disagree.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	m := s.metrics
+	cacheHits := int(m.submissions.With("cached").Value())
 	s.mu.Lock()
 	resp := statsResponse{
-		Submissions: s.submissions,
-		CacheHits:   s.cacheHits,
-		GridsRun:    s.gridsRun,
-		Evictions:   s.evictions,
+		Submissions: int(m.submissions.With("accepted").Value()) + cacheHits,
+		CacheHits:   cacheHits,
+		GridsRun:    int(m.campaignsRun.Value()),
+		Evictions:   int(m.evictions.Value()),
 		Cached:      len(s.order),
 		CacheMax:    s.opts.CacheMax,
 		Queued:      len(s.queue),
 		QueueDepth:  s.opts.QueueDepth,
 		Draining:    s.draining,
 
-		Subscribers:    s.subscribers.Load(),
-		DroppedRecords: s.subDrops.Load(),
+		Subscribers:    m.subscribers.Value(),
+		DroppedRecords: m.droppedRecords.Value(),
 		AuthEnabled:    s.AuthEnabled(),
-		AuthFailures:   s.authFailures.Load(),
-		RateLimited:    s.rateLimited.Load(),
+		AuthFailures:   m.authFailures.Total(),
+		RateLimited:    m.rateLimited.Total(),
 		UptimeS:        time.Since(s.start).Seconds(),
 		Build:          s.build,
 		Statuses:       make(map[Status]int),
@@ -1279,14 +1205,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Store = &storeStatsView{
 			Segments:        st.Segments,
 			Bytes:           st.Bytes,
-			ReplayHits:      s.replayHits,
+			ReplayHits:      int(m.replayHits.Value()),
 			Quarantined:     st.Quarantined,
 			Compactions:     st.Compactions,
-			Errors:          s.storeErrors,
+			Errors:          int(m.storeErrors.Value()),
 			Checkpoints:     st.Checkpoints,
-			Requeued:        s.requeued,
-			GridsResumed:    s.gridsResumed,
-			RunsSaved:       s.runsSaved,
+			Requeued:        int(m.requeued.Value()),
+			GridsResumed:    int(m.gridsResumed.Value()),
+			RunsSaved:       int(m.runsSaved.Value()),
 			QuarantineFiles: st.QuarantineFiles,
 			QuarantineBytes: st.QuarantineBytes,
 			Degraded:        s.storeDegraded.Load(),
@@ -1302,8 +1228,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.fleet != nil {
 		resp.Fleet = &fleetStatsView{
 			Stats:          s.fleet.Stats(),
-			Replications:   s.fleetReplications.Load(),
-			SegmentsServed: s.fleetServed.Load(),
+			Replications:   m.fleetReplications.Value(),
+			SegmentsServed: m.fleetServed.Value(),
 		}
 	}
 	for _, c := range campaigns {

@@ -159,9 +159,7 @@ func TestCacheHit(t *testing.T) {
 		t.Error("cache replay differs from the original stream")
 	}
 
-	s.mu.Lock()
-	gridsRun, cacheHits := s.gridsRun, s.cacheHits
-	s.mu.Unlock()
+	gridsRun, cacheHits := s.gridsRunCount(), s.metrics.submissions.With("cached").Value()
 	if gridsRun != 1 {
 		t.Errorf("grids run = %d, want 1 (cache hit must not re-run)", gridsRun)
 	}
@@ -316,9 +314,7 @@ func TestFailedCampaign(t *testing.T) {
 		t.Errorf("failed campaign served from cache: %+v", again)
 	}
 	streamBytes(t, ts, again.ID)
-	s.mu.Lock()
-	gridsRun := s.gridsRun
-	s.mu.Unlock()
+	gridsRun := s.gridsRunCount()
 	if gridsRun != 2 {
 		t.Errorf("grids run = %d, want 2 (failure must not be cached)", gridsRun)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/xgene"
 )
@@ -25,7 +26,10 @@ import (
 //     campaign with an empty buffer;
 //   - hydrate: the first stream or cache hit on an adopted campaign reads
 //     the segment back — the replayed bytes are identical to the original
-//     live stream because the segment IS that stream.
+//     live stream because the segment IS that stream;
+//   - requeue: Submit journals each accepted campaign as an intent in the
+//     store's manifest and execute() ends it; intents a crash left open
+//     are re-admitted at the next boot.
 
 // storedMeta is the summary each manifest line carries: everything the
 // registry needs to rebuild its view of a finished campaign without
@@ -202,3 +206,86 @@ func (t *storeTee) Frame(f core.Frame) error {
 
 var _ core.Sink = (*storeTee)(nil)
 var _ core.FrameSink = (*storeTee)(nil)
+
+// intentMeta is what a submission's begin carries in the store journal:
+// everything a restarted daemon needs to requeue the campaign exactly as
+// it was accepted.
+type intentMeta struct {
+	Spec    Spec   `json:"spec"`
+	TraceID string `json:"trace_id,omitempty"`
+	Tenant  string `json:"tenant,omitempty"`
+}
+
+// endIntent retires a fingerprint's journaled submission, if a store
+// journals them.
+func (s *Server) endIntent(fp string) {
+	if s.store != nil {
+		s.store.EndIntent(fp)
+	}
+}
+
+// requeueIntents re-admits the campaigns a previous process accepted but
+// never finished: every pending begin becomes a queued campaign with its
+// original spec, trace ID and tenant, exactly as if the submitter had
+// resubmitted the instant the daemon came back. Runs as a goroutine
+// because the pending set may exceed the queue depth — the schedulers
+// started alongside it drain what this loop feeds.
+func (s *Server) requeueIntents(pending []store.Intent) {
+	defer s.wg.Done()
+	for _, in := range pending {
+		if s.ctx.Err() != nil {
+			return
+		}
+		var meta intentMeta
+		err := json.Unmarshal(in.Meta, &meta)
+		spec := meta.Spec.withDefaults()
+		if err == nil {
+			err = spec.Validate()
+		}
+		if err != nil || spec.Fingerprint() != in.Fingerprint {
+			// A journal line that no longer validates (or no longer
+			// fingerprints to its key) cannot be trusted to re-run.
+			s.logger.Warn("dropping unreplayable intent",
+				"fingerprint", in.Fingerprint, "err", errString(err))
+			s.endIntent(in.Fingerprint)
+			continue
+		}
+		s.mu.Lock()
+		if _, ok := s.store.Get(in.Fingerprint); ok {
+			// The campaign committed after its begin landed but before its
+			// end did; the manifest already answers this fingerprint.
+			s.mu.Unlock()
+			s.endIntent(in.Fingerprint)
+			continue
+		}
+		if prev := s.byFP[in.Fingerprint]; prev != nil && prev.Status() != StatusFailed {
+			s.mu.Unlock()
+			s.endIntent(in.Fingerprint)
+			continue
+		}
+		c := newCampaign(fmt.Sprintf("c%06d", s.nextID), spec, in.Fingerprint, s.spool)
+		c.traceID = meta.TraceID
+		if !obs.ValidTraceID(c.traceID) {
+			c.traceID = obs.NewTraceID()
+		}
+		c.tenant = meta.Tenant
+		c.queuedAt = time.Now()
+		s.evictLocked()
+		s.nextID++
+		s.byID[c.id] = c
+		s.byFP[in.Fingerprint] = c
+		s.order = append(s.order, c)
+		s.touchLocked(c)
+		s.mu.Unlock()
+		s.metrics.requeued.Inc()
+		s.metrics.queueLen.Inc()
+		s.logger.Info("campaign requeued from intent journal", withTenant([]any{
+			"trace_id", c.traceID, "campaign", c.id, "fingerprint", in.Fingerprint}, c.tenant)...)
+		select {
+		case s.queue <- c:
+		case <-s.ctx.Done():
+			s.metrics.queueLen.Dec()
+			return
+		}
+	}
+}

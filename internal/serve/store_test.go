@@ -286,9 +286,7 @@ func TestEvictionReloadsFromDisk(t *testing.T) {
 	bSub := submit(t, ts, b, http.StatusAccepted)
 	streamBytes(t, ts, bSub.ID) // drains; admitting b evicted a
 
-	s.mu.Lock()
-	evictions := s.evictions
-	s.mu.Unlock()
+	evictions := s.metrics.evictions.Value()
 	if evictions == 0 {
 		t.Fatal("CacheMax 1 evicted nothing")
 	}

@@ -18,8 +18,8 @@ func warmSpec(seed uint64) Spec {
 }
 
 // TestLazyWarmLoad pins the paged boot: with more stored campaigns than
-// the WarmLoad threshold, boot adopts only the most-recently-used
-// threshold entries, reports the split in /stats, and a deferred
+// the registry holds (CacheMax), boot adopts only the most-recently-used
+// CacheMax entries, reports the split in /stats, and a deferred
 // fingerprint still replays from disk on demand — cached, zero grids run.
 func TestLazyWarmLoad(t *testing.T) {
 	dir := t.TempDir()
@@ -35,7 +35,7 @@ func TestLazyWarmLoad(t *testing.T) {
 	s1.Close()
 
 	// Second life: page in at most 2 entries at boot.
-	s2, ts2 := storeServer(t, dir, Options{WarmLoad: 2})
+	s2, ts2 := storeServer(t, dir, Options{CacheMax: 2})
 	defer ts2.Close()
 	defer s2.Close()
 
@@ -87,9 +87,9 @@ func TestLazyWarmLoad(t *testing.T) {
 	}
 }
 
-// TestWarmLoadDefaultsToCacheMax pins the default threshold: adopting more
-// than the registry cap would evict the excess immediately, so WarmLoad
-// follows CacheMax unless set explicitly.
+// TestWarmLoadDefaultsToCacheMax pins the threshold: adopting more than
+// the registry cap would evict the excess immediately, so boot adopts at
+// most CacheMax entries.
 func TestWarmLoadDefaultsToCacheMax(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := storeServer(t, dir, Options{})

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
@@ -13,7 +15,9 @@ import (
 // to one valid three-record segment (seg-aaaa.bin). The invariants,
 // regardless of input: Open never panics and never fails (recovery
 // distrusts the journal, so a bad one costs entries, not the store), and
-// every entry that survives loads with exactly its manifest record count.
+// every entry that survives loads with exactly its manifest record count;
+// every intent Open returns has a path-safe fingerprint and was not ended
+// by the journal's intact prefix; and a reopen returns the same intents.
 //
 // CI runs this as a smoke pass (corpus only, via `go test`); run it as a
 // real fuzzer with:
@@ -43,6 +47,17 @@ func FuzzManifestReplay(f *testing.F) {
 	f.Add([]byte("not json\n" + good))                                // junk first
 	f.Add([]byte{})                                                   // empty
 
+	// Intents share the journal: begin is fsync'd work, end retires it.
+	begin := `{"op":"begin","fp":"cafe","meta":{"spec":{"seed":7}}}` + "\n"
+	end := `{"op":"end","fp":"cafe"}` + "\n"
+	f.Add([]byte(good + begin))                                         // a pending begin
+	f.Add([]byte(good + begin + end))                                   // begin then end
+	f.Add([]byte(begin + good))                                         // begin then put
+	f.Add([]byte(good + begin[:len(begin)-12]))                         // a torn begin
+	f.Add([]byte(good + `{"op":"begin","fp":"../x","meta":{}}` + "\n")) // unsafe begin
+	f.Add([]byte(good + end))                                           // an end with no begin
+	f.Add([]byte(good + begin + good[:len(good)-9]))                    // salvage rewrite keeps the begin
+
 	f.Fuzz(func(t *testing.T, manifest []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "seg-aaaa.bin"), seg, 0o644); err != nil {
@@ -56,6 +71,16 @@ func FuzzManifestReplay(f *testing.F) {
 			t.Fatalf("Open: %v", err)
 		}
 		defer s.Close()
+		pending := pendingIntents(manifest)
+		intents := s.Intents()
+		for _, in := range intents {
+			if err := validFingerprint(in.Fingerprint); err != nil {
+				t.Fatalf("intent with unsafe fingerprint survived: %v", err)
+			}
+			if !pending[in.Fingerprint] {
+				t.Fatalf("intent %q returned although the journal ended it", in.Fingerprint)
+			}
+		}
 		for _, e := range s.Entries() {
 			frames, err := s.LoadFrames(e.Fingerprint)
 			if err != nil {
@@ -65,7 +90,41 @@ func FuzzManifestReplay(f *testing.F) {
 				t.Fatalf("surviving entry %s loads %d records, manifest says %d", e.Fingerprint, len(frames), e.Records)
 			}
 		}
+		// Whatever Open made of the journal is stable: a second boot
+		// (after Open's own salvage rewrite) returns the same intents.
+		s.Close()
+		s2, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer s2.Close()
+		if got := s2.Intents(); !reflect.DeepEqual(fpsOf(got), fpsOf(intents)) {
+			t.Fatalf("reopen returned intents %v, first boot %v", fpsOf(got), fpsOf(intents))
+		}
 	})
+}
+
+// pendingIntents is the oracle for the intent invariant: the fingerprints
+// whose last begin in the journal's intact prefix (lines up to the first
+// one that does not decode) has no later end.
+func pendingIntents(manifest []byte) map[string]bool {
+	pending := make(map[string]bool)
+	for _, line := range strings.Split(string(manifest), "\n") {
+		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		var op manifestOp
+		if json.Unmarshal([]byte(line), &op) != nil {
+			break
+		}
+		switch op.Op {
+		case "begin":
+			pending[op.Fingerprint] = true
+		case "end":
+			delete(pending, op.Fingerprint)
+		}
+	}
+	return pending
 }
 
 // fuzzSegment builds a valid 3-record binary segment.

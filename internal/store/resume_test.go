@@ -28,7 +28,7 @@ func crashWriter(t *testing.T, s *Store, fp, label string, n int) {
 		}
 	}
 	// No Commit, no Abort: the .tmp stays behind, flushed record by
-	// record thanks to CheckpointEvery's default.
+	// record.
 }
 
 // TestTmpSalvagedIntoCheckpoint: boot recovery turns a crashed campaign's
@@ -382,28 +382,5 @@ func TestFaultInjectedCommitFaults(t *testing.T) {
 				t.Error("failed commit resurrected")
 			}
 		})
-	}
-}
-
-// TestCheckpointEveryDisabled: negative CheckpointEvery restores the old
-// buffer-until-commit behavior, so a crash right after a record leaves
-// nothing flushed for small segments.
-func TestCheckpointEveryDisabled(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashWriter(t, s, "aaaa", "mcf", 3)
-	s.Close()
-	// All three records fit in the bufio buffer, so the .tmp is empty
-	// and gets quarantined, not salvaged.
-	s2, err := Open(Options{Dir: dir, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if ck := s2.Checkpoint("aaaa"); ck != nil {
-		t.Fatalf("unexpected checkpoint: %d frames", len(ck))
 	}
 }

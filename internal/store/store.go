@@ -7,9 +7,10 @@
 //
 // Layout (everything lives under Options.Dir):
 //
-//	MANIFEST.jsonl        append-only journal of put/touch/del operations;
-//	                      replaying it yields the fingerprint -> segment
-//	                      index with a summary per entry and the LRU order
+//	MANIFEST.jsonl        append-only journal of put/touch/del/begin/end
+//	                      operations; replaying it yields the fingerprint ->
+//	                      segment index with a summary per entry, the LRU
+//	                      order, and the submission intents still pending
 //	seg-<fp>.bin          one committed segment per characterization: the
 //	                      campaign's records in the binary wire format;
 //	                      loads re-render the canonical JSONL, so a replay
@@ -39,16 +40,23 @@
 // entry dropped, so the damaged campaign simply re-runs while intact ones
 // replay. The same rules upgrade a store written before binary became the
 // only format: its seg-<fp>.jsonl files lose their claims, are
-// quarantined, and re-run on demand.
-// The writer flushes its buffer every Options.CheckpointEvery records
-// (default: every record), so the bytes a crash can lose are bounded to the
-// tail past the last flush.
+// quarantined, and re-run on demand; likewise a separate INTENT.jsonl left
+// by a daemon that journaled intents outside the manifest is quarantined.
+// The writer flushes its buffer after every record, so the bytes a crash
+// can lose are bounded to the record being written.
+//
+// Intents. The manifest is also the caller's write-ahead journal of
+// accepted work: BeginIntent journals a fingerprint with opaque meta
+// (fsync'd) before the work starts, EndIntent marks it terminal (flushed,
+// not fsync'd), and Intents lists the begins a crash left without an end,
+// in submission order, so the next process can requeue them.
 //
 // Compaction. The store is size/count-bounded (Options.MaxSegments,
 // MaxBytes): committing past a bound evicts least-recently-used segments
 // first, mirroring the serving registry's LRU order — Touch is how the
 // registry propagates its clock. The manifest journal itself is compacted
-// (rewritten to pure puts) on Open when touch/del churn has bloated it.
+// (rewritten to pure puts and pending begins) on Open, and in-process on
+// Touch and EndIntent, once touch/del/end churn has bloated it.
 //
 // Fault injection. The hot durability transitions are instrumented as
 // fault sites (store.write, store.fsync, store.rename) so chaos plans can
@@ -73,12 +81,15 @@ import (
 )
 
 const (
-	manifestName  = "MANIFEST.jsonl"
-	quarantineDir = "quarantine"
-	segPrefix     = "seg-"
-	segSuffix     = ".bin"
-	tmpSuffix     = ".tmp"
-	ckptPrefix    = "ckpt-"
+	manifestName = "MANIFEST.jsonl"
+	// legacyIntentName is the separate intent journal older daemons kept
+	// beside the manifest (and its rewrite file); boot quarantines both.
+	legacyIntentName = "INTENT.jsonl"
+	quarantineDir    = "quarantine"
+	segPrefix        = "seg-"
+	segSuffix        = ".bin"
+	tmpSuffix        = ".tmp"
+	ckptPrefix       = "ckpt-"
 )
 
 func init() {
@@ -99,12 +110,6 @@ type Options struct {
 	// unbounded. The newest segment is never evicted by its own commit,
 	// so one oversized campaign can transiently exceed the bound.
 	MaxBytes int64
-	// CheckpointEvery flushes the segment writer's buffer every N records
-	// so a crash loses at most the tail past the last flush and boot
-	// recovery can salvage the rest into a checkpoint. Zero means 1
-	// (flush every record); negative disables intra-segment flushing
-	// (only Commit flushes, the pre-checkpoint behavior).
-	CheckpointEvery int
 	// QuarantineMaxFiles bounds how many files quarantine/ retains; zero
 	// means unbounded. Oldest files are evicted first.
 	QuarantineMaxFiles int
@@ -134,6 +139,13 @@ type Entry struct {
 	seq uint64
 }
 
+// Intent is an accepted unit of work journaled by BeginIntent and not yet
+// ended: the caller's opaque meta under a path-safe fingerprint.
+type Intent struct {
+	Fingerprint string
+	Meta        json.RawMessage
+}
+
 // Stats summarizes the store for monitoring.
 type Stats struct {
 	// Segments and Bytes cover committed, trusted segments.
@@ -156,8 +168,9 @@ type Stats struct {
 
 // manifestOp is one journal line.
 type manifestOp struct {
-	// Op is "put" (segment committed), "touch" (LRU bump) or "del"
-	// (segment evicted/quarantined).
+	// Op is "put" (segment committed), "touch" (LRU bump), "del"
+	// (segment evicted/quarantined), "begin" (intent journaled) or "end"
+	// (intent terminal).
 	Op          string          `json:"op"`
 	Fingerprint string          `json:"fp"`
 	Segment     string          `json:"segment,omitempty"`
@@ -175,6 +188,7 @@ type Store struct {
 	manifest    *os.File
 	bw          *bufio.Writer
 	entries     map[string]*Entry
+	intents     []Intent // pending begins, submission order
 	seq         uint64
 	ops         int // journal lines since the last rewrite
 	quarantined int
@@ -217,7 +231,8 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	// Rewrite the journal when recovery changed the picture or churn has
-	// bloated it past twice the live entry count; otherwise append.
+	// bloated it past twice the live entries plus pending intents;
+	// otherwise append.
 	if dirty || s.journalBloatedLocked() {
 		if err := s.rewriteManifest(); err != nil {
 			return nil, err
@@ -320,6 +335,14 @@ func (s *Store) replayManifest() (dirty bool, err error) {
 			}
 		case "del":
 			delete(s.entries, op.Fingerprint)
+		case "begin":
+			if validFingerprint(op.Fingerprint) != nil {
+				dirty = true
+				continue
+			}
+			s.beginLocked(Intent{Fingerprint: op.Fingerprint, Meta: op.Meta})
+		case "end":
+			s.endLocked(op.Fingerprint)
 		}
 	}
 	// A journal not ending in a newline had its tail torn off even if the
@@ -349,6 +372,10 @@ func (s *Store) sweepDir(dirty *bool) error {
 			continue
 		}
 		switch {
+		case strings.HasPrefix(name, legacyIntentName):
+			if err := s.quarantine(name); err != nil {
+				return err
+			}
 		case strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, tmpSuffix):
 			if err := s.salvageTmp(name); err != nil {
 				return err
@@ -642,7 +669,8 @@ func (s *Store) quarantine(name string) error {
 }
 
 // rewriteManifest atomically replaces the journal with one put line per
-// live entry, in LRU order. The replacement is built completely before
+// live entry, in LRU order, followed by one begin line per pending intent,
+// in submission order. The replacement is built completely before
 // the old handle is released, so a failure partway leaves the old journal
 // open and untouched; every put/del it replaces was fsync'd at append
 // time, and buffered residue can only be advisory touches.
@@ -659,6 +687,12 @@ func (s *Store) rewriteManifest() error {
 			Op: "put", Fingerprint: e.Fingerprint, Segment: e.Segment,
 			Records: e.Records, Bytes: e.Bytes, Meta: e.Meta,
 		}); err != nil {
+			f.Close()
+			return fmt.Errorf("store: rewrite manifest: %w", err)
+		}
+	}
+	for _, in := range s.intents {
+		if err := enc.Encode(manifestOp{Op: "begin", Fingerprint: in.Fingerprint, Meta: in.Meta}); err != nil {
 			f.Close()
 			return fmt.Errorf("store: rewrite manifest: %w", err)
 		}
@@ -684,7 +718,7 @@ func (s *Store) rewriteManifest() error {
 	if err := syncDir(s.opts.Dir); err != nil {
 		return err
 	}
-	s.ops = len(s.entries)
+	s.ops = len(s.entries) + len(s.intents)
 	g, err := os.OpenFile(s.manifestPath(), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: reopen manifest: %w", err)
@@ -694,10 +728,11 @@ func (s *Store) rewriteManifest() error {
 	return nil
 }
 
-// journalBloatedLocked reports whether touch/del churn has outgrown the
-// live entry set enough to warrant a rewrite. Callers hold s.mu.
+// journalBloatedLocked reports whether touch/del/end churn has outgrown
+// the live entries plus pending intents enough to warrant a rewrite.
+// Callers hold s.mu.
 func (s *Store) journalBloatedLocked() bool {
-	return s.ops > 2*len(s.entries)+64
+	return s.ops > 2*(len(s.entries)+len(s.intents))+64
 }
 
 // sortedEntries returns the live entries least-recently-used first.
@@ -747,15 +782,14 @@ func (s *Store) appendOpLocked(op manifestOp, sync bool) error {
 // sink fan-out: it frames the already-decoded record without JSON work.
 // Exactly one of Commit or Abort must be called.
 type Writer struct {
-	st        *Store
-	fp        string
-	f         *os.File
-	bw        *bufio.Writer
-	scratch   []byte
-	records   int
-	bytes     int64
-	ckptEvery int
-	done      bool
+	st      *Store
+	fp      string
+	f       *os.File
+	bw      *bufio.Writer
+	scratch []byte
+	records int
+	bytes   int64
+	done    bool
 }
 
 // Begin opens a segment writer for a fingerprint. The segment becomes
@@ -776,17 +810,10 @@ func (s *Store) Begin(fp string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: begin segment %s: %w", fp, err)
 	}
-	every := s.opts.CheckpointEvery
-	if every == 0 {
-		every = 1
-	}
-	if every < 0 {
-		every = 0
-	}
 	// The header goes straight into the buffer, outside the store.write
 	// fault site, so a fault plan's store.write:...@N counts records.
 	hdr := wire.Header()
-	w := &Writer{st: s, fp: fp, f: f, bw: bufio.NewWriter(f), bytes: int64(len(hdr)), ckptEvery: every}
+	w := &Writer{st: s, fp: fp, f: f, bw: bufio.NewWriter(f), bytes: int64(len(hdr))}
 	w.bw.Write(hdr) // a bufio write into an empty buffer cannot fail
 	return w, nil
 }
@@ -804,22 +831,11 @@ func (w *Writer) write(p []byte) error {
 	return nil
 }
 
-// checkpoint flushes the buffer every ckptEvery records so the bytes a
-// crash can lose are bounded — the write syscall puts them in the page
-// cache, which survives process death (fsync still only happens at
-// Commit; power loss can cost the whole uncommitted segment either way,
-// which recovery already tolerates).
-func (w *Writer) checkpoint() error {
-	if w.ckptEvery <= 0 || w.records%w.ckptEvery != 0 {
-		return nil
-	}
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("store: flush segment: %w", err)
-	}
-	return nil
-}
-
-// Record implements core.Sink: the record is appended as one binary frame.
+// Record implements core.Sink: the record is appended as one binary frame
+// and flushed, so a crash loses at most the record being written — the
+// write syscall puts it in the page cache, which survives process death
+// (fsync still only happens at Commit; power loss can cost the whole
+// uncommitted segment either way, which recovery already tolerates).
 func (w *Writer) Record(rec core.RunRecord) error {
 	if w.done {
 		return errors.New("store: segment writer already finished")
@@ -832,7 +848,10 @@ func (w *Writer) Record(rec core.RunRecord) error {
 		return err
 	}
 	w.records++
-	return w.checkpoint()
+	if err := w.bw.Flush(); err != nil {
+		return fmt.Errorf("store: flush segment: %w", err)
+	}
+	return nil
 }
 
 // Frame implements core.FrameSink: the segment stores the decoded record,
@@ -1030,11 +1049,11 @@ func (s *Store) Load(fp string) ([]core.RunRecord, error) {
 }
 
 // Touch bumps a fingerprint's LRU clock. The journal line is buffered, not
-// fsync'd: losing recency in a crash is harmless. Touches are the only
-// unbounded journal traffic (one per cache hit on a hot store-backed
-// fingerprint, for the daemon's whole lifetime), so this is also where the
-// journal is compacted in-process once churn outgrows the entry set —
-// waiting for the next Open would let it grow without limit.
+// fsync'd: losing recency in a crash is harmless. Touches are unbounded
+// journal traffic (one per cache hit on a hot store-backed fingerprint, for
+// the daemon's whole lifetime), so this is also where the journal is
+// compacted in-process once churn outgrows the live set — waiting for the
+// next Open would let it grow without limit.
 func (s *Store) Touch(fp string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1045,10 +1064,82 @@ func (s *Store) Touch(fp string) {
 	s.seq++
 	e.seq = s.seq
 	_ = s.appendOpLocked(manifestOp{Op: "touch", Fingerprint: fp}, false)
+	s.compactJournalLocked()
+}
+
+// compactJournalLocked rewrites the journal once churn has bloated it.
+// Best effort: a failed rewrite leaves the old journal appendable, and the
+// lines it would have dropped are all redundant. Callers hold s.mu.
+func (s *Store) compactJournalLocked() {
 	if s.journalBloatedLocked() {
-		// Best effort: a failed rewrite leaves the old journal appendable
-		// and only advisory recency at risk.
 		_ = s.rewriteManifest()
+	}
+}
+
+// BeginIntent durably journals accepted work under fp before it starts:
+// the begin line is fsync'd, so the work survives a crash as an intent the
+// next Open lists. Beginning an already pending fingerprint replaces its
+// meta and keeps its place in submission order.
+func (s *Store) BeginIntent(fp string, meta json.RawMessage) error {
+	if err := validFingerprint(fp); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.appendOpLocked(manifestOp{Op: "begin", Fingerprint: fp, Meta: meta}, true); err != nil {
+		return err
+	}
+	s.beginLocked(Intent{Fingerprint: fp, Meta: meta})
+	return nil
+}
+
+// EndIntent marks fp's intent terminal. The end line is flushed to the
+// file, so a process kill keeps it, but not fsync'd: losing one to power
+// loss only requeues work whose outcome (a committed segment, or a failure
+// the caller re-runs on demand) terminates it again at once. Ends are the
+// unbounded intent traffic, so this is also where the journal compacts.
+func (s *Store) EndIntent(fp string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.endLocked(fp)
+	if s.appendOpLocked(manifestOp{Op: "end", Fingerprint: fp}, false) == nil {
+		_ = s.bw.Flush()
+	}
+	s.compactJournalLocked()
+}
+
+// Intents lists the pending intents — begun and not yet ended — in
+// submission order. Right after Open these are the work a previous
+// process accepted but never finished.
+func (s *Store) Intents() []Intent {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Intent(nil), s.intents...)
+}
+
+// beginLocked records a pending intent. Callers hold s.mu (or own the
+// Store during Open).
+func (s *Store) beginLocked(in Intent) {
+	for i := range s.intents {
+		if s.intents[i].Fingerprint == in.Fingerprint {
+			s.intents[i] = in
+			return
+		}
+	}
+	s.intents = append(s.intents, in)
+}
+
+// endLocked drops a pending intent, if any. Callers hold s.mu (or own the
+// Store during Open).
+func (s *Store) endLocked(fp string) {
+	for i := range s.intents {
+		if s.intents[i].Fingerprint == fp {
+			s.intents = append(s.intents[:i], s.intents[i+1:]...)
+			return
+		}
 	}
 }
 
