@@ -18,12 +18,34 @@
 // Only tail cells are materialized (a few per bank per device); the other
 // ~3*10^11 healthy cells never fail under any condition the experiments
 // reach, so they are represented implicitly.
+//
+// A scan visits only the weak cells that can fail. Coupling stress is
+// clamped to [0,1], sensitivity lies in [0,1] and VRT divides retention
+// by at most VRTFactor, so at refresh period T and temperature t a cell
+// can lose data only if its Ret40 is below
+// T * e^((t-RefTempC)/ThetaC) * (1+CouplingStrength) * VRTFactor.
+// worstCaseRet40 computes that bound, padded by a relative 1e-12 so float
+// rounding never excludes a cell the exact test would fail, and
+// ExpectedFailureUpperBound integrates the tail CDF up to the same value.
+// Each fabric carries a retention index — per bank, its lowest Ret40, the
+// indices of its weakest eighth in ascending Ret40 order and the
+// positions of its VRT cells, under one byte per weak cell — built under
+// sync.Once on the fabric's first scan, never at fabrication, so modules
+// that are never scanned do not pay for it. A bank whose lowest Ret40 is
+// at or above the bound is skipped without touching its cells; a bank
+// whose candidates all fall in its weakest eighth visits just those; any
+// other bank is walked linearly. At ambient temperature and the paper's
+// 35x-relaxed refresh a few dozen of the ~240k cells are candidates, in
+// a few dozen of the 576 banks; at 60 degC all of them are. Either way
+// every candidate goes through the exact per-cell test and results match
+// an exhaustive scan byte for byte.
 package dram
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/simcache"
@@ -185,6 +207,11 @@ type fabric struct {
 	// devices indexed [dimm][rank][dev].
 	devices   [][][]*device
 	weakTotal int
+
+	// index is the retention-ordered scan index, built on the first scan
+	// (see scanIndex); fabrication never touches it.
+	indexOnce sync.Once
+	index     []bankIndex
 }
 
 // fabKey identifies a fabric. Config is a plain value type (geometry ints,

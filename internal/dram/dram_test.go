@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -400,8 +401,20 @@ func TestScanDeterministicPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Failures) != len(b.Failures) || a.CE != b.CE {
-		t.Error("same run seed produced different scan results")
+	if !reflect.DeepEqual(a, b) {
+		t.Error("same run seed produced different pattern scan results")
+	}
+	w := WorkloadMem{FootprintBytes: 8 << 30, HotFraction: 0.1, ReuseInterval: 800 * time.Millisecond, RandomDataFrac: 0.6}
+	wa, err := m.ScanWorkload(w, 2283*time.Millisecond, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := m.ScanWorkload(w, 2283*time.Millisecond, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wa, wb) {
+		t.Error("same run seed produced different workload scan results")
 	}
 }
 
@@ -446,13 +459,22 @@ func TestCellAddrString(t *testing.T) {
 	}
 }
 
-func BenchmarkScanPatternRandom(b *testing.B) {
+func BenchmarkScanPatternRandom(b *testing.B) { benchScanPatternRandom(b, 50) }
+
+func BenchmarkScanPatternRandom30C(b *testing.B) { benchScanPatternRandom(b, 30) }
+
+func BenchmarkScanPatternRandom60C(b *testing.B) { benchScanPatternRandom(b, 60) }
+
+// benchScanPatternRandom scans the full module with the 8-round random
+// DPBench at the paper's relaxed refresh period and the given temperature.
+func benchScanPatternRandom(b *testing.B, tempC float64) {
 	m, err := NewModule(DefaultConfig(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = m.SetAllTemps(50)
+	_ = m.SetAllTemps(tempC)
 	p, _ := NewPattern(RandomPattern)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = m.ScanPattern(p, 2283*time.Millisecond, uint64(i))

@@ -83,7 +83,7 @@ func (p Pattern) Validate() error {
 }
 
 // cellKey folds a cell's full address for hashing.
-func cellKey(dimm, rank, dev, bankIdx int, c WeakCell) uint64 {
+func cellKey(dimm, rank, dev, bankIdx int, c *WeakCell) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		h ^= v
@@ -111,7 +111,7 @@ func hash01(key uint64) float64 {
 
 // storedBit returns the logical bit the pattern writes at a cell in a
 // given round.
-func (p Pattern) storedBit(key uint64, c WeakCell, round int) bool {
+func (p Pattern) storedBit(key uint64, c *WeakCell, round int) bool {
 	switch p.Kind {
 	case AllZeros:
 		return false
@@ -126,7 +126,7 @@ func (p Pattern) storedBit(key uint64, c WeakCell, round int) bool {
 
 // stress returns the neighbour-coupling stress in [0,1] a pattern imposes
 // on a cell in a given round.
-func (p Pattern) stress(key uint64, c WeakCell, round int) float64 {
+func (p Pattern) stress(key uint64, c *WeakCell, round int) float64 {
 	switch p.Kind {
 	case AllZeros, AllOnes:
 		// Uniform data: only residual bitline disturbance.

@@ -1,9 +1,12 @@
 package dram
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/ecc"
@@ -24,12 +27,31 @@ func (m *Module) ExpectedFailureUpperBound(trefp time.Duration) float64 {
 			maxTemp = t
 		}
 	}
-	// A cell fails when Ret40 < trefp * tempAccel * (1 + coupling); the
-	// tail CDF is A * x^beta. VRT can halve retention, fold it in.
-	thr := trefp.Seconds() * math.Exp((maxTemp-r.RefTempC)/r.ThetaC) *
-		(1 + r.CouplingStrength) * r.VRTFactor
-	p := r.DensityA * math.Pow(thr, r.Beta)
+	// The tail CDF is A * x^beta, evaluated at the same retention bound
+	// the scan prefilters with.
+	p := r.DensityA * math.Pow(m.worstCaseRet40(trefp, maxTemp), r.Beta)
 	return p * float64(m.cfg.Geometry.TotalBits())
+}
+
+// retBoundSlack widens worstCaseRet40 by a relative 1e-12, far more than
+// the handful of roundings by which the bound's product and
+// EffectiveRetention's quotient can disagree, so float error can never
+// drop a cell the exact test would fail.
+const retBoundSlack = 1 + 1e-12
+
+// worstCaseRet40 bounds the reference-temperature retention of any cell
+// that can fail a scan at refresh period trefp and temperature tempC. A
+// cell fails when its effective retention
+//
+//	Ret40 * e^(-(T-RefTempC)/theta) / ((1 + coupling*sens*stress) * vrt)
+//
+// drops below the test interval, which never exceeds trefp. Stress is
+// clamped to [0,1], sens lies in [0,1] and the VRT divisor is at most
+// VRTFactor, so only cells with Ret40 below the returned value can fail.
+func (m *Module) worstCaseRet40(trefp time.Duration, tempC float64) float64 {
+	r := m.cfg.Retention
+	return trefp.Seconds() * math.Exp((tempC-r.RefTempC)/r.ThetaC) *
+		(1 + r.CouplingStrength) * r.VRTFactor * retBoundSlack
 }
 
 // CellAddr is the full address of a failed cell.
@@ -147,51 +169,71 @@ type workloadFilter struct {
 // collectFailures is the shared scan core. When wf is nil the scan covers
 // all memory with the given pattern; otherwise the workload filter decides
 // residency, stored data and effective refresh per cell.
+//
+// Only cells below the DIMM's worstCaseRet40 bound can fail, so each bank
+// is served from the fabric's retention index: a bank with no cell below
+// the bound is skipped, a bank whose candidates all lie in its indexed
+// low-retention share visits just those, in the bank's storage order, and
+// any other bank is walked linearly. Either way every candidate goes
+// through the exact per-cell test, failures come out in storage order, and
+// each VRT cell consumes the same draw of the dram/vrt stream it would in
+// a walk over every cell, so the result does not depend on the path.
 func (m *Module) collectFailures(p Pattern, trefp time.Duration, runSeed uint64, wf *workloadFilter) []CellAddr {
 	g := m.cfg.Geometry
-	vrtRng := xrand.New(runSeed).Split("dram/vrt")
+	idx := m.fab.scanIndex()
+	vrt := vrtStream{rng: xrand.New(runSeed).Split("dram/vrt")}
 	trefpS := trefp.Seconds()
 
 	var fails []CellAddr
+	var cand []int32
+	flat := 0
 	for di := 0; di < g.DIMMs; di++ {
 		temp := m.dimmTempC[di]
+		bound := m.worstCaseRet40(trefp, temp)
 		for ri := 0; ri < g.RanksPerDIMM; ri++ {
 			for vi := 0; vi < g.DevicesPerRank; vi++ {
 				dev := m.fab.devices[di][ri][vi]
 				for bi := range dev.banks {
-					for _, c := range dev.banks[bi].weak {
-						key := cellKey(di, ri, vi, bi, c)
-						vrtActive := c.VRT && vrtRng.Bool()
-
-						if wf != nil {
-							if m.workloadCellFails(wf, key, c, temp, trefpS, vrtActive) {
-								fails = append(fails, CellAddr{
-									DIMM: di, Rank: ri, Device: vi, Bank: bi,
-									Row: c.Row, Col: c.Col, Bit: c.Bit,
-								})
+					weak := dev.banks[bi].weak
+					bx := &idx[flat]
+					flat++
+					if bound <= bx.minRet {
+						// No cell of the bank is a candidate. Most banks
+						// end here, reading only the index.
+						continue
+					}
+					n := sort.Search(len(bx.low), func(i int) bool {
+						return weak[bx.low[i]].Ret40 >= bound
+					})
+					if n < len(bx.low) {
+						// Every cell outside low retains at least as long
+						// as low[n], which is at or above the bound.
+						cand = append(cand[:0], bx.low[:n]...)
+						slices.Sort(cand)
+						for _, ci := range cand {
+							c := &weak[ci]
+							vrtActive := false
+							if c.VRT {
+								k, _ := slices.BinarySearch(bx.vrt, ci)
+								vrtActive = vrt.at(bx.vrtBase + k)
 							}
-							continue
+							if m.cellFails(p, wf, cellKey(di, ri, vi, bi, c), c, temp, trefpS, vrtActive) {
+								fails = append(fails, cellAddr(di, ri, vi, bi, c))
+							}
 						}
-
-						failed := false
-						for round := 0; round < p.Rounds && !failed; round++ {
-							stored := p.storedBit(key, c, round)
-							// A cell only leaks while holding its charged
-							// state: true-cells charged storing 1,
-							// anti-cells charged storing 0.
-							if stored != c.TrueCell {
-								continue
-							}
-							stress := p.stress(key, c, round)
-							if m.EffectiveRetention(c, temp, stress, vrtActive) < trefpS {
-								failed = true
+						continue
+					}
+					ord := bx.vrtBase
+					for ci := range weak {
+						c := &weak[ci]
+						if c.Ret40 < bound {
+							vrtActive := c.VRT && vrt.at(ord)
+							if m.cellFails(p, wf, cellKey(di, ri, vi, bi, c), c, temp, trefpS, vrtActive) {
+								fails = append(fails, cellAddr(di, ri, vi, bi, c))
 							}
 						}
-						if failed {
-							fails = append(fails, CellAddr{
-								DIMM: di, Rank: ri, Device: vi, Bank: bi,
-								Row: c.Row, Col: c.Col, Bit: c.Bit,
-							})
+						if c.VRT {
+							ord++
 						}
 					}
 				}
@@ -201,8 +243,109 @@ func (m *Module) collectFailures(p Pattern, trefp time.Duration, runSeed uint64,
 	return fails
 }
 
+func cellAddr(dimm, rank, dev, bankIdx int, c *WeakCell) CellAddr {
+	return CellAddr{DIMM: dimm, Rank: rank, Device: dev, Bank: bankIdx, Row: c.Row, Col: c.Col, Bit: c.Bit}
+}
+
+// sparseShare sets the indexed share of each bank: its 1/sparseShare
+// lowest-retention cells. Candidates within that share are sorted back
+// into storage order and visited alone, which costs less than walking
+// every cell; a bank with more candidates is walked linearly.
+const sparseShare = 8
+
+// cellFails runs the exact failure test on one weak cell: the workload
+// model when wf is set, otherwise every round of the pattern.
+func (m *Module) cellFails(p Pattern, wf *workloadFilter, key uint64, c *WeakCell, temp, trefpS float64, vrtActive bool) bool {
+	if wf != nil {
+		return m.workloadCellFails(wf, key, c, temp, trefpS, vrtActive)
+	}
+	for round := 0; round < p.Rounds; round++ {
+		// A cell only leaks while holding its charged state: true-cells
+		// charged storing 1, anti-cells charged storing 0.
+		if p.storedBit(key, c, round) != c.TrueCell {
+			continue
+		}
+		if m.EffectiveRetention(*c, temp, p.stress(key, c, round), vrtActive) < trefpS {
+			return true
+		}
+	}
+	return false
+}
+
+// vrtStream hands out the dram/vrt stream's draws by ordinal: draw k
+// belongs to the k-th VRT cell in scan order. Ordinals must be requested
+// in increasing order; the draws of skipped cells are consumed unseen.
+type vrtStream struct {
+	rng  *xrand.Stream
+	next int
+}
+
+func (s *vrtStream) at(ord int) bool {
+	for ; s.next < ord; s.next++ {
+		s.rng.Uint64()
+	}
+	s.next++
+	return s.rng.Bool()
+}
+
+// bankIndex orders a bank's weakest cells by retention so a scan can find
+// the cells that can fail at its refresh period and temperature by binary
+// search. It costs under one byte per weak cell.
+type bankIndex struct {
+	// low lists the indices of the bank's len/sparseShare lowest-Ret40
+	// cells in ascending Ret40 order.
+	low []int32
+	// vrt lists the indices of the bank's VRT cells, ascending.
+	vrt []int32
+	// vrtBase is the dram/vrt ordinal of the bank's first VRT cell.
+	vrtBase int
+	// minRet is the lowest Ret40 in the bank (+Inf when it has no weak
+	// cells). A bound at or below it rules out the whole bank without
+	// touching its cells.
+	minRet float64
+}
+
+// scanIndex returns the fabric's retention index, one bankIndex per bank
+// in scan order (dimm, rank, device, bank), building it on first use.
+// Fabrics that are never scanned (every CPU campaign at nominal refresh)
+// never pay for it.
+func (f *fabric) scanIndex() []bankIndex {
+	f.indexOnce.Do(func() { f.index = buildScanIndex(f) })
+	return f.index
+}
+
+func buildScanIndex(f *fabric) []bankIndex {
+	var idx []bankIndex
+	var order []int32
+	vrtBase := 0
+	for _, ranks := range f.devices {
+		for _, devs := range ranks {
+			for _, dev := range devs {
+				for _, b := range dev.banks {
+					bx := bankIndex{vrtBase: vrtBase, minRet: math.Inf(1)}
+					order = order[:0]
+					for i, c := range b.weak {
+						order = append(order, int32(i))
+						bx.minRet = min(bx.minRet, c.Ret40)
+						if c.VRT {
+							bx.vrt = append(bx.vrt, int32(i))
+						}
+					}
+					slices.SortFunc(order, func(a, c int32) int {
+						return cmp.Compare(b.weak[a].Ret40, b.weak[c].Ret40)
+					})
+					bx.low = append([]int32(nil), order[:len(order)/sparseShare]...)
+					vrtBase += len(bx.vrt)
+					idx = append(idx, bx)
+				}
+			}
+		}
+	}
+	return idx
+}
+
 // workloadCellFails decides whether a weak cell corrupts workload data.
-func (m *Module) workloadCellFails(wf *workloadFilter, key uint64, c WeakCell, temp, trefpS float64, vrtActive bool) bool {
+func (m *Module) workloadCellFails(wf *workloadFilter, key uint64, c *WeakCell, temp, trefpS float64, vrtActive bool) bool {
 	// Residency: is this cell inside the workload's footprint?
 	if hash01(key^0x5bd1e995) >= wf.footFrac {
 		return false
@@ -231,7 +374,7 @@ func (m *Module) workloadCellFails(wf *workloadFilter, key uint64, c WeakCell, t
 			interval = reuse
 		}
 	}
-	return m.EffectiveRetention(c, temp, stress, vrtActive) < interval
+	return m.EffectiveRetention(*c, temp, stress, vrtActive) < interval
 }
 
 // buildResult aggregates failures into Table-I/Fig-8 form and pushes every
@@ -257,10 +400,19 @@ func (m *Module) buildResult(fails []CellAddr, scannedBits int64, runSeed uint64
 		row              uint32
 		col              uint16
 	}
-	byCW := make(map[cwKey][]CellAddr)
+	// Codewords are taken in first-failure order, so each draws the same
+	// dataRng value on every run.
+	cwIdx := make(map[cwKey]int, len(fails))
+	byCW := make([][]CellAddr, 0, len(fails))
 	for _, f := range fails {
 		k := cwKey{f.DIMM, f.Rank, f.Bank, f.Row, f.Col}
-		byCW[k] = append(byCW[k], f)
+		i, ok := cwIdx[k]
+		if !ok {
+			i = len(byCW)
+			cwIdx[k] = i
+			byCW = append(byCW, nil)
+		}
+		byCW[i] = append(byCW[i], f)
 	}
 	dataRng := xrand.New(runSeed).Split("dram/cwdata")
 	for _, cells := range byCW {

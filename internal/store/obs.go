@@ -30,12 +30,6 @@ var (
 // updateObsLocked refreshes the composition gauges after anything that
 // changes the committed entry set. Callers hold s.mu.
 func (s *Store) updateObsLocked() {
-	var segs int64
-	var bytes int64
-	for _, e := range s.entries {
-		segs++
-		bytes += e.Bytes
-	}
-	obsSegments.Set(segs)
-	obsBytes.Set(bytes)
+	obsSegments.Set(int64(len(s.entries)))
+	obsBytes.Set(s.bytes)
 }

@@ -188,6 +188,7 @@ type Store struct {
 	manifest    *os.File
 	bw          *bufio.Writer
 	entries     map[string]*Entry
+	bytes       int64    // running sum of entries' Bytes
 	intents     []Intent // pending begins, submission order
 	seq         uint64
 	ops         int // journal lines since the last rewrite
@@ -320,21 +321,21 @@ func (s *Store) replayManifest() (dirty bool, err error) {
 				continue
 			}
 			s.seq++
-			s.entries[op.Fingerprint] = &Entry{
+			s.putEntryLocked(&Entry{
 				Fingerprint: op.Fingerprint,
 				Segment:     op.Segment,
 				Records:     op.Records,
 				Bytes:       op.Bytes,
 				Meta:        op.Meta,
 				seq:         s.seq,
-			}
+			})
 		case "touch":
 			if e := s.entries[op.Fingerprint]; e != nil {
 				s.seq++
 				e.seq = s.seq
 			}
 		case "del":
-			delete(s.entries, op.Fingerprint)
+			s.dropEntryLocked(op.Fingerprint)
 		case "begin":
 			if validFingerprint(op.Fingerprint) != nil {
 				dirty = true
@@ -635,7 +636,7 @@ func (s *Store) verifySegments(dirty *bool) error {
 				return err
 			}
 		}
-		delete(s.entries, fp)
+		s.dropEntryLocked(fp)
 		*dirty = true
 	}
 	return nil
@@ -909,10 +910,10 @@ func (w *Writer) Commit(meta json.RawMessage) error {
 		return err
 	}
 	s.seq++
-	s.entries[w.fp] = &Entry{
+	s.putEntryLocked(&Entry{
 		Fingerprint: w.fp, Segment: name,
 		Records: w.records, Bytes: w.bytes, Meta: meta, seq: s.seq,
-	}
+	})
 	err := s.compactLocked()
 	s.updateObsLocked()
 	if err == nil {
@@ -1021,7 +1022,7 @@ func (s *Store) LoadFrames(fp string) ([]core.Frame, error) {
 				return nil, qerr
 			}
 		}
-		delete(s.entries, fp)
+		s.dropEntryLocked(fp)
 		s.updateObsLocked()
 		if derr := s.appendOpLocked(manifestOp{Op: "del", Fingerprint: fp}, true); derr != nil {
 			return nil, derr
@@ -1143,6 +1144,25 @@ func (s *Store) endLocked(fp string) {
 	}
 }
 
+// putEntryLocked indexes e, replacing any entry under its fingerprint, and
+// keeps the running byte total in step. Callers hold s.mu.
+func (s *Store) putEntryLocked(e *Entry) {
+	if old := s.entries[e.Fingerprint]; old != nil {
+		s.bytes -= old.Bytes
+	}
+	s.entries[e.Fingerprint] = e
+	s.bytes += e.Bytes
+}
+
+// dropEntryLocked unindexes fp, if present, and keeps the running byte
+// total in step. Callers hold s.mu.
+func (s *Store) dropEntryLocked(fp string) {
+	if e := s.entries[fp]; e != nil {
+		s.bytes -= e.Bytes
+		delete(s.entries, fp)
+	}
+}
+
 // compactLocked evicts least-recently-used segments until the configured
 // bounds hold. The most recent entry survives its own commit even when it
 // alone exceeds MaxBytes. Callers hold s.mu.
@@ -1151,12 +1171,8 @@ func (s *Store) compactLocked() error {
 		return nil
 	}
 	for len(s.entries) > 1 {
-		var total int64
-		for _, e := range s.entries {
-			total += e.Bytes
-		}
 		over := (s.opts.MaxSegments > 0 && len(s.entries) > s.opts.MaxSegments) ||
-			(s.opts.MaxBytes > 0 && total > s.opts.MaxBytes)
+			(s.opts.MaxBytes > 0 && s.bytes > s.opts.MaxBytes)
 		if !over {
 			return nil
 		}
@@ -1164,7 +1180,7 @@ func (s *Store) compactLocked() error {
 		if err := os.Remove(filepath.Join(s.opts.Dir, victim.Segment)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("store: compact %s: %w", victim.Segment, err)
 		}
-		delete(s.entries, victim.Fingerprint)
+		s.dropEntryLocked(victim.Fingerprint)
 		s.compactions++
 		obsCompactions.Inc()
 		if err := s.appendOpLocked(manifestOp{Op: "del", Fingerprint: victim.Fingerprint}, true); err != nil {
@@ -1178,15 +1194,11 @@ func (s *Store) compactLocked() error {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{
+	return Stats{
+		Segments: len(s.entries), Bytes: s.bytes,
 		Quarantined: s.quarantined, Compactions: s.compactions,
 		Checkpoints: s.checkpoints, QuarantineFiles: s.quarFiles, QuarantineBytes: s.quarBytes,
 	}
-	for _, e := range s.entries {
-		st.Segments++
-		st.Bytes += e.Bytes
-	}
-	return st
 }
 
 // Close flushes and fsyncs the manifest and releases it. Segment writers

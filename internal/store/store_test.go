@@ -510,3 +510,70 @@ func adoptReplaysByteIdentically(t *testing.T) {
 		t.Fatal("adopted segment did not replay byte-identically")
 	}
 }
+
+// TestRunningTotalsMatchEntries: the running segment and byte totals
+// behind Stats and the gauges stay equal to a fresh sum over Entries
+// through commits, a recommit of a live fingerprint, compaction, a
+// quarantining load, boot verification and a reopen.
+func TestRunningTotalsMatchEntries(t *testing.T) {
+	dir := t.TempDir()
+	check := func(s *Store, when string) {
+		t.Helper()
+		var bytes int64
+		entries := s.Entries()
+		for _, e := range entries {
+			bytes += e.Bytes
+		}
+		if st := s.Stats(); st.Segments != len(entries) || st.Bytes != bytes {
+			t.Errorf("%s: stats segments=%d bytes=%d, entries sum to %d, %d",
+				when, st.Segments, st.Bytes, len(entries), bytes)
+		}
+	}
+	damage := func(fp string) {
+		t.Helper()
+		seg := filepath.Join(dir, segName(fp))
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg, data[:len(data)-5], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := Open(Options{Dir: dir, MaxSegments: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fp := range []string{"aaaa", "bbbb", "cccc"} {
+		commit(t, s, fp, "mcf", i+1)
+	}
+	check(s, "after commits")
+	commit(t, s, "bbbb", "lbm", 7)
+	check(s, "after recommit")
+	commit(t, s, "dddd", "milc", 2)
+	commit(t, s, "eeee", "milc", 5)
+	if st := s.Stats(); st.Compactions != 1 {
+		t.Fatalf("compactions = %d, want 1", st.Compactions)
+	}
+	check(s, "after compaction")
+	damage("cccc")
+	if _, err := s.Load("cccc"); err == nil {
+		t.Fatal("damaged segment loaded")
+	}
+	check(s, "after quarantining load")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	damage("dddd")
+	s, err = Open(Options{Dir: dir, MaxSegments: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Segments != 2 || st.Quarantined != 1 {
+		t.Fatalf("reopen kept %d segments, quarantined %d; want 2, 1", st.Segments, st.Quarantined)
+	}
+	check(s, "after reopen")
+}
