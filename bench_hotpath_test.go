@@ -80,12 +80,15 @@ func BenchmarkHotPathSimulateMemo(b *testing.B) {
 
 // BenchmarkHotPathFabDRAMCold prices materializing a fresh 32 GB weak-cell
 // population (never-repeating seeds, so every iteration misses the pool).
+// A module fetches its population lazily, so WeakCellCount forces it.
 func BenchmarkHotPathFabDRAMCold(b *testing.B) {
 	cfg := dram.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := dram.NewModule(cfg, uint64(i)+1); err != nil {
+		m, err := dram.NewModule(cfg, uint64(i)+1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		m.WeakCellCount()
 	}
 }
 
@@ -105,7 +108,8 @@ func BenchmarkHotPathNewServerPooled(b *testing.B) {
 }
 
 // BenchmarkHotPathNewServerCold prices the same construction with cold fab
-// pools — the pre-overhaul per-worker cost of every distinct board.
+// pools: the die is fabricated, while the DRAM population waits for the
+// server's first memory scan.
 func BenchmarkHotPathNewServerCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -17,7 +17,9 @@
 //
 // Only tail cells are materialized (a few per bank per device); the other
 // ~3*10^11 healthy cells never fail under any condition the experiments
-// reach, so they are represented implicitly.
+// reach, so they are represented implicitly. Even the tail is fetched
+// lazily: a Module materializes it on its first scan or WeakCellCount, so
+// a server only ever run at nominal refresh never pays for it.
 //
 // A scan visits only the weak cells that can fail. Coupling stress is
 // clamped to [0,1], sensitivity lies in [0,1] and VRT divides retention
@@ -232,35 +234,48 @@ var fabPool = simcache.NewMemo[fabKey, *fabric](fabPoolCap)
 // Module is the full fabricated memory system: a shared immutable fabric
 // plus this module's mutable testbed state (per-DIMM temperatures).
 type Module struct {
-	cfg Config
-	fab *fabric
+	cfg  Config
+	seed uint64
+	// fab is fetched from the fab pool on the module's first scan or
+	// WeakCellCount (see fabric), never at construction.
+	fabOnce sync.Once
+	fab     *fabric
 	// dimmTempC is the current regulated temperature of each DIMM.
 	dimmTempC []float64
 }
 
-// NewModule fabricates a memory system. The same (config, seed) always
-// produces the identical weak-cell population; the expensive tail-cell
-// materialization runs at most once per process per (config, seed) — every
-// further NewModule call wraps the pooled fabric in a fresh mutable shell.
+// NewModule returns the memory system of (config, seed). It validates the
+// config but fabricates nothing: the weak-cell population is a pure
+// function of (config, seed), materialized at most once per process per
+// (config, seed) by the module's first scan or WeakCellCount, and every
+// further module of the same population shares it. A module that is only
+// run at nominal refresh — whose ExpectedFailureUpperBound rules out the
+// scan — never fabricates.
 func NewModule(cfg Config, seed uint64) (*Module, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fab, err := fabPool.Get(fabKey{cfg: cfg, seed: seed}, func() (*fabric, error) {
-		return fabricate(cfg, seed), nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	m := &Module{
 		cfg:       cfg,
-		fab:       fab,
+		seed:      seed,
 		dimmTempC: make([]float64, cfg.Geometry.DIMMs),
 	}
 	for d := range m.dimmTempC {
 		m.dimmTempC[d] = 30 // ambient until the testbed sets a target
 	}
 	return m, nil
+}
+
+// fabric returns the module's weak-cell population, fetching it from the
+// fab pool on first use. fabricate cannot fail on a validated config, so
+// the pool never reports an error here.
+func (m *Module) fabric() *fabric {
+	m.fabOnce.Do(func() {
+		m.fab, _ = fabPool.Get(fabKey{cfg: m.cfg, seed: m.seed}, func() (*fabric, error) {
+			return fabricate(m.cfg, m.seed), nil
+		})
+	})
+	return m.fab
 }
 
 // FabStats exposes the fab pool's traffic (misses = fabrications actually
@@ -335,7 +350,7 @@ func fabricate(cfg Config, seed uint64) *fabric {
 func (m *Module) Config() Config { return m.cfg }
 
 // WeakCellCount returns the total number of materialized tail cells.
-func (m *Module) WeakCellCount() int { return m.fab.weakTotal }
+func (m *Module) WeakCellCount() int { return m.fabric().weakTotal }
 
 // SetDIMMTemp sets the regulated temperature of one DIMM (both ranks).
 func (m *Module) SetDIMMTemp(dimm int, tempC float64) error {

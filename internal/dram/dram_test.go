@@ -87,6 +87,68 @@ func TestFabDeterministic(t *testing.T) {
 	}
 }
 
+// setFabric gives m the fabric f in place of the pooled one; m must not
+// have fetched its fabric yet.
+func setFabric(m *Module, f *fabric) {
+	m.fabOnce.Do(func() { m.fab = f })
+}
+
+// TestModuleFabricatesLazily pins when a Module touches the fab pool:
+// construction, temperature control and the analytic failure bound never
+// do; the first scan or WeakCellCount fetches the fabric exactly once, and
+// what it fetches is the population an eager fabricate produces.
+func TestModuleFabricatesLazily(t *testing.T) {
+	cfg := smallConfig()
+	FabReset()
+	bad := cfg
+	bad.Geometry.BitsPerCol = 4
+	if _, err := NewModule(bad, 1); err == nil {
+		t.Fatal("invalid config accepted by NewModule")
+	}
+
+	m, err := NewModule(cfg, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetAllTemps(50); err != nil {
+		t.Fatal(err)
+	}
+	trefp := 2283 * time.Millisecond
+	if m.ExpectedFailureUpperBound(trefp) <= 0 || m.Config() != cfg {
+		t.Fatal("analytic bound or config unusable before fabrication")
+	}
+	if n := FabStats().Misses; n != 0 {
+		t.Fatalf("NewModule/SetAllTemps/ExpectedFailureUpperBound fabricated %d times, want 0", n)
+	}
+
+	eager := &Module{cfg: cfg, dimmTempC: []float64{50}}
+	setFabric(eager, fabricate(cfg, 11))
+	p, _ := NewPattern(RandomPattern)
+	got, err := m.ScanPattern(p, trefp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := FabStats().Misses; n != 1 {
+		t.Fatalf("first scan fabricated %d times, want 1", n)
+	}
+	want, _ := eager.ScanPattern(p, trefp, 3)
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(m.fab.devices, eager.fab.devices) {
+		t.Fatal("lazily fetched fabric differs from an eager fabricate")
+	}
+	if m.WeakCellCount() != eager.WeakCellCount() || FabStats().Misses != 1 {
+		t.Fatal("WeakCellCount after the first scan refabricated or miscounted")
+	}
+
+	w, _ := NewModule(cfg, 12)
+	n := w.WeakCellCount()
+	if FabStats().Misses != 2 || n != fabricate(cfg, 12).weakTotal {
+		t.Fatalf("first WeakCellCount: misses %d (want 2), count %d", FabStats().Misses, n)
+	}
+	if _, err := w.ScanPattern(p, trefp, 3); err != nil || FabStats().Misses != 2 {
+		t.Fatalf("scan after WeakCellCount refabricated (misses %d, err %v)", FabStats().Misses, err)
+	}
+}
+
 func TestSetDIMMTemp(t *testing.T) {
 	m, err := NewModule(smallConfig(), 1)
 	if err != nil {

@@ -180,7 +180,8 @@ type workloadFilter struct {
 // a walk over every cell, so the result does not depend on the path.
 func (m *Module) collectFailures(p Pattern, trefp time.Duration, runSeed uint64, wf *workloadFilter) []CellAddr {
 	g := m.cfg.Geometry
-	idx := m.fab.scanIndex()
+	fab := m.fabric()
+	idx := fab.scanIndex()
 	vrt := vrtStream{rng: xrand.New(runSeed).Split("dram/vrt")}
 	trefpS := trefp.Seconds()
 
@@ -192,7 +193,7 @@ func (m *Module) collectFailures(p Pattern, trefp time.Duration, runSeed uint64,
 		bound := m.worstCaseRet40(trefp, temp)
 		for ri := 0; ri < g.RanksPerDIMM; ri++ {
 			for vi := 0; vi < g.DevicesPerRank; vi++ {
-				dev := m.fab.devices[di][ri][vi]
+				dev := fab.devices[di][ri][vi]
 				for bi := range dev.banks {
 					weak := dev.banks[bi].weak
 					bx := &idx[flat]

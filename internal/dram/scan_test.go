@@ -25,7 +25,7 @@ func referenceCollectFailures(m *Module, p Pattern, trefp time.Duration, runSeed
 		temp := m.dimmTempC[di]
 		for ri := 0; ri < g.RanksPerDIMM; ri++ {
 			for vi := 0; vi < g.DevicesPerRank; vi++ {
-				dev := m.fab.devices[di][ri][vi]
+				dev := m.fabric().devices[di][ri][vi]
 				for bi := range dev.banks {
 					for i := range dev.banks[bi].weak {
 						c := &dev.banks[bi].weak[i]
@@ -311,7 +311,7 @@ func TestScanBoundaryCells(t *testing.T) {
 		{Row: 20, Ret40: bound, TrueCell: true, CoupleSens: 1, VRT: true},
 		{Row: 21, Ret40: math.Nextafter(bound, math.Inf(1)), TrueCell: true, CoupleSens: 1},
 	}
-	m.fab = f
+	setFabric(m, f)
 
 	for _, seed := range []uint64{1, 2, 3, 4} {
 		got, err := m.ScanPattern(p, trefp, seed)
@@ -341,10 +341,11 @@ func TestScanBoundaryCells(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstScan races several Modules over one freshly pooled
-// fabric, each at its own temperature, so they all ask for the lazily
-// built index at once. Each result must equal a serial scan of an
-// independently fabricated copy.
+// TestConcurrentFirstScan races several Modules of a never-fetched
+// (config, seed), each at its own temperature, to their first scan: they
+// all ask the pool for the fabric and the fabric for its lazily built
+// index at once. The pool must fabricate exactly once, and each result
+// must equal a serial scan of an independently fabricated copy.
 func TestConcurrentFirstScan(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Geometry.RowsPerBank = 8192
@@ -359,9 +360,6 @@ func TestConcurrentFirstScan(t *testing.T) {
 		}
 		_ = m.SetAllTemps(tc)
 		mods[i] = m
-	}
-	if mods[0].fab != mods[len(mods)-1].fab {
-		t.Fatal("modules of one (config, seed) do not share the pooled fabric")
 	}
 
 	random, _ := NewPattern(RandomPattern)
@@ -382,8 +380,17 @@ func TestConcurrentFirstScan(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if n := FabStats().Misses; n != 1 {
+		t.Fatalf("%d modules racing to their first scan fabricated %d times, want 1", len(mods), n)
+	}
+	for _, m := range mods[1:] {
+		if m.fab != mods[0].fab {
+			t.Fatal("modules of one (config, seed) do not share the pooled fabric")
+		}
+	}
 
-	serial := &Module{cfg: cfg, fab: fabricate(cfg, seed), dimmTempC: make([]float64, cfg.Geometry.DIMMs)}
+	serial := &Module{cfg: cfg, dimmTempC: make([]float64, cfg.Geometry.DIMMs)}
+	setFabric(serial, fabricate(cfg, seed))
 	for i, tc := range temps {
 		_ = serial.SetAllTemps(tc)
 		pat, _ := serial.ScanPattern(random, 2283*time.Millisecond, 1)

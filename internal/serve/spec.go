@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/silicon"
 	"repro/internal/workloads"
-	"repro/internal/xgene"
 )
 
 // Strategies a spec can request.
@@ -273,9 +272,11 @@ func (s Spec) Fingerprint() string {
 }
 
 // resolve validates the defaulted spec and materializes its common parts:
-// the corner, the placed core, and the benchmark profiles. The core is
-// resolved on a probe board — fabrication is a pure function of (corner,
-// seed), so the id resolved here is the id every shard sees.
+// the corner, the placed core, and the benchmark profiles. A named core
+// ("robust", "weakest") is resolved on the board's die alone, fetched from
+// the silicon fab pool: die fabrication is a pure function of (corner,
+// seed), so the id resolved here is the id every shard's server sees, and
+// no server or DRAM fabric is built for it.
 func (s Spec) resolve() (silicon.Corner, silicon.CoreID, []workloads.Profile, error) {
 	if err := s.Validate(); err != nil {
 		return 0, silicon.CoreID{}, nil, err
@@ -296,16 +297,16 @@ func (s Spec) resolve() (silicon.Corner, silicon.CoreID, []workloads.Profile, er
 	if boardSeed == 0 {
 		boardSeed = s.Seed
 	}
-	probe, err := xgene.NewServer(xgene.Options{Corner: corner, Seed: boardSeed})
+	chip, err := silicon.Fab(corner, boardSeed)
 	if err != nil {
-		return 0, silicon.CoreID{}, nil, fmt.Errorf("serve: probe board: %w", err)
+		return 0, silicon.CoreID{}, nil, fmt.Errorf("serve: fab die: %w", err)
 	}
 	var coreID silicon.CoreID
 	switch s.Core {
 	case "robust":
-		coreID = probe.Chip().MostRobustCore()
+		coreID = chip.MostRobustCore()
 	case "weakest":
-		coreID = probe.Chip().WeakestCore()
+		coreID = chip.WeakestCore()
 	default:
 		fmt.Sscanf(s.Core, "pmd%d.c%d", &coreID.PMD, &coreID.Core)
 	}

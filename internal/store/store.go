@@ -65,6 +65,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -263,14 +264,15 @@ func (s *Store) manifestPath() string { return filepath.Join(s.opts.Dir, manifes
 // segName is the segment file name for a fingerprint.
 func segName(fp string) string { return segPrefix + fp + segSuffix }
 
-// readSegmentFile reads a segment or checkpoint back into frames.
+// readSegmentFile reads a segment or checkpoint back into frames. The file
+// is read whole: a segment is a few KB, and a buffered reader would
+// allocate 64 KB for every hydration.
 func readSegmentFile(path string) ([]core.Frame, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return wire.ReadSegment(f)
+	return wire.ReadSegment(bytes.NewReader(b))
 }
 
 // validFingerprint keeps fingerprints path-safe: they become file names.

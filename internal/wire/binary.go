@@ -249,6 +249,13 @@ func (e *ReadError) Error() string {
 
 func (e *ReadError) Unwrap() error { return e.Err }
 
+// byteReader is what ReadSegment decodes from: the length prefixes are
+// uvarints read a byte at a time.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 // ReadSegment reads a stored binary segment back into frames: each frame
 // carries the decoded record and its canonical JSONL line, so replaying a
 // segment to a subscriber is byte-identical to the live stream that
@@ -257,8 +264,14 @@ func (e *ReadError) Unwrap() error { return e.Err }
 // Salvage contract (same as core.ParseLog): on damage, the frames decoded
 // before the damage are returned together with a *ReadError locating it —
 // never a nil slice alongside frames, never frames from beyond the damage.
+//
+// A reader that already reads single bytes (a *bytes.Reader over a whole
+// file, a *bufio.Reader) is decoded as is; any other is buffered.
 func ReadSegment(r io.Reader) ([]core.Frame, error) {
-	br := bufio.NewReaderSize(r, 64*1024)
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReaderSize(r, 64*1024)
+	}
 	hdr := make([]byte, len(magic)+1)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, &ReadError{Record: 0, Err: fmt.Errorf("short header: %w", err)}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/core"
@@ -168,6 +171,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if len(frames) != len(recs) {
 		t.Fatalf("decoded %d records, want %d", len(frames), len(recs))
 	}
+	// A reader without ReadByte goes through ReadSegment's own buffer and
+	// must decode the same frames.
+	buffered, err := ReadSegment(iotest.OneByteReader(bytes.NewReader(seg)))
+	if err != nil || !reflect.DeepEqual(buffered, frames) {
+		t.Fatalf("buffered ReadSegment: err=%v, frames equal=%v", err, reflect.DeepEqual(buffered, frames))
+	}
 	for i, f := range frames {
 		want, _ := json.Marshal(recs[i])
 		want = append(want, '\n')
@@ -241,23 +250,34 @@ func TestReadSegmentSalvage(t *testing.T) {
 			return out
 		}, 1, 2},
 	}
+	// Each damage is read through a bytes.Reader, decoded in place, and
+	// through a reader without ReadByte, which ReadSegment buffers.
+	readers := []struct {
+		name string
+		wrap func([]byte) io.Reader
+	}{
+		{"bytes", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+		{"buffered", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+	}
 	for _, d := range damage {
 		t.Run(d.name, func(t *testing.T) {
-			frames, err := ReadSegment(bytes.NewReader(d.mangle(append([]byte(nil), seg...))))
-			var re *ReadError
-			if !errors.As(err, &re) {
-				t.Fatalf("error = %v, want *ReadError", err)
-			}
-			if len(frames) != d.keep {
-				t.Errorf("salvaged %d records, want %d", len(frames), d.keep)
-			}
-			if re.Record != d.rec {
-				t.Errorf("ReadError.Record = %d, want %d", re.Record, d.rec)
-			}
-			for i, f := range frames {
-				want, _ := json.Marshal(recs[i])
-				if !bytes.Equal(f.Line, append(want, '\n')) {
-					t.Errorf("salvaged record %d corrupted", i)
+			for _, r := range readers {
+				frames, err := ReadSegment(r.wrap(d.mangle(append([]byte(nil), seg...))))
+				var re *ReadError
+				if !errors.As(err, &re) {
+					t.Fatalf("%s: error = %v, want *ReadError", r.name, err)
+				}
+				if len(frames) != d.keep {
+					t.Errorf("%s: salvaged %d records, want %d", r.name, len(frames), d.keep)
+				}
+				if re.Record != d.rec {
+					t.Errorf("%s: ReadError.Record = %d, want %d", r.name, re.Record, d.rec)
+				}
+				for i, f := range frames {
+					want, _ := json.Marshal(recs[i])
+					if !bytes.Equal(f.Line, append(want, '\n')) {
+						t.Errorf("%s: salvaged record %d corrupted", r.name, i)
+					}
 				}
 			}
 		})

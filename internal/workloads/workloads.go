@@ -466,11 +466,15 @@ func All() []Profile {
 	return out
 }
 
-// ByName looks a profile up by benchmark name.
+// ByName looks a profile up by benchmark name. It searches the tables in
+// place, in All's order, without building All: the daemon looks up every
+// benchmark of every submission twice (validation and resolution).
 func ByName(name string) (Profile, error) {
-	for _, p := range All() {
-		if p.Name == name {
-			return p, nil
+	for _, table := range [...][]Profile{specProfiles, nasProfiles, rodiniaProfiles, {stencilProfile, jammerProfile}} {
+		for i := range table {
+			if table[i].Name == name {
+				return table[i], nil
+			}
 		}
 	}
 	return Profile{}, fmt.Errorf("workloads: unknown benchmark %q", name)

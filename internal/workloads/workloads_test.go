@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/silicon"
@@ -53,6 +54,14 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("doom"); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+	for _, want := range All() {
+		if got, err := ByName(want.Name); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) = %+v, %v; want the All entry", want.Name, got, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ByName("jammer-detector") }); n != 0 {
+		t.Errorf("ByName allocates %.0f objects per lookup, want 0", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package xgene
 import (
 	"testing"
 
+	"repro/internal/silicon"
 	"repro/internal/workloads"
 )
 
@@ -60,5 +61,18 @@ func TestRunMultiAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("RunMulti allocates %.1f objects/op at steady state, want 0", allocs)
+	}
+}
+
+// BenchmarkNewServerUnseenBoard prices booting a board no earlier server
+// used: every iteration fabricates a fresh die, while the DRAM population
+// waits for the server's first memory scan, so a campaign that never
+// relaxes refresh never pays for it. allocs/op is deterministic.
+func BenchmarkNewServerUnseenBoard(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewServer(Options{Corner: silicon.TTT, Seed: 0x9e3779b97f4a7c15 ^ uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
