@@ -1,0 +1,61 @@
+package campaign
+
+import (
+	"runtime"
+	"strconv"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/silicon"
+	"repro/internal/workloads"
+)
+
+// discardSink accepts frame batches and records and keeps nothing, so a
+// benchmark through it prices the engine, the runs and the encode-once
+// frame path, not a consumer.
+type discardSink struct{}
+
+func (discardSink) Record(core.RunRecord) error { return nil }
+func (discardSink) Frames([]core.Frame) error   { return nil }
+
+// fig4Grid is the Fig. 4 grid on one board: the ten SPEC CPU2006
+// profiles at five PMD voltages, two repetitions each (100 runs, 50
+// cells).
+func fig4Grid() Grid {
+	var setups []core.Setup
+	for _, mv := range []float64{980, 960, 940, 920, 900} {
+		s := core.NominalSetup(silicon.CoreID{})
+		s.PMDVoltage = mv / 1000
+		setups = append(setups, s)
+	}
+	return Grid{
+		Name:        "fig4",
+		Board:       Board{Corner: silicon.TTT, Seed: 0x5EED_F164},
+		Benches:     workloads.SPEC2006(),
+		Setups:      setups,
+		Repetitions: 2,
+	}
+}
+
+// BenchmarkRunGridFig4 prices one warm exhaustive campaign of the Fig. 4
+// grid through a frame-capable sink, at one worker and at GOMAXPROCS.
+// Every iteration is a fresh campaign seed on the same board, as a daemon
+// serving repeated Fig. 4 submissions sees it.
+func BenchmarkRunGridFig4(b *testing.B) {
+	g := fig4Grid()
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			// Warm-up: fabricate the board and simulate the counters.
+			if _, err := RunGrid(Config{Workers: workers, Seed: 1, Sink: discardSink{}}, g); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunGrid(Config{Workers: workers, Seed: uint64(i + 2), Sink: discardSink{}}, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -157,9 +158,7 @@ type Ctx struct {
 	board    Board
 	baseSeed uint64
 	pool     *boardPool
-	fleetSrv []*xgene.Server
-	fleetKey []boardKey
-	fleetFW  []*core.Framework
+	fleet    []fleetBoard
 	planned  int
 }
 
@@ -175,8 +174,8 @@ func (c *Ctx) FleetBoard(i int) (*xgene.Server, *core.Framework, error) {
 	if i < 0 || i >= c.Boards {
 		return nil, nil, fmt.Errorf("fleet board %d out of range [0,%d)", i, c.Boards)
 	}
-	if c.fleetFW[i] != nil {
-		return c.fleetSrv[i], c.fleetFW[i], nil
+	if fb := c.fleet[i]; fb.fw != nil {
+		return fb.srv, fb.fw, nil
 	}
 	seed := FleetBoardSeed(c.baseSeed, i)
 	corner := c.board.Corner
@@ -202,10 +201,15 @@ func (c *Ctx) FleetBoard(i int) (*xgene.Server, *core.Framework, error) {
 		// pool re-fabricate rather than pooling it half-initialized.
 		return nil, nil, fmt.Errorf("fleet board %d: %w", i, err)
 	}
-	c.fleetSrv[i] = srv
-	c.fleetKey[i] = key
-	c.fleetFW[i] = fw
+	c.fleet[i] = fleetBoard{srv: srv, key: key, fw: fw}
 	return srv, fw, nil
+}
+
+// fleetBoard is one board of a shard's fleet, once the shard has used it.
+type fleetBoard struct {
+	srv *xgene.Server
+	key boardKey
+	fw  *core.Framework
 }
 
 // AddPlanned records grid points the shard accounted for but did not
@@ -278,6 +282,8 @@ type Stats struct {
 	// SimTime is the total simulated board time consumed.
 	SimTime time.Duration
 	// Outcomes counts run outcomes. Counts sum to Runs, never to Planned.
+	// It is filled on the campaign aggregate (Report.Stats); a shard's
+	// Result.Stats leaves it nil, and its Records carry the outcomes.
 	Outcomes map[xgene.Outcome]int
 }
 
@@ -293,11 +299,22 @@ func (s *Stats) add(s2 Stats) {
 	s.Restored += s2.Restored
 	s.Recoveries += s2.Recoveries
 	s.SimTime += s2.SimTime
-	for o, n := range s2.Outcomes {
-		if s.Outcomes == nil {
-			s.Outcomes = make(map[xgene.Outcome]int)
+}
+
+// countOutcomes fills the aggregate's Outcomes from the executed shards'
+// records, into one map for the whole campaign. Restored records were
+// accounted by the interrupted campaign and are not counted again.
+func countOutcomes[T any](st *Stats, results []Result[T]) {
+	for _, res := range results {
+		if res.Stats.Restored > 0 {
+			continue
 		}
-		s.Outcomes[o] += n
+		for _, r := range res.Records {
+			if st.Outcomes == nil {
+				st.Outcomes = make(map[xgene.Outcome]int, 4)
+			}
+			st.Outcomes[r.Outcome]++
+		}
 	}
 }
 
@@ -310,14 +327,10 @@ func statsOf(records []core.RunRecord, elapsed time.Duration, planned int) Stats
 	if st.Planned == 0 {
 		st.Planned = st.Runs
 	}
-	if len(records) > 0 {
-		st.Outcomes = make(map[xgene.Outcome]int, 4)
-	}
 	for _, r := range records {
 		if r.Recovered {
 			st.Recoveries++
 		}
-		st.Outcomes[r.Outcome]++
 	}
 	return st
 }
@@ -377,8 +390,14 @@ func (r *Report[T]) Err() error {
 // unique name, by splitting an xrand stream. It is a pure function, so the
 // seed does not depend on worker count, scheduling, or sibling shards.
 func ShardSeed(campaignSeed uint64, name string) uint64 {
-	return xrand.New(campaignSeed).Split("campaign/shard/" + name).Uint64()
+	// The label hashes "campaign/shard/<name>" piece by piece, so no string
+	// is built; the derived seed is the one Split of that string gives.
+	st := xrand.New(campaignSeed).SplitLabel(shardLabelPrefix.Str(name))
+	return st.Uint64()
 }
+
+// shardLabelPrefix is ShardSeed's interned split-label prefix.
+var shardLabelPrefix = xrand.NewLabel("campaign/shard/")
 
 // boardKey identifies a reusable board in the shared fleet pool.
 type boardKey struct {
@@ -436,12 +455,14 @@ func (p *boardPool) release(key boardKey, srv *xgene.Server) {
 // renders its shard's records into frames (shared pre-encoded JSONL lines)
 // before taking the lock, so encoding parallelizes with the campaign and
 // happens exactly once per record no matter how many subscribers hang off
-// the sink. Frame-aware sinks receive the shared bytes; a sink without the
-// Frame capability skips encoding entirely and gets the decoded records —
-// a record-counting or in-memory sink costs no serialization at all.
+// the sink. A released shard reaches a frame-aware sink as one batch, so
+// the sink's per-delivery costs are paid once per shard. A sink without
+// the FrameSink capability skips encoding entirely and gets the decoded
+// records — a record-counting or in-memory sink costs no serialization at
+// all.
 type streamer struct {
 	sink   core.Sink
-	frames bool // sink accepts frames: encode once, share the bytes
+	frames core.FrameSink // non-nil when the sink accepts frame batches
 
 	mu      sync.Mutex
 	next    int
@@ -452,14 +473,14 @@ type streamer struct {
 }
 
 func newStreamer(sink core.Sink, shards int) *streamer {
-	_, frames := sink.(core.FrameSink)
-	return &streamer{
-		sink:    sink,
-		frames:  frames,
-		done:    make([]bool, shards),
-		pending: make([][]core.RunRecord, shards),
-		encoded: make([][]core.Frame, shards),
+	s := &streamer{sink: sink, done: make([]bool, shards)}
+	if fs, ok := sink.(core.FrameSink); ok {
+		s.frames = fs
+		s.encoded = make([][]core.Frame, shards)
+	} else {
+		s.pending = make([][]core.RunRecord, shards)
 	}
+	return s
 }
 
 // complete buffers shard i's records and flushes every released prefix
@@ -472,29 +493,30 @@ func (s *streamer) complete(i int, records []core.RunRecord) {
 	}
 	var frames []core.Frame
 	var encErr error
-	if s.frames {
+	if s.frames != nil {
 		frames, encErr = wire.EncodeFrames(records)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.done[i] = true
-	s.pending[i] = records
-	s.encoded[i] = frames
+	if s.frames != nil {
+		s.encoded[i] = frames
+	} else {
+		s.pending[i] = records
+	}
 	if encErr != nil && s.err == nil {
 		// A record encoding/json itself would refuse (non-finite float);
 		// the legacy per-sink path would have failed identically.
 		s.err = fmt.Errorf("campaign: sink: %w", encErr)
 	}
 	for s.next < len(s.done) && s.done[s.next] {
-		if s.frames {
-			for _, f := range s.encoded[s.next] {
-				if s.err != nil {
-					break
-				}
-				if err := core.EmitFrame(s.sink, f); err != nil {
+		if s.frames != nil {
+			if batch := s.encoded[s.next]; s.err == nil && len(batch) > 0 {
+				if err := s.frames.Frames(batch); err != nil {
 					s.err = fmt.Errorf("campaign: sink: %w", err)
 				}
 			}
+			s.encoded[s.next] = nil
 		} else {
 			for _, rec := range s.pending[s.next] {
 				if s.err != nil {
@@ -504,9 +526,8 @@ func (s *streamer) complete(i int, records []core.RunRecord) {
 					s.err = fmt.Errorf("campaign: sink: %w", err)
 				}
 			}
+			s.pending[s.next] = nil
 		}
-		s.pending[s.next] = nil
-		s.encoded[s.next] = nil
 		s.next++
 	}
 }
@@ -564,7 +585,10 @@ func Run[T any](cfg Config, shards []Shard[T]) (*Report[T], error) {
 	// from its checkpoint). The prefix must land exactly on a shard
 	// boundary — a partial shard cannot be spliced without breaking the
 	// determinism contract, so the caller trims to boundaries first.
-	restored := make([]bool, len(shards))
+	// Restored shards are marked complete in the stream up front (they
+	// emit nothing); the flush cursor then releases executing shards'
+	// records as usual.
+	first := 0 // the restored shards are [0, first)
 	if len(cfg.Resume) > 0 {
 		off := 0
 		for i := 0; i < len(shards) && off < len(cfg.Resume); i++ {
@@ -579,80 +603,56 @@ func Run[T any](cfg Config, shards []Shard[T]) (*Report[T], error) {
 				Records: chunk,
 				Stats:   Stats{Shards: 1, Restored: len(chunk), Planned: len(chunk)},
 			}
-			restored[i] = true
+			stream.complete(i, nil)
+			first = i + 1
 			off += exp
 		}
 		if off != len(cfg.Resume) {
 			return nil, fmt.Errorf("campaign: %d resume records do not align with shard boundaries (%d consumed)", len(cfg.Resume), off)
 		}
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	// Workers share one board pool; a checked-out board belongs to exactly
-	// one shard at a time, so the simulation itself still runs lock-free.
+	// Workers claim shard indices in order from one counter; the calling
+	// goroutine is one of them. Once the context is cancelled no worker
+	// claims again, so the claimed shards are exactly a prefix, each run to
+	// completion, and everything above it is skipped. Workers share one
+	// board pool; a checked-out board belongs to exactly one shard at a
+	// time, so the simulation itself still runs lock-free.
+	var next atomic.Int64
+	next.Store(int64(first))
 	pool := newBoardPool()
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(shards) {
+				return
+			}
+			results[i] = runShard(cfg, i, shards[i], pool)
+			stream.complete(i, results[i].Records)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				results[i] = runShard(cfg, i, shards[i], pool)
-				stream.complete(i, results[i].Records)
-			}
+			work()
 		}()
 	}
-	// Restored shards are marked complete in the stream up front (they
-	// emit nothing); the flush cursor then releases executing shards'
-	// records as usual.
-	for i, r := range restored {
-		if r {
-			stream.complete(i, nil)
-		}
-	}
-	// skipFrom marks every shard from i on as skipped. Only the dispatcher
-	// writes these slots — no worker ever received their indices, and
-	// restored slots already hold their spliced results.
-	skipFrom := func(i int) {
-		for j := i; j < len(shards); j++ {
-			if restored[j] {
-				continue
-			}
-			results[j] = Result[T]{
-				Name:  shards[j].Name,
-				Index: j,
-				Err:   fmt.Errorf("campaign: shard %s skipped: %w", shards[j].Name, ctx.Err()),
-			}
-		}
-	}
-dispatch:
-	for i := range shards {
-		if restored[i] {
-			continue
-		}
-		// Check cancellation before the blocking send: when a worker is
-		// already parked on the jobs channel both select cases below are
-		// ready and Go picks randomly — without this check a cancelled
-		// campaign could still dispatch work.
-		if ctx.Err() != nil {
-			skipFrom(i)
-			break
-		}
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			// Workers finish their in-flight shard; everything not yet
-			// dispatched is marked skipped.
-			skipFrom(i)
-			break dispatch
-		}
-	}
-	close(jobs)
+	work()
 	wg.Wait()
+	for j := int(next.Load()); j < len(shards); j++ {
+		results[j] = Result[T]{
+			Name:  shards[j].Name,
+			Index: j,
+			Err:   fmt.Errorf("campaign: shard %s skipped: %w", shards[j].Name, ctx.Err()),
+		}
+	}
 
 	rep := &Report[T]{Results: results, Workers: workers}
 	for _, res := range results {
 		rep.Stats.add(res.Stats)
 	}
+	countOutcomes(&rep.Stats, results)
 	// Bookkeeping is observed once per campaign, off the record hot path.
 	obsCampaigns.Inc()
 	obsRunSeconds.Observe(time.Since(start))
@@ -691,9 +691,7 @@ func runShard[T any](cfg Config, idx int, sh Shard[T], pool *boardPool) Result[T
 		board:        sh.Board,
 		baseSeed:     boardSeed,
 		pool:         pool,
-		fleetSrv:     make([]*xgene.Server, fleet),
-		fleetKey:     make([]boardKey, fleet),
-		fleetFW:      make([]*core.Framework, fleet),
+		fleet:        make([]fleetBoard, fleet),
 	}
 	var err error
 	// Board 0 is fabricated eagerly so Ctx.Server/Framework are always
@@ -712,20 +710,25 @@ func runShard[T any](cfg Config, idx int, sh Shard[T], pool *boardPool) Result[T
 	// order (each board's records in its own execution order) — a pure
 	// function of the shard, so the stream stays worker-count independent.
 	var elapsed time.Duration
-	for _, fw := range ctx.fleetFW {
+	for _, fb := range ctx.fleet {
+		fw := fb.fw
 		if fw == nil {
 			continue
 		}
-		res.Records = append(res.Records, fw.Records()...)
+		if res.Records == nil {
+			res.Records = fw.Records() // already a copy: take it whole
+		} else {
+			res.Records = append(res.Records, fw.Records()...)
+		}
 		elapsed += fw.Elapsed()
 	}
 	res.Stats = statsOf(res.Records, elapsed, ctx.planned)
 	// Return the fleet to the pool for the next shard that wants these
 	// boards. Fresh boards carry advanced instrument state and never pool.
 	if pool != nil && !sh.Board.Fresh {
-		for i, srv := range ctx.fleetSrv {
-			if srv != nil {
-				pool.release(ctx.fleetKey[i], srv)
+		for _, fb := range ctx.fleet {
+			if fb.srv != nil {
+				pool.release(fb.key, fb.srv)
 			}
 		}
 	}

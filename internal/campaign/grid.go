@@ -2,7 +2,7 @@ package campaign
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/workloads"
@@ -68,6 +68,12 @@ func (r *GridReport) Summaries() []core.Summary {
 	return core.Summarize(r.Records)
 }
 
+// Interned split labels of a cell's repetition seed streams.
+var (
+	gridRepsLabel  = xrand.NewLabel("grid/reps")
+	gridBoardLabel = xrand.NewLabel("grid/board/")
+)
+
 // RunGrid executes a grid across the worker pool. Each (benchmark, setup)
 // cell is one shard; within a cell, repetition seeds derive from the
 // shard's seed via xrand, so no two cells (and no two repetitions) share
@@ -86,41 +92,42 @@ func RunGrid(cfg Config, g Grid) (*GridReport, error) {
 	if boards < 1 {
 		boards = 1
 	}
-	var shards []Shard[[]core.RunRecord]
+	// A cell's records are its Result.Records; the shards return nothing.
+	shards := make([]Shard[struct{}], 0, len(g.Benches)*len(g.Setups))
 	for bi, bench := range g.Benches {
 		for si, setup := range g.Setups {
-			shards = append(shards, Shard[[]core.RunRecord]{
-				Name:   fmt.Sprintf("%s/b%d/%s/s%d", g.Name, bi, bench.Name, si),
+			shards = append(shards, Shard[struct{}]{
+				// "<grid>/b<bi>/<bench>/s<si>": the shard name keys the
+				// cell's seed, so these bytes are fixed.
+				Name:   g.Name + "/b" + strconv.Itoa(bi) + "/" + bench.Name + "/s" + strconv.Itoa(si),
 				Board:  g.Board,
 				Boards: boards,
 				// Every cell emits exactly fleet-size x repetitions
 				// records, which is what lets an interrupted grid resume
 				// from a checkpoint trimmed to cell boundaries.
 				Expected: boards * g.Repetitions,
-				Run: func(ctx *Ctx) ([]core.RunRecord, error) {
-					out := make([]core.RunRecord, 0, boards*g.Repetitions)
+				Run: func(ctx *Ctx) (struct{}, error) {
 					for b := 0; b < boards; b++ {
 						_, fw, err := ctx.FleetBoard(b)
 						if err != nil {
-							return out, err
+							return struct{}{}, err
 						}
 						// A one-board fleet keeps the pre-fleet stream label,
 						// so classic grids reproduce byte-identically; fleet
-						// boards each split their own repetition stream.
-						label := "grid/reps"
+						// boards each split their own repetition stream,
+						// "grid/board/<b>/reps".
+						label := gridRepsLabel
 						if boards > 1 {
-							label = fmt.Sprintf("grid/board/%d/reps", b)
+							label = gridBoardLabel.Int(b).Str("/reps")
 						}
-						reps := xrand.New(ctx.Seed).Split(label)
+						reps := xrand.New(ctx.Seed).SplitLabel(label)
 						for rep := 0; rep < g.Repetitions; rep++ {
-							rec, err := fw.ExecuteRun(bench, setup, rep, reps.Uint64())
-							if err != nil {
-								return out, err
+							if _, err := fw.ExecuteRun(bench, setup, rep, reps.Uint64()); err != nil {
+								return struct{}{}, err
 							}
-							out = append(out, rec)
 						}
 					}
-					return out, nil
+					return struct{}{}, nil
 				},
 			})
 		}
@@ -132,14 +139,9 @@ func RunGrid(cfg Config, g Grid) (*GridReport, error) {
 	// Mirror Run's contract: on a shard error or cancellation the report
 	// is still returned, so partial records and bookkeeping survive.
 	out := &GridReport{Stats: rep.Stats, Workers: rep.Workers}
+	out.Records = make([]core.RunRecord, 0, rep.Stats.Runs+rep.Stats.Restored)
 	for _, cell := range rep.Results {
-		if cell.Stats.Restored > 0 {
-			// A restored cell never executed its Run closure, so its
-			// records live on the Result, not the Value.
-			out.Records = append(out.Records, cell.Records...)
-			continue
-		}
-		out.Records = append(out.Records, cell.Value...)
+		out.Records = append(out.Records, cell.Records...)
 	}
 	return out, err
 }

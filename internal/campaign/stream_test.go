@@ -306,12 +306,16 @@ func TestStreamManyShards(t *testing.T) {
 }
 
 // frameSink collects pre-rendered frames: the encode-once fan-out path.
-// Record must never be called once the engine sees the Frame capability.
+// Record must never be called once the engine sees the FrameSink
+// capability.
 type frameSink struct {
 	mu      sync.Mutex
 	frames  []core.Frame
-	records int // legacy Record calls (want 0)
+	batches []int // size of each delivered batch
+	records int   // legacy Record calls (want 0)
 }
+
+var _ core.FrameSink = (*frameSink)(nil)
 
 func (s *frameSink) Record(core.RunRecord) error {
 	s.mu.Lock()
@@ -320,18 +324,19 @@ func (s *frameSink) Record(core.RunRecord) error {
 	return nil
 }
 
-func (s *frameSink) Frame(f core.Frame) error {
+func (s *frameSink) Frames(batch []core.Frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.frames = append(s.frames, f)
+	s.frames = append(s.frames, batch...)
+	s.batches = append(s.batches, len(batch))
 	return nil
 }
 
 // TestStreamFramesMatchBatch pins the encode-once path at every worker
 // count: a FrameSink subscriber receives each record exactly once as a
-// pre-rendered frame, in grid order, with the line byte-identical to what
-// the legacy per-subscriber json.Encoder would have produced. Run under
-// -race in CI at workers 1/4/16.
+// pre-rendered frame, in grid order, one batch per grid cell, with the
+// line byte-identical to what the legacy per-subscriber json.Encoder would
+// have produced. Run under -race in CI at workers 1/4/16.
 func TestStreamFramesMatchBatch(t *testing.T) {
 	g := recoveryGrid(t)
 	for _, workers := range []int{1, 4, 16} {
@@ -345,6 +350,14 @@ func TestStreamFramesMatchBatch(t *testing.T) {
 		}
 		if len(sink.frames) != len(rep.Records) {
 			t.Fatalf("workers=%d: streamed %d frames, batch has %d records", workers, len(sink.frames), len(rep.Records))
+		}
+		if cells := len(g.Benches) * len(g.Setups); len(sink.batches) != cells {
+			t.Errorf("workers=%d: %d batches for %d cells, want one per cell", workers, len(sink.batches), cells)
+		}
+		for i, n := range sink.batches {
+			if n != g.Repetitions {
+				t.Errorf("workers=%d: batch %d holds %d frames, want one cell's %d", workers, i, n, g.Repetitions)
+			}
 		}
 		for i, f := range sink.frames {
 			if !reflect.DeepEqual(f.Rec, rep.Records[i]) {

@@ -17,7 +17,7 @@ import (
 // subscriber sinks. It is safe for concurrent use; subscribers may be
 // added and removed mid-stream. The lock is held across a fan-out, so a
 // subscriber joining between two records sees none-or-all of each record —
-// never a torn view.
+// and, for frame batches, none-or-all of each batch — never a torn view.
 //
 // Slow-subscriber policy: MultiSink itself is synchronous — Record returns
 // only after every subscriber has consumed the record, so a blocking
@@ -75,15 +75,15 @@ func (m *MultiSink) Record(rec RunRecord) error {
 	return nil
 }
 
-// Frame implements FrameSink by broadcasting the shared pre-rendered frame:
-// subscribers that understand frames receive the same immutable byte slice
-// (no per-subscriber re-encoding), the rest fall back to Record. The
-// drop-on-error policy matches Record.
-func (m *MultiSink) Frame(f Frame) error {
+// Frames implements FrameSink by broadcasting the batch under one lock
+// acquisition: subscribers that understand frames receive the batch of
+// shared pre-rendered lines (no per-subscriber re-encoding), the rest fall
+// back to Record. The drop-on-error policy matches Record.
+func (m *MultiSink) Frames(batch []Frame) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for id, s := range m.subs {
-		if err := EmitFrame(s, f); err != nil {
+		if err := EmitFrames(s, batch); err != nil {
 			delete(m.subs, id)
 		}
 	}

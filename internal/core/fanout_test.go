@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -205,5 +206,61 @@ func TestChanSinkOnDropHook(t *testing.T) {
 	b := NewChanSink(8, Block).OnDrop(func(uint64) { t.Error("hook fired on Block policy") })
 	for i := 0; i < 4; i++ {
 		b.Record(rec(i))
+	}
+}
+
+// batchSink records the frame batches it receives.
+type batchSink struct {
+	memSink
+	batches [][]Frame
+}
+
+func (s *batchSink) Frames(batch []Frame) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.batches = append(s.batches, batch)
+	return nil
+}
+
+// TestMultiSinkFramesBatch: a frame batch reaches a FrameSink subscriber
+// as one batch with its shared lines, reaches a record-only subscriber
+// record by record in order, and a subscriber failing mid-batch is
+// dropped without failing the broadcast.
+func TestMultiSinkFramesBatch(t *testing.T) {
+	m := NewMultiSink()
+	frames := &batchSink{}
+	records := &memSink{}
+	flaky := &memSink{failAt: 1, failWith: errors.New("consumer died")}
+	m.Subscribe(frames)
+	m.Subscribe(records)
+	m.Subscribe(flaky)
+	batch := []Frame{{Rec: rec(0), Line: []byte("a\n")}, {Rec: rec(1), Line: []byte("b\n")}}
+	if err := m.Frames(batch); err != nil {
+		t.Fatalf("MultiSink.Frames must never fail, got %v", err)
+	}
+	if len(frames.batches) != 1 || len(frames.batches[0]) != 2 || &frames.batches[0][0] != &batch[0] {
+		t.Errorf("frame subscriber got batches %v, want the one shared batch", frames.batches)
+	}
+	if frames.count() != 0 {
+		t.Errorf("frame subscriber got %d records through Record", frames.count())
+	}
+	if records.count() != 2 || records.recs[0].Repetition != 0 || records.recs[1].Repetition != 1 {
+		t.Errorf("record subscriber got %+v, want both records in order", records.recs)
+	}
+	if flaky.count() != 1 || m.Len() != 2 {
+		t.Errorf("subscriber failing mid-batch: got %d records, Len = %d; want 1 and dropped",
+			flaky.count(), m.Len())
+	}
+}
+
+// TestJSONLSinkFrames: a batch is written as its lines, in order.
+func TestJSONLSinkFrames(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewJSONLSink(&buf)
+	if err := s.Frames([]Frame{{Line: []byte("a\n")}, {Line: []byte("b\n")}}); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "a\nb\n" {
+		t.Errorf("wrote %q, want the batch's lines", buf.String())
 	}
 }

@@ -21,21 +21,32 @@ type Frame struct {
 }
 
 // FrameSink is the encoded-frame fast path alongside Sink: sinks that can
-// consume pre-rendered bytes implement it, and fan-out points deliver the
-// shared frame instead of the bare record. A sink may implement both; use
-// EmitFrame to dispatch on capability.
+// consume pre-rendered bytes implement it, and fan-out points deliver
+// shared frames instead of bare records. Frames arrive in batches — the
+// campaign engine hands over each completed shard's records as one batch —
+// so a sink pays its per-delivery costs (a lock, a wake-up, a flush) once
+// per batch rather than once per record. A sink may implement both; use
+// EmitFrames to dispatch on capability.
 type FrameSink interface {
-	// Frame consumes one finished run with its shared pre-rendered line.
-	Frame(f Frame) error
+	// Frames consumes a batch of finished runs, in order, with their shared
+	// pre-rendered lines. The slice is the caller's: a sink may keep the
+	// frames but must not retain or modify the slice itself.
+	Frames(batch []Frame) error
 }
 
-// EmitFrame delivers a frame to a sink through its fastest supported path:
-// the shared pre-rendered line when the sink implements FrameSink, the
-// decoded record otherwise. This is the single dispatch point that lets
-// frame-producing fan-outs keep feeding legacy Sink implementations.
-func EmitFrame(s Sink, f Frame) error {
+// EmitFrames delivers a batch to a sink through its fastest supported
+// path: the shared pre-rendered lines when the sink implements FrameSink,
+// the decoded records one by one otherwise. This is the single dispatch
+// point that lets frame-producing fan-outs keep feeding legacy Sink
+// implementations.
+func EmitFrames(s Sink, batch []Frame) error {
 	if fs, ok := s.(FrameSink); ok {
-		return fs.Frame(f)
+		return fs.Frames(batch)
 	}
-	return s.Record(f.Rec)
+	for _, f := range batch {
+		if err := s.Record(f.Rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -42,11 +42,13 @@ func (s *JSONLSink) Record(rec RunRecord) error {
 	return nil
 }
 
-// Frame implements FrameSink: the pre-rendered line is the exact bytes
-// Record would have encoded, so it is written as-is.
-func (s *JSONLSink) Frame(f Frame) error {
-	if _, err := s.w.Write(f.Line); err != nil {
-		return fmt.Errorf("core: write run record: %w", err)
+// Frames implements FrameSink: each pre-rendered line is the exact bytes
+// Record would have encoded, so the lines are written as-is.
+func (s *JSONLSink) Frames(batch []Frame) error {
+	for _, f := range batch {
+		if _, err := s.w.Write(f.Line); err != nil {
+			return fmt.Errorf("core: write run record: %w", err)
+		}
 	}
 	return nil
 }

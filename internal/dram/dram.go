@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/simcache"
@@ -242,6 +243,8 @@ type Module struct {
 	fab     *fabric
 	// dimmTempC is the current regulated temperature of each DIMM.
 	dimmTempC []float64
+	// bound memoizes the last ExpectedFailureUpperBound answer.
+	bound atomic.Pointer[failureBound]
 }
 
 // NewModule returns the memory system of (config, seed). It validates the

@@ -20,17 +20,32 @@ import (
 // engine) use it to skip the cell-level scan when the bound is negligible —
 // which is every CPU campaign at nominal refresh.
 func (m *Module) ExpectedFailureUpperBound(trefp time.Duration) float64 {
-	r := m.cfg.Retention
 	maxTemp := m.dimmTempC[0]
 	for _, t := range m.dimmTempC[1:] {
 		if t > maxTemp {
 			maxTemp = t
 		}
 	}
+	// Every run asks, almost always at the same refresh period and
+	// temperature as the run before; the last answer is kept.
+	if b := m.bound.Load(); b != nil && b.trefp == trefp && b.tempC == maxTemp {
+		return b.val
+	}
 	// The tail CDF is A * x^beta, evaluated at the same retention bound
 	// the scan prefilters with.
+	r := m.cfg.Retention
 	p := r.DensityA * math.Pow(m.worstCaseRet40(trefp, maxTemp), r.Beta)
-	return p * float64(m.cfg.Geometry.TotalBits())
+	val := p * float64(m.cfg.Geometry.TotalBits())
+	m.bound.Store(&failureBound{trefp: trefp, tempC: maxTemp, val: val})
+	return val
+}
+
+// failureBound is ExpectedFailureUpperBound's answer for one (refresh
+// period, hottest DIMM temperature) pair.
+type failureBound struct {
+	trefp time.Duration
+	tempC float64
+	val   float64
 }
 
 // retBoundSlack widens worstCaseRet40 by a relative 1e-12, far more than

@@ -137,33 +137,18 @@ func (c *Campaign) markLost(err error) {
 	c.cond.Broadcast()
 }
 
-// preload seeds the buffer with frames restored from a crash checkpoint,
-// before the engine runs the remaining cells. Subscribers (and the spool)
-// see the exact pre-rendered bytes the interrupted process streamed,
-// followed seamlessly by the live remainder — the restored prefix must NOT
-// pass through the engine sink again, which is why campaign.Config.Resume
-// suppresses emission for restored cells.
-func (c *Campaign) preload(frames []core.Frame) {
+// Frames implements core.FrameSink: this is the campaign engine's
+// streaming hook. The engine's ordering buffer guarantees batches arrive
+// in deterministic grid order, so appending preserves byte-identity with
+// the batch report; the shared pre-rendered lines are what every
+// subscriber will write. A batch (one engine shard) is appended under one
+// lock and wakes the subscribers once.
+func (c *Campaign) Frames(batch []core.Frame) error {
 	c.mu.Lock()
-	c.frames = append(c.frames, frames...)
+	c.frames = append(c.frames, batch...)
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	for _, f := range frames {
-		c.extra.Frame(f)
-	}
-}
-
-// Frame implements core.FrameSink: this is the campaign engine's streaming
-// hook. The engine's ordering buffer guarantees frames arrive in
-// deterministic grid order, so appending preserves byte-identity with the
-// batch report; the shared pre-rendered line is what every subscriber will
-// write.
-func (c *Campaign) Frame(f core.Frame) error {
-	c.mu.Lock()
-	c.frames = append(c.frames, f)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	return c.extra.Frame(f)
+	return c.extra.Frames(batch)
 }
 
 // Record implements core.Sink for producers that do not pre-encode: the
@@ -173,7 +158,7 @@ func (c *Campaign) Record(rec core.RunRecord) error {
 	if err != nil {
 		return err
 	}
-	return c.Frame(f)
+	return c.Frames([]core.Frame{f})
 }
 
 var _ core.Sink = (*Campaign)(nil)

@@ -336,6 +336,43 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 }
 
+// TestTransientWriteRetryByteIdentical: one segment write fails with EIO
+// and the next succeeds. The fourth record is the second of its grid
+// cell, so the failure lands inside a shard's batch; the tee's retry must
+// resume at that record, leaving a committed segment and a stream
+// byte-identical to an uninterrupted run and the store healthy.
+func TestTransientWriteRetryByteIdentical(t *testing.T) {
+	refDir := t.TempDir()
+	_, refTS := storeServer(t, refDir, Options{})
+	refSub := submit(t, refTS, testSpec(2), http.StatusAccepted)
+	wantStream := streamBytes(t, refTS, refSub.ID)
+	wantSeg := segmentBytes(t, refDir)
+
+	plan, err := fault.Parse("store.write:error@4=EIO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(plan)
+	t.Cleanup(fault.Disarm)
+
+	dir := t.TempDir()
+	s, ts := storeServer(t, dir, Options{})
+	sub := submit(t, ts, testSpec(2), http.StatusAccepted)
+	waitForStatus(t, s, sub.ID, StatusDone)
+	fault.Disarm()
+	if got := streamBytes(t, ts, sub.ID); !bytes.Equal(got, wantStream) {
+		t.Error("stream after a retried write differs from an uninterrupted run")
+	}
+	if got := segmentBytes(t, dir); !bytes.Equal(got, wantSeg) {
+		t.Errorf("segment after a retried write differs from an uninterrupted run (%d vs %d bytes)",
+			len(got), len(wantSeg))
+	}
+	stats := serverStats(t, ts)
+	if stats.Store == nil || stats.Store.Degraded {
+		t.Error("a write that succeeded on retry left the store degraded")
+	}
+}
+
 // gridsRunCount reads the engine-invocation counter.
 func (s *Server) gridsRunCount() int { return int(s.metrics.campaignsRun.Value()) }
 

@@ -461,8 +461,10 @@ func (s *Server) execute(c *Campaign) {
 			// the exact pre-rendered bytes the interrupted process streamed;
 			// the engine then executes only the remaining cells, and the
 			// committed segment comes out byte-identical to an uninterrupted
-			// run.
-			c.preload(ck)
+			// run. The prefix must not pass through the engine sink again,
+			// which is why campaign.Config.Resume suppresses emission for
+			// restored cells.
+			c.Frames(ck)
 			resume = recordsOfFrames(ck)
 			s.metrics.gridsResumed.Inc()
 			s.metrics.runsSaved.Add(uint64(len(ck)))

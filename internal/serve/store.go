@@ -194,13 +194,17 @@ func (t *storeTee) Record(rec core.RunRecord) error {
 	return nil
 }
 
-// Frame keeps the tee on the encode-once fast path: the live buffer takes
-// the shared pre-rendered line and the segment writer the decoded record.
-func (t *storeTee) Frame(f core.Frame) error {
-	if err := core.EmitFrame(t.live, f); err != nil {
+// Frames keeps the tee on the encode-once fast path: the live buffer takes
+// the shared pre-rendered lines and the segment writer the decoded
+// records, one batch and one flush per engine shard. A retry after a
+// failed write resumes at the first record the writer did not take, so a
+// transient error never duplicates a record in the segment.
+func (t *storeTee) Frames(batch []core.Frame) error {
+	if err := core.EmitFrames(t.live, batch); err != nil {
 		return err
 	}
-	t.persist(func() error { return t.w.Frame(f) })
+	start := t.w.Records()
+	t.persist(func() error { return t.w.Frames(batch[t.w.Records()-start:]) })
 	return nil
 }
 

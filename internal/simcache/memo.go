@@ -24,12 +24,14 @@ type Stats struct {
 }
 
 // entry is one memoized value. ready is closed once the computing goroutine
-// has filled val/err; waiters block on it outside the memo lock.
-type entry[V any] struct {
-	ready    chan struct{}
-	val      V
-	err      error
-	lastUsed uint64
+// has filled val/err; waiters block on it outside the memo lock. prev/next
+// link the entry into its memo's recency list (guarded by the memo lock).
+type entry[K comparable, V any] struct {
+	ready      chan struct{}
+	val        V
+	err        error
+	key        K
+	prev, next *entry[K, V]
 }
 
 // Memo is a size-bounded, concurrency-safe, single-flight memo table.
@@ -37,9 +39,13 @@ type entry[V any] struct {
 type Memo[K comparable, V any] struct {
 	mu      sync.Mutex
 	max     int
-	seq     uint64
-	entries map[K]*entry[V]
-	stats   Stats
+	entries map[K]*entry[K, V]
+	// lru is the sentinel of a circular recency list: lru.next is the most
+	// recently used entry, lru.prev the least. Every entry in the map is on
+	// the list, so eviction walks from the cold end instead of scanning the
+	// whole table.
+	lru   entry[K, V]
+	stats Stats
 }
 
 // NewMemo returns a memo holding at most max entries (least-recently-used
@@ -48,7 +54,21 @@ func NewMemo[K comparable, V any](max int) *Memo[K, V] {
 	if max <= 0 {
 		panic("simcache: memo bound must be positive")
 	}
-	return &Memo[K, V]{max: max, entries: make(map[K]*entry[V])}
+	m := &Memo[K, V]{max: max, entries: make(map[K]*entry[K, V])}
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
+	return m
+}
+
+// pushFront links e in as the most recently used entry. Callers hold m.mu.
+func (m *Memo[K, V]) pushFront(e *entry[K, V]) {
+	e.prev, e.next = &m.lru, m.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink removes e from the recency list. Callers hold m.mu.
+func (m *Memo[K, V]) unlink(e *entry[K, V]) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // Get returns the memoized value for key, computing it with fill on the
@@ -60,19 +80,18 @@ func NewMemo[K comparable, V any](max int) *Memo[K, V] {
 func (m *Memo[K, V]) Get(key K, fill func() (V, error)) (V, error) {
 	m.mu.Lock()
 	if e, ok := m.entries[key]; ok {
-		m.seq++
-		e.lastUsed = m.seq
+		m.unlink(e)
+		m.pushFront(e)
 		m.stats.Hits++
 		m.mu.Unlock()
 		<-e.ready
 		return e.val, e.err
 	}
-	e := &entry[V]{ready: make(chan struct{})}
-	m.seq++
-	e.lastUsed = m.seq
+	e := &entry[K, V]{ready: make(chan struct{}), key: key}
 	m.entries[key] = e
+	m.pushFront(e)
 	m.stats.Misses++
-	m.evictLocked(key)
+	m.evictLocked(e)
 	m.mu.Unlock()
 
 	e.val, e.err = fill()
@@ -81,6 +100,7 @@ func (m *Memo[K, V]) Get(key K, fill func() (V, error)) (V, error) {
 		m.mu.Lock()
 		if m.entries[key] == e {
 			delete(m.entries, key)
+			m.unlink(e)
 		}
 		m.mu.Unlock()
 	}
@@ -88,32 +108,29 @@ func (m *Memo[K, V]) Get(key K, fill func() (V, error)) (V, error) {
 }
 
 // evictLocked drops least-recently-used entries until the memo fits its
-// bound. The entry being installed (keep) and entries still computing are
-// never evicted — an in-flight fill must stay discoverable so concurrent
-// requesters coalesce on it. Callers hold m.mu.
-func (m *Memo[K, V]) evictLocked(keep K) {
-	for len(m.entries) > m.max {
-		var victimKey K
-		var victim *entry[V]
-		for k, e := range m.entries {
-			if k == keep {
-				continue
-			}
-			select {
-			case <-e.ready:
-			default:
-				continue // still computing
-			}
-			if victim == nil || e.lastUsed < victim.lastUsed {
-				victimKey, victim = k, e
-			}
+// bound, walking the recency list from its cold end. The entry being
+// installed (keep) and entries still computing are never evicted — an
+// in-flight fill must stay discoverable so concurrent requesters coalesce
+// on it. Callers hold m.mu.
+func (m *Memo[K, V]) evictLocked(keep *entry[K, V]) {
+	e := m.lru.prev
+	for len(m.entries) > m.max && e != &m.lru {
+		victim := e
+		e = e.prev
+		if victim == keep {
+			continue
 		}
-		if victim == nil {
-			return // everything is in flight; transiently exceed the bound
+		select {
+		case <-victim.ready:
+		default:
+			continue // still computing
 		}
-		delete(m.entries, victimKey)
+		delete(m.entries, victim.key)
+		m.unlink(victim)
 		m.stats.Evictions++
 	}
+	// Reaching the sentinel with the memo still over its bound means
+	// everything left is in flight; the bound is exceeded transiently.
 }
 
 // Len returns the current entry count.
@@ -136,6 +153,7 @@ func (m *Memo[K, V]) Stats() Stats {
 func (m *Memo[K, V]) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.entries = make(map[K]*entry[V])
+	m.entries = make(map[K]*entry[K, V])
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	m.stats = Stats{}
 }

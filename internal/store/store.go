@@ -42,8 +42,9 @@
 // only format: its seg-<fp>.jsonl files lose their claims, are
 // quarantined, and re-run on demand; likewise a separate INTENT.jsonl left
 // by a daemon that journaled intents outside the manifest is quarantined.
-// The writer flushes its buffer after every record, so the bytes a crash
-// can lose are bounded to the record being written.
+// The writer flushes its buffer after every Record call and after every
+// Frames batch (one campaign shard), so the bytes a crash can lose are
+// bounded to the record or batch being written.
 //
 // Intents. The manifest is also the caller's write-ahead journal of
 // accepted work: BeginIntent journals a fingerprint with opaque meta
@@ -543,11 +544,9 @@ func (s *Store) Resume(fp string, frames []core.Frame) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range frames {
-		if err := w.Frame(f); err != nil {
-			w.Abort()
-			return nil, err
-		}
+	if err := w.Frames(frames); err != nil {
+		w.Abort()
+		return nil, err
 	}
 	return w, nil
 }
@@ -840,26 +839,38 @@ func (w *Writer) write(p []byte) error {
 // (fsync still only happens at Commit; power loss can cost the whole
 // uncommitted segment either way, which recovery already tolerates).
 func (w *Writer) Record(rec core.RunRecord) error {
+	return w.Frames([]core.Frame{{Rec: rec}})
+}
+
+// Frames implements core.FrameSink: the segment stores the decoded
+// records, not the pre-rendered lines, which replay re-renders. The batch
+// is appended record by record (each through the store.write fault site)
+// and flushed once, so one campaign shard costs one write syscall; a crash
+// mid-batch loses only that batch. On error, Records tells how many of the
+// batch's records made it in: a retry resumes with the first one that did
+// not.
+func (w *Writer) Frames(batch []core.Frame) error {
 	if w.done {
 		return errors.New("store: segment writer already finished")
 	}
-	var err error
-	if w.scratch, err = wire.AppendBinaryRecord(w.scratch[:0], rec); err != nil {
-		return fmt.Errorf("store: encode record: %w", err)
+	for _, f := range batch {
+		var err error
+		if w.scratch, err = wire.AppendBinaryRecord(w.scratch[:0], f.Rec); err != nil {
+			return fmt.Errorf("store: encode record: %w", err)
+		}
+		if err := w.write(w.scratch); err != nil {
+			return err
+		}
+		w.records++
 	}
-	if err := w.write(w.scratch); err != nil {
-		return err
-	}
-	w.records++
 	if err := w.bw.Flush(); err != nil {
 		return fmt.Errorf("store: flush segment: %w", err)
 	}
 	return nil
 }
 
-// Frame implements core.FrameSink: the segment stores the decoded record,
-// not the pre-rendered line, which replay re-renders.
-func (w *Writer) Frame(f core.Frame) error { return w.Record(f.Rec) }
+// Records returns how many records the writer has appended so far.
+func (w *Writer) Records() int { return w.records }
 
 var _ core.Sink = (*Writer)(nil)
 var _ core.FrameSink = (*Writer)(nil)
@@ -939,11 +950,9 @@ func (s *Store) Adopt(fp string, meta json.RawMessage, frames []core.Frame) erro
 	if err != nil {
 		return err
 	}
-	for _, f := range frames {
-		if err := w.Frame(f); err != nil {
-			w.Abort()
-			return err
-		}
+	if err := w.Frames(frames); err != nil {
+		w.Abort()
+		return err
 	}
 	return w.Commit(meta)
 }

@@ -49,6 +49,9 @@ type Server struct {
 
 	// events is the SLIMpro telemetry ring buffer (see slimpro.go).
 	events []Event
+
+	// prep is the last profile Run prepared (see run.go).
+	prep preparedProfile
 }
 
 // Options tunes server construction.
