@@ -2,9 +2,10 @@ package guardband
 
 // Streaming-overhead benchmarks for the campaign service layer: the same
 // Fig. 4-shaped grid run as a plain batch campaign, with the engine's
-// ordering-buffer stream fanned into a null sink, and with full JSONL
-// encoding (what a campaignd subscriber receives). The deltas are the cost
-// of live result streaming; BENCH_serve.json records a measured snapshot.
+// ordering-buffer stream fanned into a frame-counting null sink, and
+// written out as JSONL (what a campaignd subscriber receives). The deltas
+// are the cost of live result streaming; BENCH_serve.json records a
+// measured snapshot.
 
 import (
 	"fmt"
@@ -38,16 +39,17 @@ func specNames() []string {
 	return names
 }
 
-// nullSink consumes records without encoding them: measures the pure
-// ordering-buffer overhead.
+// nullSink counts frames and writes nothing: measures the ordering buffer
+// plus the engine's encode-once framing, without a consumer.
 type nullSink struct{ n int }
 
-func (s *nullSink) Record(core.RunRecord) error { s.n++; return nil }
+func (s *nullSink) Frames(batch []core.Frame) error { s.n += len(batch); return nil }
 
 // BenchmarkStreamFig4 compares streamed vs batch campaign overhead on the
 // Fig. 4 grid. Sub-benchmarks: "batch" (no sink), "stream-null" (ordering
-// buffer only), "stream-jsonl" (ordering buffer + JSONL encoding to a
-// discarded writer — the daemon's stream path without the socket).
+// buffer + frame encoding, no consumer), "stream-jsonl" (ordering buffer +
+// frame encoding + JSONL writes to a discarded writer — the daemon's
+// stream path without the socket).
 func BenchmarkStreamFig4(b *testing.B) {
 	grid, err := fig4StreamSpec().Grid()
 	if err != nil {

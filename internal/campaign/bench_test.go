@@ -10,13 +10,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// discardSink accepts frame batches and records and keeps nothing, so a
-// benchmark through it prices the engine, the runs and the encode-once
-// frame path, not a consumer.
+// discardSink accepts frame batches and keeps nothing, so a benchmark
+// through it prices the engine, the runs and the encode-once frame path,
+// not a consumer.
 type discardSink struct{}
 
-func (discardSink) Record(core.RunRecord) error { return nil }
-func (discardSink) Frames([]core.Frame) error   { return nil }
+func (discardSink) Frames([]core.Frame) error { return nil }
 
 // fig4Grid is the Fig. 4 grid on one board: the ten SPEC CPU2006
 // profiles at five PMD voltages, two repetitions each (100 runs, 50

@@ -455,35 +455,23 @@ func (p *boardPool) release(key boardKey, srv *xgene.Server) {
 // renders its shard's records into frames (shared pre-encoded JSONL lines)
 // before taking the lock, so encoding parallelizes with the campaign and
 // happens exactly once per record no matter how many subscribers hang off
-// the sink. A released shard reaches a frame-aware sink as one batch, so
-// the sink's per-delivery costs are paid once per shard. A sink without
-// the FrameSink capability skips encoding entirely and gets the decoded
-// records — a record-counting or in-memory sink costs no serialization at
-// all.
+// the sink. A released shard reaches the sink as one batch, so the sink's
+// per-delivery costs are paid once per shard.
 type streamer struct {
-	sink   core.Sink
-	frames core.FrameSink // non-nil when the sink accepts frame batches
+	sink core.Sink
 
 	mu      sync.Mutex
 	next    int
 	done    []bool
-	pending [][]core.RunRecord
 	encoded [][]core.Frame
 	err     error
 }
 
 func newStreamer(sink core.Sink, shards int) *streamer {
-	s := &streamer{sink: sink, done: make([]bool, shards)}
-	if fs, ok := sink.(core.FrameSink); ok {
-		s.frames = fs
-		s.encoded = make([][]core.Frame, shards)
-	} else {
-		s.pending = make([][]core.RunRecord, shards)
-	}
-	return s
+	return &streamer{sink: sink, done: make([]bool, shards), encoded: make([][]core.Frame, shards)}
 }
 
-// complete buffers shard i's records and flushes every released prefix
+// complete buffers shard i's frames and flushes every released prefix
 // shard to the sink. Safe for concurrent use by the worker pool; frames are
 // encoded outside the lock, emission happens under it, so records can never
 // interleave out of order.
@@ -491,43 +479,22 @@ func (s *streamer) complete(i int, records []core.RunRecord) {
 	if s == nil {
 		return
 	}
-	var frames []core.Frame
-	var encErr error
-	if s.frames != nil {
-		frames, encErr = wire.EncodeFrames(records)
-	}
+	frames, encErr := wire.EncodeFrames(records)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.done[i] = true
-	if s.frames != nil {
-		s.encoded[i] = frames
-	} else {
-		s.pending[i] = records
-	}
+	s.encoded[i] = frames
 	if encErr != nil && s.err == nil {
-		// A record encoding/json itself would refuse (non-finite float);
-		// the legacy per-sink path would have failed identically.
+		// A record encoding/json itself would refuse (non-finite float).
 		s.err = fmt.Errorf("campaign: sink: %w", encErr)
 	}
 	for s.next < len(s.done) && s.done[s.next] {
-		if s.frames != nil {
-			if batch := s.encoded[s.next]; s.err == nil && len(batch) > 0 {
-				if err := s.frames.Frames(batch); err != nil {
-					s.err = fmt.Errorf("campaign: sink: %w", err)
-				}
+		if batch := s.encoded[s.next]; s.err == nil && len(batch) > 0 {
+			if err := s.sink.Frames(batch); err != nil {
+				s.err = fmt.Errorf("campaign: sink: %w", err)
 			}
-			s.encoded[s.next] = nil
-		} else {
-			for _, rec := range s.pending[s.next] {
-				if s.err != nil {
-					break
-				}
-				if err := s.sink.Record(rec); err != nil {
-					s.err = fmt.Errorf("campaign: sink: %w", err)
-				}
-			}
-			s.pending[s.next] = nil
 		}
+		s.encoded[s.next] = nil
 		s.next++
 	}
 }

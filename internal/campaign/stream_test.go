@@ -16,23 +16,29 @@ import (
 	"repro/internal/workloads"
 )
 
-// collectSink gathers streamed records; safe for concurrent use (the
+// collectSink gathers streamed frames; safe for concurrent use (the
 // streamer serializes emission, but the race detector should see a locked
 // sink regardless).
 type collectSink struct {
-	mu   sync.Mutex
-	recs []core.RunRecord
+	mu      sync.Mutex
+	recs    []core.RunRecord
+	frames  []core.Frame
+	batches []int // size of each delivered batch
 	// onRecord, if set, observes each record under the lock.
 	onRecord func(n int, rec core.RunRecord)
 }
 
-func (s *collectSink) Record(rec core.RunRecord) error {
+func (s *collectSink) Frames(batch []core.Frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.onRecord != nil {
-		s.onRecord(len(s.recs), rec)
+	for _, f := range batch {
+		if s.onRecord != nil {
+			s.onRecord(len(s.recs), f.Rec)
+		}
+		s.recs = append(s.recs, f.Rec)
 	}
-	s.recs = append(s.recs, rec)
+	s.frames = append(s.frames, batch...)
+	s.batches = append(s.batches, len(batch))
 	return nil
 }
 
@@ -155,8 +161,8 @@ type failAfterSink struct {
 	err    error
 }
 
-func (s *failAfterSink) Record(core.RunRecord) error {
-	s.n++
+func (s *failAfterSink) Frames(batch []core.Frame) error {
+	s.n += len(batch)
 	if s.n > s.failAt {
 		return s.err
 	}
@@ -305,48 +311,18 @@ func TestStreamManyShards(t *testing.T) {
 	}
 }
 
-// frameSink collects pre-rendered frames: the encode-once fan-out path.
-// Record must never be called once the engine sees the FrameSink
-// capability.
-type frameSink struct {
-	mu      sync.Mutex
-	frames  []core.Frame
-	batches []int // size of each delivered batch
-	records int   // legacy Record calls (want 0)
-}
-
-var _ core.FrameSink = (*frameSink)(nil)
-
-func (s *frameSink) Record(core.RunRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.records++
-	return nil
-}
-
-func (s *frameSink) Frames(batch []core.Frame) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.frames = append(s.frames, batch...)
-	s.batches = append(s.batches, len(batch))
-	return nil
-}
-
 // TestStreamFramesMatchBatch pins the encode-once path at every worker
-// count: a FrameSink subscriber receives each record exactly once as a
-// pre-rendered frame, in grid order, one batch per grid cell, with the
-// line byte-identical to what the legacy per-subscriber json.Encoder would
-// have produced. Run under -race in CI at workers 1/4/16.
+// count: the sink receives each record exactly once as a pre-rendered
+// frame, in grid order, one batch per grid cell, with the line
+// byte-identical to what encoding/json produces for the record. Run under
+// -race in CI at workers 1/4/16.
 func TestStreamFramesMatchBatch(t *testing.T) {
 	g := recoveryGrid(t)
 	for _, workers := range []int{1, 4, 16} {
-		sink := &frameSink{}
+		sink := &collectSink{}
 		rep, err := RunGrid(Config{Workers: workers, Seed: 7, Sink: sink}, g)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if sink.records != 0 {
-			t.Errorf("workers=%d: %d records bypassed the frame path", workers, sink.records)
 		}
 		if len(sink.frames) != len(rep.Records) {
 			t.Fatalf("workers=%d: streamed %d frames, batch has %d records", workers, len(sink.frames), len(rep.Records))
@@ -363,13 +339,13 @@ func TestStreamFramesMatchBatch(t *testing.T) {
 			if !reflect.DeepEqual(f.Rec, rep.Records[i]) {
 				t.Fatalf("workers=%d: frame %d record differs from batch report", workers, i)
 			}
-			legacy, err := json.Marshal(rep.Records[i])
+			want, err := json.Marshal(rep.Records[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy = append(legacy, '\n')
-			if !bytes.Equal(f.Line, legacy) {
-				t.Fatalf("workers=%d: frame %d line %q, legacy encoder %q", workers, i, f.Line, legacy)
+			want = append(want, '\n')
+			if !bytes.Equal(f.Line, want) {
+				t.Fatalf("workers=%d: frame %d line %q, encoding/json %q", workers, i, f.Line, want)
 			}
 		}
 	}

@@ -140,9 +140,6 @@ type Framework struct {
 	elapsed time.Duration
 	// records accumulates every run for the parsing phase.
 	records []RunRecord
-	// sinks receive every record as it is produced (serial/network/cloud
-	// log channels of Fig. 2).
-	sinks []Sink
 }
 
 // NewFramework wraps a target with the default watchdog policy.
@@ -208,9 +205,6 @@ func (f *Framework) ExecuteRun(bench workloads.Profile, setup Setup, rep int, se
 	}
 	f.elapsed += rec.SimTime
 	f.records = append(f.records, rec)
-	if err := f.emit(rec); err != nil {
-		return rec, err
-	}
 	return rec, nil
 }
 

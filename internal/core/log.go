@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -11,39 +10,22 @@ import (
 // The execution phase of the paper's framework streams every run's raw log
 // over serial/network to local and cloud storage; the parsing phase later
 // reads those logs back and classifies them. This file implements that
-// round trip: RunRecords serialize to JSON Lines through a Sink attached
-// to the Framework, and ParseLog re-materializes them for Summarize.
+// round trip: RunRecords serialize to JSON Lines through a JSONLSink fed
+// by the campaign engine, and ParseLog re-materializes them for Summarize.
 
-// Sink receives every run record as it is produced.
-type Sink interface {
-	// Record consumes one finished run.
-	Record(rec RunRecord) error
-}
-
-// JSONLSink streams records as JSON Lines to a writer (the spool file or
-// network channel of Fig. 2). It also implements FrameSink: when fed from
-// a frame-producing fan-out it writes the shared pre-rendered line
-// directly, paying no encoding cost of its own.
+// JSONLSink streams runs as JSON Lines to a writer (the spool file or
+// network channel of Fig. 2). It writes each frame's shared pre-rendered
+// line as-is, paying no encoding cost of its own.
 type JSONLSink struct {
-	w   io.Writer
-	enc *json.Encoder
+	w io.Writer
 }
 
 // NewJSONLSink wraps a writer.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{w: w, enc: json.NewEncoder(w)}
+	return &JSONLSink{w: w}
 }
 
-// Record implements Sink.
-func (s *JSONLSink) Record(rec RunRecord) error {
-	if err := s.enc.Encode(rec); err != nil {
-		return fmt.Errorf("core: encode run record: %w", err)
-	}
-	return nil
-}
-
-// Frames implements FrameSink: each pre-rendered line is the exact bytes
-// Record would have encoded, so the lines are written as-is.
+// Frames implements Sink.
 func (s *JSONLSink) Frames(batch []Frame) error {
 	for _, f := range batch {
 		if _, err := s.w.Write(f.Line); err != nil {
@@ -54,27 +36,6 @@ func (s *JSONLSink) Frames(batch []Frame) error {
 }
 
 var _ Sink = (*JSONLSink)(nil)
-var _ FrameSink = (*JSONLSink)(nil)
-
-// AttachSink registers a sink; every subsequent run is streamed to it in
-// addition to the in-memory record list. Multiple sinks may be attached.
-func (f *Framework) AttachSink(s Sink) error {
-	if s == nil {
-		return errors.New("core: nil sink")
-	}
-	f.sinks = append(f.sinks, s)
-	return nil
-}
-
-// emit fans a record out to the attached sinks.
-func (f *Framework) emit(rec RunRecord) error {
-	for _, s := range f.sinks {
-		if err := s.Record(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // LogError is ParseLog's failure report: the 1-based line number of the
 // first line that failed to parse, with the underlying cause. Records on

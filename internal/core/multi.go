@@ -64,9 +64,6 @@ func (f *Framework) ExecuteRunMulti(assignments []xgene.Assignment, setup Setup,
 	}
 	f.elapsed += rec.SimTime
 	f.records = append(f.records, rec)
-	if err := f.emit(rec); err != nil {
-		return rec, err
-	}
 	return rec, nil
 }
 

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -105,22 +107,26 @@ func TestLintAcceptsWellFormed(t *testing.T) {
 	}
 }
 
+// defaultRuns numbers the runs of TestDefaultRegistryConstructorsRegister
+// in this process (go test -count=N runs it N times).
+var defaultRuns atomic.Int64
+
 func TestDefaultRegistryConstructorsRegister(t *testing.T) {
 	// The package-level constructors attach to Default(); pick names no
 	// other package would claim. Registration is process-wide and
-	// permanent, so this test must not run twice in one process — go test
-	// never does.
-	c := NewCounter("obs_test_default_total", "test")
+	// permanent, so each run registers families of its own.
+	p := fmt.Sprintf("obs_test_default%d", defaultRuns.Add(1))
+	c := NewCounter(p+"_total", "test")
 	c.Inc()
-	NewGauge("obs_test_default_gauge", "test").Set(1)
-	NewHistogram("obs_test_default_seconds", "test", nil).Observe(time.Millisecond)
-	NewCounterVec("obs_test_default_vec_total", "test", "k", "v").With("v").Inc()
+	NewGauge(p+"_gauge", "test").Set(1)
+	NewHistogram(p+"_seconds", "test", nil).Observe(time.Millisecond)
+	NewCounterVec(p+"_vec_total", "test", "k", "v").With("v").Inc()
 	var buf bytes.Buffer
 	if err := Default().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"obs_test_default_total 1", "obs_test_default_gauge 1", "obs_test_default_seconds_count 1", `obs_test_default_vec_total{k="v"} 1`} {
+	for _, want := range []string{p + "_total 1", p + "_gauge 1", p + "_seconds_count 1", p + `_vec_total{k="v"} 1`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("default registry exposition missing %q", want)
 		}

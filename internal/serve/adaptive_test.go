@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 )
 
 // adaptiveSpec is a small adaptive submission: two benchmarks, a two-board
@@ -37,9 +36,9 @@ func adaptiveBatchJSONL(t *testing.T, spec Spec) ([]byte, *campaign.ScheduleRepo
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sink := core.NewJSONLSink(&buf)
+	enc := json.NewEncoder(&buf)
 	for _, rec := range rep.Records {
-		if err := sink.Record(rec); err != nil {
+		if err := enc.Encode(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
 // Status is a campaign's lifecycle state in the registry.
@@ -137,7 +136,7 @@ func (c *Campaign) markLost(err error) {
 	c.cond.Broadcast()
 }
 
-// Frames implements core.FrameSink: this is the campaign engine's
+// Frames implements core.Sink: this is the campaign engine's
 // streaming hook. The engine's ordering buffer guarantees batches arrive
 // in deterministic grid order, so appending preserves byte-identity with
 // the batch report; the shared pre-rendered lines are what every
@@ -151,18 +150,7 @@ func (c *Campaign) Frames(batch []core.Frame) error {
 	return c.extra.Frames(batch)
 }
 
-// Record implements core.Sink for producers that do not pre-encode: the
-// record is rendered here (once) and then follows the frame path.
-func (c *Campaign) Record(rec core.RunRecord) error {
-	f, err := wire.EncodeFrame(rec)
-	if err != nil {
-		return err
-	}
-	return c.Frames([]core.Frame{f})
-}
-
 var _ core.Sink = (*Campaign)(nil)
-var _ core.FrameSink = (*Campaign)(nil)
 
 // setRunning marks the campaign live.
 func (c *Campaign) setRunning() {

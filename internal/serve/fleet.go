@@ -241,21 +241,12 @@ func (s *Server) fleetFetch(fp, trace, tenant string) {
 
 // adoptRemote installs a fetched segment: persist it (best-effort), then
 // register a done, hydrated campaign so the submit loop's next pass is a
-// cache hit. Like adoptLocked, it refuses metadata that does not
-// fingerprint back to the key — a wrong or malicious peer must never
-// impersonate another spec's characterization.
+// cache hit. Like adoptLocked, it refuses metadata that parseStoredMeta
+// refuses.
 func (s *Server) adoptRemote(fp string, seg *fleet.Segment) error {
-	var m storedMeta
-	if err := json.Unmarshal(seg.Meta, &m); err != nil {
-		return fmt.Errorf("peer segment meta: %w", err)
-	}
-	stats, err := m.campaignStats()
+	m, stats, err := parseStoredMeta(seg.Meta, fp)
 	if err != nil {
 		return fmt.Errorf("peer segment meta: %w", err)
-	}
-	spec := m.Spec.withDefaults()
-	if got := spec.Fingerprint(); got != fp {
-		return fmt.Errorf("peer segment meta fingerprints to %s, want %s", got, fp)
 	}
 	if len(seg.Frames) == 0 {
 		return errors.New("peer segment is empty")
@@ -275,14 +266,9 @@ func (s *Server) adoptRemote(fp string, seg *fleet.Segment) error {
 	if prev := s.byFP[fp]; prev != nil && prev.Status() != StatusFailed {
 		return nil // a racer satisfied the fingerprint while we fetched
 	}
-	c := newStoredCampaign(fmt.Sprintf("c%06d", s.nextID), spec, fp,
+	c := newStoredCampaign(fmt.Sprintf("c%06d", s.nextID), m.Spec, fp,
 		s.spool, stats, m.Workers, len(seg.Frames))
-	s.evictLocked()
-	s.nextID++
-	s.byID[c.id] = c
-	s.byFP[fp] = c
-	s.order = append(s.order, c)
-	s.touchLocked(c)
+	s.registerLocked(c)
 	c.hydrateWith(seg.Frames)
 	s.metrics.fleetReplications.Inc()
 	return nil

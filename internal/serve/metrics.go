@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -26,21 +25,20 @@ type metrics struct {
 	fleetServed       *obs.Counter
 	fleetAuthFailures *obs.Counter
 
-	submissions    *obs.CounterVec
-	campaignsRun   *obs.Counter
-	replayHits     *obs.Counter
-	evictions      *obs.Counter
-	queueLen       *obs.Gauge
-	queueWait      *obs.Histogram
-	subscribers    *obs.Gauge
-	streamBytes    *obs.Counter
-	droppedRecords *obs.Counter
-	draining       *obs.Gauge
-	storeErrors    *obs.Counter
-	storeDegraded  *obs.Gauge
-	gridsResumed   *obs.Counter
-	runsSaved      *obs.Counter
-	requeued       *obs.Counter
+	submissions   *obs.CounterVec
+	campaignsRun  *obs.Counter
+	replayHits    *obs.Counter
+	evictions     *obs.Counter
+	queueLen      *obs.Gauge
+	queueWait     *obs.Histogram
+	subscribers   *obs.Gauge
+	streamBytes   *obs.Counter
+	draining      *obs.Gauge
+	storeErrors   *obs.Counter
+	storeDegraded *obs.Gauge
+	gridsResumed  *obs.Counter
+	runsSaved     *obs.Counter
+	requeued      *obs.Counter
 
 	// Front-door metrics (auth + rate limiting; see auth.go / limit.go).
 	// The auth-failure reasons are a closed set, so a frozen CounterVec
@@ -80,8 +78,6 @@ func newMetrics() *metrics {
 			"Stream subscribers currently attached (NDJSON and SSE)."),
 		streamBytes: r.Counter("campaignd_stream_bytes_total",
 			"Bytes written to stream subscribers, shared pre-rendered frames included."),
-		droppedRecords: r.Counter("campaignd_dropped_records_total",
-			"Records discarded by Drop-policy subscriber sinks that fell behind the broadcast (see core.ChanSink)."),
 		draining: r.Gauge("campaignd_draining",
 			"1 while the server is draining for shutdown (new submissions get 503)."),
 		storeErrors: r.Counter("campaignd_store_errors_total",
@@ -161,23 +157,6 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 		buildInfo: s.build,
 		UptimeS:   time.Since(s.start).Seconds(),
 	})
-}
-
-// SubscribeChan subscribes a Drop-policy ChanSink of the given buffer
-// depth to the server's broadcast spool, wired into the slow-subscriber
-// drop accounting: records the consumer fails to keep up with are
-// discarded (never stalling a campaign) and counted in /stats
-// ("dropped_records") and the campaignd_dropped_records_total metric.
-// The returned cancel function unsubscribes and closes the sink.
-func (s *Server) SubscribeChan(buffer int) (*core.ChanSink, func()) {
-	sink := core.NewChanSink(buffer, core.Drop).OnDrop(func(uint64) {
-		s.metrics.droppedRecords.Inc()
-	})
-	id := s.spool.Subscribe(sink)
-	return sink, func() {
-		s.spool.Unsubscribe(id)
-		sink.Close()
-	}
 }
 
 // countWrite tracks stream handler writes in the fan-out byte counter.

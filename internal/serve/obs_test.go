@@ -101,7 +101,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"campaignd_queue_wait_seconds_bucket",
 		"campaignd_active_subscribers",
 		"campaignd_stream_bytes_total",
-		"campaignd_dropped_records_total",
 		"campaignd_draining",
 		"campaign_run_seconds_bucket",
 		"campaign_runs_total",
@@ -391,46 +390,6 @@ func TestVersionEndpoint(t *testing.T) {
 	}
 }
 
-// TestSubscribeChanDrops pins the slow-subscriber accounting end to end: a
-// Drop-policy SubscribeChan sink that never drains loses records without
-// stalling the campaign, and the loss shows up in /stats
-// dropped_records and the dropped-records counter.
-func TestSubscribeChanDrops(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	before := scrapeMetrics(t, ts.URL)
-	droppedBefore := metricValue(t, before, "campaignd_dropped_records_total")
-
-	// Buffer 1 and no consumer: all but one record of the campaign drops.
-	sink, cancel := s.SubscribeChan(1)
-	defer cancel()
-
-	spec := testSpec(1)
-	spec.Seed = 7272
-	sr := submit(t, ts, spec, http.StatusAccepted)
-	streamBytes(t, ts, sr.ID) // campaign completed despite the stuck sink
-
-	want := uint64(expectedRecords(spec) - 1)
-	if got := sink.Dropped(); got != want {
-		t.Errorf("sink dropped %d, want %d", got, want)
-	}
-	var stats statsResponse
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.DroppedRecords != want {
-		t.Errorf("/stats dropped_records = %d, want %d", stats.DroppedRecords, want)
-	}
-	after := scrapeMetrics(t, ts.URL)
-	if got := metricValue(t, after, "campaignd_dropped_records_total"); got != droppedBefore+float64(want) {
-		t.Errorf("campaignd_dropped_records_total = %g, want %g", got, droppedBefore+float64(want))
-	}
-}
-
 // TestMetricsScopedToServer pins instance-scoped metrics: two Servers in
 // one process each count only their own traffic. Traffic to A moves A's
 // /stats and /metrics while B's stay at zero, and on both servers every
@@ -503,7 +462,6 @@ func TestMetricsScopedToServer(t *testing.T) {
 			{"grids_run", float64(stats.GridsRun), metricValue(t, m, "campaignd_campaigns_run_total")},
 			{"evictions", float64(stats.Evictions), metricValue(t, m, "campaignd_evictions_total")},
 			{"subscribers", float64(stats.Subscribers), metricValue(t, m, "campaignd_active_subscribers")},
-			{"dropped_records", float64(stats.DroppedRecords), metricValue(t, m, "campaignd_dropped_records_total")},
 			{"auth_failures", float64(stats.AuthFailures), authFailures},
 		} {
 			if pair.stats != pair.prom {

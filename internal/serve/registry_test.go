@@ -1,0 +1,155 @@
+package serve
+
+import (
+	"encoding/json"
+	"testing"
+
+	"repro/internal/campaign"
+	"repro/internal/fleet"
+	"repro/internal/store"
+	"repro/internal/wire"
+)
+
+// tinySpec is a one-cell grid, distinct per seed.
+func tinySpec(seed uint64) Spec {
+	return Spec{Seed: seed, Benches: []string{"mcf"}, VoltagesMV: []float64{980}, Repetitions: 1}
+}
+
+// peerSegment renders the characterization a fleet peer would serve for
+// spec: its manifest summary and its frames.
+func peerSegment(t *testing.T, spec Spec) *fleet.Segment {
+	t.Helper()
+	spec = spec.withDefaults()
+	grid, err := spec.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := campaign.RunGrid(campaign.Config{Workers: 1, Seed: spec.Seed}, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(metaOf(spec, 1, rep.Stats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := wire.EncodeFrames(rep.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fleet.Segment{Meta: meta, Frames: frames}
+}
+
+// TestRegistryInsertionPathsShareLRU drives every way a campaign enters
+// the registry (store adoption at boot and on submit, intent requeue,
+// fleet adoption, local submission) through one server at CacheMax 2.
+// Each insertion into a full registry evicts the least-recently-used
+// terminal entry, and a live (queued or running) campaign is never
+// evicted, even when it is the least recently used.
+func TestRegistryInsertionPathsShareLRU(t *testing.T) {
+	dir := t.TempDir()
+	specA, specR, specF := tinySpec(101), tinySpec(102), tinySpec(103)
+	specL, specG, specM, specN := tinySpec(104), tinySpec(105), tinySpec(106), tinySpec(107)
+	fp := func(s Spec) string { return s.withDefaults().Fingerprint() }
+
+	// A first life commits A, and a crash leaves R journaled but unrun.
+	s1, err := New(Options{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s1.Submit(specA, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	waitFingerprintDone(t, s1, fp(specA))
+	s1.Close()
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	beginIntent(t, st, specR.withDefaults(), "")
+	st.Close()
+
+	s, err := New(Options{StoreDir: dir, CacheMax: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	evictions := func() int { return int(s.metrics.evictions.Value()) }
+	registered := func(specs ...Spec) []bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		out := make([]bool, len(specs))
+		for i, spec := range specs {
+			out[i] = s.byFP[fp(spec)] != nil
+		}
+		return out
+	}
+	expect := func(step string, wantEvictions int, in, out []Spec) {
+		t.Helper()
+		for i, ok := range registered(in...) {
+			if !ok {
+				t.Errorf("%s: seed %d missing from the registry", step, in[i].Seed)
+			}
+		}
+		for i, ok := range registered(out...) {
+			if ok {
+				t.Errorf("%s: seed %d still registered, want evicted", step, out[i].Seed)
+			}
+		}
+		if got := evictions(); got != wantEvictions {
+			t.Errorf("%s: %d evictions, want %d", step, got, wantEvictions)
+		}
+	}
+
+	// Boot: A adopted from the store, then R requeued from the journal.
+	waitFingerprintDone(t, s, fp(specR))
+	expect("boot", 0, []Spec{specA, specR}, nil)
+
+	// A lookup makes A the most recent, so fleet adoption into the full
+	// registry evicts R.
+	s.mu.Lock()
+	aID := s.byFP[fp(specA)].id
+	s.mu.Unlock()
+	s.lookup(aID)
+	if err := s.adoptRemote(fp(specF), peerSegment(t, specF)); err != nil {
+		t.Fatal(err)
+	}
+	expect("fleet adoption", 1, []Spec{specA, specF}, []Spec{specR})
+
+	// F entered after A's lookup, so a local submission evicts A. The
+	// gate keeps that submission, L, running.
+	gate := make(chan struct{})
+	s.gate = gate
+	defer close(gate)
+	if _, cached, err := s.Submit(specL, "", ""); err != nil || cached {
+		t.Fatalf("submit L: cached=%v err=%v", cached, err)
+	}
+	expect("submission", 2, []Spec{specF, specL}, []Spec{specA})
+
+	// A resubmission of A adopts it from the store again: the only
+	// terminal entry, F, goes; live L stays although it is older.
+	if _, cached, err := s.Submit(specA, "", ""); err != nil || !cached {
+		t.Fatalf("resubmit A: cached=%v err=%v", cached, err)
+	}
+	expect("store adoption", 3, []Spec{specL, specA}, []Spec{specF})
+
+	// Again with L the least recently used: fleet G evicts A, not L.
+	if err := s.adoptRemote(fp(specG), peerSegment(t, specG)); err != nil {
+		t.Fatal(err)
+	}
+	expect("fleet adoption past a live entry", 4, []Spec{specL, specG}, []Spec{specA})
+
+	// M queues behind L and evicts G; with every entry live, N is admitted
+	// over the cap and nothing is evicted.
+	for _, spec := range []Spec{specM, specN} {
+		if _, cached, err := s.Submit(spec, "", ""); err != nil || cached {
+			t.Fatalf("submit seed %d: cached=%v err=%v", spec.Seed, cached, err)
+		}
+	}
+	expect("all live", 5, []Spec{specL, specM, specN}, []Spec{specG})
+	s.mu.Lock()
+	n := len(s.order)
+	s.mu.Unlock()
+	if n != 3 {
+		t.Errorf("registry holds %d entries, want 3 (live entries admitted over the cap)", n)
+	}
+}

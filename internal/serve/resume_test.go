@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/store"
 )
@@ -45,7 +46,7 @@ func crashDaemonDir(t *testing.T, spec Spec, crashRecords int) (string, string) 
 			t.Fatal(err)
 		}
 		for _, rec := range rep.Records[:crashRecords] {
-			if err := w.Record(rec); err != nil {
+			if err := w.Frames([]core.Frame{{Rec: rec}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -235,7 +236,7 @@ func TestIntentEndAfterCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range rep.Records {
-		if err := w.Record(rec); err != nil {
+		if err := w.Frames([]core.Frame{{Rec: rec}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -400,8 +400,10 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // AttachSink subscribes a sink to every record of every campaign (the
 // daemon's spool/monitoring channel, Fig. 2's cloud log). Records arrive
-// in deterministic order within a campaign; campaigns running concurrently
-// (Concurrency > 1) interleave.
+// in deterministic order within a campaign, one frame batch per engine
+// shard; campaigns running concurrently (Concurrency > 1) interleave. The
+// sink runs synchronously on the engine's path: a slow sink slows every
+// campaign, and a sink whose Frames fails is unsubscribed.
 func (s *Server) AttachSink(sink core.Sink) { s.spool.Subscribe(sink) }
 
 // scheduler drains the run queue until the server closes.
@@ -450,7 +452,7 @@ func (s *Server) execute(c *Campaign) {
 			w, werr = s.store.Begin(c.fingerprint)
 		}
 		if werr == nil {
-			tee = &storeTee{s: s, c: c, live: c, w: w}
+			tee = &storeTee{s: s, c: c, w: w}
 			sink = tee
 		} else {
 			s.metrics.storeErrors.Inc()
@@ -762,12 +764,7 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 			s.logger.Warn("intent journal write failed", "fingerprint", fp, "err", werr)
 		}
 	}
-	s.evictLocked()
-	s.nextID++
-	s.byID[c.id] = c
-	s.byFP[fp] = c
-	s.order = append(s.order, c)
-	s.touchLocked(c)
+	s.registerLocked(c)
 	s.mu.Unlock()
 	s.metrics.submissions.With("accepted").Inc()
 	s.metrics.queueLen.Inc()
@@ -785,6 +782,21 @@ func withTenant(args []any, tenant string) []any {
 		return args
 	}
 	return append(args, "tenant", tenant)
+}
+
+// registerLocked inserts a new campaign, built with the id
+// fmt.Sprintf("c%06d", s.nextID), as the most recently used registry
+// entry, first evicting least-recently-used terminal campaigns to make
+// room. It is the registry's one insertion path: Submit, store adoption,
+// intent requeue and fleet adoption all come through here. Callers hold
+// s.mu.
+func (s *Server) registerLocked(c *Campaign) {
+	s.evictLocked()
+	s.nextID++
+	s.byID[c.id] = c
+	s.byFP[c.fingerprint] = c
+	s.order = append(s.order, c)
+	s.touchLocked(c)
 }
 
 // touchLocked bumps a campaign's LRU clock. Callers hold s.mu.
@@ -1111,11 +1123,8 @@ type statsResponse struct {
 	Draining    bool `json:"draining,omitempty"`
 	// Subscribers counts the HTTP stream clients (NDJSON and SSE)
 	// currently attached: the campaignd_active_subscribers gauge.
-	// SubscribeChan sinks are not counted.
+	// AttachSink sinks are not counted.
 	Subscribers int64 `json:"subscribers"`
-	// DroppedRecords counts records discarded by this server's
-	// Drop-policy subscriber sinks (slow consumers; see SubscribeChan).
-	DroppedRecords uint64 `json:"dropped_records"`
 	// AuthEnabled reports whether a keyring is installed; AuthFailures and
 	// RateLimited count rejected requests (401/403 and 429). All three are
 	// omitted while zero/false so an anonymous, unlimited daemon's /stats
@@ -1193,14 +1202,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:  s.opts.QueueDepth,
 		Draining:    s.draining,
 
-		Subscribers:    m.subscribers.Value(),
-		DroppedRecords: m.droppedRecords.Value(),
-		AuthEnabled:    s.AuthEnabled(),
-		AuthFailures:   m.authFailures.Total(),
-		RateLimited:    m.rateLimited.Total(),
-		UptimeS:        time.Since(s.start).Seconds(),
-		Build:          s.build,
-		Statuses:       make(map[Status]int),
+		Subscribers:  m.subscribers.Value(),
+		AuthEnabled:  s.AuthEnabled(),
+		AuthFailures: m.authFailures.Total(),
+		RateLimited:  m.rateLimited.Total(),
+		UptimeS:      time.Since(s.start).Seconds(),
+		Build:        s.build,
+		Statuses:     make(map[Status]int),
 	}
 	if s.store != nil {
 		st := s.store.Stats()

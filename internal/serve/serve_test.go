@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,9 +46,9 @@ func batchJSONL(t *testing.T, spec Spec) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sink := core.NewJSONLSink(&buf)
+	enc := json.NewEncoder(&buf)
 	for _, rec := range rep.Records {
-		if err := sink.Record(rec); err != nil {
+		if err := enc.Encode(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,17 +349,42 @@ func TestSSEStream(t *testing.T) {
 	}
 }
 
+// spoolSink collects the lines of every frame batch it receives.
+type spoolSink struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (s *spoolSink) Frames(batch []core.Frame) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, f := range batch {
+		s.buf.Write(f.Line)
+	}
+	return nil
+}
+
+func (s *spoolSink) bytes() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]byte(nil), s.buf.Bytes()...)
+}
+
 // TestAttachSink wires the server-wide spool: every record of every
-// campaign reaches an attached sink.
+// campaign reaches an attached sink, as the same bytes the HTTP stream
+// carries.
 func TestAttachSink(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	spool := core.NewChanSink(1024, core.Block)
+	spool := &spoolSink{}
 	s.AttachSink(spool)
 	spec := Spec{Seed: 13, Benches: []string{"mcf"}, VoltagesMV: []float64{980, 940}, Repetitions: 2}
 	sr := submit(t, ts, spec, http.StatusAccepted)
-	streamBytes(t, ts, sr.ID)
-	if got := len(spool.C()); got != expectedRecords(spec) {
-		t.Errorf("spool received %d records, want %d", got, expectedRecords(spec))
+	stream := streamBytes(t, ts, sr.ID)
+	if got := bytes.Count(stream, []byte("\n")); got != expectedRecords(spec) {
+		t.Errorf("stream carried %d records, want %d", got, expectedRecords(spec))
+	}
+	if !bytes.Equal(spool.bytes(), stream) {
+		t.Errorf("spool received %q, HTTP stream %q", spool.bytes(), stream)
 	}
 }
 

@@ -87,32 +87,38 @@ func (m storedMeta) campaignStats() (campaign.Stats, error) {
 	return st, nil
 }
 
-// adoptLocked registers a done campaign for a store entry. It refuses
-// entries whose metadata does not parse or does not fingerprint back to
-// the key it is filed under — a corrupted or tampered manifest line must
-// never impersonate another spec's characterization; the submission then
-// simply re-runs. Callers hold s.mu.
-func (s *Server) adoptLocked(e store.Entry) (*Campaign, bool) {
+// parseStoredMeta decodes a segment's summary, from the local manifest or
+// a fleet peer, with its spec defaulted. It refuses metadata that does not
+// parse or does not fingerprint back to fp: a corrupted or tampered
+// manifest line, or a wrong or malicious peer, must never impersonate
+// another spec's characterization.
+func parseStoredMeta(raw json.RawMessage, fp string) (storedMeta, campaign.Stats, error) {
 	var m storedMeta
-	if err := json.Unmarshal(e.Meta, &m); err != nil {
-		return nil, false
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return m, campaign.Stats{}, err
 	}
 	stats, err := m.campaignStats()
 	if err != nil {
+		return m, stats, err
+	}
+	m.Spec = m.Spec.withDefaults()
+	if got := m.Spec.Fingerprint(); got != fp {
+		return m, stats, fmt.Errorf("spec fingerprints to %s, want %s", got, fp)
+	}
+	return m, stats, nil
+}
+
+// adoptLocked registers a done campaign for a store entry. An entry whose
+// metadata parseStoredMeta refuses is not adopted; the submission then
+// simply re-runs. Callers hold s.mu.
+func (s *Server) adoptLocked(e store.Entry) (*Campaign, bool) {
+	m, stats, err := parseStoredMeta(e.Meta, e.Fingerprint)
+	if err != nil {
 		return nil, false
 	}
-	spec := m.Spec.withDefaults()
-	if spec.Fingerprint() != e.Fingerprint {
-		return nil, false
-	}
-	c := newStoredCampaign(fmt.Sprintf("c%06d", s.nextID), spec, e.Fingerprint,
+	c := newStoredCampaign(fmt.Sprintf("c%06d", s.nextID), m.Spec, e.Fingerprint,
 		s.spool, stats, m.Workers, e.Records)
-	s.evictLocked()
-	s.nextID++
-	s.byID[c.id] = c
-	s.byFP[c.fingerprint] = c
-	s.order = append(s.order, c)
-	s.touchLocked(c)
+	s.registerLocked(c)
 	return c, true
 }
 
@@ -153,11 +159,10 @@ func (s *Server) hydrate(c *Campaign) error {
 // exhausted the server degrades to memory-only streaming for the rest of
 // the campaign and /readyz turns unready until a later commit succeeds.
 type storeTee struct {
-	s    *Server
-	c    *Campaign
-	live core.Sink
-	w    *store.Writer
-	err  error
+	s   *Server
+	c   *Campaign
+	w   *store.Writer
+	err error
 }
 
 // teeRetries/teeBackoff bound the persist retry: enough to ride out a
@@ -186,21 +191,13 @@ func (t *storeTee) persist(write func() error) {
 	t.s.setStoreDegraded(t.c, err)
 }
 
-func (t *storeTee) Record(rec core.RunRecord) error {
-	if err := t.live.Record(rec); err != nil {
-		return err
-	}
-	t.persist(func() error { return t.w.Record(rec) })
-	return nil
-}
-
-// Frames keeps the tee on the encode-once fast path: the live buffer takes
+// Frames implements core.Sink on the encode-once path: the live buffer takes
 // the shared pre-rendered lines and the segment writer the decoded
 // records, one batch and one flush per engine shard. A retry after a
 // failed write resumes at the first record the writer did not take, so a
 // transient error never duplicates a record in the segment.
 func (t *storeTee) Frames(batch []core.Frame) error {
-	if err := core.EmitFrames(t.live, batch); err != nil {
+	if err := t.c.Frames(batch); err != nil {
 		return err
 	}
 	start := t.w.Records()
@@ -209,7 +206,6 @@ func (t *storeTee) Frames(batch []core.Frame) error {
 }
 
 var _ core.Sink = (*storeTee)(nil)
-var _ core.FrameSink = (*storeTee)(nil)
 
 // intentMeta is what a submission's begin carries in the store journal:
 // everything a restarted daemon needs to requeue the campaign exactly as
@@ -274,12 +270,7 @@ func (s *Server) requeueIntents(pending []store.Intent) {
 		}
 		c.tenant = meta.Tenant
 		c.queuedAt = time.Now()
-		s.evictLocked()
-		s.nextID++
-		s.byID[c.id] = c
-		s.byFP[in.Fingerprint] = c
-		s.order = append(s.order, c)
-		s.touchLocked(c)
+		s.registerLocked(c)
 		s.mu.Unlock()
 		s.metrics.requeued.Inc()
 		s.metrics.queueLen.Inc()

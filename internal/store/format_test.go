@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -41,9 +40,11 @@ func TestBinaryFormatRoundTrip(t *testing.T) {
 		replay.Write(f.Line)
 	}
 	var live bytes.Buffer
-	sink := core.NewJSONLSink(&live)
+	enc := json.NewEncoder(&live)
 	for _, rec := range testRecords("mcf", 4) {
-		sink.Record(rec)
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !bytes.Equal(replay.Bytes(), live.Bytes()) {
 		t.Error("binary segment replay differs from the live JSONL stream")
@@ -71,9 +72,11 @@ func TestMixedFormatRecovery(t *testing.T) {
 
 	// A JSONL segment the manifest claims, as an older daemon committed it.
 	var legacy bytes.Buffer
-	sink := core.NewJSONLSink(&legacy)
+	enc := json.NewEncoder(&legacy)
 	for _, rec := range testRecords("lbm", 2) {
-		sink.Record(rec)
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := os.WriteFile(filepath.Join(dir, "seg-bbbb.jsonl"), legacy.Bytes(), 0o644); err != nil {
 		t.Fatal(err)

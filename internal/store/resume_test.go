@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/wire"
 )
@@ -23,7 +24,7 @@ func crashWriter(t *testing.T, s *Store, fp, label string, n int) {
 		t.Fatal(err)
 	}
 	for _, rec := range testRecords(label, n) {
-		if err := w.Record(rec); err != nil {
+		if err := w.Frames([]core.Frame{{Rec: rec}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +133,7 @@ func resumeCommitsIdenticalSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := w.Record(r); err != nil {
+		if err := w.Frames([]core.Frame{{Rec: r}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +168,7 @@ func resumeCommitsIdenticalSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs[4:] {
-		if err := w2.Record(r); err != nil {
+		if err := w2.Frames([]core.Frame{{Rec: r}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,10 +326,10 @@ func TestFaultInjectedWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := testRecords("mcf", 2)
-	if err := w.Record(recs[0]); err != nil {
+	if err := w.Frames([]core.Frame{{Rec: recs[0]}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Record(recs[1]); !errors.Is(err, syscall.ENOSPC) {
+	if err := w.Frames([]core.Frame{{Rec: recs[1]}}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("got %v, want ENOSPC", err)
 	}
 	if err := w.Abort(); err != nil {
@@ -360,7 +361,7 @@ func TestFaultInjectedCommitFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Record(testRecords("mcf", 1)[0]); err != nil {
+			if err := w.Frames([]core.Frame{{Rec: testRecords("mcf", 1)[0]}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Commit(nil); !errors.Is(err, syscall.EIO) {

@@ -42,9 +42,9 @@
 // only format: its seg-<fp>.jsonl files lose their claims, are
 // quarantined, and re-run on demand; likewise a separate INTENT.jsonl left
 // by a daemon that journaled intents outside the manifest is quarantined.
-// The writer flushes its buffer after every Record call and after every
-// Frames batch (one campaign shard), so the bytes a crash can lose are
-// bounded to the record or batch being written.
+// The writer flushes its buffer after every Frames batch (one campaign
+// shard), so the bytes a crash can lose are bounded to the batch being
+// written.
 //
 // Intents. The manifest is also the caller's write-ahead journal of
 // accepted work: BeginIntent journals a fingerprint with opaque meta
@@ -780,8 +780,8 @@ func (s *Store) appendOpLocked(op manifestOp, sync bool) error {
 }
 
 // Writer streams one campaign's records into an uncommitted segment. It
-// implements core.Sink and core.FrameSink, so it can ride the existing
-// sink fan-out: it frames the already-decoded record without JSON work.
+// implements core.Sink, so it can ride the existing sink fan-out: it
+// frames the already-decoded records without JSON work.
 // Exactly one of Commit or Abort must be called.
 type Writer struct {
 	st      *Store
@@ -833,22 +833,16 @@ func (w *Writer) write(p []byte) error {
 	return nil
 }
 
-// Record implements core.Sink: the record is appended as one binary frame
-// and flushed, so a crash loses at most the record being written — the
-// write syscall puts it in the page cache, which survives process death
-// (fsync still only happens at Commit; power loss can cost the whole
-// uncommitted segment either way, which recovery already tolerates).
-func (w *Writer) Record(rec core.RunRecord) error {
-	return w.Frames([]core.Frame{{Rec: rec}})
-}
-
-// Frames implements core.FrameSink: the segment stores the decoded
-// records, not the pre-rendered lines, which replay re-renders. The batch
-// is appended record by record (each through the store.write fault site)
-// and flushed once, so one campaign shard costs one write syscall; a crash
-// mid-batch loses only that batch. On error, Records tells how many of the
-// batch's records made it in: a retry resumes with the first one that did
-// not.
+// Frames implements core.Sink: the segment stores the decoded records,
+// not the pre-rendered lines, which replay re-renders. The batch is
+// appended record by record (each through the store.write fault site) and
+// flushed once, so one campaign shard costs one write syscall; a crash
+// mid-batch loses only that batch — the write syscall puts the bytes in
+// the page cache, which survives process death (fsync still only happens
+// at Commit; power loss can cost the whole uncommitted segment either way,
+// which recovery already tolerates). On error, Records tells how many of
+// the batch's records made it in: a retry resumes with the first one that
+// did not.
 func (w *Writer) Frames(batch []core.Frame) error {
 	if w.done {
 		return errors.New("store: segment writer already finished")
@@ -873,7 +867,6 @@ func (w *Writer) Frames(batch []core.Frame) error {
 func (w *Writer) Records() int { return w.records }
 
 var _ core.Sink = (*Writer)(nil)
-var _ core.FrameSink = (*Writer)(nil)
 
 // Commit makes the segment durable and indexes it under the fingerprint:
 // flush + fsync the segment, rename it into place, fsync the directory,

@@ -38,7 +38,7 @@ func commit(t *testing.T, s *Store, fp, label string, n int) {
 		t.Fatal(err)
 	}
 	for _, rec := range testRecords(label, n) {
-		if err := w.Record(rec); err != nil {
+		if err := w.Frames([]core.Frame{{Rec: rec}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func TestCrashDebrisQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Record(core.RunRecord{Benchmark: "x"})
+	w.Frames([]core.Frame{{Rec: core.RunRecord{Benchmark: "x"}}})
 	// Simulate the crash: no Commit, no Abort; also drop an orphan that
 	// looks committed but is absent from the manifest.
 	orphan := filepath.Join(dir, segName("orphan"))
@@ -346,7 +346,7 @@ func TestAbortLeavesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Record(core.RunRecord{Benchmark: "x"})
+	w.Frames([]core.Frame{{Rec: core.RunRecord{Benchmark: "x"}}})
 	if err := w.Abort(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // BenchmarkEncodeFrames renders the full 100-record Fig. 4 grid into
 // shared frames — the exact work the campaign streamer adds per grid on
-// top of the ordering buffer when a FrameSink subscribes.
+// top of the ordering buffer when a sink subscribes.
 func BenchmarkEncodeFrames(b *testing.B) {
 	recs, err := fig4Records()
 	if err != nil {
