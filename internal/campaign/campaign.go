@@ -184,7 +184,7 @@ func (c *Ctx) FleetBoard(i int) (*xgene.Server, *core.Framework, error) {
 	}
 	var srv *xgene.Server
 	key := boardKey{corner: corner, seed: seed}
-	if !c.board.Fresh && c.pool != nil {
+	if !c.board.Fresh {
 		srv = c.pool.acquire(key)
 	}
 	if srv == nil {
@@ -193,7 +193,7 @@ func (c *Ctx) FleetBoard(i int) (*xgene.Server, *core.Framework, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("fab fleet board %d: %w", i, err)
 		}
-		obsBoardFabs.Inc()
+		c.pool.fabs.Add(1)
 	}
 	fw, err := core.NewFramework(srv)
 	if err != nil {
@@ -352,8 +352,29 @@ type Report[T any] struct {
 	Results []Result[T]
 	// Stats is the campaign-level aggregate.
 	Stats Stats
+	// Tally is what the campaign measured of its own execution.
+	Tally Tally
 	// Workers is the resolved worker count that executed the campaign.
 	Workers int
+}
+
+// Tally is what one Run measured of its own execution, kept apart from
+// Stats: which shard fabricates a board and which checks one out of the
+// pool depends on how workers interleave, while Stats is the same at every
+// worker count. Callers that keep metrics (campaignd) record it once per
+// campaign.
+type Tally struct {
+	// Wall is the campaign's wall-clock time, dispatch to aggregated
+	// report.
+	Wall time.Duration
+	// BoardFabs counts boards fabricated because the pool held no idle
+	// match (or the shard asked for a Fresh board); PoolCheckouts counts
+	// boards checked out of the pool instead, each a fabrication avoided.
+	BoardFabs, PoolCheckouts int
+	// Frames and Bytes count the records and JSONL bytes encoded for
+	// Config.Sink; restored shards encode nothing, and neither does a
+	// campaign without a sink.
+	Frames, Bytes int
 }
 
 // Values returns the shard values in submission order. Call only on an
@@ -416,8 +437,10 @@ type boardKey struct {
 // full setup before every run, so which shard previously used a board can
 // never change results (pinned by the worker-count determinism tests).
 type boardPool struct {
-	mu   sync.Mutex
-	free map[boardKey][]*xgene.Server
+	mu        sync.Mutex
+	free      map[boardKey][]*xgene.Server
+	checkouts int          // guarded by mu
+	fabs      atomic.Int64 // boards built because acquire had none to give
 }
 
 func newBoardPool() *boardPool {
@@ -433,7 +456,7 @@ func (p *boardPool) acquire(key boardKey) *xgene.Server {
 	if n := len(list); n > 0 {
 		srv := list[n-1]
 		p.free[key] = list[:n-1]
-		obsPoolCheckouts.Inc()
+		p.checkouts++
 		return srv
 	}
 	return nil
@@ -460,11 +483,12 @@ func (p *boardPool) release(key boardKey, srv *xgene.Server) {
 type streamer struct {
 	sink core.Sink
 
-	mu      sync.Mutex
-	next    int
-	done    []bool
-	encoded [][]core.Frame
-	err     error
+	mu            sync.Mutex
+	next          int
+	done          []bool
+	encoded       [][]core.Frame
+	err           error
+	frames, bytes int // encoded so far, for Tally
 }
 
 func newStreamer(sink core.Sink, shards int) *streamer {
@@ -484,6 +508,10 @@ func (s *streamer) complete(i int, records []core.RunRecord) {
 	defer s.mu.Unlock()
 	s.done[i] = true
 	s.encoded[i] = frames
+	s.frames += len(frames)
+	for _, f := range frames {
+		s.bytes += len(f.Line)
+	}
 	if encErr != nil && s.err == nil {
 		// A record encoding/json itself would refuse (non-finite float).
 		s.err = fmt.Errorf("campaign: sink: %w", encErr)
@@ -620,13 +648,10 @@ func Run[T any](cfg Config, shards []Shard[T]) (*Report[T], error) {
 		rep.Stats.add(res.Stats)
 	}
 	countOutcomes(&rep.Stats, results)
-	// Bookkeeping is observed once per campaign, off the record hot path.
-	obsCampaigns.Inc()
-	obsRunSeconds.Observe(time.Since(start))
-	obsRuns.Add(uint64(rep.Stats.Runs))
-	obsRecoveries.Add(uint64(rep.Stats.Recoveries))
-	if rep.Stats.Planned > 0 {
-		obsPlannedRuns.Add(uint64(rep.Stats.Planned))
+	// Every worker has returned, so the pool and stream counts are final.
+	rep.Tally = Tally{Wall: time.Since(start), BoardFabs: int(pool.fabs.Load()), PoolCheckouts: pool.checkouts}
+	if stream != nil {
+		rep.Tally.Frames, rep.Tally.Bytes = stream.frames, stream.bytes
 	}
 	err := rep.Err()
 	if err == nil {
@@ -692,7 +717,7 @@ func runShard[T any](cfg Config, idx int, sh Shard[T], pool *boardPool) Result[T
 	res.Stats = statsOf(res.Records, elapsed, ctx.planned)
 	// Return the fleet to the pool for the next shard that wants these
 	// boards. Fresh boards carry advanced instrument state and never pool.
-	if pool != nil && !sh.Board.Fresh {
+	if !sh.Board.Fresh {
 		for _, fb := range ctx.fleet {
 			if fb.srv != nil {
 				pool.release(fb.key, fb.srv)

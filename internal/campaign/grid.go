@@ -59,6 +59,8 @@ type GridReport struct {
 	Records []core.RunRecord
 	// Stats is the campaign-level aggregate.
 	Stats Stats
+	// Tally is the engine's measure of its own execution (see Tally).
+	Tally Tally
 	// Workers is the resolved worker count.
 	Workers int
 }
@@ -138,7 +140,7 @@ func RunGrid(cfg Config, g Grid) (*GridReport, error) {
 	}
 	// Mirror Run's contract: on a shard error or cancellation the report
 	// is still returned, so partial records and bookkeeping survive.
-	out := &GridReport{Stats: rep.Stats, Workers: rep.Workers}
+	out := &GridReport{Stats: rep.Stats, Tally: rep.Tally, Workers: rep.Workers}
 	out.Records = make([]core.RunRecord, 0, rep.Stats.Runs+rep.Stats.Restored)
 	for _, cell := range rep.Results {
 		out.Records = append(out.Records, cell.Records...)

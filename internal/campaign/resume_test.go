@@ -43,21 +43,44 @@ func TestGridResumeByteIdentical(t *testing.T) {
 
 // TestGridResumeSinkEmitsOnlyNewRecords: restored cells stream nothing —
 // the caller already replayed their bytes from its checkpoint — and the
-// sink still sees the remaining records in grid order.
+// sink still sees the remaining records in grid order. The report's Tally
+// counts exactly what was encoded and the boards the executed cells used.
 func TestGridResumeSinkEmitsOnlyNewRecords(t *testing.T) {
 	g := recoveryGrid(t)
 	base, err := RunGrid(Config{Workers: 1, Seed: 7}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if base.Tally.Frames != 0 || base.Tally.Bytes != 0 {
+		t.Errorf("sink-less campaign encoded %d frames, %d bytes", base.Tally.Frames, base.Tally.Bytes)
+	}
 	cell := g.Repetitions
 	sink := &collectSink{}
-	if _, err := RunGrid(Config{Workers: 4, Seed: 7, Sink: sink, Resume: base.Records[:2*cell]}, g); err != nil {
+	rep, err := RunGrid(Config{Workers: 4, Seed: 7, Sink: sink, Resume: base.Records[:2*cell]}, g)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sink.records(); !reflect.DeepEqual(got, base.Records[2*cell:]) {
 		t.Errorf("sink saw %d records, want the %d non-restored ones",
 			len(got), len(base.Records)-2*cell)
+	}
+	bytes := 0
+	for _, f := range sink.frames {
+		bytes += len(f.Line)
+	}
+	if rep.Tally.Frames != len(sink.frames) || rep.Tally.Bytes != bytes {
+		t.Errorf("Tally encoded %d frames, %d bytes; the sink saw %d, %d",
+			rep.Tally.Frames, rep.Tally.Bytes, len(sink.frames), bytes)
+	}
+	// Each executed single-board cell takes one board, fabricated or
+	// pooled; restored cells take none.
+	executed := len(g.Benches)*len(g.Setups) - 2
+	if got := rep.Tally.BoardFabs + rep.Tally.PoolCheckouts; got != executed || rep.Tally.BoardFabs < 1 {
+		t.Errorf("Tally boards: %d fabricated + %d pooled, want %d in all, at least one fabricated",
+			rep.Tally.BoardFabs, rep.Tally.PoolCheckouts, executed)
+	}
+	if rep.Tally.Wall <= 0 {
+		t.Errorf("Tally.Wall = %v", rep.Tally.Wall)
 	}
 }
 

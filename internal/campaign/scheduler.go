@@ -168,6 +168,8 @@ type ScheduleReport struct {
 	// Stats is the campaign aggregate; Stats.Planned - Stats.Runs is the
 	// work the scheduler avoided versus the uniform grid.
 	Stats Stats
+	// Tally is the engine's measure of its own execution (see Tally).
+	Tally Tally
 	// Workers is the resolved worker count.
 	Workers int
 }
@@ -247,7 +249,7 @@ func RunSchedule(cfg Config, s Schedule) (*ScheduleReport, error) {
 	if rep == nil {
 		return nil, err
 	}
-	out := &ScheduleReport{Stats: rep.Stats, Workers: rep.Workers}
+	out := &ScheduleReport{Stats: rep.Stats, Tally: rep.Tally, Workers: rep.Workers}
 	for _, sh := range rep.Results {
 		out.Results = append(out.Results, sh.Value...)
 		out.Records = append(out.Records, sh.Records...)

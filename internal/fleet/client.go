@@ -63,10 +63,7 @@ type peerState struct {
 	ejected  bool      // breaker open
 	openedAt time.Time // when it opened (probe timer)
 	probing  bool      // a half-open probe is in flight
-
-	fetches  uint64 // attempts, successes and failures alike
-	failures uint64
-	notFound uint64 // clean 404s (peer healthy, segment absent)
+	notFound uint64    // clean 404s (peer healthy, segment absent)
 }
 
 // flight is one in-progress fetch of a fingerprint; joiners wait on done
@@ -87,13 +84,11 @@ type Client struct {
 	logger *slog.Logger
 	now    func() time.Time // injectable clock (tests)
 	sleep  func(context.Context, time.Duration) error
+	m      *metrics // traffic and breaker counters, behind Stats and Metrics
 
-	mu           sync.Mutex
-	health       map[string]*peerState
-	flight       map[string]*flight
-	ejectedCount int
-	mismatches   uint64
-	coalesced    uint64
+	mu     sync.Mutex
+	health map[string]*peerState
+	flight map[string]*flight
 }
 
 // New builds a Client. Self must be a member of Peers.
@@ -122,6 +117,7 @@ func New(opts Options) (*Client, error) {
 		hc:     hc,
 		logger: logger,
 		now:    time.Now,
+		m:      newMetrics(),
 		health: make(map[string]*peerState),
 		flight: make(map[string]*flight),
 	}
@@ -162,12 +158,7 @@ func (c *Client) Secret() string { return c.opts.Secret }
 
 // NoteRingMismatch accounts a membership disagreement detected outside the
 // fetch path (the serve handler rejecting an inbound fetch).
-func (c *Client) NoteRingMismatch() {
-	mRingMismatches.Inc()
-	c.mu.Lock()
-	c.mismatches++
-	c.mu.Unlock()
-}
+func (c *Client) NoteRingMismatch() { c.m.ringMismatches.Inc() }
 
 // admit decides whether a peer may be tried now. An ejected peer is
 // skipped until ProbeAfter has elapsed; then exactly one caller wins the
@@ -197,8 +188,7 @@ func (c *Client) markSuccess(id string) {
 		return
 	}
 	if st.ejected {
-		c.ejectedCount--
-		mEjectedPeers.Dec()
+		c.m.ejectedPeers.Dec()
 		c.logger.Info("fleet peer re-admitted", "peer", id)
 	}
 	st.fails = 0
@@ -217,7 +207,6 @@ func (c *Client) markFailure(id string) {
 		return
 	}
 	st.fails++
-	st.failures++
 	wasProbe := st.probing
 	st.probing = false
 	if st.ejected {
@@ -227,8 +216,7 @@ func (c *Client) markFailure(id string) {
 	if wasProbe || st.fails >= c.opts.FailureThreshold {
 		st.ejected = true
 		st.openedAt = c.now()
-		c.ejectedCount++
-		mEjectedPeers.Inc()
+		c.m.ejectedPeers.Inc()
 		c.logger.Warn("fleet peer ejected",
 			"peer", id, "consecutive_failures", st.fails,
 			"probe_after_s", c.opts.ProbeAfter.Seconds())
@@ -248,9 +236,8 @@ func (c *Client) markFailure(id string) {
 func (c *Client) Fetch(ctx context.Context, fp string) (*Segment, error) {
 	c.mu.Lock()
 	if f := c.flight[fp]; f != nil {
-		c.coalesced++
 		c.mu.Unlock()
-		mCoalesced.Inc()
+		c.m.coalesced.Inc()
 		select {
 		case <-f.done:
 			return f.seg, f.err
@@ -360,14 +347,9 @@ func (c *Client) bumpNotFound(id string) {
 // whether retrying the same peer could help (network/5xx/damage yes;
 // auth rejection no).
 func (c *Client) fetchFrom(ctx context.Context, p Peer, fp string) (seg *Segment, retriable bool, err error) {
-	mPeerFetches.With(p.ID).Inc()
-	c.mu.Lock()
-	if st := c.health[p.ID]; st != nil {
-		st.fetches++
-	}
-	c.mu.Unlock()
+	c.m.peerFetches.With(p.ID).Inc()
 	fail := func(retriable bool, err error) (*Segment, bool, error) {
-		mPeerFailures.With(p.ID).Inc()
+		c.m.peerFailures.With(p.ID).Inc()
 		return nil, retriable, err
 	}
 
@@ -462,16 +444,17 @@ type Stats struct {
 	Peers       []PeerStats `json:"peers"`
 }
 
-// Stats snapshots the client's health and traffic counters.
+// Stats snapshots the client's health and traffic counters, read from the
+// same instruments its Metrics registry renders.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{
 		Self:        c.opts.Self.ID,
 		RingVersion: c.ring.Version(),
-		Ejected:     c.ejectedCount,
-		Mismatches:  c.mismatches,
-		Coalesced:   c.coalesced,
+		Ejected:     int(c.m.ejectedPeers.Value()),
+		Mismatches:  c.m.ringMismatches.Value(),
+		Coalesced:   c.m.coalesced.Value(),
 	}
 	for _, p := range c.ring.Peers() {
 		h := c.health[p.ID]
@@ -481,8 +464,8 @@ func (c *Client) Stats() Stats {
 		st.Peers = append(st.Peers, PeerStats{
 			ID:       p.ID,
 			Healthy:  !h.ejected,
-			Fetches:  h.fetches,
-			Failures: h.failures,
+			Fetches:  c.m.peerFetches.Value(p.ID),
+			Failures: c.m.peerFailures.Value(p.ID),
 			NotFound: h.notFound,
 		})
 	}

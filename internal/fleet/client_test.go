@@ -319,9 +319,7 @@ func TestFetchSingleFlight(t *testing.T) {
 	// flight, then release the one real round-trip.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c.mu.Lock()
-		n := c.coalesced
-		c.mu.Unlock()
+		n := c.m.coalesced.Value()
 		if n == joiners {
 			break
 		}

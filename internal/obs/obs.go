@@ -10,14 +10,12 @@
 // profile. Rendering (/metrics scrapes) is the slow path and takes the
 // registry lock.
 //
-// Layout convention: each instrumented library package declares its
-// metrics as package-level vars through the auto-registering constructors
-// (NewCounter, NewGauge, NewHistogram, NewCounterVec), which attach them
-// to the process-wide Default registry; those counters are shared by
-// everything in the process, so tests assert deltas, not absolutes. A
-// component with per-instance traffic (the daemon's Server) registers its
-// own instruments in a NewRegistry and renders it after Default on
-// GET /metrics.
+// Layout convention: there is no process-wide registry. Whatever owns a
+// fact owns its instrument: a daemon's Server, its Store and its fleet
+// Client each build their instruments in a NewRegistry of their own and
+// read their stats back from them, and the daemon's GET /metrics renders
+// those registries one after another. Two instances in one process never
+// share a counter, so tests may assert absolute values.
 package obs
 
 import (
@@ -293,12 +291,6 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default is the process-wide registry the auto-registering constructors
-// attach to; the daemon's GET /metrics renders it.
-func Default() *Registry { return defaultRegistry }
-
 func (r *Registry) register(f *family) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -391,27 +383,4 @@ func (r *Registry) LabeledCounter(name, help, label string) *LabeledCounter {
 		},
 	})
 	return lc
-}
-
-// NewCounter registers a counter in the Default registry.
-func NewCounter(name, help string) *Counter { return defaultRegistry.Counter(name, help) }
-
-// NewGauge registers a gauge in the Default registry.
-func NewGauge(name, help string) *Gauge { return defaultRegistry.Gauge(name, help) }
-
-// NewHistogram registers a histogram in the Default registry (nil buckets
-// mean DefBuckets).
-func NewHistogram(name, help string, buckets []time.Duration) *Histogram {
-	return defaultRegistry.Histogram(name, help, buckets)
-}
-
-// NewCounterVec registers a labeled counter family in the Default registry.
-func NewCounterVec(name, help, label string, values ...string) *CounterVec {
-	return defaultRegistry.CounterVec(name, help, label, values...)
-}
-
-// NewLabeledCounter registers a dynamic-series labeled counter family in
-// the Default registry.
-func NewLabeledCounter(name, help, label string) *LabeledCounter {
-	return defaultRegistry.LabeledCounter(name, help, label)
 }

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -104,34 +102,5 @@ func TestLintAcceptsWellFormed(t *testing.T) {
 	}, "\n")
 	if err := Lint(strings.NewReader(in)); err != nil {
 		t.Fatalf("lint rejected well-formed exposition: %v", err)
-	}
-}
-
-// defaultRuns numbers the runs of TestDefaultRegistryConstructorsRegister
-// in this process (go test -count=N runs it N times).
-var defaultRuns atomic.Int64
-
-func TestDefaultRegistryConstructorsRegister(t *testing.T) {
-	// The package-level constructors attach to Default(); pick names no
-	// other package would claim. Registration is process-wide and
-	// permanent, so each run registers families of its own.
-	p := fmt.Sprintf("obs_test_default%d", defaultRuns.Add(1))
-	c := NewCounter(p+"_total", "test")
-	c.Inc()
-	NewGauge(p+"_gauge", "test").Set(1)
-	NewHistogram(p+"_seconds", "test", nil).Observe(time.Millisecond)
-	NewCounterVec(p+"_vec_total", "test", "k", "v").With("v").Inc()
-	var buf bytes.Buffer
-	if err := Default().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{p + "_total 1", p + "_gauge 1", p + "_seconds_count 1", p + `_vec_total{k="v"} 1`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("default registry exposition missing %q", want)
-		}
-	}
-	if err := Lint(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("default registry exposition fails lint: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/wire"
 	"repro/internal/xgene"
 )
@@ -445,5 +447,77 @@ func TestFleetPeerDeathMidFetchRunsLocally(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatal("local fallback stream is not byte-identical")
+	}
+}
+
+// TestFleetMetricsScopedToPeer pins per-instance fleet metrics with three
+// peers in one process. C keeps a different secret, so the fetches A and
+// B send it fail. Each peer's /stats fleet.peers counts equal the series
+// of its own /metrics, and C, whose client never fetched, has no fetch
+// series at all.
+func TestFleetMetricsScopedToPeer(t *testing.T) {
+	hs := startFleet(t, 3, "hush", func(i int, o *Options) {
+		o.StoreDir = t.TempDir()
+		if i == 2 {
+			o.Fleet.Secret = "other"
+		}
+	})
+	a, b, c := hs[0], hs[1], hs[2]
+	spec := testSpec(1)
+	ca, cached, err := a.srv.Submit(spec, "", "")
+	if err != nil || cached {
+		t.Fatalf("peer A: cached=%v err=%v, want a local run", cached, err)
+	}
+	waitForStatus(t, a.srv, ca.id, StatusDone)
+	if _, cached, err := b.srv.Submit(spec, "", ""); err != nil || !cached {
+		t.Fatalf("peer B: cached=%v err=%v, want a replica", cached, err)
+	}
+
+	for _, h := range []struct {
+		name string
+		*fleetHarness
+	}{{"A", a}, {"B", b}, {"C", c}} {
+		resp, err := http.Get(h.base + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats statsResponse
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := scrapeMetrics(t, h.base)
+		if err := obs.Lint(strings.NewReader(m)); err != nil {
+			t.Fatalf("%s exposition lint: %v", h.name, err)
+		}
+		var fetches, failures uint64
+		for _, p := range stats.Fleet.Peers {
+			fetches += p.Fetches
+			failures += p.Failures
+			for _, pair := range []struct {
+				family string
+				stats  uint64
+			}{{"fleet_peer_fetches_total", p.Fetches}, {"fleet_peer_failures_total", p.Failures}} {
+				sample := pair.family + `{peer="` + p.ID + `"}`
+				if pair.stats == 0 {
+					if strings.Contains(m, sample) {
+						t.Errorf("%s: /metrics has %s but /stats counts none", h.name, sample)
+					}
+				} else if got := metricValue(t, m, sample); got != float64(pair.stats) {
+					t.Errorf("%s: /stats says %d for %s, /metrics says %g", h.name, pair.stats, sample, got)
+				}
+			}
+		}
+		switch h.name {
+		case "A":
+			if fetches == 0 || failures == 0 {
+				t.Errorf("A: %d fetches, %d failures; want both above zero", fetches, failures)
+			}
+		case "C":
+			if fetches != 0 || strings.Contains(m, "fleet_peer_fetches_total") {
+				t.Errorf("C never fetched, but /stats counts %d fetches or /metrics has a fetch series", fetches)
+			}
+		}
 	}
 }

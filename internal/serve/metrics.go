@@ -6,19 +6,31 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
-// metrics are one Server's service-layer instruments, in a registry of
-// their own: GET /metrics renders the process-wide layers (campaign
-// engine, store, wire, fleet client) followed by this registry, and
-// GET /stats reads these same counters, so the two cannot disagree and
-// two Servers in one process never mix their traffic. Counters sit off
-// the record hot path: submissions, queue transitions and stream
-// lifecycles are per-campaign events, and the per-frame stream byte
-// counter is one atomic add per write.
+// metrics are one Server's instruments, in a registry of its own: the
+// service layer's, plus the engine and wire families, which runEngine
+// records from each campaign's report (the engine keeps nothing across
+// campaigns). GET /stats reads these same counters, so the two surfaces
+// cannot disagree, and two Servers in one process never mix their
+// traffic. Counters sit off the record hot path: submissions, queue
+// transitions, stream lifecycles and engine reports are per-campaign
+// events, and the per-frame stream byte counter is one atomic add per
+// write.
 type metrics struct {
 	reg *obs.Registry
+
+	// Campaign engine and wire encoding, recorded once per campaign.
+	engineSeconds *obs.Histogram
+	engineRuns    *obs.Counter
+	plannedRuns   *obs.Counter
+	recoveries    *obs.Counter
+	poolCheckouts *obs.Counter
+	boardFabs     *obs.Counter
+	framesEncoded *obs.Counter
+	encodedBytes  *obs.Counter
 
 	// Fleet replication (see fleet.go).
 	fleetReplications *obs.Counter
@@ -54,6 +66,23 @@ func newMetrics() *metrics {
 	r := obs.NewRegistry()
 	return &metrics{
 		reg: r,
+		engineSeconds: r.Histogram("campaign_run_seconds",
+			"Wall-clock latency of one engine campaign, dispatch to aggregated report.", nil),
+		engineRuns: r.Counter("campaign_runs_total",
+			"Characterization runs executed across all campaigns."),
+		plannedRuns: r.Counter("campaign_planned_runs_total",
+			"Runs an exhaustive sweep of the same campaigns would have scheduled; minus campaign_runs_total this is the work adaptive scheduling avoided."),
+		recoveries: r.Counter("campaign_recoveries_total",
+			"Runs that required watchdog reset or reboot."),
+		poolCheckouts: r.Counter("campaign_board_pool_checkouts_total",
+			"Boards checked out of the shared fleet pool (each one a fabrication avoided)."),
+		boardFabs: r.Counter("campaign_board_fabrications_total",
+			"Boards fabricated because the pool held no idle match (or the shard demanded a fresh board)."),
+		framesEncoded: r.Counter("wire_frames_encoded_total",
+			"Run records rendered into shared frames by the encode-once pipeline."),
+		encodedBytes: r.Counter("wire_encoded_bytes_total",
+			"Bytes of canonical JSONL produced by the frame encoders; every subscriber shares these bytes, so fan-out volume is this times the subscriber count."),
+
 		fleetReplications: r.Counter("fleet_replications_total",
 			"Characterizations adopted from fleet peers instead of running locally — each one is a whole campaign not re-measured."),
 		fleetServed: r.Counter("fleet_segments_served_total",
@@ -103,14 +132,31 @@ func newMetrics() *metrics {
 	}
 }
 
-// handleMetrics serves every layer's counters in one scrape: the
-// process-wide registry (campaign engine, store, wire, fleet client), then
-// this server's own.
+// observeEngine records one engine campaign's report under the engine and
+// wire families.
+func (m *metrics) observeEngine(st campaign.Stats, t campaign.Tally) {
+	m.engineSeconds.Observe(t.Wall)
+	m.engineRuns.Add(uint64(st.Runs))
+	m.plannedRuns.Add(uint64(st.Planned))
+	m.recoveries.Add(uint64(st.Recoveries))
+	m.poolCheckouts.Add(uint64(t.PoolCheckouts))
+	m.boardFabs.Add(uint64(t.BoardFabs))
+	m.framesEncoded.Add(uint64(t.Frames))
+	m.encodedBytes.Add(uint64(t.Bytes))
+}
+
+// handleMetrics serves every layer's counters in one scrape: this
+// server's registry, then its store's and its fleet client's when it has
+// them. Each registry belongs to its instance, so a scrape reports this
+// daemon alone.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
-	err := obs.Default().WritePrometheus(w)
-	if err == nil {
-		err = s.metrics.reg.WritePrometheus(w)
+	err := s.metrics.reg.WritePrometheus(w)
+	if err == nil && s.store != nil {
+		err = s.store.Metrics().WritePrometheus(w)
+	}
+	if err == nil && s.fleet != nil {
+		err = s.fleet.Metrics().WritePrometheus(w)
 	}
 	if err != nil {
 		// Headers are gone; all we can do is drop the connection.

@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -65,9 +67,10 @@ func metricValue(t *testing.T, body, sample string) float64 {
 // TestMetricsEndpoint pins the /metrics surface: the exposition parses
 // under the strict linter (well-formed lines, declared families, no
 // duplicates, cumulative histogram buckets), includes every layer's
-// families, and moves when campaigns run.
+// families, and moves when campaigns run. The server has a store, so the
+// store's families join the scrape.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	_, ts := newTestServer(t, Options{StoreDir: t.TempDir()})
 	before := scrapeMetrics(t, ts.URL)
 	if err := obs.Lint(strings.NewReader(before)); err != nil {
 		t.Fatalf("exposition lint: %v", err)
@@ -92,8 +95,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("cached submissions %g, want %g", got, cachedBefore+1)
 	}
 
-	// Every layer's families must be present in one scrape: the
-	// process-wide layers and this server's own, a single pane of glass.
+	// Every layer's families must be present in one scrape: the server's
+	// own (service, engine, wire) and its store's, a single pane of glass.
 	for _, family := range []string{
 		"campaignd_submissions_total",
 		"campaignd_campaigns_run_total",
@@ -391,16 +394,18 @@ func TestVersionEndpoint(t *testing.T) {
 }
 
 // TestMetricsScopedToServer pins instance-scoped metrics: two Servers in
-// one process each count only their own traffic. Traffic to A moves A's
-// /stats and /metrics while B's stay at zero, and on both servers every
-// /stats counter equals the /metrics series it is read from.
+// one process, each with its own store, each count only their own
+// traffic. Traffic to A moves A's /stats and /metrics (service, engine,
+// wire and store families alike) while B's stay at zero, and on both
+// servers every /stats counter equals the /metrics series it is read from.
 func TestMetricsScopedToServer(t *testing.T) {
 	a, tsA := newTestServer(t, Options{
+		StoreDir:  t.TempDir(),
 		AuthKeys:  []Key{{Secret: "k", Tenant: "t"}},
 		RateLimit: 0.001, // two requests of burst, then 429
 		RateBurst: 2,
 	})
-	_, tsB := newTestServer(t, Options{})
+	_, tsB := newTestServer(t, Options{StoreDir: t.TempDir()})
 
 	key := map[string]string{"X-API-Key": "k"}
 	spec := testSpec(1)
@@ -430,23 +435,34 @@ func TestMetricsScopedToServer(t *testing.T) {
 	type want struct {
 		submissions, cacheHits, gridsRun int
 		authFailures, rateLimited        uint64
+		// One campaign of testSpec(1): 12 runs and frames, one commit.
+		runs, engineCampaigns, frames, segments, commits float64
 	}
 	for _, tc := range []struct {
 		name string
 		ts   *httptest.Server
 		want want
 	}{
-		{"A", tsA, want{submissions: 2, cacheHits: 1, gridsRun: 1, authFailures: 2, rateLimited: 1}},
+		{"A", tsA, want{submissions: 2, cacheHits: 1, gridsRun: 1, authFailures: 2, rateLimited: 1,
+			runs: 12, engineCampaigns: 1, frames: 12, segments: 1, commits: 1}},
 		{"B", tsB, want{}},
 	} {
 		stats := serverStats(t, tc.ts)
-		got := want{stats.Submissions, stats.CacheHits, stats.GridsRun, stats.AuthFailures, stats.RateLimited}
-		if got != tc.want {
-			t.Errorf("%s /stats = %+v, want %+v", tc.name, got, tc.want)
-		}
 		m := scrapeMetrics(t, tc.ts.URL)
 		if err := obs.Lint(strings.NewReader(m)); err != nil {
 			t.Fatalf("%s exposition lint: %v", tc.name, err)
+		}
+		got := want{stats.Submissions, stats.CacheHits, stats.GridsRun, stats.AuthFailures, stats.RateLimited,
+			metricValue(t, m, "campaign_runs_total"), metricValue(t, m, "campaign_run_seconds_count"),
+			metricValue(t, m, "wire_frames_encoded_total"), metricValue(t, m, "store_segments"),
+			metricValue(t, m, "store_commits_total")}
+		if got != tc.want {
+			t.Errorf("%s /stats and /metrics = %+v, want %+v", tc.name, got, tc.want)
+		}
+		// How A's shards split between fabricated and pooled boards
+		// depends on worker interleaving; B's engine never ran.
+		if fabs := metricValue(t, m, "campaign_board_fabrications_total"); (fabs > 0) != (tc.want.runs > 0) {
+			t.Errorf("%s campaign_board_fabrications_total = %g with %g runs", tc.name, fabs, tc.want.runs)
 		}
 		accepted := metricValue(t, m, `campaignd_submissions_total{result="accepted"}`)
 		cached := metricValue(t, m, `campaignd_submissions_total{result="cached"}`)
@@ -463,6 +479,11 @@ func TestMetricsScopedToServer(t *testing.T) {
 			{"evictions", float64(stats.Evictions), metricValue(t, m, "campaignd_evictions_total")},
 			{"subscribers", float64(stats.Subscribers), metricValue(t, m, "campaignd_active_subscribers")},
 			{"auth_failures", float64(stats.AuthFailures), authFailures},
+			{"store.segments", float64(stats.Store.Segments), metricValue(t, m, "store_segments")},
+			{"store.bytes", float64(stats.Store.Bytes), metricValue(t, m, "store_bytes")},
+			{"store.quarantined", float64(stats.Store.Quarantined), metricValue(t, m, "store_quarantined_total")},
+			{"store.compactions", float64(stats.Store.Compactions), metricValue(t, m, "store_compactions_total")},
+			{"store.quarantine_bytes", float64(stats.Store.QuarantineBytes), metricValue(t, m, "store_quarantine_bytes")},
 		} {
 			if pair.stats != pair.prom {
 				t.Errorf("%s: /stats %s = %g, /metrics says %g", tc.name, pair.field, pair.stats, pair.prom)
@@ -475,5 +496,28 @@ func TestMetricsScopedToServer(t *testing.T) {
 		} else if strings.Contains(m, "serve_rate_limited_total") {
 			t.Errorf("%s: rate-limit series minted without a 429", tc.name)
 		}
+	}
+}
+
+// TestQuarantineBytesAfterRestart pins the quarantine gauge across a
+// restart: a server booted over a store whose quarantine/ already holds
+// evidence reports its size on /stats and on /metrics alike, although
+// nothing was quarantined since boot.
+func TestQuarantineBytesAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	qdir := filepath.Join(dir, "quarantine")
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const size = 4099
+	if err := os.WriteFile(filepath.Join(qdir, "seg-evidence.bin"), make([]byte, size), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{StoreDir: dir})
+	if got := serverStats(t, ts).Store.QuarantineBytes; got != size {
+		t.Errorf("/stats store.quarantine_bytes = %d, want %d", got, size)
+	}
+	if got := metricValue(t, scrapeMetrics(t, ts.URL), "store_quarantine_bytes"); got != size {
+		t.Errorf("/metrics store_quarantine_bytes = %g, want %d", got, size)
 	}
 }

@@ -166,6 +166,11 @@ func crashResumeByteIdentical(t *testing.T) {
 		if v := c.view(); v.Runs != total-2*perCell {
 			t.Errorf("workers=%d: engine ran %d records, want %d", workers, v.Runs, total-2*perCell)
 		}
+		// The restored prefix streams as the checkpoint's bytes; only the
+		// records the engine ran are encoded.
+		if got := metricValue(t, scrapeMetrics(t, ts.URL), "wire_frames_encoded_total"); got != float64(total-2*perCell) {
+			t.Errorf("workers=%d: wire_frames_encoded_total = %g, want %d", workers, got, total-2*perCell)
+		}
 		if tn := c.view().Tenant; tn != "crash-tenant" {
 			t.Errorf("workers=%d: requeued campaign lost its tenant: %q", workers, tn)
 		}

@@ -594,6 +594,7 @@ func (s *Server) runEngine(c *Campaign, sink core.Sink, resume []core.RunRecord)
 		if rep == nil {
 			return campaign.Stats{}, 0, err
 		}
+		s.metrics.observeEngine(rep.Stats, rep.Tally)
 		return rep.Stats, rep.Workers, err
 	}
 	grid, err := c.spec.Grid()
@@ -605,6 +606,7 @@ func (s *Server) runEngine(c *Campaign, sink core.Sink, resume []core.RunRecord)
 	if rep == nil {
 		return campaign.Stats{}, 0, err
 	}
+	s.metrics.observeEngine(rep.Stats, rep.Tally)
 	return rep.Stats, rep.Workers, err
 }
 
@@ -1142,36 +1144,27 @@ type statsResponse struct {
 	Fleet *fleetStatsView `json:"fleet,omitempty"`
 }
 
-// storeStatsView is the durable store's slice of GET /stats.
+// storeStatsView is the durable store's slice of GET /stats: the store's
+// own Stats, plus what the server counts about its use of the store.
 type storeStatsView struct {
-	// Segments/Bytes cover committed, trusted segments on disk.
-	Segments int   `json:"segments"`
-	Bytes    int64 `json:"bytes"`
+	store.Stats
 	// ReplayHits counts submissions answered from disk (restart or
 	// post-eviction) — each one is a full characterization not re-run.
 	ReplayHits int `json:"replay_hits"`
-	// Quarantined counts segments recovery refused to trust; Compactions
-	// counts segments evicted by the store bounds; Errors counts
-	// persistence failures (the campaigns themselves were unaffected).
-	Quarantined int `json:"quarantined"`
-	Compactions int `json:"compactions"`
-	Errors      int `json:"errors,omitempty"`
-	// Crash-resume accounting. Checkpoints counts crash checkpoints
-	// currently held (salvaged from interrupted segment writes); Requeued
-	// counts campaigns re-admitted at boot from the intent journal;
-	// GridsResumed counts campaigns that continued from a checkpoint; and
-	// RunsSaved is the characterization runs those checkpoints restored —
-	// measured work a restart did not repeat.
-	Checkpoints  int `json:"checkpoints,omitempty"`
+	// Errors counts persistence failures (the campaigns themselves were
+	// unaffected).
+	Errors int `json:"errors,omitempty"`
+	// Crash-resume accounting. Requeued counts campaigns re-admitted at
+	// boot from the intent journal; GridsResumed counts campaigns that
+	// continued from a checkpoint; and RunsSaved is the characterization
+	// runs those checkpoints restored — measured work a restart did not
+	// repeat.
 	Requeued     int `json:"requeued,omitempty"`
 	GridsResumed int `json:"grids_resumed,omitempty"`
 	RunsSaved    int `json:"runs_saved,omitempty"`
-	// QuarantineFiles/QuarantineBytes size the quarantine/ directory
-	// (bounded by Options.QuarantineMax*). Degraded is true while the
-	// store is rejecting writes and campaigns run memory-only.
-	QuarantineFiles int   `json:"quarantine_files,omitempty"`
-	QuarantineBytes int64 `json:"quarantine_bytes,omitempty"`
-	Degraded        bool  `json:"degraded,omitempty"`
+	// Degraded is true while the store is rejecting writes and campaigns
+	// run memory-only.
+	Degraded bool `json:"degraded,omitempty"`
 	// Boot describes the last boot's warm-load: how many manifest entries
 	// were adopted eagerly (at most CacheMax), how many were deferred to
 	// on-demand paging, and how long store recovery plus warm-load took.
@@ -1211,21 +1204,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Statuses:     make(map[Status]int),
 	}
 	if s.store != nil {
-		st := s.store.Stats()
 		resp.Store = &storeStatsView{
-			Segments:        st.Segments,
-			Bytes:           st.Bytes,
-			ReplayHits:      int(m.replayHits.Value()),
-			Quarantined:     st.Quarantined,
-			Compactions:     st.Compactions,
-			Errors:          int(m.storeErrors.Value()),
-			Checkpoints:     st.Checkpoints,
-			Requeued:        int(m.requeued.Value()),
-			GridsResumed:    int(m.gridsResumed.Value()),
-			RunsSaved:       int(m.runsSaved.Value()),
-			QuarantineFiles: st.QuarantineFiles,
-			QuarantineBytes: st.QuarantineBytes,
-			Degraded:        s.storeDegraded.Load(),
+			Stats:        s.store.Stats(),
+			ReplayHits:   int(m.replayHits.Value()),
+			Errors:       int(m.storeErrors.Value()),
+			Requeued:     int(m.requeued.Value()),
+			GridsResumed: int(m.gridsResumed.Value()),
+			RunsSaved:    int(m.runsSaved.Value()),
+			Degraded:     s.storeDegraded.Load(),
 			Boot: bootStatsView{
 				WarmLoaded: s.warmLoaded,
 				Deferred:   s.warmDeferred,

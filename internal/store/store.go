@@ -148,24 +148,25 @@ type Intent struct {
 	Meta        json.RawMessage
 }
 
-// Stats summarizes the store for monitoring.
+// Stats summarizes the store for monitoring; campaignd serves it under
+// "store" in GET /stats.
 type Stats struct {
 	// Segments and Bytes cover committed, trusted segments.
-	Segments int
-	Bytes    int64
+	Segments int   `json:"segments"`
+	Bytes    int64 `json:"bytes"`
 	// Quarantined counts segments this Store moved aside: damaged or
 	// orphaned files found by recovery plus segments that failed a later
 	// Load.
-	Quarantined int
+	Quarantined int `json:"quarantined"`
 	// Compactions counts segments evicted by the size/count bounds.
-	Compactions int
+	Compactions int `json:"compactions"`
 	// Checkpoints counts live ckpt-<fp> files: crashed campaigns whose
 	// completed records await a resume.
-	Checkpoints int
+	Checkpoints int `json:"checkpoints,omitempty"`
 	// QuarantineFiles and QuarantineBytes size the quarantine/ directory
 	// as currently on disk (after any bound-driven eviction).
-	QuarantineFiles int
-	QuarantineBytes int64
+	QuarantineFiles int   `json:"quarantine_files,omitempty"`
+	QuarantineBytes int64 `json:"quarantine_bytes,omitempty"`
 }
 
 // manifestOp is one journal line.
@@ -186,19 +187,19 @@ type manifestOp struct {
 type Store struct {
 	opts Options
 
+	// m holds the store's counters; segments and bytes run in step with
+	// entries, and quarantine bytes with the quarantine/ directory.
+	m *metrics
+
 	mu          sync.Mutex
 	manifest    *os.File
 	bw          *bufio.Writer
 	entries     map[string]*Entry
-	bytes       int64    // running sum of entries' Bytes
 	intents     []Intent // pending begins, submission order
 	seq         uint64
 	ops         int // journal lines since the last rewrite
-	quarantined int
-	compactions int
 	checkpoints int
 	quarFiles   int
-	quarBytes   int64
 	closed      bool
 }
 
@@ -214,11 +215,7 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(opts.Dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", opts.Dir, err)
 	}
-	s := &Store{opts: opts, entries: make(map[string]*Entry)}
-	if err := s.scanQuarantine(); err != nil {
-		return nil, err
-	}
-
+	s := &Store{opts: opts, m: newMetrics(), entries: make(map[string]*Entry)}
 	dirty, err := s.replayManifest()
 	if err != nil {
 		return nil, err
@@ -251,7 +248,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.mu.Lock()
 	err = s.compactLocked()
-	s.updateObsLocked()
 	s.mu.Unlock()
 	if err != nil {
 		s.Close()
@@ -450,7 +446,7 @@ func (s *Store) salvageTmp(name string) error {
 	if err := os.Remove(filepath.Join(s.opts.Dir, name)); err != nil {
 		return fmt.Errorf("store: drop salvaged %s: %w", name, err)
 	}
-	obsCheckpoints.Inc()
+	s.m.checkpoints.Inc()
 	return nil
 }
 
@@ -551,31 +547,12 @@ func (s *Store) Resume(fp string, frames []core.Frame) (*Writer, error) {
 	return w, nil
 }
 
-// scanQuarantine initializes the quarantine accounting from disk.
-func (s *Store) scanQuarantine() error {
-	des, err := os.ReadDir(filepath.Join(s.opts.Dir, quarantineDir))
-	if err != nil {
-		return fmt.Errorf("store: scan quarantine: %w", err)
-	}
-	s.quarFiles, s.quarBytes = 0, 0
-	for _, de := range des {
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		s.quarFiles++
-		s.quarBytes += info.Size()
-	}
-	return nil
-}
-
-// pruneQuarantine evicts the oldest quarantined files until the
-// configured bounds hold. Forensics lose to disk safety: a crash-looping
-// daemon must not fill the disk with copies of the same torn segment.
+// pruneQuarantine sizes the quarantine/ directory from disk, evidence
+// left by earlier processes included, and evicts the oldest files until
+// the configured bounds hold. Forensics lose to disk safety: a
+// crash-looping daemon must not fill the disk with copies of the same torn
+// segment.
 func (s *Store) pruneQuarantine() error {
-	if s.opts.QuarantineMaxFiles <= 0 && s.opts.QuarantineMaxBytes <= 0 {
-		return nil
-	}
 	dir := filepath.Join(s.opts.Dir, quarantineDir)
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -610,8 +587,8 @@ func (s *Store) pruneQuarantine() error {
 		files = files[1:]
 		total -= victim.size
 	}
-	s.quarFiles, s.quarBytes = len(files), total
-	obsQuarantineBytes.Set(total)
+	s.quarFiles = len(files)
+	s.m.quarantineBytes.Set(total)
 	return nil
 }
 
@@ -644,8 +621,9 @@ func (s *Store) verifySegments(dirty *bool) error {
 }
 
 // quarantine moves a file under quarantine/, uniquifying the target name
-// so repeated recoveries never clobber earlier evidence, then prunes the
-// directory back under its configured bounds (oldest evicted first).
+// so repeated recoveries never clobber earlier evidence, then resizes the
+// directory and prunes it back under its configured bounds (oldest
+// evicted first).
 func (s *Store) quarantine(name string) error {
 	src := filepath.Join(s.opts.Dir, name)
 	dst := filepath.Join(s.opts.Dir, quarantineDir, name)
@@ -655,18 +633,10 @@ func (s *Store) quarantine(name string) error {
 		}
 		dst = filepath.Join(s.opts.Dir, quarantineDir, fmt.Sprintf("%s.%d", name, i))
 	}
-	var size int64
-	if fi, err := os.Stat(src); err == nil {
-		size = fi.Size()
-	}
 	if err := os.Rename(src, dst); err != nil {
 		return fmt.Errorf("store: quarantine %s: %w", name, err)
 	}
-	s.quarantined++
-	s.quarFiles++
-	s.quarBytes += size
-	obsQuarantined.Inc()
-	obsQuarantineBytes.Set(s.quarBytes)
+	s.m.quarantined.Inc()
 	return s.pruneQuarantine()
 }
 
@@ -921,10 +891,9 @@ func (w *Writer) Commit(meta json.RawMessage) error {
 		Records: w.records, Bytes: w.bytes, Meta: meta, seq: s.seq,
 	})
 	err := s.compactLocked()
-	s.updateObsLocked()
 	if err == nil {
-		obsCommits.Inc()
-		obsCommitSeconds.Observe(time.Since(commitStart))
+		s.m.commits.Inc()
+		s.m.commitSeconds.Observe(time.Since(commitStart))
 	}
 	return err
 }
@@ -1027,13 +996,12 @@ func (s *Store) LoadFrames(fp string) ([]core.Frame, error) {
 			}
 		}
 		s.dropEntryLocked(fp)
-		s.updateObsLocked()
 		if derr := s.appendOpLocked(manifestOp{Op: "del", Fingerprint: fp}, true); derr != nil {
 			return nil, derr
 		}
 		return nil, fmt.Errorf("store: load %s: %w", fp, err)
 	}
-	obsSegmentLoads.Inc()
+	s.m.segmentLoads.Inc()
 	s.Touch(fp)
 	return frames, nil
 }
@@ -1149,20 +1117,23 @@ func (s *Store) endLocked(fp string) {
 }
 
 // putEntryLocked indexes e, replacing any entry under its fingerprint, and
-// keeps the running byte total in step. Callers hold s.mu.
+// keeps the segment and byte gauges in step. Callers hold s.mu.
 func (s *Store) putEntryLocked(e *Entry) {
 	if old := s.entries[e.Fingerprint]; old != nil {
-		s.bytes -= old.Bytes
+		s.m.bytes.Add(-old.Bytes)
+	} else {
+		s.m.segments.Inc()
 	}
 	s.entries[e.Fingerprint] = e
-	s.bytes += e.Bytes
+	s.m.bytes.Add(e.Bytes)
 }
 
-// dropEntryLocked unindexes fp, if present, and keeps the running byte
-// total in step. Callers hold s.mu.
+// dropEntryLocked unindexes fp, if present, and keeps the segment and
+// byte gauges in step. Callers hold s.mu.
 func (s *Store) dropEntryLocked(fp string) {
 	if e := s.entries[fp]; e != nil {
-		s.bytes -= e.Bytes
+		s.m.segments.Dec()
+		s.m.bytes.Add(-e.Bytes)
 		delete(s.entries, fp)
 	}
 }
@@ -1176,7 +1147,7 @@ func (s *Store) compactLocked() error {
 	}
 	for len(s.entries) > 1 {
 		over := (s.opts.MaxSegments > 0 && len(s.entries) > s.opts.MaxSegments) ||
-			(s.opts.MaxBytes > 0 && s.bytes > s.opts.MaxBytes)
+			(s.opts.MaxBytes > 0 && s.m.bytes.Value() > s.opts.MaxBytes)
 		if !over {
 			return nil
 		}
@@ -1185,8 +1156,7 @@ func (s *Store) compactLocked() error {
 			return fmt.Errorf("store: compact %s: %w", victim.Segment, err)
 		}
 		s.dropEntryLocked(victim.Fingerprint)
-		s.compactions++
-		obsCompactions.Inc()
+		s.m.compactions.Inc()
 		if err := s.appendOpLocked(manifestOp{Op: "del", Fingerprint: victim.Fingerprint}, true); err != nil {
 			return err
 		}
@@ -1194,14 +1164,15 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
-// Stats snapshots the store's counters.
+// Stats snapshots the store's counters, read from the same instruments
+// its Metrics registry renders.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Segments: len(s.entries), Bytes: s.bytes,
-		Quarantined: s.quarantined, Compactions: s.compactions,
-		Checkpoints: s.checkpoints, QuarantineFiles: s.quarFiles, QuarantineBytes: s.quarBytes,
+		Segments: int(s.m.segments.Value()), Bytes: s.m.bytes.Value(),
+		Quarantined: int(s.m.quarantined.Value()), Compactions: int(s.m.compactions.Value()),
+		Checkpoints: s.checkpoints, QuarantineFiles: s.quarFiles, QuarantineBytes: s.m.quarantineBytes.Value(),
 	}
 }
 

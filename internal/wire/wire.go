@@ -276,8 +276,6 @@ func EncodeFrame(rec core.RunRecord) (core.Frame, error) {
 	copy(line, b)
 	*bp = b[:0]
 	scratchPool.Put(bp)
-	obsFramesEncoded.Inc()
-	obsEncodedBytes.Add(uint64(len(line)))
 	return core.Frame{Rec: rec, Line: line}, nil
 }
 
@@ -308,7 +306,5 @@ func EncodeFrames(recs []core.RunRecord) ([]core.Frame, error) {
 	for i, rec := range recs {
 		frames[i] = core.Frame{Rec: rec, Line: backing[offs[i]:offs[i+1]:offs[i+1]]}
 	}
-	obsFramesEncoded.Add(uint64(len(recs)))
-	obsEncodedBytes.Add(uint64(len(backing)))
 	return frames, nil
 }
