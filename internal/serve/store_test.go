@@ -210,6 +210,43 @@ func TestCrashRecoveryRerun(t *testing.T) {
 	}
 }
 
+// TestFlippedSegmentByteReruns: damage that keeps a segment's size (one
+// flipped payload byte) is found when the segment is read, never served.
+// After a restart, resubmitting the spec is not a cache hit: the campaign
+// re-runs once and streams exactly its original bytes, with no short or
+// failed stream on the way.
+func TestFlippedSegmentByteReruns(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(2)
+	s1, ts1 := storeServer(t, dir, Options{})
+	first := submit(t, ts1, spec, http.StatusAccepted)
+	want := streamBytes(t, ts1, first.ID)
+	ts1.Close()
+	s1.Close()
+
+	seg := filepath.Join(dir, "seg-"+first.Fingerprint+".bin")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-5] ^= 0xff // the last record's final payload byte
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := storeServer(t, dir, Options{})
+	again := submit(t, ts2, spec, http.StatusAccepted)
+	if again.Cached {
+		t.Fatal("a damaged segment answered the submission as a cache hit")
+	}
+	if got := streamBytes(t, ts2, again.ID); !bytes.Equal(got, want) {
+		t.Errorf("re-run streamed %d bytes that differ from the original %d", len(got), len(want))
+	}
+	if st := serverStats(t, ts2); st.GridsRun != 1 {
+		t.Errorf("grids run = %d, want 1", st.GridsRun)
+	}
+}
+
 // TestJSONLStoreUpgrade: a store left by a daemon that wrote JSONL
 // segments boots cleanly. Its manifest-claimed seg-<fp>.jsonl and a stray
 // unclaimed seg-* file are quarantined, so resubmitting the spec re-runs

@@ -415,6 +415,51 @@ func TestLoadQuarantinesFreshDamage(t *testing.T) {
 	}
 }
 
+// TestFlippedByteQuarantinedOnLoad: damage that keeps the segment's size
+// (one flipped payload byte) fails the record CRC when the segment is
+// read: LoadFrames fails, quarantines the file and drops the entry, and an
+// intact sibling still loads.
+func TestFlippedByteQuarantinedOnLoad(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	commit(t, s, "aaaa", "mcf", 3)
+	commit(t, s, "bbbb", "lbm", 2)
+	flipPayloadByte(t, filepath.Join(dir, segName("aaaa")))
+	if _, err := s.LoadFrames("aaaa"); err == nil {
+		t.Fatal("damaged segment loaded")
+	}
+	if _, ok := s.Get("aaaa"); ok {
+		t.Error("damaged entry still indexed")
+	}
+	if st := s.Stats(); st.Quarantined != 1 || st.Segments != 1 {
+		t.Errorf("stats = %+v, want 1 quarantined and 1 segment", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, segName("aaaa"))); err != nil {
+		t.Errorf("damaged segment not in quarantine: %v", err)
+	}
+	if frames, err := s.LoadFrames("bbbb"); err != nil || len(frames) != 2 {
+		t.Errorf("intact sibling: %d frames, err %v", len(frames), err)
+	}
+}
+
+// flipPayloadByte inverts the final payload byte of a segment's last
+// record (the byte before its 4-byte CRC), keeping the file size.
+func flipPayloadByte(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-5] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTouchChurnCompactsManifest: touch churn compacts the journal while
 // the store is still open — a long-lived daemon's hot fingerprint must not
 // grow the manifest without bound — and neither entries nor LRU order are
