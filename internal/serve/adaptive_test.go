@@ -226,7 +226,7 @@ func TestCacheEviction(t *testing.T) {
 	streamBytes(t, ts, again.ID)
 
 	s.mu.Lock()
-	gridsRun, evictions, cached := s.gridsRunCount(), s.metrics.evictions.Value(), len(s.order)
+	gridsRun, evictions, cached := s.gridsRunCount(), s.metrics.evictions.Value(), s.order.Len()
 	s.mu.Unlock()
 	if gridsRun != 3 {
 		t.Errorf("grids run = %d, want 3 (eviction must force a re-run)", gridsRun)

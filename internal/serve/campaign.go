@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"context"
 	"sync"
 	"time"
@@ -65,9 +66,10 @@ type Campaign struct {
 	// read once when execution starts.
 	queuedAt time.Time
 
-	// lastUsed is the server's LRU clock for this entry; it is read and
-	// written only under the Server's mutex, never this Campaign's.
-	lastUsed uint64
+	// orderElem and lruElem are the entry's places on the Server's
+	// registration and recency lists; they are read and written only
+	// under the Server's mutex, never this Campaign's.
+	orderElem, lruElem *list.Element
 }
 
 func newCampaign(id string, spec Spec, fingerprint string, extra *core.MultiSink) *Campaign {

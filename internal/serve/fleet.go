@@ -168,7 +168,7 @@ func (s *Server) fleetSegment(fp string) ([]core.Frame, json.RawMessage, error) 
 	}
 	s.mu.Unlock()
 	if c != nil && c.Status() == StatusDone {
-		if err := s.hydrate(c); err != nil {
+		if _, err := s.hydrate(c); err != nil {
 			return nil, nil, err // transient store trouble: peer retries
 		}
 		if frames, stats, workers, ok := c.doneFrames(); ok {

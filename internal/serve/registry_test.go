@@ -2,6 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -147,9 +150,77 @@ func TestRegistryInsertionPathsShareLRU(t *testing.T) {
 	}
 	expect("all live", 5, []Spec{specL, specM, specN}, []Spec{specG})
 	s.mu.Lock()
-	n := len(s.order)
+	n := s.order.Len()
 	s.mu.Unlock()
 	if n != 3 {
 		t.Errorf("registry holds %d entries, want 3 (live entries admitted over the cap)", n)
+	}
+}
+
+// TestHydratingHitTouchesStoreOnce: a cache hit that reads its segment
+// back counts as one use in the store's recency order, so exactly one
+// touch line reaches the journal.
+func TestHydratingHitTouchesStoreOnce(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec(201)
+	fp := spec.withDefaults().Fingerprint()
+	s1, err := New(Options{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s1.Submit(spec, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	waitFingerprintDone(t, s1, fp)
+	s1.Close()
+
+	s2, err := New(Options{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, cached, err := s2.Submit(spec, "", ""); err != nil || !cached || c.needsHydration() {
+		t.Fatalf("resubmit after restart: cached=%v err=%v", cached, err)
+	}
+	s2.Close() // flushes the buffered touch
+	journal, err := os.ReadFile(filepath.Join(dir, "MANIFEST.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(journal), `"op":"touch"`); n != 1 {
+		t.Errorf("a hydrating hit journaled %d touch lines, want 1:\n%s", n, journal)
+	}
+}
+
+// TestLocalHitsReachStoreLRU: cache hits on a campaign run by this process
+// move it in the store's recency order too, so store compaction evicts
+// what the registry last used least, not what was committed first.
+func TestLocalHitsReachStoreLRU(t *testing.T) {
+	specA, specB, specC := tinySpec(211), tinySpec(212), tinySpec(213)
+	fp := func(s Spec) string { return s.withDefaults().Fingerprint() }
+	s, err := New(Options{StoreDir: t.TempDir(), StoreMaxSegments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	run := func(spec Spec) {
+		t.Helper()
+		if _, cached, err := s.Submit(spec, "", ""); err != nil || cached {
+			t.Fatalf("submit seed %d: cached=%v err=%v", spec.Seed, cached, err)
+		}
+		waitFingerprintDone(t, s, fp(spec))
+	}
+	run(specA)
+	run(specB)
+	for i := 0; i < 3; i++ {
+		if _, cached, err := s.Submit(specA, "", ""); err != nil || !cached {
+			t.Fatalf("hit A: cached=%v err=%v", cached, err)
+		}
+	}
+	run(specC)
+	if _, ok := s.store.Get(fp(specA)); !ok {
+		t.Error("compaction dropped A, the segment the registry used last")
+	}
+	if _, ok := s.store.Get(fp(specB)); ok {
+		t.Error("compaction kept B, the least recently used segment")
 	}
 }

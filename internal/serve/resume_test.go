@@ -379,6 +379,33 @@ func TestTransientWriteRetryByteIdentical(t *testing.T) {
 	}
 }
 
+// TestDirSyncErrorKeepsCampaignDone: a directory fsync that fails after
+// the segment's rename fails the commit, not the characterization: the
+// campaign still finishes done with its full stream, the failure counts
+// in campaignd_store_errors_total, and the store holds no entry for it.
+func TestDirSyncErrorKeepsCampaignDone(t *testing.T) {
+	plan, err := fault.Parse("store.dirsync:error@1=EIO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(plan)
+	t.Cleanup(fault.Disarm)
+
+	s, ts := storeServer(t, t.TempDir(), Options{})
+	sub := submit(t, ts, testSpec(2), http.StatusAccepted)
+	waitForStatus(t, s, sub.ID, StatusDone)
+	fault.Disarm()
+	if got := streamBytes(t, ts, sub.ID); !bytes.Equal(got, batchJSONL(t, testSpec(2))) {
+		t.Error("stream of a campaign whose commit failed is not byte-identical")
+	}
+	if got := metricValue(t, scrapeMetrics(t, ts.URL), "campaignd_store_errors_total"); got != 1 {
+		t.Errorf("campaignd_store_errors_total = %g, want 1", got)
+	}
+	if _, ok := s.store.Get(sub.Fingerprint); ok {
+		t.Error("a commit whose directory fsync failed is indexed")
+	}
+}
+
 // gridsRunCount reads the engine-invocation counter.
 func (s *Server) gridsRunCount() int { return int(s.metrics.campaignsRun.Value()) }
 

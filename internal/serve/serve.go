@@ -39,6 +39,7 @@
 package serve
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -181,12 +182,15 @@ type Server struct {
 	// fleet is the peer federation client (nil when not federated).
 	fleet *fleet.Client
 
-	mu       sync.Mutex
-	byID     map[string]*Campaign
-	byFP     map[string]*Campaign
-	order    []*Campaign
+	mu   sync.Mutex
+	byID map[string]*Campaign
+	byFP map[string]*Campaign
+	// order lists the registry's campaigns oldest registration first (GET
+	// /campaigns); lru lists the same campaigns least recently used first,
+	// the end eviction walks from.
+	order    *list.List
+	lru      *list.List
 	nextID   int
-	useSeq   uint64
 	draining bool
 	// Boot-time warm-load bookkeeping (see Options.StoreDir).
 	warmLoaded   int
@@ -229,6 +233,8 @@ func New(opts Options) (*Server, error) {
 		queue:   make(chan *Campaign, opts.QueueDepth),
 		byID:    make(map[string]*Campaign),
 		byFP:    make(map[string]*Campaign),
+		order:   list.New(),
+		lru:     list.New(),
 		limiter: newLimiter(),
 	}
 	if len(opts.AuthKeys) > 0 {
@@ -381,7 +387,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		// fetched could strand a half-adopted characterization.
 		s.mu.Lock()
 		live := 0
-		for _, c := range s.order {
+		for _, c := range s.campaignsLocked() {
 			if !c.Status().terminal() {
 				live++
 			}
@@ -670,8 +676,10 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 	// fromDisk survives the hydration retry: it marks a submission the
 	// store answered (adoption or segment read triggered here), which is
 	// what the replay-hit counter reports — later hits on the same
-	// hydrated buffer are ordinary cache hits.
-	fromDisk := false
+	// hydrated buffer are ordinary cache hits. loaded marks a segment read
+	// by this submission, which already counted as a use in the store's
+	// recency order.
+	fromDisk, loaded := false, false
 	// fleetTried caps the peer consultation at one per submission: a
 	// fetch that failed (or missed) must fall through to a local run, not
 	// loop back to the fleet.
@@ -698,7 +706,8 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 				// retry) instead of forgetting or re-measuring anything.
 				fromDisk = true
 				s.mu.Unlock()
-				if err := s.hydrate(prev); err != nil {
+				var err error
+				if loaded, err = s.hydrate(prev); err != nil {
 					return nil, false, err
 				}
 				continue
@@ -706,8 +715,10 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 			if fromDisk {
 				s.metrics.replayHits.Inc()
 			}
+			// One hit, one use in each layer's recency order. Touch is a
+			// no-op for a fingerprint the store does not hold.
 			s.touchLocked(prev)
-			if s.store != nil && prev.fromStore {
+			if s.store != nil && !loaded {
 				s.store.Touch(fp)
 			}
 			s.mu.Unlock()
@@ -797,43 +808,46 @@ func (s *Server) registerLocked(c *Campaign) {
 	s.nextID++
 	s.byID[c.id] = c
 	s.byFP[c.fingerprint] = c
-	s.order = append(s.order, c)
-	s.touchLocked(c)
+	c.orderElem = s.order.PushBack(c)
+	c.lruElem = s.lru.PushBack(c)
 }
 
-// touchLocked bumps a campaign's LRU clock. Callers hold s.mu.
-func (s *Server) touchLocked(c *Campaign) {
-	s.useSeq++
-	c.lastUsed = s.useSeq
-}
+// touchLocked moves a campaign to the most recently used end of the
+// registry. Callers hold s.mu.
+func (s *Server) touchLocked(c *Campaign) { s.lru.MoveToBack(c.lruElem) }
 
 // evictLocked makes room for one more registry entry under Options.CacheMax
 // by dropping least-recently-used terminal campaigns — the registry IS the
 // characterization cache, so eviction trades a future re-run (or, with the
 // durable store enabled, a cheap replay from disk) for bounded memory.
-// Live (queued/running) campaigns are never evicted. Callers hold s.mu.
+// Live (queued/running) campaigns are never evicted: the walk from the
+// cold end steps past them, and when every campaign is live the new one
+// is admitted over the cap. Callers hold s.mu.
 func (s *Server) evictLocked() {
-	for len(s.order) >= s.opts.CacheMax {
-		victim := -1
-		for i, c := range s.order {
-			if !c.Status().terminal() {
-				continue
-			}
-			if victim == -1 || c.lastUsed < s.order[victim].lastUsed {
-				victim = i
-			}
+	for el := s.lru.Front(); el != nil && s.lru.Len() >= s.opts.CacheMax; {
+		c := el.Value.(*Campaign)
+		el = el.Next()
+		if !c.Status().terminal() {
+			continue
 		}
-		if victim == -1 {
-			return // everything is live; admit over the cap
-		}
-		c := s.order[victim]
-		s.order = append(s.order[:victim], s.order[victim+1:]...)
+		s.lru.Remove(c.lruElem)
+		s.order.Remove(c.orderElem)
 		delete(s.byID, c.id)
 		if s.byFP[c.fingerprint] == c {
 			delete(s.byFP, c.fingerprint)
 		}
 		s.metrics.evictions.Inc()
 	}
+}
+
+// campaignsLocked snapshots the registry, oldest registration first.
+// Callers hold s.mu.
+func (s *Server) campaignsLocked() []*Campaign {
+	out := make([]*Campaign, 0, s.order.Len())
+	for el := s.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*Campaign))
+	}
+	return out
 }
 
 // lookup finds a campaign by id, refreshing its LRU position. It does NOT
@@ -972,7 +986,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	campaigns := append([]*Campaign(nil), s.order...)
+	campaigns := s.campaignsLocked()
 	s.mu.Unlock()
 	views := make([]View, 0, len(campaigns))
 	for _, c := range campaigns {
@@ -1025,7 +1039,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// committing to a 200. A transient store failure is retryable (503);
 	// a lost segment marks the campaign failed and the stream below
 	// terminates with that status.
-	if err := s.hydrate(c); err != nil {
+	if _, err := s.hydrate(c); err != nil {
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, r, http.StatusServiceUnavailable, err)
 		return
@@ -1189,7 +1203,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheHits:   cacheHits,
 		GridsRun:    int(m.campaignsRun.Value()),
 		Evictions:   int(m.evictions.Value()),
-		Cached:      len(s.order),
+		Cached:      s.order.Len(),
 		CacheMax:    s.opts.CacheMax,
 		Queued:      len(s.queue),
 		QueueDepth:  s.opts.QueueDepth,
@@ -1219,7 +1233,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			},
 		}
 	}
-	campaigns := append([]*Campaign(nil), s.order...)
+	campaigns := s.campaignsLocked()
 	s.mu.Unlock()
 	if s.fleet != nil {
 		resp.Fleet = &fleetStatsView{

@@ -127,27 +127,29 @@ func (s *Server) adoptLocked(e store.Entry) (*Campaign, bool) {
 // nothing may be forgotten or re-run over it.
 var errStoreUnavailable = errors.New("serve: store temporarily unavailable")
 
-// hydrate reads an adopted campaign's segment back into its buffer. Safe
-// to race: the loser's load is discarded. Load failures split two ways,
-// mirroring store.Load's contract: if the store dropped the entry (the
-// segment was damaged and quarantined) the campaign is marked failed so a
-// resubmission re-runs cleanly; if the entry survived (a transient read
-// error) the campaign stays done/unhydrated and the returned
-// errStoreUnavailable tells the caller to retry rather than re-measure.
-func (s *Server) hydrate(c *Campaign) error {
+// hydrate reads an adopted campaign's segment back into its buffer;
+// loaded reports that the segment was read, which counts as a use in the
+// store's recency order. Safe to race: the loser's load is discarded.
+// Load failures split two ways, mirroring store.LoadFrames's contract: if
+// the store dropped the entry (the segment was damaged and quarantined)
+// the campaign is marked failed so a resubmission re-runs cleanly; if the
+// entry survived (a transient read error) the campaign stays
+// done/unhydrated and the returned errStoreUnavailable tells the caller to
+// retry rather than re-measure.
+func (s *Server) hydrate(c *Campaign) (loaded bool, err error) {
 	if s.store == nil || !c.needsHydration() {
-		return nil
+		return false, nil
 	}
 	frames, err := s.store.LoadFrames(c.fingerprint)
 	if err != nil {
 		if _, ok := s.store.Get(c.fingerprint); ok {
-			return fmt.Errorf("%w: %v", errStoreUnavailable, err)
+			return false, fmt.Errorf("%w: %v", errStoreUnavailable, err)
 		}
 		c.markLost(err)
-		return nil
+		return false, nil
 	}
 	c.hydrateWith(frames)
-	return nil
+	return true, nil
 }
 
 // storeTee fans the engine's stream into the live campaign buffer and the

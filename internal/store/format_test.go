@@ -120,11 +120,11 @@ func TestMixedFormatRecovery(t *testing.T) {
 	if want := []string{"seg-bbbb.jsonl", "seg-cccc.jsonl"}; !reflect.DeepEqual(names, want) {
 		t.Errorf("quarantine holds %v, want %v", names, want)
 	}
-	if got, err := s2.Load("aaaa"); err != nil || !reflect.DeepEqual(got, testRecords("mcf", 3)) {
+	if got, err := loadRecords(s2, "aaaa"); err != nil || !reflect.DeepEqual(got, testRecords("mcf", 3)) {
 		t.Errorf("binary sibling lost in upgrade: %d records, err %v", len(got), err)
 	}
 	commit(t, s2, "bbbb", "lbm", 2)
-	if got, err := s2.Load("bbbb"); err != nil || !reflect.DeepEqual(got, testRecords("lbm", 2)) {
+	if got, err := loadRecords(s2, "bbbb"); err != nil || !reflect.DeepEqual(got, testRecords("lbm", 2)) {
 		t.Errorf("re-committed entry: %d records, err %v", len(got), err)
 	}
 	if err := s2.Close(); err != nil {

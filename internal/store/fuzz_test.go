@@ -14,8 +14,10 @@ import (
 // FuzzManifestReplay throws arbitrary MANIFEST.jsonl bytes at Open, next
 // to one valid three-record segment (seg-aaaa.bin). The invariants,
 // regardless of input: Open never panics and never fails (recovery
-// distrusts the journal, so a bad one costs entries, not the store), and
-// every entry that survives loads with exactly its manifest record count;
+// distrusts the journal, so a bad one costs entries, not the store);
+// every entry that survives Open either loads with exactly its manifest
+// record count or fails its load, which quarantines the segment and drops
+// the entry (boot checks only sizes; records are verified when read);
 // every intent Open returns has a path-safe fingerprint and was not ended
 // by the journal's intact prefix; and a reopen returns the same intents.
 //
@@ -82,12 +84,22 @@ func FuzzManifestReplay(f *testing.F) {
 			}
 		}
 		for _, e := range s.Entries() {
+			quarantined := s.Stats().Quarantined
 			frames, err := s.LoadFrames(e.Fingerprint)
-			if err != nil {
-				t.Fatalf("surviving entry %s does not load: %v", e.Fingerprint, err)
+			if err == nil {
+				if len(frames) != e.Records {
+					t.Fatalf("surviving entry %s loads %d records, manifest says %d", e.Fingerprint, len(frames), e.Records)
+				}
+				continue
 			}
-			if len(frames) != e.Records {
-				t.Fatalf("surviving entry %s loads %d records, manifest says %d", e.Fingerprint, len(frames), e.Records)
+			if _, ok := s.Get(e.Fingerprint); ok {
+				t.Fatalf("entry %s still indexed after its load failed: %v", e.Fingerprint, err)
+			}
+			if got := s.Stats().Quarantined; got != quarantined+1 {
+				t.Fatalf("failed load of %s quarantined %d segments, want 1: %v", e.Fingerprint, got-quarantined, err)
+			}
+			if _, serr := os.Stat(filepath.Join(dir, e.Segment)); !os.IsNotExist(serr) {
+				t.Fatalf("segment %s left in place after its load failed: %v", e.Segment, err)
 			}
 		}
 		// Whatever Open made of the journal is stable: a second boot

@@ -385,3 +385,58 @@ func TestFaultInjectedCommitFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultInjectedDirSyncError: a failed directory fsync after the rename
+// fails Commit before the put is journaled, so the installed segment is
+// unclaimed and the next Open quarantines it.
+func TestFaultInjectedDirSyncError(t *testing.T) {
+	p, err := fault.Parse("store.dirsync:error@1=EIO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(p)
+	defer fault.Disarm()
+
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := s.Begin("aaaa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Frames([]core.Frame{{Rec: testRecords("mcf", 1)[0]}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(nil); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Commit = %v, want EIO", err)
+	}
+	if _, ok := s.Get("aaaa"); ok {
+		t.Error("failed commit is indexed")
+	}
+	s.Close()
+	fault.Disarm()
+	journal, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(journal), `"op":"put"`) {
+		t.Errorf("failed commit journaled a put:\n%s", journal)
+	}
+
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, ok := s2.Get("aaaa"); ok {
+		t.Error("failed commit resurrected")
+	}
+	if st := s2.Stats(); st.Quarantined != 1 {
+		t.Errorf("stats = %+v, want the unclaimed segment quarantined", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, segName("aaaa"))); err != nil {
+		t.Errorf("unclaimed segment not in quarantine: %v", err)
+	}
+}

@@ -35,13 +35,16 @@
 // and a put naming anything but seg-<fp>.bin is dropped, leftover .tmp
 // files have their intact record prefix salvaged into a checkpoint (the
 // wire reader's prefix-salvage contract), seg-* files the manifest doesn't
-// claim are quarantined, and every claimed segment is re-parsed and
-// length-checked — a truncated or corrupt segment is quarantined and its
+// claim are quarantined, and every claimed segment's size is checked
+// against its manifest line — a truncated segment is quarantined and its
 // entry dropped, so the damaged campaign simply re-runs while intact ones
-// replay. The same rules upgrade a store written before binary became the
-// only format: its seg-<fp>.jsonl files lose their claims, are
-// quarantined, and re-run on demand; likewise a separate INTENT.jsonl left
-// by a daemon that journaled intents outside the manifest is quarantined.
+// replay. Boot reads no segment: record count and CRCs are verified where
+// the bytes are used, by LoadFrames, which quarantines a segment that
+// fails them (damage that kept the file size) and drops its entry. The
+// same rules upgrade a store written before binary became the only
+// format: its seg-<fp>.jsonl files lose their claims, are quarantined, and
+// re-run on demand; likewise a separate INTENT.jsonl left by a daemon that
+// journaled intents outside the manifest is quarantined.
 // The writer flushes its buffer after every Frames batch (one campaign
 // shard), so the bytes a crash can lose are bounded to the batch being
 // written.
@@ -54,19 +57,23 @@
 //
 // Compaction. The store is size/count-bounded (Options.MaxSegments,
 // MaxBytes): committing past a bound evicts least-recently-used segments
-// first, mirroring the serving registry's LRU order — Touch is how the
-// registry propagates its clock. The manifest journal itself is compacted
-// (rewritten to pure puts and pending begins) on Open, and in-process on
-// Touch and EndIntent, once touch/del/end churn has bloated it.
+// first. Entries sit on one recency list, least recently used at the
+// front, so a victim costs O(1) whatever the store's size. A commit, a
+// load and a Touch move an entry to the back; the serving registry
+// touches a fingerprint on every cache hit, so the store's order is the
+// registry's. The manifest journal itself is compacted (rewritten to pure
+// puts and pending begins) on Open, and in-process on Touch and EndIntent,
+// once touch/del/end churn has bloated it.
 //
 // Fault injection. The hot durability transitions are instrumented as
-// fault sites (store.write, store.fsync, store.rename) so chaos plans can
-// fail or crash exact calls; see internal/fault.
+// fault sites (store.write, store.fsync, store.rename, store.dirsync) so
+// chaos plans can fail or crash exact calls; see internal/fault.
 package store
 
 import (
 	"bufio"
 	"bytes"
+	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,6 +82,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -98,6 +106,7 @@ func init() {
 	fault.Register("store.write")
 	fault.Register("store.fsync")
 	fault.Register("store.rename")
+	fault.Register("store.dirsync")
 }
 
 // Options parameterizes a Store.
@@ -128,8 +137,8 @@ type Entry struct {
 	Fingerprint string
 	// Segment is the segment file name within the store directory.
 	Segment string
-	// Records is the record count the segment was committed with; recovery
-	// re-checks it.
+	// Records is the record count the segment was committed with; every
+	// load re-checks it.
 	Records int
 	// Bytes is the segment's committed size.
 	Bytes int64
@@ -137,8 +146,8 @@ type Entry struct {
 	// and campaign bookkeeping here, so a restarted registry can rebuild
 	// its view without opening the segment).
 	Meta json.RawMessage
-	// seq is the LRU clock: higher means more recently used.
-	seq uint64
+	// elem is the entry's place on the store's recency list.
+	elem *list.Element
 }
 
 // Intent is an accepted unit of work journaled by BeginIntent and not yet
@@ -156,7 +165,7 @@ type Stats struct {
 	Bytes    int64 `json:"bytes"`
 	// Quarantined counts segments this Store moved aside: damaged or
 	// orphaned files found by recovery plus segments that failed a later
-	// Load.
+	// LoadFrames.
 	Quarantined int `json:"quarantined"`
 	// Compactions counts segments evicted by the size/count bounds.
 	Compactions int `json:"compactions"`
@@ -195,18 +204,19 @@ type Store struct {
 	manifest    *os.File
 	bw          *bufio.Writer
 	entries     map[string]*Entry
-	intents     []Intent // pending begins, submission order
-	seq         uint64
-	ops         int // journal lines since the last rewrite
+	lru         *list.List // of *Entry, least recently used at the front
+	intents     []Intent   // pending begins, submission order
+	ops         int        // journal lines since the last rewrite
 	checkpoints int
 	quarFiles   int
 	closed      bool
 }
 
 // Open opens (creating if necessary) the store at opts.Dir and runs crash
-// recovery: the manifest is replayed with prefix salvage, orphaned and
-// damaged segments are quarantined, and every surviving entry's segment is
-// verified record for record. The bounds in opts are enforced immediately,
+// recovery: the manifest is replayed with prefix salvage, orphaned
+// segments are quarantined, and so is every claimed segment whose size
+// differs from its manifest line. Records are verified when loaded. The
+// bounds in opts are enforced immediately,
 // so reopening with tighter limits compacts on the spot.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
@@ -215,7 +225,7 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(opts.Dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", opts.Dir, err)
 	}
-	s := &Store{opts: opts, m: newMetrics(), entries: make(map[string]*Entry)}
+	s := &Store{opts: opts, m: newMetrics(), entries: make(map[string]*Entry), lru: list.New()}
 	dirty, err := s.replayManifest()
 	if err != nil {
 		return nil, err
@@ -319,19 +329,16 @@ func (s *Store) replayManifest() (dirty bool, err error) {
 				dirty = true
 				continue
 			}
-			s.seq++
 			s.putEntryLocked(&Entry{
 				Fingerprint: op.Fingerprint,
 				Segment:     op.Segment,
 				Records:     op.Records,
 				Bytes:       op.Bytes,
 				Meta:        op.Meta,
-				seq:         s.seq,
 			})
 		case "touch":
 			if e := s.entries[op.Fingerprint]; e != nil {
-				s.seq++
-				e.seq = s.seq
+				s.lru.MoveToBack(e.elem)
 			}
 		case "del":
 			s.dropEntryLocked(op.Fingerprint)
@@ -592,24 +599,17 @@ func (s *Store) pruneQuarantine() error {
 	return nil
 }
 
-// verifySegments re-parses every claimed segment and drops (quarantining)
-// any that no longer match their manifest line — the truncated-tail case
-// the acceptance criteria name.
+// verifySegments stats every claimed segment and drops (quarantining) any
+// whose size no longer matches its manifest line: a torn tail or a lost
+// file. It reads no segment; LoadFrames checks records and CRCs when the
+// bytes are used, so boot cost does not grow with the records stored.
 func (s *Store) verifySegments(dirty *bool) error {
 	for fp, e := range s.entries {
-		path := filepath.Join(s.opts.Dir, e.Segment)
-		ok := func() bool {
-			fi, err := os.Stat(path)
-			if err != nil || fi.Size() != e.Bytes {
-				return false
-			}
-			frames, err := readSegmentFile(path)
-			return err == nil && len(frames) == e.Records
-		}()
-		if ok {
+		fi, err := os.Stat(filepath.Join(s.opts.Dir, e.Segment))
+		if err == nil && fi.Size() == e.Bytes {
 			continue
 		}
-		if _, err := os.Stat(path); err == nil {
+		if err == nil {
 			if err := s.quarantine(e.Segment); err != nil {
 				return err
 			}
@@ -654,7 +654,8 @@ func (s *Store) rewriteManifest() error {
 	}
 	bw := bufio.NewWriter(f)
 	enc := json.NewEncoder(bw)
-	for _, e := range s.sortedEntries() {
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*Entry)
 		if err := enc.Encode(manifestOp{
 			Op: "put", Fingerprint: e.Fingerprint, Segment: e.Segment,
 			Records: e.Records, Bytes: e.Bytes, Meta: e.Meta,
@@ -705,16 +706,6 @@ func (s *Store) rewriteManifest() error {
 // Callers hold s.mu.
 func (s *Store) journalBloatedLocked() bool {
 	return s.ops > 2*(len(s.entries)+len(s.intents))+64
-}
-
-// sortedEntries returns the live entries least-recently-used first.
-func (s *Store) sortedEntries() []*Entry {
-	out := make([]*Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
 }
 
 // appendOpLocked journals one operation. fsync only when asked: puts and
@@ -885,10 +876,9 @@ func (w *Writer) Commit(meta json.RawMessage) error {
 	}, true); err != nil {
 		return err
 	}
-	s.seq++
 	s.putEntryLocked(&Entry{
 		Fingerprint: w.fp, Segment: name,
-		Records: w.records, Bytes: w.bytes, Meta: meta, seq: s.seq,
+		Records: w.records, Bytes: w.bytes, Meta: meta,
 	})
 	err := s.compactLocked()
 	if err == nil {
@@ -950,10 +940,9 @@ func (s *Store) Get(fp string) (Entry, bool) {
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sorted := s.sortedEntries()
-	out := make([]Entry, 0, len(sorted))
-	for _, e := range sorted {
-		out = append(out, *e)
+	out := make([]Entry, 0, s.lru.Len())
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		out = append(out, *el.Value.(*Entry))
 	}
 	return out
 }
@@ -1006,22 +995,8 @@ func (s *Store) LoadFrames(fp string) ([]core.Frame, error) {
 	return frames, nil
 }
 
-// Load reads a fingerprint's records back (LoadFrames without the
-// pre-rendered lines), with the same verification and quarantine
-// semantics.
-func (s *Store) Load(fp string) ([]core.RunRecord, error) {
-	frames, err := s.LoadFrames(fp)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]core.RunRecord, len(frames))
-	for i, f := range frames {
-		recs[i] = f.Rec
-	}
-	return recs, nil
-}
-
-// Touch bumps a fingerprint's LRU clock. The journal line is buffered, not
+// Touch moves a fingerprint to the most recently used end of the store's
+// recency order. The journal line is buffered, not
 // fsync'd: losing recency in a crash is harmless. Touches are unbounded
 // journal traffic (one per cache hit on a hot store-backed fingerprint, for
 // the daemon's whole lifetime), so this is also where the journal is
@@ -1034,8 +1009,7 @@ func (s *Store) Touch(fp string) {
 	if e == nil || s.closed {
 		return
 	}
-	s.seq++
-	e.seq = s.seq
+	s.lru.MoveToBack(e.elem)
 	_ = s.appendOpLocked(manifestOp{Op: "touch", Fingerprint: fp}, false)
 	s.compactJournalLocked()
 }
@@ -1116,15 +1090,14 @@ func (s *Store) endLocked(fp string) {
 	}
 }
 
-// putEntryLocked indexes e, replacing any entry under its fingerprint, and
-// keeps the segment and byte gauges in step. Callers hold s.mu.
+// putEntryLocked indexes e as the most recently used entry, replacing any
+// entry under its fingerprint, and keeps the segment and byte gauges in
+// step. Callers hold s.mu.
 func (s *Store) putEntryLocked(e *Entry) {
-	if old := s.entries[e.Fingerprint]; old != nil {
-		s.m.bytes.Add(-old.Bytes)
-	} else {
-		s.m.segments.Inc()
-	}
+	s.dropEntryLocked(e.Fingerprint)
 	s.entries[e.Fingerprint] = e
+	e.elem = s.lru.PushBack(e)
+	s.m.segments.Inc()
 	s.m.bytes.Add(e.Bytes)
 }
 
@@ -1132,14 +1105,15 @@ func (s *Store) putEntryLocked(e *Entry) {
 // byte gauges in step. Callers hold s.mu.
 func (s *Store) dropEntryLocked(fp string) {
 	if e := s.entries[fp]; e != nil {
+		s.lru.Remove(e.elem)
 		s.m.segments.Dec()
 		s.m.bytes.Add(-e.Bytes)
 		delete(s.entries, fp)
 	}
 }
 
-// compactLocked evicts least-recently-used segments until the configured
-// bounds hold. The most recent entry survives its own commit even when it
+// compactLocked evicts segments from the front of the recency list until
+// the configured bounds hold. The most recent entry survives its own commit even when it
 // alone exceeds MaxBytes. Callers hold s.mu.
 func (s *Store) compactLocked() error {
 	if s.opts.MaxSegments <= 0 && s.opts.MaxBytes <= 0 {
@@ -1151,7 +1125,7 @@ func (s *Store) compactLocked() error {
 		if !over {
 			return nil
 		}
-		victim := s.sortedEntries()[0]
+		victim := s.lru.Front().Value.(*Entry)
 		if err := os.Remove(filepath.Join(s.opts.Dir, victim.Segment)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("store: compact %s: %w", victim.Segment, err)
 		}
@@ -1211,8 +1185,15 @@ func syncDir(dir string) error {
 	if err != nil {
 		return fmt.Errorf("store: open dir for sync: %w", err)
 	}
-	// Some filesystems reject fsync on directories; the rename is still
-	// atomic there, so degrade silently rather than failing the commit.
-	_ = d.Sync()
-	return d.Close()
+	defer d.Close()
+	err = fault.Inject("store.dirsync")
+	if err == nil {
+		err = d.Sync()
+	}
+	// Some filesystems do not support fsync on directories; the rename is
+	// still atomic there, so only a real failure fails the caller.
+	if err != nil && !errors.Is(err, errors.ErrUnsupported) && !errors.Is(err, syscall.EINVAL) {
+		return fmt.Errorf("store: sync dir: %w", err)
+	}
+	return nil
 }

@@ -48,6 +48,16 @@ func commit(t *testing.T, s *Store, fp, label string, n int) {
 	}
 }
 
+// loadRecords is LoadFrames with each frame's record projected.
+func loadRecords(s *Store, fp string) ([]core.RunRecord, error) {
+	frames, err := s.LoadFrames(fp)
+	recs := make([]core.RunRecord, len(frames))
+	for i, f := range frames {
+		recs[i] = f.Rec
+	}
+	return recs, err
+}
+
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir})
@@ -55,7 +65,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(t, s, "aaaa", "mcf", 4)
-	recs, err := s.Load("aaaa")
+	recs, err := loadRecords(s, "aaaa")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +130,7 @@ func TestReopenReplaysIndex(t *testing.T) {
 	if entries[0].Fingerprint != "aaaa" || entries[1].Fingerprint != "bbbb" {
 		t.Errorf("LRU order = %s, %s", entries[0].Fingerprint, entries[1].Fingerprint)
 	}
-	recs, err := s2.Load("bbbb")
+	recs, err := loadRecords(s2, "bbbb")
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("load after reopen: %d records, err %v", len(recs), err)
 	}
@@ -377,7 +387,7 @@ func TestBadInputs(t *testing.T) {
 			t.Errorf("unsafe fingerprint %q accepted", fp)
 		}
 	}
-	if _, err := s.Load("missing"); err == nil {
+	if _, err := s.LoadFrames("missing"); err == nil {
 		t.Error("load of unknown fingerprint succeeded")
 	}
 	s.Close()
@@ -404,7 +414,7 @@ func TestLoadQuarantinesFreshDamage(t *testing.T) {
 	if err := os.WriteFile(seg, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Load("aaaa"); err == nil {
+	if _, err := s.LoadFrames("aaaa"); err == nil {
 		t.Fatal("damaged segment loaded")
 	}
 	if _, ok := s.Get("aaaa"); ok {
@@ -417,32 +427,56 @@ func TestLoadQuarantinesFreshDamage(t *testing.T) {
 
 // TestFlippedByteQuarantinedOnLoad: damage that keeps the segment's size
 // (one flipped payload byte) fails the record CRC when the segment is
-// read: LoadFrames fails, quarantines the file and drops the entry, and an
-// intact sibling still loads.
+// read, whether it appeared while the store was open or before a reopen.
+// Boot checks only the size, so Open keeps the entry; LoadFrames fails,
+// quarantines the file and drops the entry, and an intact sibling still
+// loads.
 func TestFlippedByteQuarantinedOnLoad(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	commit(t, s, "aaaa", "mcf", 3)
 	commit(t, s, "bbbb", "lbm", 2)
+	commit(t, s, "cccc", "milc", 4)
+	loadFails := func(s *Store, fp string, quarantined int) {
+		t.Helper()
+		if _, err := s.LoadFrames(fp); err == nil {
+			t.Fatalf("damaged segment %s loaded", fp)
+		}
+		if _, ok := s.Get(fp); ok {
+			t.Errorf("damaged entry %s still indexed", fp)
+		}
+		if st := s.Stats(); st.Quarantined != quarantined {
+			t.Errorf("stats = %+v, want %d quarantined", st, quarantined)
+		}
+		if _, err := os.Stat(filepath.Join(dir, quarantineDir, segName(fp))); err != nil {
+			t.Errorf("damaged segment %s not in quarantine: %v", fp, err)
+		}
+	}
+
 	flipPayloadByte(t, filepath.Join(dir, segName("aaaa")))
-	if _, err := s.LoadFrames("aaaa"); err == nil {
-		t.Fatal("damaged segment loaded")
+	loadFails(s, "aaaa", 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s.Get("aaaa"); ok {
-		t.Error("damaged entry still indexed")
+
+	flipPayloadByte(t, filepath.Join(dir, segName("cccc")))
+	s, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Quarantined != 1 || st.Segments != 1 {
-		t.Errorf("stats = %+v, want 1 quarantined and 1 segment", st)
+	defer s.Close()
+	if _, ok := s.Get("cccc"); !ok {
+		t.Fatal("Open dropped a segment whose size is intact")
 	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, segName("aaaa"))); err != nil {
-		t.Errorf("damaged segment not in quarantine: %v", err)
-	}
+	loadFails(s, "cccc", 1)
 	if frames, err := s.LoadFrames("bbbb"); err != nil || len(frames) != 2 {
 		t.Errorf("intact sibling: %d frames, err %v", len(frames), err)
+	}
+	if st := s.Stats(); st.Segments != 1 {
+		t.Errorf("stats = %+v, want 1 segment", st)
 	}
 }
 
@@ -603,7 +637,7 @@ func TestRunningTotalsMatchEntries(t *testing.T) {
 	}
 	check(s, "after compaction")
 	damage("cccc")
-	if _, err := s.Load("cccc"); err == nil {
+	if _, err := s.LoadFrames("cccc"); err == nil {
 		t.Fatal("damaged segment loaded")
 	}
 	check(s, "after quarantining load")
