@@ -677,8 +677,7 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 	// store answered (adoption or segment read triggered here), which is
 	// what the replay-hit counter reports — later hits on the same
 	// hydrated buffer are ordinary cache hits. loaded marks a segment read
-	// by this submission, which already counted as a use in the store's
-	// recency order.
+	// here, which already moved fp in the store's recency order.
 	fromDisk, loaded := false, false
 	// fleetTried caps the peer consultation at one per submission: a
 	// fetch that failed (or missed) must fall through to a local run, not
@@ -715,8 +714,7 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 			if fromDisk {
 				s.metrics.replayHits.Inc()
 			}
-			// One hit, one use in each layer's recency order. Touch is a
-			// no-op for a fingerprint the store does not hold.
+			// One hit is one use in each layer's recency order.
 			s.touchLocked(prev)
 			if s.store != nil && !loaded {
 				s.store.Touch(fp)
@@ -820,9 +818,8 @@ func (s *Server) touchLocked(c *Campaign) { s.lru.MoveToBack(c.lruElem) }
 // by dropping least-recently-used terminal campaigns — the registry IS the
 // characterization cache, so eviction trades a future re-run (or, with the
 // durable store enabled, a cheap replay from disk) for bounded memory.
-// Live (queued/running) campaigns are never evicted: the walk from the
-// cold end steps past them, and when every campaign is live the new one
-// is admitted over the cap. Callers hold s.mu.
+// Live (queued/running) campaigns are never evicted; when every campaign
+// is live the new one is admitted over the cap. Callers hold s.mu.
 func (s *Server) evictLocked() {
 	for el := s.lru.Front(); el != nil && s.lru.Len() >= s.opts.CacheMax; {
 		c := el.Value.(*Campaign)

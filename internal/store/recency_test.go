@@ -12,9 +12,8 @@ import (
 
 var recencySeed = flag.Uint64("recency-seed", 0, "seed for TestRecencyMatchesSeqClock (0 picks one from the clock)")
 
-// seqModel is the reference recency order: a clock stamped on every use
-// and a full sort, the way the store ordered its entries before it kept a
-// recency list.
+// seqModel is the reference recency order the store's list must agree
+// with: a clock stamped on every use, and a full sort to read it.
 type seqModel struct {
 	max   int
 	clock uint64

@@ -35,16 +35,14 @@
 // and a put naming anything but seg-<fp>.bin is dropped, leftover .tmp
 // files have their intact record prefix salvaged into a checkpoint (the
 // wire reader's prefix-salvage contract), seg-* files the manifest doesn't
-// claim are quarantined, and every claimed segment's size is checked
-// against its manifest line — a truncated segment is quarantined and its
-// entry dropped, so the damaged campaign simply re-runs while intact ones
-// replay. Boot reads no segment: record count and CRCs are verified where
-// the bytes are used, by LoadFrames, which quarantines a segment that
-// fails them (damage that kept the file size) and drops its entry. The
-// same rules upgrade a store written before binary became the only
-// format: its seg-<fp>.jsonl files lose their claims, are quarantined, and
-// re-run on demand; likewise a separate INTENT.jsonl left by a daemon that
-// journaled intents outside the manifest is quarantined.
+// claim are quarantined, and so is every claimed segment whose size
+// differs from its manifest line. Boot reads no segment: LoadFrames checks
+// record count and CRCs when the bytes are used. Either way a damaged
+// segment's entry is dropped, so the campaign simply re-runs while intact
+// ones replay. The same rules upgrade a store written before binary
+// became the only format: its seg-<fp>.jsonl files lose their claims, are
+// quarantined, and re-run on demand; likewise a separate INTENT.jsonl left
+// by a daemon that journaled intents outside the manifest is quarantined.
 // The writer flushes its buffer after every Frames batch (one campaign
 // shard), so the bytes a crash can lose are bounded to the batch being
 // written.
@@ -57,13 +55,12 @@
 //
 // Compaction. The store is size/count-bounded (Options.MaxSegments,
 // MaxBytes): committing past a bound evicts least-recently-used segments
-// first. Entries sit on one recency list, least recently used at the
-// front, so a victim costs O(1) whatever the store's size. A commit, a
-// load and a Touch move an entry to the back; the serving registry
-// touches a fingerprint on every cache hit, so the store's order is the
-// registry's. The manifest journal itself is compacted (rewritten to pure
-// puts and pending begins) on Open, and in-process on Touch and EndIntent,
-// once touch/del/end churn has bloated it.
+// first, taken in O(1) from the front of one recency list. Commits, loads
+// and Touch move an entry to its back; the serving registry touches on
+// every cache hit, so both layers share one order. The manifest journal
+// itself is compacted (rewritten to pure puts and pending begins) on Open,
+// and in-process on Touch and EndIntent, once touch/del/end churn has
+// bloated it.
 //
 // Fault injection. The hot durability transitions are instrumented as
 // fault sites (store.write, store.fsync, store.rename, store.dirsync) so
@@ -213,11 +210,10 @@ type Store struct {
 }
 
 // Open opens (creating if necessary) the store at opts.Dir and runs crash
-// recovery: the manifest is replayed with prefix salvage, orphaned
-// segments are quarantined, and so is every claimed segment whose size
-// differs from its manifest line. Records are verified when loaded. The
-// bounds in opts are enforced immediately,
-// so reopening with tighter limits compacts on the spot.
+// recovery: the manifest is replayed with prefix salvage, and orphaned or
+// wrongly sized segments are quarantined (records are verified when
+// loaded). The bounds in opts are enforced immediately, so reopening with
+// tighter limits compacts on the spot.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: no directory")
@@ -996,12 +992,12 @@ func (s *Store) LoadFrames(fp string) ([]core.Frame, error) {
 }
 
 // Touch moves a fingerprint to the most recently used end of the store's
-// recency order. The journal line is buffered, not
-// fsync'd: losing recency in a crash is harmless. Touches are unbounded
-// journal traffic (one per cache hit on a hot store-backed fingerprint, for
-// the daemon's whole lifetime), so this is also where the journal is
-// compacted in-process once churn outgrows the live set — waiting for the
-// next Open would let it grow without limit.
+// recency order. The journal line is buffered, not fsync'd: losing recency
+// in a crash is harmless. Touches are unbounded journal traffic (one per
+// cache hit on a hot stored fingerprint, for the daemon's whole lifetime),
+// so this is also where the journal is compacted in-process once churn
+// outgrows the live set — waiting for the next Open would let it grow
+// without limit.
 func (s *Store) Touch(fp string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1113,8 +1109,8 @@ func (s *Store) dropEntryLocked(fp string) {
 }
 
 // compactLocked evicts segments from the front of the recency list until
-// the configured bounds hold. The most recent entry survives its own commit even when it
-// alone exceeds MaxBytes. Callers hold s.mu.
+// the configured bounds hold. The most recent entry survives its own
+// commit even when it alone exceeds MaxBytes. Callers hold s.mu.
 func (s *Store) compactLocked() error {
 	if s.opts.MaxSegments <= 0 && s.opts.MaxBytes <= 0 {
 		return nil
