@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -289,6 +290,10 @@ func FabStats() simcache.Stats { return fabPool.Stats() }
 func FabReset() { fabPool.Reset() }
 
 // fabricate materializes the weak-cell population of a validated config.
+// Every device draws from its own dev/<dimm>/<rank>/<device> stream, so
+// devices are fabricated on GOMAXPROCS goroutines, each claiming device
+// numbers from one counter, and the fabric is the same bit for bit at any
+// parallelism.
 func fabricate(cfg Config, seed uint64) *fabric {
 	root := xrand.New(seed).Split("dram/fab")
 	g := cfg.Geometry
@@ -303,7 +308,6 @@ func fabricate(cfg Config, seed uint64) *fabric {
 	// the sampler's u in (0,1), fixed positive exponent never needs.
 	invBeta := 1 / r.Beta
 
-	f := &fabric{devices: make([][][]*device, g.DIMMs)}
 	// Bank-address-dependent density variation shared across devices
 	// (array layout/peripheral differences by bank position); this is the
 	// systematic component behind Table I's bank-to-bank spread that
@@ -313,39 +317,64 @@ func fabricate(cfg Config, seed uint64) *fabric {
 	for i := range bankIdxMult {
 		bankIdxMult[i] = math.Exp(bankIdxRng.NormMS(0, 0.04))
 	}
-	for di := 0; di < g.DIMMs; di++ {
-		f.devices[di] = make([][]*device, g.RanksPerDIMM)
-		for ri := 0; ri < g.RanksPerDIMM; ri++ {
-			f.devices[di][ri] = make([]*device, g.DevicesPerRank)
-			for vi := 0; vi < g.DevicesPerRank; vi++ {
-				dev := &device{banks: make([]bank, g.BanksPerDevice)}
-				devRng := root.Split(fmt.Sprintf("dev/%d/%d/%d", di, ri, vi))
-				for bi := 0; bi < g.BanksPerDevice; bi++ {
-					// Per-device random density variation on top of the
-					// shared bank-index component and Poisson statistics.
-					mult := bankIdxMult[bi] * math.Exp(devRng.NormMS(0, 0.06))
-					n := devRng.Poisson(lambda * mult)
-					cells := make([]WeakCell, 0, n)
-					for k := 0; k < n; k++ {
-						// Inverse-CDF sample of the t^beta tail on (0, cap].
-						ret := r.TailCapS * math.Exp(invBeta*math.Log(devRng.Float64()))
-						cells = append(cells, WeakCell{
-							Row:        uint32(devRng.Intn(g.RowsPerBank)),
-							Col:        uint16(devRng.Intn(g.ColsPerRow)),
-							Bit:        uint8(devRng.Intn(g.BitsPerCol)),
-							Ret40:      ret,
-							TrueCell:   devRng.Bool(),
-							CoupleSens: devRng.Float64(),
-							VRT:        devRng.Float64() < r.VRTFraction,
-						})
-					}
-					dev.banks[bi] = bank{weak: cells}
-					f.weakTotal += n
+	var weak atomic.Int64
+	fabDevice := func(di, ri, vi int) *device {
+		dev := &device{banks: make([]bank, g.BanksPerDevice)}
+		devRng := root.Split(fmt.Sprintf("dev/%d/%d/%d", di, ri, vi))
+		for bi := range dev.banks {
+			// Per-device random density variation on top of the shared
+			// bank-index component and Poisson statistics.
+			mult := bankIdxMult[bi] * math.Exp(devRng.NormMS(0, 0.06))
+			n := devRng.Poisson(lambda * mult)
+			cells := make([]WeakCell, n)
+			for k := range cells {
+				// Inverse-CDF sample of the t^beta tail on (0, cap].
+				ret := r.TailCapS * math.Exp(invBeta*math.Log(devRng.Float64()))
+				cells[k] = WeakCell{
+					Row:        uint32(devRng.Intn(g.RowsPerBank)),
+					Col:        uint16(devRng.Intn(g.ColsPerRow)),
+					Bit:        uint8(devRng.Intn(g.BitsPerCol)),
+					Ret40:      ret,
+					TrueCell:   devRng.Bool(),
+					CoupleSens: devRng.Float64(),
+					VRT:        devRng.Float64() < r.VRTFraction,
 				}
-				f.devices[di][ri][vi] = dev
 			}
+			dev.banks[bi] = bank{weak: cells}
+			weak.Add(int64(n))
+		}
+		return dev
+	}
+
+	f := &fabric{devices: make([][][]*device, g.DIMMs)}
+	for di := range f.devices {
+		f.devices[di] = make([][]*device, g.RanksPerDIMM)
+		for ri := range f.devices[di] {
+			f.devices[di][ri] = make([]*device, g.DevicesPerRank)
 		}
 	}
+	// Device i is (dimm, rank, device) in row-major order. The calling
+	// goroutine is one of the workers.
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < g.Devices(); i = int(next.Add(1) - 1) {
+			vi := i % g.DevicesPerRank
+			ri := i / g.DevicesPerRank % g.RanksPerDIMM
+			di := i / (g.DevicesPerRank * g.RanksPerDIMM)
+			f.devices[di][ri][vi] = fabDevice(di, ri, vi)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), g.Devices()); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	f.weakTotal = int(weak.Load())
 	return f
 }
 

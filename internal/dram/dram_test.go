@@ -3,6 +3,7 @@ package dram
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -84,6 +85,35 @@ func TestFabDeterministic(t *testing.T) {
 	}
 	if a.WeakCellCount() == c.WeakCellCount() {
 		t.Log("different seeds produced same count (possible but unlikely)")
+	}
+
+	// Devices are fabricated in parallel: the fabric must not depend on
+	// how many goroutines built it. Two DIMMs of two ranks exercise every
+	// coordinate of the device numbering.
+	cfg.Geometry.DIMMs, cfg.Geometry.RanksPerDIMM = 2, 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	serial := fabricate(cfg, 7)
+	runtime.GOMAXPROCS(4)
+	parallel := fabricate(cfg, 7)
+	if serial.weakTotal != parallel.weakTotal {
+		t.Fatalf("weak cells: %d at GOMAXPROCS 1, %d at 4", serial.weakTotal, parallel.weakTotal)
+	}
+	n := 0
+	for di, ranks := range serial.devices {
+		for ri, devs := range ranks {
+			for vi, dev := range devs {
+				for bi, bk := range dev.banks {
+					if !reflect.DeepEqual(bk.weak, parallel.devices[di][ri][vi].banks[bi].weak) {
+						t.Fatalf("dimm %d rank %d device %d bank %d differs between GOMAXPROCS 1 and 4", di, ri, vi, bi)
+					}
+					n += len(bk.weak)
+				}
+			}
+		}
+	}
+	if n != serial.weakTotal {
+		t.Fatalf("weakTotal %d, but the banks hold %d cells", serial.weakTotal, n)
 	}
 }
 
@@ -543,10 +573,29 @@ func benchScanPatternRandom(b *testing.B, tempC float64) {
 	}
 }
 
-func BenchmarkNewModule(b *testing.B) {
+// Benchmark results land here so the measured calls cannot be elided.
+var (
+	fabSink   *fabric
+	indexSink []bankIndex
+)
+
+// BenchmarkFabricate fabricates the paper's full memory system on a fresh
+// seed per op, bypassing the fab pool.
+func BenchmarkFabricate(b *testing.B) {
 	cfg := DefaultConfig()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _ = NewModule(cfg, uint64(i))
+		fabSink = fabricate(cfg, uint64(i))
+	}
+}
+
+// BenchmarkBuildScanIndex builds the retention index of one full fabric.
+func BenchmarkBuildScanIndex(b *testing.B) {
+	f := fabricate(DefaultConfig(), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		indexSink = buildScanIndex(f)
 	}
 }
 

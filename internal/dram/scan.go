@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -309,7 +308,8 @@ func (s *vrtStream) at(ord int) bool {
 // search. It costs under one byte per weak cell.
 type bankIndex struct {
 	// low lists the indices of the bank's len/sparseShare lowest-Ret40
-	// cells in ascending Ret40 order.
+	// cells in ascending (Ret40, index) order. buildScanIndex selects them
+	// and sorts only those.
 	low []int32
 	// vrt lists the indices of the bank's VRT cells, ascending.
 	vrt []int32
@@ -332,25 +332,27 @@ func (f *fabric) scanIndex() []bankIndex {
 
 func buildScanIndex(f *fabric) []bankIndex {
 	var idx []bankIndex
-	var order []int32
+	var cells []retCell
 	vrtBase := 0
 	for _, ranks := range f.devices {
 		for _, devs := range ranks {
 			for _, dev := range devs {
 				for _, b := range dev.banks {
 					bx := bankIndex{vrtBase: vrtBase, minRet: math.Inf(1)}
-					order = order[:0]
+					cells = cells[:0]
 					for i, c := range b.weak {
-						order = append(order, int32(i))
+						cells = append(cells, retCell{c.Ret40, int32(i)})
 						bx.minRet = min(bx.minRet, c.Ret40)
 						if c.VRT {
 							bx.vrt = append(bx.vrt, int32(i))
 						}
 					}
-					slices.SortFunc(order, func(a, c int32) int {
-						return cmp.Compare(b.weak[a].Ret40, b.weak[c].Ret40)
-					})
-					bx.low = append([]int32(nil), order[:len(order)/sparseShare]...)
+					low := selectLowest(cells, len(cells)/sparseShare)
+					slices.SortFunc(low, retCell.compare)
+					bx.low = make([]int32, len(low))
+					for i, c := range low {
+						bx.low[i] = c.i
+					}
 					vrtBase += len(bx.vrt)
 					idx = append(idx, bx)
 				}
@@ -358,6 +360,66 @@ func buildScanIndex(f *fabric) []bankIndex {
 		}
 	}
 	return idx
+}
+
+// retCell is a weak cell's Ret40 and its index in the bank. Indices are
+// unique, so (ret, i) orders a bank's cells totally.
+type retCell struct {
+	ret float64
+	i   int32
+}
+
+func (a retCell) less(b retCell) bool {
+	return a.ret < b.ret || a.ret == b.ret && a.i < b.i
+}
+
+func (a retCell) compare(b retCell) int {
+	switch {
+	case a.less(b):
+		return -1
+	case b.less(a):
+		return 1
+	}
+	return 0
+}
+
+// selectLowest reorders s in place so its k lowest cells come first, in no
+// particular order, and returns them as s[:k]. It is a quickselect with a
+// median-of-three pivot, expected linear in len(s).
+func selectLowest(s []retCell, k int) []retCell {
+	lo, hi := 0, len(s)-1
+	// Invariant: s[:lo] holds the lo lowest cells and s[hi+1:] the
+	// highest; the boundary k lies in [lo, hi+1].
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if s[mid].less(s[lo]) {
+			s[lo], s[mid] = s[mid], s[lo]
+		}
+		if s[hi].less(s[lo]) {
+			s[lo], s[hi] = s[hi], s[lo]
+		}
+		if s[mid].less(s[hi]) {
+			s[mid], s[hi] = s[hi], s[mid]
+		}
+		// s[hi] is now the median of the three; partition around it.
+		p := lo
+		for i := lo; i < hi; i++ {
+			if s[i].less(s[hi]) {
+				s[p], s[i] = s[i], s[p]
+				p++
+			}
+		}
+		s[p], s[hi] = s[hi], s[p]
+		switch {
+		case p == k:
+			return s[:k]
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+	return s[:k]
 }
 
 // workloadCellFails decides whether a weak cell corrupts workload data.

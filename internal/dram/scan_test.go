@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -335,6 +337,80 @@ func TestScanBoundaryCells(t *testing.T) {
 				want := r == edge || r == math.Nextafter(edge, 0)
 				if plain[fmt.Sprintf("b%d/%v", bi, r)] != want {
 					t.Errorf("seed %d bank %d: cell at Ret40=%v failed=%v, want %v", seed, bi, r, !want, want)
+				}
+			}
+		}
+	}
+}
+
+// TestScanIndexMatchesFullSort checks the selection-built retention index
+// against the definition it replaces: sort every cell of the bank by
+// (Ret40, index) and keep the lowest len/sparseShare. minRet, the VRT
+// positions and the VRT ordinals are checked alongside.
+func TestScanIndexMatchesFullSort(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Geometry.RowsPerBank = 65536 // a full bank: ~400 cells, ~50 indexed
+	for seed := uint64(1); seed <= 8; seed++ {
+		f := fabricate(cfg, seed)
+		idx := buildScanIndex(f)
+		flat, vrtBase := 0, 0
+		for _, ranks := range f.devices {
+			for _, devs := range ranks {
+				for _, dev := range devs {
+					for bi, b := range dev.banks {
+						order := make([]int32, len(b.weak))
+						want := bankIndex{vrtBase: vrtBase, minRet: math.Inf(1)}
+						for i, c := range b.weak {
+							order[i] = int32(i)
+							want.minRet = min(want.minRet, c.Ret40)
+							if c.VRT {
+								want.vrt = append(want.vrt, int32(i))
+							}
+						}
+						sort.SliceStable(order, func(x, y int) bool {
+							return b.weak[order[x]].Ret40 < b.weak[order[y]].Ret40
+						})
+						want.low = order[:len(order)/sparseShare]
+						vrtBase += len(want.vrt)
+						got := idx[flat]
+						flat++
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d bank %d: index\n%+v\nwant\n%+v", seed, bi, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSelectLowest pins the quickselect on every k of slices of every
+// length up to 40, including sorted, reversed and tied Ret40 values.
+func TestSelectLowest(t *testing.T) {
+	rng := xrand.New(11)
+	for n := 0; n <= 40; n++ {
+		for _, shape := range []string{"random", "sorted", "reversed", "ties"} {
+			in := make([]retCell, n)
+			for i := range in {
+				switch shape {
+				case "random":
+					in[i].ret = rng.Float64()
+				case "sorted":
+					in[i].ret = float64(i)
+				case "reversed":
+					in[i].ret = float64(n - i)
+				case "ties":
+					in[i].ret = float64(rng.Intn(3))
+				}
+				in[i].i = int32(i)
+			}
+			sorted := slices.Clone(in)
+			slices.SortFunc(sorted, retCell.compare)
+			for k := 0; k <= n; k++ {
+				got := selectLowest(slices.Clone(in), k)
+				slices.SortFunc(got, retCell.compare)
+				if !slices.Equal(got, sorted[:k]) {
+					t.Fatalf("%s n=%d k=%d: got %v, want %v", shape, n, k, got, sorted[:k])
 				}
 			}
 		}

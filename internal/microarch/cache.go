@@ -10,7 +10,6 @@ package microarch
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // CacheConfig describes one cache level.
@@ -25,8 +24,8 @@ func (c CacheConfig) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 {
 		return errors.New("microarch: cache dimensions must be positive")
 	}
-	if c.Ways > 64 {
-		return errors.New("microarch: more than 64 ways unsupported")
+	if c.Ways > maxWays {
+		return fmt.Errorf("microarch: more than %d ways unsupported", maxWays)
 	}
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return errors.New("microarch: line size must be a power of two")
@@ -41,38 +40,47 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
+// maxWays is the associativity one recency word can order: 16 four-bit
+// way numbers fill its 64 bits.
+const maxWays = 16
+
 // Cache is a set-associative cache with true-LRU replacement.
 //
-// Storage is flat and contiguous: tags and recency counters live in single
-// slices indexed set*ways+way, and validity is one bit per way packed into
-// a per-set word — Access touches at most three cache-adjacent arrays and
-// performs no allocation or per-call shift recomputation. Replacement
-// semantics are bit-identical to the original per-set-slice implementation
-// (first invalid way, else lowest recency tick with the lowest index
-// winning ties), which the counter-golden tests pin against pre-refactor
-// values.
+// Tags live in one flat slice indexed set*ways+way. Each set keeps a
+// recency word next to its fill count: the word holds the set's way
+// numbers as 16 four-bit fields, most recently used first, so a cache has
+// at most 16 ways. Ways fill lowest-first until the set is full; a hit
+// moves its way to the front of the word, and a miss in a full set
+// replaces the way at the back. Every access stamps a distinct time, so
+// this order is exactly the order of per-way last-use stamps, and
+// replacement matches stamp-based true LRU (first free way, else the
+// oldest stamp) access for access; the counter-golden test pins it.
+// Repeating the cache's previous line is a hit that changes no order, so
+// it returns before the set is touched.
 type Cache struct {
 	cfg     CacheConfig
-	sets    int
+	sets    []cacheSet
 	ways    int
 	setBits uint // precomputed uintBits(setMask): the tag shift
 	setMask uint64
-	wayMask uint64 // ways low bits set
 	// lineBits is the line-offset shift.
 	lineBits uint
-	// tags[set*ways+way] holds the stored tag; lru likewise holds a recency
-	// counter (higher = more recent). A slot's content is meaningful only
-	// while its validity bit is set, so Reset never has to clear either
-	// array.
+	// tags[set*ways+way] holds the stored tag. A slot is meaningful only
+	// below its set's fill count, so Reset never has to clear it.
 	tags []uint64
-	lru  []uint64
-	// valid[set] packs the set's way-validity bits. Ways fill lowest-first
-	// and are only cleared wholesale by Reset, so the valid ways of a set
-	// always form a prefix.
-	valid []uint64
-	tick  uint64
+	// last is the line of the previous access, valid while haveLast.
+	last     uint64
+	haveLast bool
 
 	hits, misses uint64
+}
+
+// cacheSet is one set's replacement state: order holds way numbers in
+// four-bit fields from the most recently used (bits 0-3) to the least,
+// and fill counts the valid ways, which are always ways 0..fill-1.
+type cacheSet struct {
+	order uint64
+	fill  uint64
 }
 
 // NewCache constructs a cache from its configuration.
@@ -88,52 +96,57 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	setMask := uint64(sets - 1)
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		sets:     make([]cacheSet, sets),
 		ways:     cfg.Ways,
 		lineBits: lineBits,
 		setMask:  setMask,
 		setBits:  uintBits(setMask),
-		wayMask:  (uint64(1) << cfg.Ways) - 1,
 		tags:     make([]uint64, sets*cfg.Ways),
-		lru:      make([]uint64, sets*cfg.Ways),
-		valid:    make([]uint64, sets),
 	}, nil
 }
 
 // Access looks up addr, filling the line on a miss, and reports a hit.
 func (c *Cache) Access(addr uint64) bool {
-	c.tick++
 	line := addr >> c.lineBits
+	if line == c.last && c.haveLast {
+		// The previous access left this line resident and most recent.
+		c.hits++
+		return true
+	}
+	c.last, c.haveLast = line, true
 	set := line & c.setMask
 	tag := line >> c.setBits
+	s := &c.sets[set]
 	base := int(set) * c.ways
-	tags := c.tags[base : base+c.ways : base+c.ways]
-	lru := c.lru[base : base+c.ways : base+c.ways]
-	valid := c.valid[set]
-	for w := range tags {
-		if valid&(1<<uint(w)) != 0 && tags[w] == tag {
-			lru[w] = c.tick
+	tags := c.tags[base : base+c.ways]
+	for w, t := range tags[:s.fill] {
+		if t == tag {
 			c.hits++
+			shift := uint(0)
+			for s.order>>shift&0xF != uint64(w) {
+				shift += 4
+			}
+			s.order = toFront(s.order, shift)
 			return true
 		}
 	}
 	c.misses++
-	// Victim: first invalid way, else least recently used (lowest index on
-	// ties, matching the original scan order).
-	victim := 0
-	if free := ^valid & c.wayMask; free != 0 {
-		victim = bits.TrailingZeros64(free)
-		c.valid[set] = valid | 1<<uint(victim)
-	} else {
-		for w := 1; w < len(lru); w++ {
-			if lru[w] < lru[victim] {
-				victim = w
-			}
-		}
+	if s.fill < uint64(len(tags)) {
+		tags[s.fill] = tag
+		s.order = s.order<<4 | s.fill
+		s.fill++
+		return false
 	}
-	tags[victim] = tag
-	lru[victim] = c.tick
+	s.order = toFront(s.order, 4*uint(len(tags)-1))
+	tags[s.order&0xF] = tag
 	return false
+}
+
+// toFront moves the way number in order's four-bit field at bit shift to
+// the front (bits 0-3), keeping the relative order of the others.
+func toFront(order uint64, shift uint) uint64 {
+	below := uint64(1)<<shift - 1
+	return order&^(below|0xF<<shift) | (order&below)<<4 | order>>shift&0xF
 }
 
 // uintBits returns the number of set-index bits for a mask of form 2^k-1.
@@ -166,22 +179,16 @@ func (c *Cache) HitRate() float64 {
 func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 
 // Reset invalidates every line and clears statistics, returning the cache
-// to its freshly constructed state. It only clears the packed validity
-// words — tag and recency slots are unreachable until their validity bit
-// is set again, and every insertion rewrites both — so resetting an 8 MB
-// L3 costs one small memclr instead of re-making megabytes of per-set
-// slices. This is what lets a Hierarchy be reused across Simulate calls.
+// to its freshly constructed state. It only clears the per-set recency
+// words and fill counts — a tag slot is unreachable until its set fills
+// it again — so resetting an 8 MB L3 costs one small memclr instead of
+// re-making a megabyte of tags. This is what lets a Hierarchy be reused
+// across Simulate calls.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = 0
-	}
-	c.tick = 0
+	clear(c.sets)
+	c.haveLast = false
 	c.ResetStats()
 }
-
-// Flush invalidates every line and clears statistics (alias of Reset, kept
-// for the original API).
-func (c *Cache) Flush() { c.Reset() }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
@@ -292,6 +299,3 @@ func (h *Hierarchy) Reset() {
 	h.L2.Reset()
 	h.L3.Reset()
 }
-
-// Flush empties all levels (alias of Reset, kept for the original API).
-func (h *Hierarchy) Flush() { h.Reset() }

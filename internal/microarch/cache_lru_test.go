@@ -1,9 +1,13 @@
 package microarch
 
-import "testing"
+import (
+	"math/rand/v2"
+	"testing"
+)
 
-// lruCfg is a tiny 4-set x 4-way cache: big enough to exercise the packed
-// validity words and flat indexing, small enough to reason about exactly.
+// lruCfg is a tiny 4-set x 4-way cache: big enough to exercise the
+// per-set recency words and flat indexing, small enough to reason about
+// exactly.
 var lruCfg = CacheConfig{SizeBytes: 1024, LineBytes: 64, Ways: 4}
 
 // addrFor builds an address that maps to the given set with the given tag
@@ -36,8 +40,7 @@ func TestCacheFillsInvalidWaysFirst(t *testing.T) {
 
 // TestCacheLRUEvictionOrder pins true-LRU on the flattened storage: with a
 // set full, each conflict evicts exactly the least recently used line —
-// including recency updates from hits, and lowest-index wins on the (only
-// reachable) tie of freshly reset state.
+// including recency updates from hits.
 func TestCacheLRUEvictionOrder(t *testing.T) {
 	c, err := NewCache(lruCfg)
 	if err != nil {
@@ -74,8 +77,8 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 }
 
 // TestCacheResetRestoresFreshState pins the cheap Reset contract: after
-// Reset, contents, tick and statistics behave exactly like a new cache,
-// even though tag/LRU slots are deliberately left stale.
+// Reset, contents, recency order and statistics behave exactly like a new
+// cache, even though tag slots are deliberately left stale.
 func TestCacheResetRestoresFreshState(t *testing.T) {
 	c, err := NewCache(lruCfg)
 	if err != nil {
@@ -103,11 +106,151 @@ func TestCacheResetRestoresFreshState(t *testing.T) {
 	}
 }
 
-// TestCacheWaysBound pins the new configuration limit that packed validity
-// words impose.
+// TestCacheWaysBound pins the configuration limit that the recency word
+// imposes: 16 ways are accepted, 17 and beyond are rejected.
 func TestCacheWaysBound(t *testing.T) {
-	_, err := NewCache(CacheConfig{SizeBytes: 1 << 20, LineBytes: 64, Ways: 128})
-	if err == nil {
-		t.Fatal("expected >64-way configuration to be rejected")
+	if _, err := NewCache(CacheConfig{SizeBytes: 1 << 20, LineBytes: 64, Ways: 16}); err != nil {
+		t.Fatalf("16-way configuration rejected: %v", err)
+	}
+	for _, ways := range []int{17, 128} {
+		if _, err := NewCache(CacheConfig{SizeBytes: ways << 12, LineBytes: 64, Ways: ways}); err == nil {
+			t.Fatalf("%d-way configuration accepted", ways)
+		}
+	}
+}
+
+// stampCache is the reference model for the recency word: per-way
+// validity and last-use stamps from a global access counter, victim the
+// first invalid way, else the way with the oldest stamp (lowest index on
+// ties).
+type stampCache struct {
+	ways     int
+	lineBits uint
+	setMask  uint64
+	setBits  uint
+	tags     [][]uint64
+	stamps   [][]uint64
+	valid    [][]bool
+	tick     uint64
+}
+
+func newStampCache(cfg CacheConfig) *stampCache {
+	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	r := &stampCache{ways: cfg.Ways, setMask: uint64(sets - 1)}
+	for 1<<r.lineBits < cfg.LineBytes {
+		r.lineBits++
+	}
+	for 1<<r.setBits < sets {
+		r.setBits++
+	}
+	r.tags = make([][]uint64, sets)
+	r.stamps = make([][]uint64, sets)
+	r.valid = make([][]bool, sets)
+	r.reset()
+	return r
+}
+
+func (r *stampCache) reset() {
+	for i := range r.tags {
+		r.tags[i] = make([]uint64, r.ways)
+		r.stamps[i] = make([]uint64, r.ways)
+		r.valid[i] = make([]bool, r.ways)
+	}
+	r.tick = 0
+}
+
+func (r *stampCache) access(addr uint64) bool {
+	r.tick++
+	line := addr >> r.lineBits
+	set, tag := line&r.setMask, line>>r.setBits
+	tags, stamps, valid := r.tags[set], r.stamps[set], r.valid[set]
+	for w := range tags {
+		if valid[w] && tags[w] == tag {
+			stamps[w] = r.tick
+			return true
+		}
+	}
+	victim := -1
+	for w := range tags {
+		if !valid[w] {
+			victim = w
+			break
+		}
+	}
+	if victim < 0 {
+		victim = 0
+		for w := 1; w < r.ways; w++ {
+			if stamps[w] < stamps[victim] {
+				victim = w
+			}
+		}
+	}
+	tags[victim], stamps[victim], valid[victim] = tag, r.tick, true
+	return false
+}
+
+// TestCacheMatchesStampLRU checks the recency-word Cache against the
+// stamp-based reference access for access: every associativity from 1
+// to 16 ways, several set counts, random (with a hot subset), sequential
+// and set-conflicting strided streams, with a Reset halfway through.
+func TestCacheMatchesStampLRU(t *testing.T) {
+	const accesses = 3000
+	// Each stream maps access i to an address; footprints are about twice
+	// the capacity, so every stream both hits and evicts.
+	streams := map[string]func(rng *rand.Rand, i, sets, ways int) uint64{
+		"random": func(rng *rand.Rand, _, sets, ways int) uint64 {
+			if rng.IntN(4) == 0 {
+				return rng.Uint64N(4) * 64 // hot lines
+			}
+			return rng.Uint64N(uint64(2*sets*ways*64)) &^ 7
+		},
+		"sequential": func(_ *rand.Rand, i, sets, ways int) uint64 {
+			return uint64(i*8) % uint64(2*sets*ways*64)
+		},
+		// Conflicts: lines one set apart, cycling over ways+1 lines of
+		// one set with an occasional line of the next set.
+		"strided": func(rng *rand.Rand, i, sets, ways int) uint64 {
+			line := i % (ways + 1) * sets
+			if rng.IntN(8) == 0 {
+				line++
+			}
+			return uint64(line * 64)
+		},
+	}
+	for ways := 1; ways <= maxWays; ways++ {
+		for _, sets := range []int{1, 2, 16, 64} {
+			cfg := CacheConfig{SizeBytes: sets * ways * 64, LineBytes: 64, Ways: ways}
+			for name, next := range streams {
+				c, err := NewCache(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := newStampCache(cfg)
+				rng := rand.New(rand.NewPCG(uint64(ways), uint64(sets)))
+				var refHits, refMisses uint64
+				for i := 0; i < accesses; i++ {
+					if i == accesses/2 {
+						c.Reset()
+						ref.reset()
+						refHits, refMisses = 0, 0
+					}
+					addr := next(rng, i, sets, ways)
+					want := ref.access(addr)
+					if want {
+						refHits++
+					} else {
+						refMisses++
+					}
+					if got := c.Access(addr); got != want {
+						t.Fatalf("%d ways x %d sets, %s stream, access %d (addr %#x): hit %v, reference %v",
+							ways, sets, name, i, addr, got, want)
+					}
+				}
+				if c.Hits() != refHits || c.Misses() != refMisses {
+					t.Fatalf("%d ways x %d sets, %s stream: hits/misses %d/%d, reference %d/%d",
+						ways, sets, name, c.Hits(), c.Misses(), refHits, refMisses)
+				}
+			}
+		}
 	}
 }

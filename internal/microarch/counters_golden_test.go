@@ -1,10 +1,12 @@
 package microarch_test
 
 // Golden pin of the cache simulator: the full Counters struct of every
-// paper workload profile, captured before the flat-storage refactor of the
-// Cache, must reproduce bit for bit. The hot-path work (flattened sets,
-// packed validity, reusable hierarchies, the process-wide simulate memo)
-// is only allowed to change cost, never output — this test is the fence.
+// paper workload profile, captured from the original per-way tick-stamp
+// LRU Cache, must reproduce bit for bit. The hot-path work (flat tag
+// storage, the per-set recency word of at most 16 four-bit way numbers
+// with its fill count, the repeated-line fast path, reusable hierarchies,
+// the process-wide simulate memo) is only allowed to change cost, never
+// output — this test is the fence.
 //
 // Regenerate (only for an intentional model change) with:
 //

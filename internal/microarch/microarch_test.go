@@ -66,7 +66,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheFlushAndReset(t *testing.T) {
+func TestCacheResetStatsAndReset(t *testing.T) {
 	c, _ := NewCache(CacheConfig{SizeBytes: 4 << 10, LineBytes: 64, Ways: 4})
 	c.Access(0)
 	c.Access(0)
@@ -77,9 +77,9 @@ func TestCacheFlushAndReset(t *testing.T) {
 	if !c.Access(0) {
 		t.Error("ResetStats flushed contents")
 	}
-	c.Flush()
+	c.Reset()
 	if c.Access(0) {
-		t.Error("Flush left contents resident")
+		t.Error("Reset left contents resident")
 	}
 }
 

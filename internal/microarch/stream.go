@@ -121,8 +121,9 @@ func (c Counters) DRAMBandwidthBytesPerSec(clockHz float64) float64 {
 
 // hierPool recycles X-Gene2 hierarchies across Simulate calls: a Reset
 // hierarchy is state-identical to a fresh one (pinned by the counter-golden
-// tests), and reuse avoids re-making the ~3 MB of flat tag/LRU arrays —
-// previously the dominant allocation of every simulated run.
+// tests), and reuse avoids re-making the ~1.2 MB of flat tag arrays and
+// per-set recency words — otherwise the dominant allocation of every
+// simulated run.
 var hierPool = sync.Pool{New: func() any {
 	h, err := NewXGene2Hierarchy()
 	if err != nil {
