@@ -174,20 +174,22 @@ func (c Config) Validate() error {
 }
 
 // WeakCell is one materialized tail cell of a device bank.
+// The floats come first and the narrow fields pack behind them, so a cell
+// takes 32 bytes rather than 40.
 type WeakCell struct {
-	Row uint32
-	Col uint16
-	Bit uint8
 	// Ret40 is the cell's retention time in seconds at the model's
 	// reference temperature, under a benign (uncoupled) neighbourhood.
 	Ret40 float64
+	// CoupleSens in [0,1] scales the cell's sensitivity to neighbour
+	// coupling stress.
+	CoupleSens float64
+	Row        uint32
+	Col        uint16
+	Bit        uint8
 	// TrueCell is true when the cell stores logical 1 as charge (so it can
 	// only leak — and fail — while holding a 1). Anti-cells are the
 	// opposite.
 	TrueCell bool
-	// CoupleSens in [0,1] scales the cell's sensitivity to neighbour
-	// coupling stress.
-	CoupleSens float64
 	// VRT marks a variable-retention-time cell.
 	VRT bool
 }

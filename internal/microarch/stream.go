@@ -193,7 +193,15 @@ func Simulate(mix isa.Mix, spec StreamSpec, nInstr int, seed uint64) (Counters, 
 		if rng.Intn(16) == 0 {
 			pc = uint64(rng.Int63()) % codeFoot
 		} else {
-			pc = (pc + 4) % codeFoot
+			// pc < codeFoot, so one subtraction wraps it, unless the
+			// footprint is shorter than the 4-byte step.
+			if pc += 4; pc >= codeFoot {
+				if codeFoot >= 4 {
+					pc -= codeFoot
+				} else {
+					pc %= codeFoot
+				}
+			}
 		}
 		flvl := h.Fetch(pc)
 		if flvl == InL1 {

@@ -275,7 +275,7 @@ func readSegmentFile(path string) ([]core.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wire.ReadSegment(bytes.NewReader(b))
+	return wire.ReadSegment(bytes.NewBuffer(b))
 }
 
 // validFingerprint keeps fingerprints path-safe: they become file names.

@@ -6,6 +6,7 @@ package wire_test
 // swing ±10% run to run; these pin the encode term directly.
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/wire"
@@ -48,6 +49,26 @@ func BenchmarkAppendBinaryRecord(b *testing.B) {
 			if buf, err = wire.AppendBinaryRecord(buf, rec); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkReadSegment hydrates the Fig. 4 grid from its binary segment:
+// decode, CRC checks and the JSONL re-render a store replay pays per
+// submission before the first byte streams. The segment is handed over as
+// a *bytes.Buffer, the way the store passes a whole segment file.
+func BenchmarkReadSegment(b *testing.B) {
+	seg := fig4Segment(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(seg)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frames, err := wire.ReadSegment(bytes.NewBuffer(seg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(frames) != 100 {
+			b.Fatalf("read %d frames, want 100", len(frames))
 		}
 	}
 }

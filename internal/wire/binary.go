@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -175,16 +174,29 @@ func (p *payloadReader) float() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// decodePayload rebuilds a RunRecord from a binary payload. Strict: every
+// recordDecoder decodes payloads in segment order. A grid segment repeats
+// its benchmark name and core placement record after record, so a field
+// whose payload bytes equal the previous record's reuses that record's
+// string or slice instead of allocating its own.
+type recordDecoder struct {
+	name     string
+	cores    []silicon.CoreID
+	coresRaw []byte // the previous record's encoded core list, count included
+}
+
+// decode rebuilds a RunRecord from a binary payload into rec. Strict: every
 // byte must be consumed, field counts must match the compiled-in geometry.
-func decodePayload(b []byte) (core.RunRecord, error) {
-	var rec core.RunRecord
+// It reads b in place and keeps no reference to it past the next call.
+func (d *recordDecoder) decode(b []byte, rec *core.RunRecord) error {
 	p := &payloadReader{b: b}
 	nameLen := p.uvarint()
 	if p.err == nil && nameLen > uint64(len(b)) {
 		p.err = errors.New("benchmark name overruns payload")
 	}
-	rec.Benchmark = string(p.take(int(nameLen)))
+	if name := p.take(int(nameLen)); string(name) != d.name {
+		d.name = string(name)
+	}
+	rec.Benchmark = d.name
 	rec.Setup.PMDVoltage = p.float()
 	rec.Setup.SoCVoltage = p.float()
 	if n := p.uvarint(); p.err == nil && n != uint64(len(rec.Setup.PMDFreqHz)) {
@@ -194,19 +206,27 @@ func decodePayload(b []byte) (core.RunRecord, error) {
 		rec.Setup.PMDFreqHz[i] = p.float()
 	}
 	rec.Setup.TREFP = time.Duration(p.varint())
-	coresPlus1 := p.uvarint()
-	if coresPlus1 > 0 {
+	// Cores: 0 is the nil sentinel, n+1 encodes n cores.
+	coresStart := p.off
+	if coresPlus1 := p.uvarint(); coresPlus1 > 0 {
 		n := coresPlus1 - 1
 		if p.err == nil && n > uint64(len(b)) {
 			p.err = errors.New("core list overruns payload")
 		}
-		if p.err == nil {
-			rec.Setup.Cores = make([]silicon.CoreID, n)
-			for i := range rec.Setup.Cores {
-				rec.Setup.Cores[i].PMD = int(p.varint())
-				rec.Setup.Cores[i].Core = int(p.varint())
-			}
+		for i := uint64(0); i < 2*n && p.err == nil; i++ {
+			p.varint()
 		}
+		if raw := b[coresStart:p.off]; p.err == nil && !bytes.Equal(raw, d.coresRaw) {
+			q := &payloadReader{b: raw}
+			q.uvarint()
+			d.cores = make([]silicon.CoreID, n)
+			for i := range d.cores {
+				d.cores[i].PMD = int(q.varint())
+				d.cores[i].Core = int(q.varint())
+			}
+			d.coresRaw = raw
+		}
+		rec.Setup.Cores = d.cores
 	}
 	rec.Repetition = int(p.varint())
 	rec.Outcome = xgene.Outcome(p.varint())
@@ -223,12 +243,12 @@ func decodePayload(b []byte) (core.RunRecord, error) {
 	}
 	rec.SimTime = time.Duration(p.varint())
 	if p.err != nil {
-		return core.RunRecord{}, p.err
+		return p.err
 	}
 	if p.off != len(b) {
-		return core.RunRecord{}, fmt.Errorf("%d trailing payload bytes", len(b)-p.off)
+		return fmt.Errorf("%d trailing payload bytes", len(b)-p.off)
 	}
-	return rec, nil
+	return nil
 }
 
 // ReadError is ReadSegment's failure report, mirroring core.LogError's
@@ -249,74 +269,126 @@ func (e *ReadError) Error() string {
 
 func (e *ReadError) Unwrap() error { return e.Err }
 
-// byteReader is what ReadSegment decodes from: the length prefixes are
-// uvarints read a byte at a time.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
 // ReadSegment reads a stored binary segment back into frames: each frame
-// carries the decoded record and its canonical JSONL line, so replaying a
+// carries the decoded record and its canonical JSONL line, rendered by the
+// same code that renders a live shard (EncodeFrames), so replaying a
 // segment to a subscriber is byte-identical to the live stream that
-// produced it.
+// produced it. The frames slice is allocated once at its final size, and
+// all lines share one exact-size backing.
 //
 // Salvage contract (same as core.ParseLog): on damage, the frames decoded
 // before the damage are returned together with a *ReadError locating it —
 // never a nil slice alongside frames, never frames from beyond the damage.
 //
-// A reader that already reads single bytes (a *bytes.Reader over a whole
-// file, a *bufio.Reader) is decoded as is; any other is buffered.
+// The input is decoded from one byte slice. A *bytes.Buffer's unread bytes
+// are decoded in place (the store hands whole segment files over this
+// way), a *bytes.Reader is copied once into a buffer of its Len(), and any
+// other reader (a peer's response body) is read to its end first; a read
+// error is reported as damage where the bytes run out.
 func ReadSegment(r io.Reader) ([]core.Frame, error) {
-	br, ok := r.(byteReader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
+	data, readErr := hold(r)
+	if len(data) < len(magic)+1 {
+		return nil, &ReadError{Record: 0, Err: fmt.Errorf("short header: %w", cutShort(readErr, len(data) == 0))}
 	}
-	hdr := make([]byte, len(magic)+1)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, &ReadError{Record: 0, Err: fmt.Errorf("short header: %w", err)}
-	}
-	if !bytes.Equal(hdr[:len(magic)], []byte(magic)) {
+	if string(data[:len(magic)]) != magic {
 		return nil, &ReadError{Record: 0, Err: errors.New("not a binary segment")}
 	}
-	if hdr[len(magic)] != version {
-		return nil, &ReadError{Record: 0, Err: fmt.Errorf("unsupported segment version %d", hdr[len(magic)])}
+	if data[len(magic)] != version {
+		return nil, &ReadError{Record: 0, Err: fmt.Errorf("unsupported segment version %d", data[len(magic)])}
 	}
-	var frames []core.Frame
-	var payload []byte
-	for n := 1; ; n++ {
-		plen, err := binary.ReadUvarint(br)
-		if err == io.EOF {
+	frames, damage := decodeRecords(data[len(magic)+1:], readErr)
+	if n, err := renderLines(frames); err != nil {
+		frames, damage = frames[:n], &ReadError{Record: n + 1, Err: err}
+	}
+	if damage != nil {
+		return frames, damage
+	}
+	return frames, nil
+}
+
+// hold returns r's bytes as one slice, with the error that ended the
+// input early, if any.
+func hold(r io.Reader) ([]byte, error) {
+	switch r := r.(type) {
+	case *bytes.Buffer:
+		return r.Next(r.Len()), nil
+	case *bytes.Reader:
+		b := make([]byte, r.Len())
+		n, err := io.ReadFull(r, b)
+		return b[:n], err
+	}
+	return io.ReadAll(r)
+}
+
+// cutShort is the error for input that ends mid-structure: the read error
+// that ended it, else io.EOF when nothing at all was read, else
+// io.ErrUnexpectedEOF.
+func cutShort(readErr error, empty bool) error {
+	switch {
+	case readErr != nil:
+		return readErr
+	case empty:
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
+}
+
+// decodeRecords decodes body, the records after the header, into frames
+// carrying only their Rec. It stops at the first damaged record and reports
+// it; readErr, the error that ended the input early, is the damage at
+// whatever record the bytes run out in.
+func decodeRecords(body []byte, readErr error) ([]core.Frame, *ReadError) {
+	frames := make([]core.Frame, 0, countRecords(body))
+	var d recordDecoder
+	for off, n := 0, 1; ; n++ {
+		if off == len(body) {
+			if readErr != nil {
+				return frames, &ReadError{Record: n, Err: fmt.Errorf("length prefix: %w", readErr)}
+			}
 			return frames, nil // clean end at a record boundary
 		}
-		if err != nil {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("length prefix: %w", err)}
+		plen, k := binary.Uvarint(body[off:])
+		if k == 0 {
+			return frames, &ReadError{Record: n, Err: fmt.Errorf("length prefix: %w", cutShort(readErr, false))}
+		}
+		if k < 0 {
+			return frames, &ReadError{Record: n, Err: errors.New("length prefix: varint overflows a 64-bit integer")}
 		}
 		if plen > maxPayload {
 			return frames, &ReadError{Record: n, Err: fmt.Errorf("payload length %d exceeds limit", plen)}
 		}
-		if uint64(cap(payload)) < plen {
-			payload = make([]byte, plen)
+		off += k
+		if uint64(len(body)-off) < plen {
+			return frames, &ReadError{Record: n, Err: fmt.Errorf("payload: %w", cutShort(readErr, false))}
 		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("payload: %w", err)}
+		payload := body[off : off+int(plen)]
+		off += int(plen)
+		if len(body)-off < 4 {
+			return frames, &ReadError{Record: n, Err: fmt.Errorf("crc: %w", cutShort(readErr, false))}
 		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("crc: %w", err)}
-		}
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
+		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(body[off:]); got != want {
 			return frames, &ReadError{Record: n, Err: fmt.Errorf("crc mismatch: computed %08x, stored %08x", got, want)}
 		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return frames, &ReadError{Record: n, Err: err}
+		off += 4
+		frames = append(frames, core.Frame{})
+		if err := d.decode(payload, &frames[len(frames)-1].Rec); err != nil {
+			return frames[:len(frames)-1], &ReadError{Record: n, Err: err}
 		}
-		line, err := AppendRecordLine(nil, rec)
-		if err != nil {
-			return frames, &ReadError{Record: n, Err: err}
-		}
-		frames = append(frames, core.Frame{Rec: rec, Line: line})
 	}
+}
+
+// countRecords counts the records in body whose framing is intact (a
+// length prefix within the limit, then that many payload bytes and a CRC),
+// stopping where the framing breaks, so that decodeRecords allocates its
+// frames once.
+func countRecords(body []byte) int {
+	n := 0
+	for off := 0; off < len(body); n++ {
+		plen, k := binary.Uvarint(body[off:])
+		if k <= 0 || plen > maxPayload || uint64(len(body)-off-k) < plen+4 {
+			break
+		}
+		off += k + int(plen) + 4
+	}
+	return n
 }

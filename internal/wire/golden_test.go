@@ -161,3 +161,20 @@ func TestGoldenFig4Binary(t *testing.T) {
 		t.Errorf("binary segment (%d bytes) not smaller than JSONL (%d bytes)", len(seg), len(want))
 	}
 }
+
+// fig4Segment is the Fig. 4 grid persisted as one binary segment, the
+// bytes a store commits for that campaign.
+func fig4Segment(tb testing.TB) []byte {
+	tb.Helper()
+	recs, err := fig4Records()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seg := wire.Header()
+	for _, rec := range recs {
+		if seg, err = wire.AppendBinaryRecord(seg, rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return seg
+}

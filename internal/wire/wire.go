@@ -266,17 +266,11 @@ var scratchPool = sync.Pool{
 // exact-size immutable allocation (the shared slice every subscriber and
 // the spool will hold); encoding scratch comes from a pool.
 func EncodeFrame(rec core.RunRecord) (core.Frame, error) {
-	bp := scratchPool.Get().(*[]byte)
-	b, err := AppendRecordLine((*bp)[:0], rec)
-	if err != nil {
-		scratchPool.Put(bp)
+	frame := [1]core.Frame{{Rec: rec}}
+	if _, err := renderLines(frame[:]); err != nil {
 		return core.Frame{}, err
 	}
-	line := make([]byte, len(b))
-	copy(line, b)
-	*bp = b[:0]
-	scratchPool.Put(bp)
-	return core.Frame{Rec: rec, Line: line}, nil
+	return frame[0], nil
 }
 
 // EncodeFrames renders a batch of records — a shard's worth — into frames
@@ -286,25 +280,45 @@ func EncodeFrames(recs []core.RunRecord) ([]core.Frame, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
+	frames := make([]core.Frame, len(recs))
+	for i, rec := range recs {
+		frames[i].Rec = rec
+	}
+	if _, err := renderLines(frames); err != nil {
+		return nil, err
+	}
+	return frames, nil
+}
+
+// renderLines renders each frame's Rec into its Line, the record's JSONL
+// line. This is the one render path for live shards (EncodeFrames) and
+// replayed segments (ReadSegment). The lines are rendered into pooled
+// scratch and then copied into one exact-size backing that every Line
+// sub-slices, capacity-capped so no Line can be appended into its
+// neighbour. On error it returns the index of the record that failed; the
+// frames before it are complete.
+func renderLines(frames []core.Frame) (int, error) {
 	bp := scratchPool.Get().(*[]byte)
 	b := (*bp)[:0]
-	offs := make([]int, len(recs)+1)
 	var err error
-	for i, rec := range recs {
-		if b, err = AppendRecordLine(b, rec); err != nil {
-			*bp = b[:0]
-			scratchPool.Put(bp)
-			return nil, err
+	n := 0
+	for ; n < len(frames); n++ {
+		start := len(b)
+		if b, err = AppendRecordLine(b, frames[n].Rec); err != nil {
+			break
 		}
-		offs[i+1] = len(b)
+		// Until the backing exists, Line only carries the line's length.
+		frames[n].Line = b[start:]
 	}
 	backing := make([]byte, len(b))
 	copy(backing, b)
 	*bp = b[:0]
 	scratchPool.Put(bp)
-	frames := make([]core.Frame, len(recs))
-	for i, rec := range recs {
-		frames[i] = core.Frame{Rec: rec, Line: backing[offs[i]:offs[i+1]:offs[i+1]]}
+	off := 0
+	for i := range frames[:n] {
+		end := off + len(frames[i].Line)
+		frames[i].Line = backing[off:end:end]
+		off = end
 	}
-	return frames, nil
+	return n, err
 }
