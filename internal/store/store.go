@@ -268,8 +268,8 @@ func (s *Store) manifestPath() string { return filepath.Join(s.opts.Dir, manifes
 func segName(fp string) string { return segPrefix + fp + segSuffix }
 
 // readSegmentFile reads a segment or checkpoint back into frames. The file
-// is read whole: a segment is a few KB, and a buffered reader would
-// allocate 64 KB for every hydration.
+// is read whole (a segment is a few KB) and handed over as a
+// *bytes.Buffer, which wire.ReadSegment decodes in place, without a copy.
 func readSegmentFile(path string) ([]core.Frame, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -282,13 +282,18 @@ func (e *ReadError) Unwrap() error { return e.Err }
 //
 // The input is decoded from one byte slice. A *bytes.Buffer's unread bytes
 // are decoded in place (the store hands whole segment files over this
-// way), a *bytes.Reader is copied once into a buffer of its Len(), and any
-// other reader (a peer's response body) is read to its end first; a read
-// error is reported as damage where the bytes run out.
+// way); any other reader (a peer's response body) is read to its end
+// first, and a read error is reported as damage where the bytes run out.
 func ReadSegment(r io.Reader) ([]core.Frame, error) {
-	data, readErr := hold(r)
+	var data []byte
+	var readErr error
+	if b, ok := r.(*bytes.Buffer); ok {
+		data = b.Next(b.Len())
+	} else {
+		data, readErr = io.ReadAll(r)
+	}
 	if len(data) < len(magic)+1 {
-		return nil, &ReadError{Record: 0, Err: fmt.Errorf("short header: %w", cutShort(readErr, len(data) == 0))}
+		return nil, &ReadError{Record: 0, Err: fmt.Errorf("short header: %w", truncated(readErr))}
 	}
 	if string(data[:len(magic)]) != magic {
 		return nil, &ReadError{Record: 0, Err: errors.New("not a binary segment")}
@@ -306,29 +311,11 @@ func ReadSegment(r io.Reader) ([]core.Frame, error) {
 	return frames, nil
 }
 
-// hold returns r's bytes as one slice, with the error that ended the
-// input early, if any.
-func hold(r io.Reader) ([]byte, error) {
-	switch r := r.(type) {
-	case *bytes.Buffer:
-		return r.Next(r.Len()), nil
-	case *bytes.Reader:
-		b := make([]byte, r.Len())
-		n, err := io.ReadFull(r, b)
-		return b[:n], err
-	}
-	return io.ReadAll(r)
-}
-
-// cutShort is the error for input that ends mid-structure: the read error
-// that ended it, else io.EOF when nothing at all was read, else
-// io.ErrUnexpectedEOF.
-func cutShort(readErr error, empty bool) error {
-	switch {
-	case readErr != nil:
+// truncated is the error for input that ends inside a header or record:
+// the read error that ended it, else io.ErrUnexpectedEOF.
+func truncated(readErr error) error {
+	if readErr != nil {
 		return readErr
-	case empty:
-		return io.EOF
 	}
 	return io.ErrUnexpectedEOF
 }
@@ -349,7 +336,7 @@ func decodeRecords(body []byte, readErr error) ([]core.Frame, *ReadError) {
 		}
 		plen, k := binary.Uvarint(body[off:])
 		if k == 0 {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("length prefix: %w", cutShort(readErr, false))}
+			return frames, &ReadError{Record: n, Err: fmt.Errorf("length prefix: %w", truncated(readErr))}
 		}
 		if k < 0 {
 			return frames, &ReadError{Record: n, Err: errors.New("length prefix: varint overflows a 64-bit integer")}
@@ -359,12 +346,12 @@ func decodeRecords(body []byte, readErr error) ([]core.Frame, *ReadError) {
 		}
 		off += k
 		if uint64(len(body)-off) < plen {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("payload: %w", cutShort(readErr, false))}
+			return frames, &ReadError{Record: n, Err: fmt.Errorf("payload: %w", truncated(readErr))}
 		}
 		payload := body[off : off+int(plen)]
 		off += int(plen)
 		if len(body)-off < 4 {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("crc: %w", cutShort(readErr, false))}
+			return frames, &ReadError{Record: n, Err: fmt.Errorf("crc: %w", truncated(readErr))}
 		}
 		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(body[off:]); got != want {
 			return frames, &ReadError{Record: n, Err: fmt.Errorf("crc mismatch: computed %08x, stored %08x", got, want)}

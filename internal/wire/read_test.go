@@ -8,8 +8,11 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -59,10 +62,12 @@ func TestReadSegmentMatchesEncodeFrames(t *testing.T) {
 // TestReadSegmentEveryTruncation cuts the Fig. 4 segment at every byte
 // offset: the frames that come back are exactly the records wholly before
 // the cut, with the full read's lines, and only a cut on a record boundary
-// reads clean.
+// reads clean. Each cut is read in place from a *bytes.Buffer, as the store
+// reads, and through a stream that fails there, as a severed peer body
+// does; the stream's error must surface as the damage.
 func TestReadSegmentEveryTruncation(t *testing.T) {
 	seg := fig4Segment(t)
-	full, err := wire.ReadSegment(bytes.NewReader(seg))
+	full, err := wire.ReadSegment(bytes.NewBuffer(seg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,25 +81,37 @@ func TestReadSegmentEveryTruncation(t *testing.T) {
 	if len(ends) != len(full) {
 		t.Fatalf("segment frames %d records, read returned %d", len(ends), len(full))
 	}
+	severed := errors.New("connection reset")
 	whole := 0 // records wholly before the cut
 	for cut := 0; cut <= len(seg); cut++ {
 		for whole < len(ends) && ends[whole] <= cut {
 			whole++
 		}
-		frames, err := wire.ReadSegment(bytes.NewReader(seg[:cut]))
 		clean := cut == len(wire.Header()) || (whole > 0 && ends[whole-1] == cut)
+		damaged := whole + 1 // the record the cut falls in, or the next
+		if cut < len(wire.Header()) {
+			damaged = 0
+		}
+		inPlace, err := wire.ReadSegment(bytes.NewBuffer(seg[:cut]))
 		if (err == nil) != clean {
 			t.Fatalf("cut at %d: err = %v, want clean read %v", cut, err, clean)
 		}
-		if len(frames) != whole {
-			t.Fatalf("cut at %d: %d frames, want %d", cut, len(frames), whole)
+		stream, serr := wire.ReadSegment(io.MultiReader(bytes.NewReader(seg[:cut]), iotest.ErrReader(severed)))
+		var re *wire.ReadError
+		if !errors.Is(serr, severed) || !errors.As(serr, &re) || re.Record != damaged {
+			t.Fatalf("cut at %d, stream severed: err = %v, want a record-%d ReadError wrapping %v", cut, serr, damaged, severed)
 		}
-		for i, f := range frames {
-			if !bytes.Equal(f.Line, full[i].Line) {
-				t.Fatalf("cut at %d: frame %d line differs from the full read", cut, i)
+		for _, frames := range [][]core.Frame{inPlace, stream} {
+			if len(frames) != whole {
+				t.Fatalf("cut at %d: %d frames, want %d", cut, len(frames), whole)
 			}
+			for i, f := range frames {
+				if !bytes.Equal(f.Line, full[i].Line) {
+					t.Fatalf("cut at %d: frame %d line differs from the full read", cut, i)
+				}
+			}
+			checkLines(t, frames)
 		}
-		checkLines(t, frames)
 	}
 }
 

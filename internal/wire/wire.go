@@ -11,9 +11,11 @@
 // and spool file shares — only works if the rendered bytes are exactly
 // what encoding/json would have produced; the golden and equivalence tests
 // in this package pin that, field by field, including encoding/json's
-// float formatting and HTML-escaping quirks. The same encoder re-renders
-// every stored segment on replay, so it is also what keeps a replayed
-// stream byte-identical to the live one.
+// float formatting and HTML-escaping quirks. Replayed and live frames
+// share one render path: ReadSegment decodes a stored segment and renders
+// its lines through the same helper as EncodeFrames (one exact-size
+// backing per batch), so a replayed stream is byte-identical to the live
+// one and costs about what the live render did.
 package wire
 
 import (
