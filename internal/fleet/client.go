@@ -407,7 +407,9 @@ func (c *Client) fetchFrom(ctx context.Context, p Peer, fp string) (seg *Segment
 		// chaos plans can stall or sever an adoption mid-flight.
 		return fail(true, fmt.Errorf("segment body: %w", err))
 	}
-	frames, err := wire.ReadSegment(resp.Body)
+	// ReadSegment holds the whole body, so cap it at the most the
+	// advertised record count can take.
+	frames, err := wire.ReadSegment(io.LimitReader(resp.Body, wire.MaxSegmentSize(want)))
 	if err != nil {
 		// CRC mismatch, damaged framing or a dropped connection: the
 		// salvaged prefix is worthless here — a replica must be whole.

@@ -173,6 +173,34 @@ func TestFetchRejectsCorruptSegment(t *testing.T) {
 	}
 }
 
+func TestFetchBoundsOversizedBody(t *testing.T) {
+	// A peer that advertises one record and then streams without end must
+	// be cut off at the most one record can take, not read until the
+	// attempt's deadline.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderRing, r.Header.Get(HeaderRing))
+		w.Header().Set(HeaderMeta, base64.StdEncoding.EncodeToString([]byte(testMeta)))
+		w.Header().Set(HeaderRecords, "1")
+		w.Write(wire.Header())
+		junk := make([]byte, 32<<10)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(junk); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+	c := newTestClient(t, Options{AttemptsPerPeer: 1, Timeout: time.Minute}, ts)
+	start := time.Now()
+	_, err := c.Fetch(context.Background(), "00000000000000de")
+	if err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("err = %v, want a damaged-segment failure", err)
+	}
+	if d := time.Since(start); d > 20*time.Second {
+		t.Fatalf("oversized body took %v to refuse, want well under the %v timeout", d, time.Minute)
+	}
+}
+
 func TestFetchRingMismatchAborts(t *testing.T) {
 	for name, handler := range map[string]http.HandlerFunc{
 		"409": func(w http.ResponseWriter, r *http.Request) {

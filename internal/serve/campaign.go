@@ -154,15 +154,6 @@ func (c *Campaign) Frames(batch []core.Frame) error {
 
 var _ core.Sink = (*Campaign)(nil)
 
-// reserve sizes the record buffer for n records before any arrive.
-func (c *Campaign) reserve(n int) {
-	c.mu.Lock()
-	if n > cap(c.frames) {
-		c.frames = append(make([]core.Frame, 0, n), c.frames...)
-	}
-	c.mu.Unlock()
-}
-
 // setRunning marks the campaign live.
 func (c *Campaign) setRunning() {
 	c.mu.Lock()

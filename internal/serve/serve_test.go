@@ -139,22 +139,6 @@ func TestStreamMatchesBatchAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRecordBufferPresized: an exhaustive grid's record buffer is sized
-// once, before the first shard lands, to exactly the grid's run count.
-func TestRecordBufferPresized(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	spec := testSpec(4)
-	sr := submit(t, ts, spec, http.StatusAccepted)
-	streamBytes(t, ts, sr.ID)
-	c := s.lookup(sr.ID)
-	c.mu.Lock()
-	n, capacity := len(c.frames), cap(c.frames)
-	c.mu.Unlock()
-	if want := expectedRecords(spec); n != want || capacity != want {
-		t.Errorf("record buffer len %d cap %d, want both %d", n, capacity, want)
-	}
-}
-
 // TestCacheHit pins the characterization cache: an identical resubmission
 // is served from the buffer without re-running the grid, and replays the
 // same bytes.

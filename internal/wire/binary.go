@@ -49,6 +49,23 @@ const (
 // leaves three orders of magnitude of headroom.
 const maxPayload = 1 << 20
 
+// MaxSegmentSize is the most bytes a well-formed segment of n records can
+// take: the header, then n records of at most maxPayload bytes, each behind
+// its length prefix and ahead of its CRC. A reader of a stream that
+// advertises its record count bounds the stream by it, so a misbehaving
+// sender cannot make ReadSegment hold more.
+func MaxSegmentSize(n int) int64 {
+	const head = int64(len(magic) + 1)
+	const perRecord = binary.MaxVarintLen64 + maxPayload + 4
+	if n <= 0 {
+		return head
+	}
+	if int64(n) > (math.MaxInt64-head)/perRecord {
+		return math.MaxInt64
+	}
+	return head + int64(n)*perRecord
+}
+
 // Header returns the binary segment header a writer must emit before the
 // first record.
 func Header() []byte {
@@ -284,6 +301,7 @@ func (e *ReadError) Unwrap() error { return e.Err }
 // are decoded in place (the store hands whole segment files over this
 // way); any other reader (a peer's response body) is read to its end
 // first, and a read error is reported as damage where the bytes run out.
+// A caller reading an untrusted stream bounds it first (MaxSegmentSize).
 func ReadSegment(r io.Reader) ([]core.Frame, error) {
 	var data []byte
 	var readErr error

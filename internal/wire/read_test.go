@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 	"testing/iotest"
@@ -135,6 +136,22 @@ func TestReadSegmentAllocs(t *testing.T) {
 	t.Logf("ReadSegment: %.1f allocs per Fig. 4 segment", allocs)
 	if allocs > bound {
 		t.Errorf("ReadSegment allocates %.1f objects per Fig. 4 segment, want <= %d", allocs, bound)
+	}
+}
+
+// TestMaxSegmentSize: the Fig. 4 segment fits the bound for its record
+// count, and the bound saturates rather than overflowing on an absurd
+// count.
+func TestMaxSegmentSize(t *testing.T) {
+	seg := fig4Segment(t)
+	if bound := wire.MaxSegmentSize(100); int64(len(seg)) > bound {
+		t.Errorf("Fig. 4 segment is %d bytes, over MaxSegmentSize(100) = %d", len(seg), bound)
+	}
+	if got := wire.MaxSegmentSize(0); got != int64(len(wire.Header())) {
+		t.Errorf("MaxSegmentSize(0) = %d, want the header's %d bytes", got, len(wire.Header()))
+	}
+	if got := wire.MaxSegmentSize(math.MaxInt); got != math.MaxInt64 {
+		t.Errorf("MaxSegmentSize(MaxInt) = %d, want saturation at MaxInt64", got)
 	}
 }
 
