@@ -154,6 +154,22 @@ func (c *Campaign) Frames(batch []core.Frame) error {
 
 var _ core.Sink = (*Campaign)(nil)
 
+// maxReserve caps how many records reserve sizes a buffer for. A grid's
+// run count grows with the client's repetitions, so a larger grid gets
+// this much up front and appends the rest as its records arrive.
+const maxReserve = 4096
+
+// reserve sizes the record buffer for n records, at most maxReserve,
+// before any arrive.
+func (c *Campaign) reserve(n int) {
+	n = min(n, maxReserve)
+	c.mu.Lock()
+	if n > cap(c.frames) {
+		c.frames = append(make([]core.Frame, 0, n), c.frames...)
+	}
+	c.mu.Unlock()
+}
+
 // setRunning marks the campaign live.
 func (c *Campaign) setRunning() {
 	c.mu.Lock()

@@ -440,11 +440,21 @@ func (s *Server) execute(c *Campaign) {
 	if s.gate != nil {
 		<-s.gate
 	}
+	// An exhaustive grid's run count is known up front: size the record
+	// buffer once (up to maxReserve) rather than growing it shard by shard
+	// under the lock. Adaptive schedules keep appending.
+	var grid *campaign.Grid
+	if c.spec.Strategy != StrategyAdaptive {
+		if g, err := c.spec.Grid(); err == nil {
+			grid = &g
+			c.reserve(gridRuns(g))
+		}
+	}
 	var sink core.Sink = c
 	var tee *storeTee
 	var resume []core.RunRecord
 	if s.store != nil {
-		ck := s.checkpointFrames(c)
+		ck := s.checkpointFrames(c, grid)
 		var w *store.Writer
 		var werr error
 		if len(ck) > 0 {
@@ -534,31 +544,32 @@ func errString(err error) string {
 }
 
 // checkpointFrames returns the resumable prefix of a crash checkpoint for
-// this campaign, or nil. Only exhaustive grids resume — an adaptive
-// schedule's shard list depends on earlier results, so its checkpoint
-// cannot be mapped back onto cells. The prefix is trimmed to whole cells
-// (the engine's resume unit) and capped at the grid's total; a torn tail
-// inside a cell re-runs rather than splices.
-func (s *Server) checkpointFrames(c *Campaign) []core.Frame {
-	if s.store == nil || c.spec.Strategy == StrategyAdaptive {
+// this campaign, or nil. Only exhaustive grids resume (grid is nil for an
+// adaptive schedule, whose shard list depends on earlier results, so its
+// checkpoint cannot be mapped back onto cells). The prefix is trimmed to
+// whole cells (the engine's resume unit) and capped at the grid's total; a
+// torn tail inside a cell re-runs rather than splices.
+func (s *Server) checkpointFrames(c *Campaign, grid *campaign.Grid) []core.Frame {
+	if s.store == nil || grid == nil {
 		return nil
 	}
 	ck := s.store.Checkpoint(c.fingerprint)
 	if len(ck) == 0 {
 		return nil
 	}
-	grid, err := c.spec.Grid()
-	if err != nil {
-		return nil
-	}
+	total := gridRuns(*grid)
 	perCell := max(grid.Boards, 1) * grid.Repetitions
-	total := len(grid.Benches) * len(grid.Setups) * perCell
 	usable := min(len(ck), total)
 	usable = usable / perCell * perCell
 	if usable == 0 {
 		return nil
 	}
 	return ck[:usable]
+}
+
+// gridRuns is the number of runs, and so of records, in an exhaustive grid.
+func gridRuns(g campaign.Grid) int {
+	return len(g.Benches) * len(g.Setups) * max(g.Boards, 1) * g.Repetitions
 }
 
 // recordsOfFrames projects checkpoint frames onto the decoded records the

@@ -139,6 +139,39 @@ func TestStreamMatchesBatchAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRecordBufferPresized: an exhaustive grid's record buffer is sized
+// once, before the first shard lands, to exactly the grid's run count.
+func TestRecordBufferPresized(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	spec := testSpec(4)
+	sr := submit(t, ts, spec, http.StatusAccepted)
+	streamBytes(t, ts, sr.ID)
+	c := s.lookup(sr.ID)
+	c.mu.Lock()
+	n, capacity := len(c.frames), cap(c.frames)
+	c.mu.Unlock()
+	if want := expectedRecords(spec); n != want || capacity != want {
+		t.Errorf("record buffer len %d cap %d, want both %d", n, capacity, want)
+	}
+}
+
+// TestRecordBufferReserveBounded: the repetition count is the client's, so
+// a grid larger than maxReserve reserves only maxReserve records up front
+// and appends the rest as they arrive.
+func TestRecordBufferReserveBounded(t *testing.T) {
+	spec := testSpec(1)
+	spec.Repetitions = 20000
+	g, err := spec.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Campaign{}
+	c.reserve(gridRuns(g))
+	if got := cap(c.frames); got != maxReserve {
+		t.Errorf("a %d-run grid reserved %d records, want %d", gridRuns(g), got, maxReserve)
+	}
+}
+
 // TestCacheHit pins the characterization cache: an identical resubmission
 // is served from the buffer without re-running the grid, and replays the
 // same bytes.
