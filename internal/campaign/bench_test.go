@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/silicon"
+	"repro/internal/simcache"
 	"repro/internal/workloads"
 )
 
@@ -52,6 +54,28 @@ func BenchmarkRunGridFig4(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunGrid(Config{Workers: workers, Seed: uint64(i + 2), Sink: discardSink{}}, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRunGridFig4Cold prices the first Fig. 4 campaign of a fresh
+// process: every iteration empties the simulate memo and both fab pools,
+// then runs the grid, so each pays ten counter simulations, the board's
+// fabrication and the runs. At one worker the simulations run one after
+// another; at GOMAXPROCS the cold phase spreads them over the workers.
+func BenchmarkRunGridFig4Cold(b *testing.B) {
+	g := fig4Grid()
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				simcache.CountersReset()
+				silicon.FabReset()
+				dram.FabReset()
+				if _, err := RunGrid(Config{Workers: workers, Seed: uint64(i + 1), Sink: discardSink{}}, g); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -36,6 +36,20 @@
 // and the DRAM weak-cell population) is amortized even further: it lives in
 // process-wide fab pools inside internal/silicon and internal/dram, shared
 // by every campaign, shard and daemon submission in the process.
+//
+// Records are handed over once: every framework of a shard appends the
+// records it returns to one slice the shard owns (sized from
+// Shard.Expected when the shard declares it), and that slice is the
+// shard's Result.Records. Frameworks keep no records themselves.
+//
+// A grid has a cold phase. Each workload's performance counters come from
+// one ~10 ms cache simulation, memoized process-wide and single-flight,
+// and grid shards run benchmark-major, so on a cold memo the workers'
+// first shards share a workload and wait on each other's simulation.
+// Before its first shard RunGrid therefore simulates the grid's workloads
+// that are not memoized yet, side by side across its workers. It does so
+// only when at least two workloads are cold and there are two workers; a
+// warm campaign asks the memo once per benchmark and starts no goroutine.
 package campaign
 
 import (
@@ -148,8 +162,9 @@ type Ctx struct {
 	Seed uint64
 	// Server is the shard's simulated board (board 0 of the fleet).
 	Server *xgene.Server
-	// Framework is a fresh characterization framework over Server; its
-	// records and simulated clock feed the shard's bookkeeping.
+	// Framework is a fresh characterization framework over Server; the
+	// records it returns land in the shard's record slice, and its
+	// simulated clock feeds the shard's bookkeeping.
 	Framework *core.Framework
 	// Boards is the shard's fleet size (Shard.Boards normalized to >= 1).
 	// Server/Framework are board 0; the rest come from FleetBoard.
@@ -160,6 +175,10 @@ type Ctx struct {
 	pool     *boardPool
 	fleet    []fleetBoard
 	planned  int
+	// records is the shard's one record slice: every board's framework
+	// appends to it, so it is the shard's Result.Records in execution
+	// order.
+	records []core.RunRecord
 }
 
 // FleetBoard returns the i-th board of the shard's fleet and its framework,
@@ -167,7 +186,8 @@ type Ctx struct {
 // boards above 0 are distinct chips of the same corner, fabricated from
 // FleetBoardSeed-derived seeds and drawn from the campaign's shared board
 // pool (unless the shard asked for Fresh boards). Frameworks are per-shard:
-// the records a fleet board accumulates here feed this shard's Result only.
+// the records a fleet board's framework returns here feed this shard's
+// Result only.
 func (c *Ctx) FleetBoard(i int) (*xgene.Server, *core.Framework, error) {
 	// Errors carry the board context only; the shard prefix is applied
 	// once by the engine when the error surfaces from Shard.Run.
@@ -201,6 +221,7 @@ func (c *Ctx) FleetBoard(i int) (*xgene.Server, *core.Framework, error) {
 		// pool re-fabricate rather than pooling it half-initialized.
 		return nil, nil, fmt.Errorf("fleet board %d: %w", i, err)
 	}
+	fw.AppendTo(&c.records)
 	c.fleet[i] = fleetBoard{srv: srv, key: key, fw: fw}
 	return srv, fw, nil
 }
@@ -230,14 +251,15 @@ type Shard[T any] struct {
 	// of the same corner: board 0 keeps Board.Seed's population (so a
 	// one-board fleet is exactly the classic shard) and boards 1..N-1
 	// fabricate chips from FleetBoardSeed-derived seeds. The shard reaches
-	// them through Ctx.FleetBoard; their records concatenate into the
-	// shard's Result in board order.
+	// them through Ctx.FleetBoard; their records join the shard's Result
+	// in execution order.
 	Boards int
 	// Expected, when positive, declares exactly how many records this
 	// shard emits on a clean run. Deterministic exhaustive shards (grid
 	// cells) know this up front; declaring it is what lets Config.Resume
-	// map recovered records back onto shard boundaries. Zero means
-	// unknown, which excludes the shard from resume.
+	// map recovered records back onto shard boundaries, and it sizes the
+	// shard's record slice once. Zero means unknown, which excludes the
+	// shard from resume.
 	Expected int
 	// Run executes the shard.
 	Run func(ctx *Ctx) (T, error)
@@ -662,8 +684,8 @@ func Run[T any](cfg Config, shards []Shard[T]) (*Report[T], error) {
 
 // runShard executes one shard on the calling worker, checking its fleet's
 // boards out of the shared pool (or fabricating them) and wrapping each
-// with a fresh framework; the boards return to the pool when the shard is
-// done.
+// with a fresh framework that appends into the shard's record slice; the
+// boards return to the pool when the shard is done.
 func runShard[T any](cfg Config, idx int, sh Shard[T], pool *boardPool) Result[T] {
 	res := Result[T]{Name: sh.Name, Index: idx}
 	boardSeed := sh.Board.Seed
@@ -685,6 +707,9 @@ func runShard[T any](cfg Config, idx int, sh Shard[T], pool *boardPool) Result[T
 		pool:         pool,
 		fleet:        make([]fleetBoard, fleet),
 	}
+	if sh.Expected > 0 {
+		ctx.records = make([]core.RunRecord, 0, sh.Expected)
+	}
 	var err error
 	// Board 0 is fabricated eagerly so Ctx.Server/Framework are always
 	// usable, exactly as for pre-fleet shards.
@@ -698,21 +723,15 @@ func runShard[T any](cfg Config, idx int, sh Shard[T], pool *boardPool) Result[T
 	if err != nil {
 		res.Err = fmt.Errorf("campaign: shard %s: %w", sh.Name, err)
 	}
-	// The shard's records are its fleet's frameworks concatenated in board
-	// order (each board's records in its own execution order) — a pure
-	// function of the shard, so the stream stays worker-count independent.
+	// The shard's records are every run its fleet executed, in execution
+	// order — a pure function of the shard, so the stream stays
+	// worker-count independent.
+	res.Records = ctx.records
 	var elapsed time.Duration
 	for _, fb := range ctx.fleet {
-		fw := fb.fw
-		if fw == nil {
-			continue
+		if fb.fw != nil {
+			elapsed += fb.fw.Elapsed()
 		}
-		if res.Records == nil {
-			res.Records = fw.Records() // already a copy: take it whole
-		} else {
-			res.Records = append(res.Records, fw.Records()...)
-		}
-		elapsed += fw.Elapsed()
 	}
 	res.Stats = statsOf(res.Records, elapsed, ctx.planned)
 	// Return the fleet to the pool for the next shard that wants these

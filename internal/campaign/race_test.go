@@ -73,10 +73,11 @@ func TestRaceFigureShards(t *testing.T) {
 				cfg := core.DefaultVminConfig(bench, core.NominalSetup(ctx.Server.Chip().WeakestCore()))
 				cfg.Repetitions = 1
 				cfg.Seed = ctx.Seed
-				if _, err := ctx.Framework.VminSearch(cfg); err != nil {
+				res, err := ctx.Framework.VminSearch(cfg)
+				if err != nil {
 					return 0, err
 				}
-				return len(ctx.Framework.Records()), nil
+				return len(res.Records), nil
 			},
 		}
 	}

@@ -138,8 +138,8 @@ type Framework struct {
 	WatchdogTimeout time.Duration
 	// clock accumulates simulated campaign time.
 	elapsed time.Duration
-	// records accumulates every run for the parsing phase.
-	records []RunRecord
+	// out, when set, receives every record the framework returns.
+	out *[]RunRecord
 }
 
 // NewFramework wraps a target with the default watchdog policy.
@@ -156,10 +156,20 @@ func NewFramework(t Target) (*Framework, error) {
 // Elapsed returns the total simulated campaign time so far.
 func (f *Framework) Elapsed() time.Duration { return f.elapsed }
 
-// Records returns all runs logged so far (the raw data of the parsing
-// phase). The returned slice is a copy.
-func (f *Framework) Records() []RunRecord {
-	return append([]RunRecord(nil), f.records...)
+// AppendTo hands every record ExecuteRun and ExecuteRunMulti return to
+// *dst as well, appended in execution order. The framework keeps no
+// records of its own: the caller owns the slice (the campaign engine
+// points every board of a shard at the shard's one record slice). Nil
+// stops the hand-off.
+func (f *Framework) AppendTo(dst *[]RunRecord) { f.out = dst }
+
+// logRun accounts a finished run's simulated time and hands the record
+// to the AppendTo slice, if any.
+func (f *Framework) logRun(rec RunRecord) {
+	f.elapsed += rec.SimTime
+	if f.out != nil {
+		*f.out = append(*f.out, rec)
+	}
 }
 
 // ExecuteRun performs one run of a benchmark under a setup, handling hang
@@ -203,14 +213,12 @@ func (f *Framework) ExecuteRun(bench workloads.Profile, setup Setup, rep int, se
 		rec.SimTime += f.target.Reboot()
 		rec.Recovered = true
 	}
-	f.elapsed += rec.SimTime
-	f.records = append(f.records, rec)
+	f.logRun(rec)
 	return rec, nil
 }
 
 // Campaign runs every benchmark at every setup, repetitions times each,
-// and returns the records it produced (they are also retained for
-// Framework.Records).
+// and returns the records it produced.
 func (f *Framework) Campaign(benches []workloads.Profile, setups []Setup, repetitions int, seed uint64) ([]RunRecord, error) {
 	if len(benches) == 0 || len(setups) == 0 {
 		return nil, errors.New("core: campaign needs benchmarks and setups")

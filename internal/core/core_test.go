@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -65,6 +66,8 @@ func TestSetupValidateAndApply(t *testing.T) {
 func TestExecuteRunCleanAtNominal(t *testing.T) {
 	fw, _ := newFramework(t, silicon.TTT, 1)
 	p, _ := workloads.ByName("milc")
+	var logged []RunRecord
+	fw.AppendTo(&logged)
 	rec, err := fw.ExecuteRun(p, NominalSetup(silicon.AllCores()...), 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +81,8 @@ func TestExecuteRunCleanAtNominal(t *testing.T) {
 	if fw.Elapsed() != rec.SimTime {
 		t.Error("elapsed time not accumulated")
 	}
-	if len(fw.Records()) != 1 {
-		t.Error("record not retained")
+	if len(logged) != 1 || !reflect.DeepEqual(logged[0], rec) {
+		t.Errorf("AppendTo slice holds %+v, want the one returned record", logged)
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 func TestJSONLSinkRoundTrip(t *testing.T) {
 	fw, _ := newFramework(t, silicon.TTT, 1)
 
+	var live []RunRecord
+	fw.AppendTo(&live)
 	p, _ := workloads.ByName("milc")
 	setup := NominalSetup(silicon.AllCores()...)
 	for rep := 0; rep < 3; rep++ {
@@ -31,7 +33,6 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 
 	// The spool is what encoding/json writes per record: the bytes every
 	// JSONL sink carries (internal/wire pins its frames against it).
-	live := fw.Records()
 	var spool bytes.Buffer
 	enc := json.NewEncoder(&spool)
 	for _, rec := range live {

@@ -62,8 +62,7 @@ func (f *Framework) ExecuteRunMulti(assignments []xgene.Assignment, setup Setup,
 		rec.SimTime += f.target.Reboot()
 		rec.Recovered = true
 	}
-	f.elapsed += rec.SimTime
-	f.records = append(f.records, rec)
+	f.logRun(rec)
 	return rec, nil
 }
 

@@ -440,12 +440,15 @@ func (s *Server) execute(c *Campaign) {
 	if s.gate != nil {
 		<-s.gate
 	}
-	// An exhaustive grid's run count is known up front: size the record
-	// buffer once (up to maxReserve) rather than growing it shard by shard
-	// under the lock. Adaptive schedules keep appending.
+	// An exhaustive grid is built once, here, for the engine, the
+	// checkpoint and the record buffer: its run count is known up front,
+	// so the buffer is sized once (up to maxReserve) rather than grown
+	// shard by shard under the lock. Adaptive schedules keep appending.
 	var grid *campaign.Grid
+	var gridErr error
 	if c.spec.Strategy != StrategyAdaptive {
-		if g, err := c.spec.Grid(); err == nil {
+		var g campaign.Grid
+		if g, gridErr = c.spec.Grid(); gridErr == nil {
 			grid = &g
 			c.reserve(gridRuns(g))
 		}
@@ -491,7 +494,10 @@ func (s *Server) execute(c *Campaign) {
 				"runs_saved", len(ck)}, c.tenant)...)
 		}
 	}
-	stats, workers, err := s.runEngine(c, sink, resume)
+	stats, workers, err := campaign.Stats{}, 0, gridErr
+	if err == nil {
+		stats, workers, err = s.runEngine(c, grid, sink, resume)
+	}
 	if tee != nil {
 		// Persist before the campaign turns terminal, so "stream ended" /
 		// "drain returned" imply "segment durable". Only complete,
@@ -583,9 +589,10 @@ func recordsOfFrames(frames []core.Frame) []core.RunRecord {
 }
 
 // runEngine dispatches to the spec's scheduler and normalizes the
-// (stats, workers, error) triple. resume, when non-empty, is the
+// (stats, workers, error) triple. grid is the exhaustive spec's built
+// grid, nil for an adaptive spec. resume, when non-empty, is the
 // checkpoint-restored record prefix (exhaustive grids only).
-func (s *Server) runEngine(c *Campaign, sink core.Sink, resume []core.RunRecord) (campaign.Stats, int, error) {
+func (s *Server) runEngine(c *Campaign, grid *campaign.Grid, sink core.Sink, resume []core.RunRecord) (campaign.Stats, int, error) {
 	cfg := campaign.Config{
 		Workers: c.spec.Workers,
 		Seed:    c.spec.Seed,
@@ -593,8 +600,7 @@ func (s *Server) runEngine(c *Campaign, sink core.Sink, resume []core.RunRecord)
 		Context: s.ctx,
 		Resume:  resume,
 	}
-	// Submit stores the defaulted spec, so Strategy is already resolved.
-	if c.spec.Strategy == StrategyAdaptive {
+	if grid == nil {
 		sched, err := c.spec.Schedule()
 		if err != nil {
 			return campaign.Stats{}, 0, err
@@ -607,12 +613,8 @@ func (s *Server) runEngine(c *Campaign, sink core.Sink, resume []core.RunRecord)
 		s.metrics.observeEngine(rep.Stats, rep.Tally)
 		return rep.Stats, rep.Workers, err
 	}
-	grid, err := c.spec.Grid()
-	if err != nil {
-		return campaign.Stats{}, 0, err
-	}
 	s.metrics.campaignsRun.Inc()
-	rep, err := campaign.RunGrid(cfg, grid)
+	rep, err := campaign.RunGrid(cfg, *grid)
 	if rep == nil {
 		return campaign.Stats{}, 0, err
 	}

@@ -30,18 +30,36 @@ var counters = NewMemo[countersKey, microarch.Counters](countersCap)
 // submission characterizing the same workload shares one simulation — a
 // Vmin descent that visits 30 voltage levels simulates once, not 30 times.
 func Counters(mix isa.Mix, spec microarch.StreamSpec, nInstr int, seed uint64) (microarch.Counters, error) {
-	key := countersKey{spec: spec, nInstr: nInstr, seed: seed}
-	for c, f := range mix {
-		if !c.Valid() {
-			// Let Simulate produce its canonical validation error rather
-			// than indexing out of range (and never memoize bad input).
-			return microarch.Simulate(mix, spec, nInstr, seed)
-		}
-		key.mix[int(c)-int(isa.NOP)] = f
+	key, ok := keyOf(mix, spec, nInstr, seed)
+	if !ok {
+		// Let Simulate produce its canonical validation error rather
+		// than indexing out of range (and never memoize bad input).
+		return microarch.Simulate(mix, spec, nInstr, seed)
 	}
 	return counters.Get(key, func() (microarch.Counters, error) {
 		return microarch.Simulate(mix, spec, nInstr, seed)
 	})
+}
+
+// CountersCached reports whether Counters of these inputs is memoized or
+// in flight, without counting a hit or a miss. Inputs Counters would not
+// memoize report false.
+func CountersCached(mix isa.Mix, spec microarch.StreamSpec, nInstr int, seed uint64) bool {
+	key, ok := keyOf(mix, spec, nInstr, seed)
+	return ok && counters.Has(key)
+}
+
+// keyOf canonicalizes Simulate's inputs; ok is false when the mix names a
+// class outside the instruction set.
+func keyOf(mix isa.Mix, spec microarch.StreamSpec, nInstr int, seed uint64) (key countersKey, ok bool) {
+	key = countersKey{spec: spec, nInstr: nInstr, seed: seed}
+	for c, f := range mix {
+		if !c.Valid() {
+			return countersKey{}, false
+		}
+		key.mix[int(c)-int(isa.NOP)] = f
+	}
+	return key, true
 }
 
 // CountersStats exposes the simulate memo's traffic for tests, benchmarks

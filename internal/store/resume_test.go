@@ -440,3 +440,74 @@ func TestFaultInjectedDirSyncError(t *testing.T) {
 		t.Errorf("unclaimed segment not in quarantine: %v", err)
 	}
 }
+
+// TestCheckpointSetFollowsDisk: the checkpoints recovery finds at Open
+// are the ones Checkpoint returns; a commit removes both the file and the
+// set entry, and Stats().Checkpoints follows each step. A checkpoint file
+// that appears after Open is not consulted: the set answers alone.
+func TestCheckpointSetFollowsDisk(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashWriter(t, s, "deadbeef", "mcf", 3)
+	crashWriter(t, s, "cafe", "gcc", 2)
+	s.Close()
+
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.Stats(); st.Checkpoints != 2 {
+		t.Fatalf("stats = %+v, want 2 checkpoints", st)
+	}
+	if ck := s2.Checkpoint("deadbeef"); len(ck) != 3 {
+		t.Fatalf("salvaged checkpoint holds %d frames, want 3", len(ck))
+	}
+
+	raw, err := os.ReadFile(s2.checkpointPath("deadbeef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := s2.checkpointPath("f00d")
+	if err := os.WriteFile(late, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ck := s2.Checkpoint("f00d"); ck != nil {
+		t.Errorf("checkpoint written after Open returned %d frames, want none", len(ck))
+	}
+	s2.ClearCheckpoint("f00d")
+	if _, err := os.Stat(late); err != nil {
+		t.Errorf("ClearCheckpoint touched a fingerprint outside the set: %v", err)
+	}
+
+	w, err := s2.Begin("deadbeef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Frames([]core.Frame{{Rec: testRecords("mcf", 1)[0]}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(s2.checkpointPath("deadbeef")); !os.IsNotExist(err) {
+		t.Errorf("commit left the checkpoint file (stat err %v)", err)
+	}
+	if s2.hasCheckpoint("deadbeef") {
+		t.Error("commit left the fingerprint in the checkpoint set")
+	}
+	if st := s2.Stats(); st.Checkpoints != 1 {
+		t.Errorf("stats after commit = %+v, want 1 checkpoint", st)
+	}
+
+	s2.ClearCheckpoint("cafe")
+	if _, err := os.Stat(s2.checkpointPath("cafe")); !os.IsNotExist(err) {
+		t.Errorf("ClearCheckpoint left the file (stat err %v)", err)
+	}
+	if st := s2.Stats(); st.Checkpoints != 0 {
+		t.Errorf("stats after clear = %+v, want 0 checkpoints", st)
+	}
+}

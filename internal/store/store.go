@@ -197,14 +197,21 @@ type Store struct {
 	// entries, and quarantine bytes with the quarantine/ directory.
 	m *metrics
 
-	mu          sync.Mutex
-	manifest    *os.File
-	bw          *bufio.Writer
-	entries     map[string]*Entry
-	lru         *list.List // of *Entry, least recently used at the front
-	intents     []Intent   // pending begins, submission order
-	ops         int        // journal lines since the last rewrite
-	checkpoints int
+	// dir is the store directory, held open from Open to Close for the
+	// directory fsyncs that make renames durable.
+	dir *os.File
+
+	mu       sync.Mutex
+	manifest *os.File
+	bw       *bufio.Writer
+	entries  map[string]*Entry
+	lru      *list.List // of *Entry, least recently used at the front
+	intents  []Intent   // pending begins, submission order
+	ops      int        // journal lines since the last rewrite
+	// checkpoints is the set of fingerprints with a ckpt-<fp> file. Only
+	// recovery at Open writes checkpoints, so a fingerprint outside the
+	// set has none and Checkpoint/ClearCheckpoint need not ask the disk.
+	checkpoints map[string]struct{}
 	quarFiles   int
 	closed      bool
 }
@@ -221,19 +228,35 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(opts.Dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", opts.Dir, err)
 	}
-	s := &Store{opts: opts, m: newMetrics(), entries: make(map[string]*Entry), lru: list.New()}
+	dir, err := os.Open(opts.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", opts.Dir, err)
+	}
+	s := &Store{
+		opts: opts, m: newMetrics(), dir: dir,
+		entries: make(map[string]*Entry), lru: list.New(), checkpoints: make(map[string]struct{}),
+	}
+	if err := s.recover(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// recover is Open's crash recovery, up to an open, compacted journal.
+func (s *Store) recover() error {
 	dirty, err := s.replayManifest()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.sweepDir(&dirty); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.verifySegments(&dirty); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.pruneQuarantine(); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Rewrite the journal when recovery changed the picture or churn has
@@ -241,25 +264,20 @@ func Open(opts Options) (*Store, error) {
 	// otherwise append.
 	if dirty || s.journalBloatedLocked() {
 		if err := s.rewriteManifest(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if s.manifest == nil {
 		f, err := os.OpenFile(s.manifestPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return nil, fmt.Errorf("store: open manifest: %w", err)
+			return fmt.Errorf("store: open manifest: %w", err)
 		}
 		s.manifest = f
 		s.bw = bufio.NewWriter(f)
 	}
 	s.mu.Lock()
-	err = s.compactLocked()
-	s.mu.Unlock()
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
+	defer s.mu.Unlock()
+	return s.compactLocked()
 }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.opts.Dir, manifestName) }
@@ -392,7 +410,7 @@ func (s *Store) sweepDir(dirty *bool) error {
 					return fmt.Errorf("store: drop stale checkpoint %s: %w", name, err)
 				}
 			} else {
-				s.checkpoints++
+				s.checkpoints[fp] = struct{}{}
 			}
 		case strings.HasPrefix(name, segPrefix) && !claimed[name]:
 			if err := s.quarantine(name); err != nil {
@@ -459,9 +477,8 @@ func (s *Store) checkpointPath(fp string) string {
 }
 
 // writeCheckpoint persists frames as a binary checkpoint, fsync'd, and
-// counts it. Overwriting an existing checkpoint keeps the count right.
+// adds fp to the checkpoint set.
 func (s *Store) writeCheckpoint(fp string, frames []core.Frame) error {
-	_, existed := os.Stat(s.checkpointPath(fp))
 	f, err := os.OpenFile(s.checkpointPath(fp), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: write checkpoint %s: %w", fp, err)
@@ -484,10 +501,7 @@ func (s *Store) writeCheckpoint(fp string, frames []core.Frame) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: close checkpoint %s: %w", fp, err)
 	}
-	if existed == nil {
-		return nil
-	}
-	s.checkpoints++
+	s.checkpoints[fp] = struct{}{}
 	return nil
 }
 
@@ -507,9 +521,10 @@ func (s *Store) readCheckpoint(fp string) ([]core.Frame, error) {
 // JSONL lines, or nil when no checkpoint exists. Callers that resume
 // should replay (a prefix of) these frames through Resume and clear the
 // checkpoint once the resumed segment commits (Commit does this
-// automatically).
+// automatically). A fingerprint recovery found no checkpoint for costs no
+// filesystem call.
 func (s *Store) Checkpoint(fp string) []core.Frame {
-	if validFingerprint(fp) != nil {
+	if !s.hasCheckpoint(fp) {
 		return nil
 	}
 	frames, err := s.readCheckpoint(fp)
@@ -521,16 +536,23 @@ func (s *Store) Checkpoint(fp string) []core.Frame {
 
 // ClearCheckpoint drops a fingerprint's checkpoint, if any.
 func (s *Store) ClearCheckpoint(fp string) {
-	if validFingerprint(fp) != nil {
+	if !s.hasCheckpoint(fp) {
 		return
 	}
-	if err := os.Remove(s.checkpointPath(fp)); err == nil {
+	if err := os.Remove(s.checkpointPath(fp)); err == nil || errors.Is(err, os.ErrNotExist) {
 		s.mu.Lock()
-		if s.checkpoints > 0 {
-			s.checkpoints--
-		}
+		delete(s.checkpoints, fp)
 		s.mu.Unlock()
 	}
+}
+
+// hasCheckpoint reports whether fp is in the checkpoint set. Only valid
+// fingerprints ever enter it.
+func (s *Store) hasCheckpoint(fp string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.checkpoints[fp]
+	return ok
 }
 
 // Resume begins a fresh segment writer for fp and replays the given
@@ -684,7 +706,7 @@ func (s *Store) rewriteManifest() error {
 	if err := os.Rename(tmp, s.manifestPath()); err != nil {
 		return fmt.Errorf("store: install manifest: %w", err)
 	}
-	if err := syncDir(s.opts.Dir); err != nil {
+	if err := s.syncDir(); err != nil {
 		return err
 	}
 	s.ops = len(s.entries) + len(s.intents)
@@ -858,7 +880,7 @@ func (w *Writer) Commit(meta json.RawMessage) error {
 	if err := os.Rename(final+tmpSuffix, final); err != nil {
 		return fmt.Errorf("store: install segment: %w", err)
 	}
-	if err := syncDir(s.opts.Dir); err != nil {
+	if err := s.syncDir(); err != nil {
 		return err
 	}
 	// The commit supersedes any crash checkpoint for this fingerprint.
@@ -1142,12 +1164,13 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Segments: int(s.m.segments.Value()), Bytes: s.m.bytes.Value(),
 		Quarantined: int(s.m.quarantined.Value()), Compactions: int(s.m.compactions.Value()),
-		Checkpoints: s.checkpoints, QuarantineFiles: s.quarFiles, QuarantineBytes: s.m.quarantineBytes.Value(),
+		Checkpoints: len(s.checkpoints), QuarantineFiles: s.quarFiles, QuarantineBytes: s.m.quarantineBytes.Value(),
 	}
 }
 
-// Close flushes and fsyncs the manifest and releases it. Segment writers
-// still in flight are unaffected (their Commit will fail cleanly).
+// Close flushes and fsyncs the manifest and releases it and the store
+// directory. Segment writers still in flight are unaffected (their Commit
+// will fail cleanly).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1155,6 +1178,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.dir.Close()
 	if s.manifest == nil {
 		return nil
 	}
@@ -1175,16 +1199,12 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file's name is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	err = fault.Inject("store.dirsync")
+// syncDir fsyncs the store directory so a just-renamed file's name is
+// durable.
+func (s *Store) syncDir() error {
+	err := fault.Inject("store.dirsync")
 	if err == nil {
-		err = d.Sync()
+		err = s.dir.Sync()
 	}
 	// Some filesystems do not support fsync on directories; the rename is
 	// still atomic there, so only a real failure fails the caller.

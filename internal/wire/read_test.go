@@ -2,8 +2,8 @@ package wire_test
 
 // Tests for the segment read path on real campaign data: the Fig. 4 grid
 // persisted as one binary segment must hydrate into exactly the frames the
-// live encoder renders, through every truncation, within a fixed
-// allocation budget.
+// live encoder renders, through every truncation, and both paths must stay
+// within a fixed allocation budget.
 
 import (
 	"bytes"
@@ -118,16 +118,17 @@ func TestReadSegmentEveryTruncation(t *testing.T) {
 
 // TestReadSegmentAllocs gates the read path's allocation count on the
 // Fig. 4 segment. Per read: the *bytes.Buffer, the frames slice, the
-// shared line backing, one string per distinct benchmark (10), one core
-// list reused by every record, and 8 from the number memo, where two
-// pairs of the grid's SimTime values share a slot and evict each other.
-// Before the single-pass decode this was 922.
+// shared line backing, one string per distinct benchmark (10) and one
+// core list reused by every record. Every rendered number is a memo hit.
+// Before the single-pass decode this was 922, and 22 while the number
+// memo was direct-mapped and two pairs of SimTime values evicted each
+// other.
 func TestReadSegmentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomly drops sync.Pool items, so scratch regrows")
 	}
 	seg := fig4Segment(t)
-	const bound = 22
+	const bound = 14
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := wire.ReadSegment(bytes.NewBuffer(seg)); err != nil {
 			t.Fatal(err)
@@ -136,6 +137,29 @@ func TestReadSegmentAllocs(t *testing.T) {
 	t.Logf("ReadSegment: %.1f allocs per Fig. 4 segment", allocs)
 	if allocs > bound {
 		t.Errorf("ReadSegment allocates %.1f objects per Fig. 4 segment, want <= %d", allocs, bound)
+	}
+}
+
+// TestEncodeFramesAllocs gates the live encoder on the Fig. 4 batch: the
+// frames slice and the shared line backing, and nothing per record. It
+// was 10 while the number memo was direct-mapped.
+func TestEncodeFramesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomly drops sync.Pool items, so scratch regrows")
+	}
+	recs, err := fig4Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 2
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := wire.EncodeFrames(recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("EncodeFrames: %.1f allocs per %d-record Fig. 4 batch", allocs, len(recs))
+	if allocs > bound {
+		t.Errorf("EncodeFrames allocates %.1f objects per Fig. 4 batch, want <= %d", allocs, bound)
 	}
 }
 

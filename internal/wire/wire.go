@@ -145,23 +145,29 @@ var floatMemo [256]atomic.Pointer[floatMemoEntry]
 
 // intMemo does the same for the record's wide integers (TREFP, SimTime):
 // a grid re-renders the same handful of 8-11 digit durations in every
-// record. Same direct-mapped read-mostly scheme, keyed by the raw value.
-var intMemo [256]atomic.Pointer[floatMemoEntry]
+// record. Same read-mostly scheme, keyed by the raw value, but each slot
+// holds two ways, most recently stored first: the Fig. 4 grid's SimTime
+// values 75e9/95e9 and 45e9/65e9 share slots and would evict each other
+// from a direct-mapped table on every record.
+var intMemo [256][2]atomic.Pointer[floatMemoEntry]
 
 // appendBigInt renders v like strconv.AppendInt through the memo. Only
 // used for fields whose values repeat across records but render wide;
 // small counters go straight to strconv's fast path.
 func appendBigInt(dst []byte, v int64) []byte {
 	bits := uint64(v)
-	slot := &intMemo[(bits*0x9e3779b97f4a7c15)>>56]
-	if e := slot.Load(); e != nil && e.bits == bits {
-		return append(dst, e.text...)
+	ways := &intMemo[(bits*0x9e3779b97f4a7c15)>>56]
+	for i := range ways {
+		if e := ways[i].Load(); e != nil && e.bits == bits {
+			return append(dst, e.text...)
+		}
 	}
 	start := len(dst)
 	dst = strconv.AppendInt(dst, v, 10)
 	text := make([]byte, len(dst)-start)
 	copy(text, dst[start:])
-	slot.Store(&floatMemoEntry{bits: bits, text: text})
+	ways[1].Store(ways[0].Load())
+	ways[0].Store(&floatMemoEntry{bits: bits, text: text})
 	return dst
 }
 

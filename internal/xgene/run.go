@@ -172,8 +172,26 @@ const (
 // goes through the process-wide simulate memo (internal/simcache): one
 // cache-hierarchy simulation per workload serves every server, worker,
 // shard and daemon submission in the process.
-func (s *Server) counters(p workloads.Profile) (microarch.Counters, error) {
+func counters(p workloads.Profile) (microarch.Counters, error) {
 	return simcache.Counters(p.Mix, p.Stream, simInstructions, simSeed)
+}
+
+// CountersCached reports whether p's counters are in the simulate memo or
+// being simulated, without counting a memo hit or miss.
+func CountersCached(p workloads.Profile) bool {
+	return simcache.CountersCached(p.Mix, p.Stream, simInstructions, simSeed)
+}
+
+// SimulateCounters pays p's counter simulation into the simulate memo
+// ahead of p's first run, on the caller's goroutine: the campaign engine
+// simulates a grid's cold workloads side by side before its shards run.
+// An invalid profile is refused as Run refuses it, and simulates nothing.
+func SimulateCounters(p workloads.Profile) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	_, err := counters(p)
+	return err
 }
 
 // profileKey is a workload profile in comparable form: the Mix map
@@ -252,7 +270,7 @@ func (s *Server) Run(spec RunSpec) (RunResult, error) {
 	runRng := s.rng.SplitLabel(runLabelPrefix.Str(spec.Workload.Name).Byte('/').Uint(spec.Seed))
 
 	if !prepared {
-		ctr, err := s.counters(spec.Workload)
+		ctr, err := counters(spec.Workload)
 		if err != nil {
 			return RunResult{}, err
 		}
