@@ -6,12 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/simcache"
+	"repro/internal/xgene"
 )
 
 // TestColdGridSimulatesOncePerWorkload pins the grid's cold phase: on a
 // cold simulate memo the Fig. 4 grid simulates each of its ten workloads
 // exactly once at any worker count, streams the same bytes in the same
-// batches as one worker does, and a warm rerun simulates nothing and
+// batches as one worker does, the phase alone memoizes every workload at
+// two workers and none at one, and a warm rerun simulates nothing and
 // starts no cold-phase goroutine.
 func TestColdGridSimulatesOncePerWorkload(t *testing.T) {
 	g := fig4Grid()
@@ -40,6 +42,23 @@ func TestColdGridSimulatesOncePerWorkload(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sink.batches, refSink.batches) {
 			t.Errorf("workers=%d: sink batches %v, one worker's %v", workers, sink.batches, refSink.batches)
+		}
+	}
+
+	// The phase itself: nothing ahead at one worker, every workload once
+	// at two.
+	simcache.CountersReset()
+	simulateCold(g.Benches, 1)
+	if got := simcache.CountersStats().Misses; got != 0 {
+		t.Errorf("one-worker cold phase simulated %d workloads, want 0", got)
+	}
+	simulateCold(g.Benches, 2)
+	if got := simcache.CountersStats().Misses; got != 10 {
+		t.Errorf("two-worker cold phase simulated %d workloads, want 10", got)
+	}
+	for _, b := range g.Benches {
+		if !xgene.CountersCached(b) {
+			t.Errorf("%s not memoized after the cold phase", b.Name)
 		}
 	}
 

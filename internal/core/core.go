@@ -159,8 +159,7 @@ func (f *Framework) Elapsed() time.Duration { return f.elapsed }
 // AppendTo hands every record ExecuteRun and ExecuteRunMulti return to
 // *dst as well, appended in execution order. The framework keeps no
 // records of its own: the caller owns the slice (the campaign engine
-// points every board of a shard at the shard's one record slice). Nil
-// stops the hand-off.
+// points every board of a shard at the shard's one record slice).
 func (f *Framework) AppendTo(dst *[]RunRecord) { f.out = dst }
 
 // logRun accounts a finished run's simulated time and hands the record
