@@ -22,32 +22,33 @@ const (
 )
 
 // Campaign is one registry entry: a submitted spec, its lifecycle state,
-// and the frame buffer that every stream subscriber replays from. The
-// buffer is append-only and retained after completion — that retention IS
-// the characterization cache: a cache-hit submission streams the buffered
-// frames without touching the engine. Each frame carries its shared
-// pre-rendered JSONL line, so replaying to N subscribers writes the same
-// immutable bytes N times and encodes them zero times.
+// and the line arena every stream subscriber replays from, append-only and
+// retained after completion — that retention IS the characterization
+// cache. The arena holds the pre-rendered JSONL lines back to back, so N
+// subscribers write the same bytes and encode them zero times, and no
+// pointers, so the garbage collector never traces it.
 type Campaign struct {
 	id          string
 	spec        Spec
 	fingerprint string
 	// extra is the server-wide broadcast (spool files, monitoring sinks);
-	// it receives every record after the buffer does.
+	// it receives every record after the arena does.
 	extra *core.MultiSink
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	status  Status
-	errMsg  string
-	frames  []core.Frame
+	mu     sync.Mutex
+	cond   *sync.Cond
+	status Status
+	errMsg string
+	// lines is the arena, every streamed line; record i's line ends at ends[i].
+	lines   []byte
+	ends    []int
 	stats   campaign.Stats
 	workers int
 
 	// fromStore marks a campaign whose records live in the durable store:
 	// it was adopted from the manifest (daemon restart, or an evicted
 	// fingerprint resubmitted) with metadata only. hydrated flips once the
-	// segment has been read back into the buffer; until then records is
+	// segment has been read back into the arena; until then the arena is
 	// empty and storedRecords carries the on-disk count for the views.
 	fromStore     bool
 	hydrated      bool
@@ -85,7 +86,7 @@ func newCampaign(id string, spec Spec, fingerprint string, extra *core.MultiSink
 }
 
 // newStoredCampaign materializes a registry entry from a durable-store
-// manifest line: already done, stats restored, record buffer empty until
+// manifest line: already done, stats restored, arena empty until
 // hydration reads the segment back.
 func newStoredCampaign(id string, spec Spec, fingerprint string, extra *core.MultiSink,
 	stats campaign.Stats, workers, records int) *Campaign {
@@ -101,7 +102,7 @@ func newStoredCampaign(id string, spec Spec, fingerprint string, extra *core.Mul
 	return c
 }
 
-// needsHydration reports whether the record buffer must be read back from
+// needsHydration reports whether the arena must be read back from
 // the store before this campaign can replay a stream.
 func (c *Campaign) needsHydration() bool {
 	c.mu.Lock()
@@ -109,44 +110,32 @@ func (c *Campaign) needsHydration() bool {
 	return c.fromStore && !c.hydrated && c.status == StatusDone
 }
 
-// hydrateWith installs the frames loaded from the store. Safe to race:
-// the first load wins, later ones are discarded.
-func (c *Campaign) hydrateWith(frames []core.Frame) {
+// hydrateWith installs the arena loaded from the store or, when lost is
+// the error of a segment gone for good (quarantined or compacted away),
+// fails the campaign, so a resubmission schedules a clean re-run.
+// Transient load errors must NOT come here — the campaign stays
+// done/unhydrated and hydration retries. Safe to race: the first call wins.
+func (c *Campaign) hydrateWith(lines []byte, ends []int, lost error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.fromStore || c.hydrated || c.status != StatusDone {
 		return
 	}
-	c.frames = frames
-	c.hydrated = true
-	c.cond.Broadcast()
-}
-
-// markLost fails a store-backed campaign whose segment is gone for good
-// (quarantined or compacted away): its fingerprint stops being satisfied,
-// so a resubmission schedules a clean re-run. Transient load errors must
-// NOT come here — the campaign stays done/unhydrated and hydration
-// retries.
-func (c *Campaign) markLost(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.fromStore || c.hydrated || c.status != StatusDone {
-		return
+	if lost != nil {
+		c.status, c.errMsg = StatusFailed, lost.Error()
+	} else {
+		c.lines, c.ends, c.hydrated = lines, ends, true
 	}
-	c.status = StatusFailed
-	c.errMsg = err.Error()
 	c.cond.Broadcast()
 }
 
-// Frames implements core.Sink: this is the campaign engine's
-// streaming hook. The engine's ordering buffer guarantees batches arrive
-// in deterministic grid order, so appending preserves byte-identity with
-// the batch report; the shared pre-rendered lines are what every
-// subscriber will write. A batch (one engine shard) is appended under one
-// lock and wakes the subscribers once.
+// Frames implements core.Sink, the campaign engine's streaming hook:
+// batches arrive in deterministic grid order, so appending their lines
+// keeps byte-identity with the batch report. A batch (one engine shard) is
+// copied into the arena under one lock and wakes the subscribers once.
 func (c *Campaign) Frames(batch []core.Frame) error {
 	c.mu.Lock()
-	c.frames = append(c.frames, batch...)
+	c.lines, c.ends = appendLines(c.lines, c.ends, batch)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	return c.extra.Frames(batch)
@@ -154,18 +143,37 @@ func (c *Campaign) Frames(batch []core.Frame) error {
 
 var _ core.Sink = (*Campaign)(nil)
 
-// maxReserve caps how many records reserve sizes a buffer for. A grid's
+// appendLines appends batch's lines to an arena and their end offsets to
+// ends. An empty arena is sized for cap(ends) records (at least the batch)
+// at the batch's mean line length, plus a sixteenth.
+func appendLines(lines []byte, ends []int, batch []core.Frame) ([]byte, []int) {
+	size := 0
+	for _, f := range batch {
+		size += len(f.Line)
+	}
+	if len(ends) == 0 && len(batch) > 0 && size > cap(lines) {
+		n := size * max(cap(ends), len(batch)) / len(batch)
+		lines = make([]byte, 0, n+n/16)
+	}
+	for _, f := range batch {
+		lines = append(lines, f.Line...)
+		ends = append(ends, len(lines))
+	}
+	return lines, ends
+}
+
+// maxReserve caps how many records reserve sizes an arena for. A grid's
 // run count grows with the client's repetitions, so a larger grid gets
 // this much up front and appends the rest as its records arrive.
 const maxReserve = 4096
 
-// reserve sizes the record buffer for n records, at most maxReserve,
-// before any arrive.
+// reserve sizes the arena's record index for n records, at most
+// maxReserve, before any arrive; the first batch sizes the lines from it.
 func (c *Campaign) reserve(n int) {
 	n = min(n, maxReserve)
 	c.mu.Lock()
-	if n > cap(c.frames) {
-		c.frames = append(make([]core.Frame, 0, n), c.frames...)
+	if n > cap(c.ends) {
+		c.ends = append(make([]int, 0, n), c.ends...)
 	}
 	c.mu.Unlock()
 }
@@ -178,11 +186,14 @@ func (c *Campaign) setRunning() {
 	c.mu.Unlock()
 }
 
-// finish records the terminal state; already streamed records stay
-// buffered either way. Failed campaigns pass whatever partial stats the
-// engine returned (zero when the spec never materialized).
+// finish records the terminal state; streamed records stay in the arena,
+// copied to an exact fit if over a tenth of it is spare. Failed campaigns
+// pass the engine's partial stats (zero when the spec never materialized).
 func (c *Campaign) finish(stats campaign.Stats, workers int, err error) {
 	c.mu.Lock()
+	if cap(c.lines)-len(c.lines) > len(c.lines)/10 {
+		c.lines = append(make([]byte, 0, len(c.lines)), c.lines...)
+	}
 	if err != nil {
 		c.status = StatusFailed
 		c.errMsg = err.Error()
@@ -205,13 +216,12 @@ func (c *Campaign) Status() Status {
 // terminal reports whether a status is final.
 func (s Status) terminal() bool { return s == StatusDone || s == StatusFailed }
 
-// next blocks until frames beyond i exist, the campaign reaches a
-// terminal state, or ctx is cancelled, then returns the frames from i on
-// and the status seen. The returned slice is a view of the append-only
-// buffer: elements below the observed length are never rewritten (and each
-// frame's Line is immutable), so reading them after the lock is released
-// is safe.
-func (c *Campaign) next(ctx context.Context, i int) ([]core.Frame, Status) {
+// next blocks until records beyond i exist, the campaign is terminal or
+// ctx is cancelled, then returns the arena up to the last record seen, the
+// end offsets of records i on, and the status seen. Both are views of the
+// append-only arena, never rewritten below their lengths, so reading them
+// after the lock is released is safe.
+func (c *Campaign) next(ctx context.Context, i int) ([]byte, []int, Status) {
 	// Wake the wait loop when the subscriber goes away; the request
 	// context is cancelled by net/http as soon as the handler returns or
 	// the client disconnects, so this goroutine cannot outlive the stream.
@@ -224,10 +234,11 @@ func (c *Campaign) next(ctx context.Context, i int) ([]core.Frame, Status) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i >= len(c.frames) && !c.status.terminal() && ctx.Err() == nil {
+	for i >= len(c.ends) && !c.status.terminal() && ctx.Err() == nil {
 		c.cond.Wait()
 	}
-	return c.frames[i:len(c.frames):len(c.frames)], c.status
+	n := len(c.lines)
+	return c.lines[:n:n], c.ends[i:len(c.ends):len(c.ends)], c.status
 }
 
 // View is the JSON shape of a campaign's registry state.
@@ -243,7 +254,7 @@ type View struct {
 	// Tenant is the authenticated tenant that first scheduled this
 	// campaign; omitted in anonymous mode, so auth-off views are unchanged.
 	Tenant string `json:"tenant,omitempty"`
-	// Records counts buffered (already streamed) records so far; for a
+	// Records counts retained (already streamed) records so far; for a
 	// store-backed campaign that has not hydrated yet it counts the
 	// records waiting on disk.
 	Records int `json:"records"`
@@ -269,7 +280,7 @@ type View struct {
 func (c *Campaign) view() View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	records := len(c.frames)
+	records := len(c.ends)
 	if c.fromStore && !c.hydrated {
 		records = c.storedRecords
 	}

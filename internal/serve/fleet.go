@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/base64"
@@ -10,7 +11,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/wire"
@@ -97,7 +97,7 @@ func (s *Server) handleFleetRing(w http.ResponseWriter, r *http.Request) {
 var errRingMismatch = errors.New("serve: fleet ring version mismatch")
 
 // handleFleetSegment streams a committed characterization to a peer: the
-// manifest metadata in a header, the frames as a binary wire segment (with
+// manifest metadata in a header, the records as a binary wire segment (with
 // per-record CRCs) in the body. Only finished, whole campaigns are served;
 // anything else is a 404 and the requester characterizes locally.
 func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
@@ -116,7 +116,11 @@ func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := r.PathValue("fp")
-	frames, meta, err := s.fleetSegment(fp)
+	recs, meta, err := s.fleetSegment(fp)
+	body := wire.Header()
+	for i := 0; err == nil && i < len(recs); i++ {
+		body, err = wire.AppendBinaryRecord(body, recs[i])
+	}
 	switch {
 	case errors.Is(err, errNoSegment):
 		s.writeError(w, r, http.StatusNotFound,
@@ -128,27 +132,15 @@ func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(fleet.HeaderMeta, base64.StdEncoding.EncodeToString(meta))
-	w.Header().Set(fleet.HeaderRecords, strconv.Itoa(len(frames)))
+	w.Header().Set(fleet.HeaderRecords, strconv.Itoa(len(recs)))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	if err := s.countWrite(w.Write(wire.Header())); err != nil {
+	if err := s.countWrite(w.Write(body)); err != nil {
 		return
-	}
-	var scratch []byte
-	for _, f := range frames {
-		scratch, err = wire.AppendBinaryRecord(scratch[:0], f.Rec)
-		if err != nil {
-			s.logger.Warn("fleet segment encode failed",
-				"fingerprint", fp, "err", err)
-			return // mid-body: the peer's CRC/count check rejects the tail
-		}
-		if err := s.countWrite(w.Write(scratch)); err != nil {
-			return
-		}
 	}
 	s.metrics.fleetServed.Inc()
 	s.logger.Info("fleet segment served",
-		"fingerprint", fp, "records", len(frames),
+		"fingerprint", fp, "records", len(recs),
 		"peer", r.Header.Get(fleet.HeaderPeer))
 }
 
@@ -156,55 +148,51 @@ func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 // the fingerprint — the peer protocol's 404.
 var errNoSegment = errors.New("serve: segment not here")
 
-// fleetSegment locates a finished characterization's frames and manifest
-// metadata: registry first (hydrating an adopted entry if needed), then
-// the durable store directly — peer traffic reads the store without
-// adopting into the registry, so replication cannot evict cache entries.
-func (s *Server) fleetSegment(fp string) ([]core.Frame, json.RawMessage, error) {
+// fleetSegment locates a finished characterization's records and manifest
+// metadata: the store's segment if it has one, else a done campaign's
+// arena, parsed back into records on this rare path (a memory-only daemon,
+// or a segment that never committed). Peer traffic never adopts into the
+// registry, so replication cannot evict cache entries.
+func (s *Server) fleetSegment(fp string) ([]core.RunRecord, json.RawMessage, error) {
 	s.mu.Lock()
 	c := s.byFP[fp]
 	if c != nil {
 		s.touchLocked(c)
 	}
 	s.mu.Unlock()
-	if c != nil && c.Status() == StatusDone {
-		if _, err := s.hydrate(c); err != nil {
-			return nil, nil, err // transient store trouble: peer retries
-		}
-		if frames, stats, workers, ok := c.doneFrames(); ok {
-			meta, err := json.Marshal(metaOf(c.spec, workers, stats))
-			if err != nil {
-				return nil, nil, err
-			}
-			return frames, meta, nil
-		}
-		// Hydration lost the segment between checks; fall through to disk.
-	}
 	if s.store != nil {
 		if e, ok := s.store.Get(fp); ok {
 			frames, err := s.store.LoadFrames(fp)
-			if err != nil {
-				if _, still := s.store.Get(fp); still {
-					return nil, nil, fmt.Errorf("%w: %v", errStoreUnavailable, err)
-				}
-				return nil, nil, errNoSegment // quarantined: nothing to serve
+			if err == nil {
+				return recordsOfFrames(frames), e.Meta, nil
 			}
-			return frames, e.Meta, nil
+			if _, still := s.store.Get(fp); still {
+				return nil, nil, fmt.Errorf("%w: %v", errStoreUnavailable, err)
+			}
+			// Quarantined: a hydrated campaign may still hold the lines.
 		}
 	}
-	return nil, nil, errNoSegment
+	if c == nil {
+		return nil, nil, errNoSegment
+	}
+	lines, m, ok := c.doneLines()
+	if !ok {
+		return nil, nil, errNoSegment
+	}
+	meta, merr := json.Marshal(m)
+	recs, err := core.ParseLog(bytes.NewReader(lines))
+	return recs, meta, errors.Join(merr, err)
 }
 
-// doneFrames snapshots a finished, hydrated campaign's buffer for the
-// fleet protocol. The slice is capped at the observed length of the
-// append-only buffer, so reading it after the lock drops is safe.
-func (c *Campaign) doneFrames() ([]core.Frame, campaign.Stats, int, bool) {
+// doneLines snapshots a done campaign's arena and manifest summary; ok is
+// false unless its lines are in memory. The arena is append-only.
+func (c *Campaign) doneLines() ([]byte, storedMeta, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.status != StatusDone || (c.fromStore && !c.hydrated) {
-		return nil, campaign.Stats{}, 0, false
+		return nil, storedMeta{}, false
 	}
-	return c.frames[:len(c.frames):len(c.frames)], c.stats, c.workers, true
+	return c.lines, metaOf(c.spec, c.workers, c.stats), true
 }
 
 // fleetFetch is the submit path's read-through: resolve the fingerprint
@@ -240,9 +228,9 @@ func (s *Server) fleetFetch(fp, trace, tenant string) {
 }
 
 // adoptRemote installs a fetched segment: persist it (best-effort), then
-// register a done, hydrated campaign so the submit loop's next pass is a
-// cache hit. Like adoptLocked, it refuses metadata that parseStoredMeta
-// refuses.
+// register a done campaign hydrated with the segment's lines, so the
+// submit loop's next pass is a cache hit. Like adoptLocked, it refuses
+// metadata that parseStoredMeta refuses.
 func (s *Server) adoptRemote(fp string, seg *fleet.Segment) error {
 	m, stats, err := parseStoredMeta(seg.Meta, fp)
 	if err != nil {
@@ -269,7 +257,8 @@ func (s *Server) adoptRemote(fp string, seg *fleet.Segment) error {
 	c := newStoredCampaign(fmt.Sprintf("c%06d", s.nextID), m.Spec, fp,
 		s.spool, stats, m.Workers, len(seg.Frames))
 	s.registerLocked(c)
-	c.hydrateWith(seg.Frames)
+	lines, ends := appendLines(nil, make([]int, 0, len(seg.Frames)), seg.Frames)
+	c.hydrateWith(lines, ends, nil)
 	s.metrics.fleetReplications.Inc()
 	return nil
 }

@@ -437,15 +437,11 @@ func TestFleetPeerDeathMidFetchRunsLocally(t *testing.T) {
 	if c == nil {
 		t.Fatal("campaign missing")
 	}
-	frames, _, _, ok := c.doneFrames()
+	got, _, ok := c.doneLines()
 	if !ok {
 		t.Fatal("campaign not done")
 	}
-	var got bytes.Buffer
-	for _, f := range frames {
-		got.Write(f.Line)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
+	if !bytes.Equal(got, want) {
 		t.Fatal("local fallback stream is not byte-identical")
 	}
 }
@@ -519,5 +515,48 @@ func TestFleetMetricsScopedToPeer(t *testing.T) {
 				t.Errorf("C never fetched, but /stats counts %d fetches or /metrics has a fetch series", fetches)
 			}
 		}
+	}
+}
+
+// TestFleetMemoryOnlyPeerServesSegment: a peer without a store serves a
+// finished campaign by parsing its records back from its line arena. The
+// fetching, store-backed peer adopts the segment without running a grid,
+// persists it, and streams bytes identical to a store-backed daemon that
+// ran the spec itself.
+func TestFleetMemoryOnlyPeerServesSegment(t *testing.T) {
+	hs := startFleet(t, 2, "hush", func(i int, o *Options) {
+		if i == 1 {
+			o.StoreDir = t.TempDir()
+		}
+	})
+	a, b := hs[0], hs[1]
+	spec := testSpec(2)
+	ca, _, err := a.srv.Submit(spec, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForStatus(t, a.srv, ca.id, StatusDone)
+
+	cb, cached, err := b.srv.Submit(spec, "", "")
+	if err != nil || !cached {
+		t.Fatalf("store-backed peer: cached=%v err=%v, want the memory-only peer's segment", cached, err)
+	}
+	if got := b.gridsRun(); got != 0 {
+		t.Fatalf("store-backed peer ran %d grids, want 0", got)
+	}
+	if n := a.srv.metrics.fleetServed.Value(); n != 1 {
+		t.Fatalf("memory-only peer served %d segments, want 1", n)
+	}
+	if _, ok := b.srv.store.Get(cb.fingerprint); !ok {
+		t.Fatal("adopted segment was not persisted")
+	}
+
+	_, ref := storeServer(t, t.TempDir(), Options{})
+	want := streamBytes(t, ref, submit(t, ref, spec, http.StatusAccepted).ID)
+	if got := fleetStreamBytes(t, b.base, cb.id); !bytes.Equal(got, want) {
+		t.Fatal("adopted stream differs from a store-backed daemon's own run")
+	}
+	if got := fleetStreamBytes(t, a.base, ca.id); !bytes.Equal(got, want) {
+		t.Fatal("memory-only peer's stream differs from a store-backed daemon's own run")
 	}
 }

@@ -8,7 +8,7 @@
 // deterministic fingerprint — the paper's multi-day campaigns become a
 // shared service instead of a batch job. The cache itself is bounded
 // (Options.CacheMax): least-recently-used finished campaigns are evicted,
-// so record buffers cannot grow without limit; an evicted fingerprint
+// so retained line arenas cannot grow without limit; an evicted fingerprint
 // simply re-runs on resubmission — unless the durable store is enabled
 // (Options.StoreDir), in which case every successful campaign's stream is
 // also committed to disk (internal/store) and evicted or restarted
@@ -31,7 +31,7 @@
 //	GET  /campaigns/{id}       one campaign's state
 //	GET  /campaigns/{id}/stream
 //	                           live NDJSON record stream (SSE with
-//	                           Accept: text/event-stream); replays buffered
+//	                           Accept: text/event-stream); replays retained
 //	                           records first, then follows the campaign
 //	GET  /stats                service counters (submissions, cache hits,
 //	                           grids run, queue depth, statuses)
@@ -77,10 +77,10 @@ type Options struct {
 	// already parallelizes internally (Spec.Workers), so the default of 1
 	// keeps one grid's workers from fighting another's.
 	Concurrency int
-	// CacheMax bounds the registry — and with it the in-memory record
-	// buffers that back the characterization cache. When admitting a new
+	// CacheMax bounds the registry — and with it the in-memory line
+	// arenas that back the characterization cache. When admitting a new
 	// campaign would exceed the cap, the least-recently-used terminal
-	// (done or failed) campaign is evicted: its buffer is dropped, its id
+	// (done or failed) campaign is evicted: its arena is dropped, its id
 	// stops resolving, and a resubmission of its fingerprint re-runs the
 	// grid — unless the durable store holds its segment, in which case the
 	// resubmission replays from disk instead. Running and queued campaigns
@@ -426,7 +426,7 @@ func (s *Server) scheduler() {
 }
 
 // execute runs one campaign through the engine — the spec's strategy picks
-// the scheduler — streaming into the campaign's record buffer and, when
+// the scheduler — streaming into the campaign's line arena and, when
 // the store is enabled, into an uncommitted segment that becomes durable
 // exactly when the campaign finishes cleanly.
 func (s *Server) execute(c *Campaign) {
@@ -441,8 +441,8 @@ func (s *Server) execute(c *Campaign) {
 		<-s.gate
 	}
 	// An exhaustive grid is built once, here, for the engine, the
-	// checkpoint and the record buffer: its run count is known up front,
-	// so the buffer is sized once (up to maxReserve) rather than grown
+	// checkpoint and the arena's record index: its run count is known up
+	// front, so the index is sized once (up to maxReserve) rather than grown
 	// shard by shard under the lock. Adaptive schedules keep appending.
 	var grid *campaign.Grid
 	var gridErr error
@@ -478,7 +478,7 @@ func (s *Server) execute(c *Campaign) {
 			ck = nil
 		}
 		if len(ck) > 0 {
-			// The restored prefix re-enters the live buffer (and spool) as
+			// The restored prefix re-enters the live arena (and spool) as
 			// the exact pre-rendered bytes the interrupted process streamed;
 			// the engine then executes only the remaining cells, and the
 			// committed segment comes out byte-identical to an uninterrupted
@@ -525,7 +525,7 @@ func (s *Server) execute(c *Campaign) {
 		}
 	}
 	// The intent is terminal either way: done campaigns have their segment
-	// (or at worst their buffer), failed ones re-run on resubmission — a
+	// (or at worst their arena), failed ones re-run on resubmission — a
 	// requeue at next boot would add nothing. The intent end and the
 	// terminal log precede finish, so a client that has read the whole
 	// stream can rely on both having happened.
@@ -682,7 +682,7 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 	// fromDisk survives the hydration retry: it marks a submission the
 	// store answered (adoption or segment read triggered here), which is
 	// what the replay-hit counter reports — later hits on the same
-	// hydrated buffer are ordinary cache hits. loaded marks a segment read
+	// hydrated arena are ordinary cache hits. loaded marks a segment read
 	// here, which already moved fp in the store's recency order.
 	fromDisk, loaded := false, false
 	// fleetTried caps the peer consultation at one per submission: a
@@ -1007,7 +1007,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, c.view())
 }
 
-// handleStream tails a campaign: buffered records first (cache replay),
+// handleStream tails a campaign: retained records first (cache replay),
 // then live records as the engine's ordering buffer releases them. NDJSON
 // by default — byte-identical to the batch report's JSONL, which is why a
 // failed or cancelled campaign's NDJSON stream ends with a plain EOF and
@@ -1071,37 +1071,40 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.subscribers.Inc()
 	defer s.metrics.subscribers.Dec()
 
-	i := 0
+	i, off := 0, 0 // the next record to write, and where its line starts
 	for {
-		frames, status := c.next(r.Context(), i)
+		lines, ends, status := c.next(r.Context(), i)
 		if r.Context().Err() != nil {
 			return // client went away
 		}
 		// Every subscriber writes the same shared pre-rendered bytes; no
 		// JSON encoding happens on this path, however many clients tail the
-		// campaign. SSE reuses the line minus its newline as the data chunk.
-		for _, f := range frames {
-			if sse {
+		// campaign. NDJSON writes every new record in one call; SSE reuses
+		// each line minus its newline as the data chunk.
+		if sse {
+			for _, end := range ends {
 				if err := s.countWrite(io.WriteString(w, "data: ")); err != nil {
 					return
 				}
-				if err := s.countWrite(w.Write(f.Line[:len(f.Line)-1])); err != nil {
+				if err := s.countWrite(w.Write(lines[off : end-1])); err != nil {
 					return
 				}
 				if err := s.countWrite(io.WriteString(w, "\n\n")); err != nil {
 					return
 				}
-			} else if err := s.countWrite(w.Write(f.Line)); err != nil {
-				return
+				off = end
 			}
+		} else if err := s.countWrite(w.Write(lines[off:])); err != nil {
+			return
 		}
-		i += len(frames)
-		if flusher != nil && len(frames) > 0 {
+		off = len(lines)
+		i += len(ends)
+		if flusher != nil && len(ends) > 0 {
 			flusher.Flush()
 		}
 		if status.terminal() {
 			if sse {
-				fmt.Fprintf(w, "event: done\ndata: {\"status\":%q}\n\n", status)
+				s.countWrite(fmt.Fprintf(w, "event: done\ndata: {\"status\":%q}\n\n", status))
 			}
 			return
 		}

@@ -139,8 +139,9 @@ func TestStreamMatchesBatchAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRecordBufferPresized: an exhaustive grid's record buffer is sized
-// once, before the first shard lands, to exactly the grid's run count.
+// TestRecordBufferPresized: an exhaustive grid's record index (the arena's
+// line ends) is sized once, before the first shard lands, to exactly the
+// grid's run count.
 func TestRecordBufferPresized(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	spec := testSpec(4)
@@ -148,10 +149,10 @@ func TestRecordBufferPresized(t *testing.T) {
 	streamBytes(t, ts, sr.ID)
 	c := s.lookup(sr.ID)
 	c.mu.Lock()
-	n, capacity := len(c.frames), cap(c.frames)
+	n, capacity := len(c.ends), cap(c.ends)
 	c.mu.Unlock()
 	if want := expectedRecords(spec); n != want || capacity != want {
-		t.Errorf("record buffer len %d cap %d, want both %d", n, capacity, want)
+		t.Errorf("record index len %d cap %d, want both %d", n, capacity, want)
 	}
 }
 
@@ -167,7 +168,7 @@ func TestRecordBufferReserveBounded(t *testing.T) {
 	}
 	c := &Campaign{}
 	c.reserve(gridRuns(g))
-	if got := cap(c.frames); got != maxReserve {
+	if got := cap(c.ends); got != maxReserve {
 		t.Errorf("a %d-run grid reserved %d records, want %d", gridRuns(g), got, maxReserve)
 	}
 }

@@ -16,17 +16,17 @@ import (
 // This file is the bridge between the serving registry and the durable
 // characterization store (internal/store). The registry stays the
 // authority on liveness and LRU order; the store is the authority on what
-// survived a restart. Three flows meet here:
+// survived a restart. Four flows meet here:
 //
 //   - persist: execute() tees every record of a successful campaign into a
 //     segment writer and commits it with the spec + bookkeeping as the
 //     manifest summary;
 //   - adopt: a fingerprint found in the manifest but not in the registry
 //     (daemon restart, or evicted-then-resubmitted) becomes a done
-//     campaign with an empty buffer;
-//   - hydrate: the first stream or cache hit on an adopted campaign reads
-//     the segment back — the replayed bytes are identical to the original
-//     live stream because the segment IS that stream;
+//     campaign with an empty arena;
+//   - hydrate: the first stream or cache hit on an adopted campaign renders
+//     the segment's lines into its arena — byte-identical to the original
+//     live stream, because the segment IS that stream;
 //   - requeue: Submit journals each accepted campaign as an intent in the
 //     store's manifest and execute() ends it; intents a crash left open
 //     are re-admitted at the next boot.
@@ -127,32 +127,28 @@ func (s *Server) adoptLocked(e store.Entry) (*Campaign, bool) {
 // nothing may be forgotten or re-run over it.
 var errStoreUnavailable = errors.New("serve: store temporarily unavailable")
 
-// hydrate reads an adopted campaign's segment back into its buffer;
+// hydrate reads an adopted campaign's segment back into its arena;
 // loaded reports that the segment was read, which counts as a use in the
 // store's recency order. Safe to race: the loser's load is discarded.
-// Load failures split two ways, mirroring store.LoadFrames's contract: if
-// the store dropped the entry (the segment was damaged and quarantined)
-// the campaign is marked failed so a resubmission re-runs cleanly; if the
-// entry survived (a transient read error) the campaign stays
-// done/unhydrated and the returned errStoreUnavailable tells the caller to
-// retry rather than re-measure.
+// Failures mirror store.LoadLines's contract: if the store dropped the
+// entry (damaged and quarantined) the campaign fails, so a resubmission
+// re-runs cleanly; if the entry survived (a transient read error) it stays
+// done/unhydrated and errStoreUnavailable tells the caller to retry.
 func (s *Server) hydrate(c *Campaign) (loaded bool, err error) {
 	if s.store == nil || !c.needsHydration() {
 		return false, nil
 	}
-	frames, err := s.store.LoadFrames(c.fingerprint)
+	lines, ends, err := s.store.LoadLines(c.fingerprint, nil, nil)
 	if err != nil {
 		if _, ok := s.store.Get(c.fingerprint); ok {
 			return false, fmt.Errorf("%w: %v", errStoreUnavailable, err)
 		}
-		c.markLost(err)
-		return false, nil
 	}
-	c.hydrateWith(frames)
-	return true, nil
+	c.hydrateWith(lines, ends, err)
+	return err == nil, nil
 }
 
-// storeTee fans the engine's stream into the live campaign buffer and the
+// storeTee fans the engine's stream into the live campaign arena and the
 // store's segment writer. A writer failure is remembered, not propagated:
 // losing durability must never abort the characterization that is being
 // measured — execute() checks err before committing and aborts the
@@ -193,8 +189,8 @@ func (t *storeTee) persist(write func() error) {
 	t.s.setStoreDegraded(t.c, err)
 }
 
-// Frames implements core.Sink on the encode-once path: the live buffer takes
-// the shared pre-rendered lines and the segment writer the decoded
+// Frames implements core.Sink on the encode-once path: the live arena takes
+// the pre-rendered lines and the segment writer the decoded
 // records, one batch and one flush per engine shard. A retry after a
 // failed write resumes at the first record the writer did not take, so a
 // transient error never duplicates a record in the segment.

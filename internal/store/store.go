@@ -977,40 +977,77 @@ func (s *Store) Entries() []Entry {
 // exactly the re-run the store exists to prevent. Loading counts as a use
 // for the LRU order.
 func (s *Store) LoadFrames(fp string) ([]core.Frame, error) {
+	var frames []core.Frame
+	err := s.load(fp, func(b *bytes.Buffer) (n int, err error) {
+		frames, err = wire.ReadSegment(b)
+		return len(frames), err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return frames, nil
+}
+
+// LoadLines is LoadFrames without the frames: it appends the segment's
+// canonical JSONL lines to lines and their end offsets to ends
+// (wire.AppendSegmentLines), which is all a replaying subscriber reads.
+// Verification, quarantine and recency are LoadFrames'. On error lines and
+// ends come back as passed in.
+func (s *Store) LoadLines(fp string, lines []byte, ends []int) ([]byte, []int, error) {
+	l, e := lines, ends
+	err := s.load(fp, func(b *bytes.Buffer) (int, error) {
+		var err error
+		l, e, err = wire.AppendSegmentLines(lines, ends, b)
+		return len(e) - len(ends), err
+	})
+	if err != nil {
+		return lines, ends, err
+	}
+	return l, e, nil
+}
+
+// load reads fp's segment file and hands it to read, which reports how many
+// records it read, then applies LoadFrames' verification, quarantine and
+// recency contract.
+func (s *Store) load(fp string, read func(*bytes.Buffer) (int, error)) error {
 	s.mu.Lock()
 	e := s.entries[fp]
 	s.mu.Unlock()
 	if e == nil {
-		return nil, fmt.Errorf("store: unknown fingerprint %s", fp)
+		return fmt.Errorf("store: unknown fingerprint %s", fp)
 	}
-	frames, err := readSegmentFile(filepath.Join(s.opts.Dir, e.Segment))
+	b, err := os.ReadFile(filepath.Join(s.opts.Dir, e.Segment))
+	n := 0
+	if err == nil {
+		n, err = read(bytes.NewBuffer(b))
+	}
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		var re *wire.ReadError
 		if !errors.As(err, &re) {
 			// Could not open or read the file at all: transient.
-			return nil, fmt.Errorf("store: load %s: %w", fp, err)
+			return fmt.Errorf("store: load %s: %w", fp, err)
 		}
 	}
-	if err == nil && len(frames) != e.Records {
-		err = fmt.Errorf("store: segment %s holds %d records, manifest says %d", e.Segment, len(frames), e.Records)
+	if err == nil && n != e.Records {
+		err = fmt.Errorf("store: segment %s holds %d records, manifest says %d", e.Segment, n, e.Records)
 	}
 	if err != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if _, statErr := os.Stat(filepath.Join(s.opts.Dir, e.Segment)); statErr == nil {
 			if qerr := s.quarantine(e.Segment); qerr != nil {
-				return nil, qerr
+				return qerr
 			}
 		}
 		s.dropEntryLocked(fp)
 		if derr := s.appendOpLocked(manifestOp{Op: "del", Fingerprint: fp}, true); derr != nil {
-			return nil, derr
+			return derr
 		}
-		return nil, fmt.Errorf("store: load %s: %w", fp, err)
+		return fmt.Errorf("store: load %s: %w", fp, err)
 	}
 	s.m.segmentLoads.Inc()
 	s.Touch(fp)
-	return frames, nil
+	return nil
 }
 
 // Touch moves a fingerprint to the most recently used end of the store's

@@ -72,3 +72,21 @@ func BenchmarkReadSegment(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHydrateFig4 hydrates the same segment the way a daemon's
+// campaign replays it: straight into an empty line arena, with no frames.
+func BenchmarkHydrateFig4(b *testing.B) {
+	seg := fig4Segment(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(seg)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, ends, err := wire.AppendSegmentLines(nil, nil, bytes.NewBuffer(seg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ends) != 100 {
+			b.Fatalf("read %d lines, want 100", len(ends))
+		}
+	}
+}

@@ -244,6 +244,8 @@ func (d *recordDecoder) decode(b []byte, rec *core.RunRecord) error {
 			d.coresRaw = raw
 		}
 		rec.Setup.Cores = d.cores
+	} else {
+		rec.Setup.Cores = nil
 	}
 	rec.Repetition = int(p.varint())
 	rec.Outcome = xgene.Outcome(p.varint())
@@ -303,6 +305,70 @@ func (e *ReadError) Unwrap() error { return e.Err }
 // first, and a read error is reported as damage where the bytes run out.
 // A caller reading an untrusted stream bounds it first (MaxSegmentSize).
 func ReadSegment(r io.Reader) ([]core.Frame, error) {
+	body, damage, readErr := segmentBody(r)
+	if damage != nil {
+		return nil, damage
+	}
+	frames := make([]core.Frame, 0, countRecords(body))
+	damage = walkRecords(body, readErr, func(rec core.RunRecord) error {
+		frames = append(frames, core.Frame{Rec: rec})
+		return nil
+	})
+	if n, err := renderLines(frames); err != nil {
+		frames, damage = frames[:n], &ReadError{Record: n + 1, Err: err}
+	}
+	if damage != nil {
+		return frames, damage
+	}
+	return frames, nil
+}
+
+// AppendSegmentLines reads a binary segment like ReadSegment, but builds no
+// frames: it appends each record's canonical JSONL line to lines, back to
+// back, and the offset in lines where that line ends to ends. lines grows
+// at most once, to exactly its final length, and ends at most once, to the
+// segment's intact record count; the lines render into pooled scratch
+// first. Salvage contract as ReadSegment: on damage, the lines of the
+// records before it are appended and a *ReadError locates it.
+func AppendSegmentLines(lines []byte, ends []int, r io.Reader) ([]byte, []int, error) {
+	body, damage, readErr := segmentBody(r)
+	if damage != nil {
+		return lines, ends, damage
+	}
+	ends = growExact(ends, countRecords(body))
+	bp := scratchPool.Get().(*[]byte)
+	b := (*bp)[:0]
+	base := len(lines)
+	damage = walkRecords(body, readErr, func(rec core.RunRecord) error {
+		var err error
+		if b, err = AppendRecordLine(b, rec); err != nil {
+			return err
+		}
+		ends = append(ends, base+len(b))
+		return nil
+	})
+	lines = append(growExact(lines, len(b)), b...)
+	*bp = b[:0]
+	scratchPool.Put(bp)
+	if damage != nil {
+		return lines, ends, damage
+	}
+	return lines, ends, nil
+}
+
+// growExact returns s with room for n more elements, reallocated to exactly
+// len(s)+n when it lacks the room.
+func growExact[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// segmentBody reads r to one slice (a *bytes.Buffer's unread bytes in
+// place) and checks the header. It returns the records after the header
+// and the error that ended the read early, or a record-0 *ReadError.
+func segmentBody(r io.Reader) ([]byte, *ReadError, error) {
 	var data []byte
 	var readErr error
 	if b, ok := r.(*bytes.Buffer); ok {
@@ -311,22 +377,15 @@ func ReadSegment(r io.Reader) ([]core.Frame, error) {
 		data, readErr = io.ReadAll(r)
 	}
 	if len(data) < len(magic)+1 {
-		return nil, &ReadError{Record: 0, Err: fmt.Errorf("short header: %w", truncated(readErr))}
+		return nil, &ReadError{Record: 0, Err: fmt.Errorf("short header: %w", truncated(readErr))}, nil
 	}
 	if string(data[:len(magic)]) != magic {
-		return nil, &ReadError{Record: 0, Err: errors.New("not a binary segment")}
+		return nil, &ReadError{Record: 0, Err: errors.New("not a binary segment")}, nil
 	}
 	if data[len(magic)] != version {
-		return nil, &ReadError{Record: 0, Err: fmt.Errorf("unsupported segment version %d", data[len(magic)])}
+		return nil, &ReadError{Record: 0, Err: fmt.Errorf("unsupported segment version %d", data[len(magic)])}, nil
 	}
-	frames, damage := decodeRecords(data[len(magic)+1:], readErr)
-	if n, err := renderLines(frames); err != nil {
-		frames, damage = frames[:n], &ReadError{Record: n + 1, Err: err}
-	}
-	if damage != nil {
-		return frames, damage
-	}
-	return frames, nil
+	return data[len(magic)+1:], nil, readErr
 }
 
 // truncated is the error for input that ends inside a header or record:
@@ -338,54 +397,57 @@ func truncated(readErr error) error {
 	return io.ErrUnexpectedEOF
 }
 
-// decodeRecords decodes body, the records after the header, into frames
-// carrying only their Rec. It stops at the first damaged record and reports
-// it; readErr, the error that ended the input early, is the damage at
-// whatever record the bytes run out in.
-func decodeRecords(body []byte, readErr error) ([]core.Frame, *ReadError) {
-	frames := make([]core.Frame, 0, countRecords(body))
+// walkRecords checks the framing and CRC of each record in body, the
+// records after the header, decodes it and hands it to emit, in order. It
+// stops at the first damaged record, or the first one emit refuses, and
+// reports it; readErr, the error that ended the input early, is the damage
+// at whatever record the bytes run out in.
+func walkRecords(body []byte, readErr error, emit func(core.RunRecord) error) *ReadError {
 	var d recordDecoder
+	var rec core.RunRecord
 	for off, n := 0, 1; ; n++ {
 		if off == len(body) {
 			if readErr != nil {
-				return frames, &ReadError{Record: n, Err: fmt.Errorf("length prefix: %w", readErr)}
+				return &ReadError{Record: n, Err: fmt.Errorf("length prefix: %w", readErr)}
 			}
-			return frames, nil // clean end at a record boundary
+			return nil // clean end at a record boundary
 		}
 		plen, k := binary.Uvarint(body[off:])
 		if k == 0 {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("length prefix: %w", truncated(readErr))}
+			return &ReadError{Record: n, Err: fmt.Errorf("length prefix: %w", truncated(readErr))}
 		}
 		if k < 0 {
-			return frames, &ReadError{Record: n, Err: errors.New("length prefix: varint overflows a 64-bit integer")}
+			return &ReadError{Record: n, Err: errors.New("length prefix: varint overflows a 64-bit integer")}
 		}
 		if plen > maxPayload {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("payload length %d exceeds limit", plen)}
+			return &ReadError{Record: n, Err: fmt.Errorf("payload length %d exceeds limit", plen)}
 		}
 		off += k
 		if uint64(len(body)-off) < plen {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("payload: %w", truncated(readErr))}
+			return &ReadError{Record: n, Err: fmt.Errorf("payload: %w", truncated(readErr))}
 		}
 		payload := body[off : off+int(plen)]
 		off += int(plen)
 		if len(body)-off < 4 {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("crc: %w", truncated(readErr))}
+			return &ReadError{Record: n, Err: fmt.Errorf("crc: %w", truncated(readErr))}
 		}
 		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(body[off:]); got != want {
-			return frames, &ReadError{Record: n, Err: fmt.Errorf("crc mismatch: computed %08x, stored %08x", got, want)}
+			return &ReadError{Record: n, Err: fmt.Errorf("crc mismatch: computed %08x, stored %08x", got, want)}
 		}
 		off += 4
-		frames = append(frames, core.Frame{})
-		if err := d.decode(payload, &frames[len(frames)-1].Rec); err != nil {
-			return frames[:len(frames)-1], &ReadError{Record: n, Err: err}
+		if err := d.decode(payload, &rec); err != nil {
+			return &ReadError{Record: n, Err: err}
+		}
+		if err := emit(rec); err != nil {
+			return &ReadError{Record: n, Err: err}
 		}
 	}
 }
 
 // countRecords counts the records in body whose framing is intact (a
 // length prefix within the limit, then that many payload bytes and a CRC),
-// stopping where the framing breaks, so that decodeRecords allocates its
-// frames once.
+// stopping where the framing breaks, so that a reader sizes its output
+// once.
 func countRecords(body []byte) int {
 	n := 0
 	for off := 0; off < len(body); n++ {

@@ -7,6 +7,9 @@ package wire_test
 // salvaged), and every returned frame must be internally consistent — a
 // newline-terminated valid-JSON line that decodes back to the frame's
 // record. Input without the magic, JSONL included, must fail at record 0.
+// AppendSegmentLines, the frameless read a daemon hydrates with, must
+// append exactly the salvaged frames' lines onto an existing arena and
+// locate the same damage.
 // Damage seeds (truncations, bit flips, lying length prefixes) live in the
 // in-code corpus below and in committed files under
 // testdata/fuzz/FuzzWireReader.
@@ -110,5 +113,8 @@ func FuzzWireReader(f *testing.F) {
 				t.Fatalf("frame %d line does not parse back: %v", i, perr)
 			}
 		}
+		prefix, prefixEnds := []byte("{}\n"), []int{3}
+		lines, ends, lerr := wire.AppendSegmentLines(bytes.Clone(prefix), []int{3}, bytes.NewReader(data))
+		checkSameRead(t, prefix, prefixEnds, lines, ends, lerr, frames, err)
 	})
 }

@@ -15,7 +15,8 @@
 // share one render path: ReadSegment decodes a stored segment and renders
 // its lines through the same helper as EncodeFrames (one exact-size
 // backing per batch), so a replayed stream is byte-identical to the live
-// one and costs about what the live render did.
+// one and costs about what the live render did. AppendSegmentLines renders
+// the same lines straight into a caller's line arena, with no frames.
 package wire
 
 import (
