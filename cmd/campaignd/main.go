@@ -64,21 +64,22 @@
 // fleet's replication path is exercised and reported per peer in the
 // result's "peers" block.
 //
-// With -store-dir the daemon is durable: every finished campaign's record
-// stream is committed to an on-disk segment store, a restarted daemon
-// pointed at the same directory warm-loads its cache from the store's
-// manifest, and resubmissions of characterizations measured by an earlier
-// process replay from disk without re-running the grid. -store-max bounds
-// the store (segments; LRU-compacted past the bound). Segments are written
-// in the compact binary wire format with per-record CRCs (see
-// internal/wire); a store left by an older daemon with JSONL segments
-// opens cleanly, quarantines those segments and re-runs them on demand.
+// Every daemon commits each finished campaign's record stream to an on-disk
+// segment store and replays evicted characterizations from it. -store-dir
+// chooses where the store lives and whether it outlives the process: a
+// daemon restarted on the same directory warm-loads its cache from the
+// manifest and replays what an earlier process measured. Without it the
+// store is a private campaignd-store-* directory under $TMPDIR, holding at
+// most -cache-max segments and removed at shutdown (a SIGKILL leaves it).
+// -store-max bounds the store (segments; LRU-compacted past the bound).
+// Segments use the binary wire format with per-record CRCs (internal/wire);
+// an older daemon's JSONL segments are quarantined and re-run on demand.
 //
 // A huge store does not slow the boot: the registry warm-loads at most
 // -cache-max manifest entries and pages the rest in on first demand;
 // GET /stats reports the split and the boot time under "store"."boot".
 //
-// A durable daemon is also crash-resumable: accepted submissions are
+// A daemon with -store-dir is also crash-resumable: accepted submissions are
 // journaled as intents in the store's manifest (fsync'd) before they run,
 // so the store directory holds one journal; interrupted segment writes
 // are salvaged into checkpoints at boot, and the restarted daemon requeues
@@ -164,8 +165,8 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 	concurrency := fs.Int("concurrency", 1, "campaigns executing at once")
 	spool := fs.String("spool", "", "append every run record to this JSONL spool file")
 	cacheMax := fs.Int("cache-max", 256, "characterization cache bound: finished campaigns retained before LRU eviction")
-	storeDir := fs.String("store-dir", "", "durable store directory: persist finished campaigns and replay them across restarts")
-	storeMax := fs.Int("store-max", 0, "durable store bound (segments, LRU-compacted); 0 = unbounded")
+	storeDir := fs.String("store-dir", "", "store directory: finished campaigns persist here and replay across restarts (default: a private directory under $TMPDIR, removed at shutdown)")
+	storeMax := fs.Int("store-max", 0, "store bound (segments, LRU-compacted); 0 = unbounded with -store-dir, -cache-max without")
 	quarMax := fs.Int("quarantine-max", 0, "quarantine directory bound (files; oldest deleted past it); 0 = unbounded")
 	quarMaxBytes := fs.Int64("quarantine-max-bytes", 0, "quarantine directory bound (total bytes; oldest deleted past it); 0 = unbounded")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight campaigns to finish and commit")
@@ -192,12 +193,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 			return nil
 		}
 		return err
-	}
-	if *storeMax != 0 && *storeDir == "" {
-		return errors.New("-store-max needs -store-dir")
-	}
-	if (*quarMax != 0 || *quarMaxBytes != 0) && *storeDir == "" {
-		return errors.New("-quarantine-max/-quarantine-max-bytes need -store-dir")
 	}
 	if *rateBurst != 0 && *rateLimit <= 0 {
 		return errors.New("-rate-burst needs -rate-limit")

@@ -46,9 +46,6 @@ func TestBadFlagsRejected(t *testing.T) {
 	if err := run(context.Background(), &out, []string{"-spool", filepath.Join(t.TempDir(), "no", "such", "dir", "s.jsonl")}, nil); err == nil {
 		t.Error("unopenable spool accepted")
 	}
-	if err := run(context.Background(), &out, []string{"-store-max", "4"}, nil); err == nil {
-		t.Error("-store-max without -store-dir accepted")
-	}
 	file := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)

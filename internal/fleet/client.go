@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/wire"
 )
@@ -45,16 +44,16 @@ func (e *MismatchError) Error() string {
 }
 
 // Segment is a successfully fetched characterization: the owner's
-// committed manifest metadata plus the decoded frames, each carrying its
-// canonical JSONL line (wire.ReadSegment rebuilds them), so adopting a
-// replica preserves the byte-identical replay contract.
+// committed manifest metadata and segment file, verbatim and checked record
+// by record, so the receiver stores and replays the owner's bytes.
 type Segment struct {
 	// Peer is who served it.
 	Peer Peer
 	// Meta is the segment's manifest metadata, verbatim.
 	Meta json.RawMessage
-	// Frames are the segment's records in stream order.
-	Frames []core.Frame
+	// Body is the segment file (binary wire format); Records its record count.
+	Body    []byte
+	Records int
 }
 
 // peerState is one peer's breaker. Guarded by Client.mu.
@@ -407,21 +406,25 @@ func (c *Client) fetchFrom(ctx context.Context, p Peer, fp string) (seg *Segment
 		// chaos plans can stall or sever an adoption mid-flight.
 		return fail(true, fmt.Errorf("segment body: %w", err))
 	}
-	// ReadSegment holds the whole body, so cap it at the most the
-	// advertised record count can take.
-	frames, err := wire.ReadSegment(io.LimitReader(resp.Body, wire.MaxSegmentSize(want)))
+	// The body is held whole, so cap it at the most the advertised record
+	// count can take.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxSegmentSize(want)))
+	n := 0
+	if err == nil {
+		n, err = wire.SegmentRecords(body)
+	}
 	if err != nil {
-		// CRC mismatch, damaged framing or a dropped connection: the
-		// salvaged prefix is worthless here — a replica must be whole.
+		// A dropped connection, CRC mismatch or damaged framing: the
+		// intact prefix is worthless here — a replica must be whole.
 		return fail(true, fmt.Errorf("segment body: %w", err))
 	}
-	if len(frames) != want {
+	if n != want {
 		// Cleanly framed but short: the peer advertised more records than
 		// it sent (truncated source segment). Never adopt a partial
 		// characterization.
-		return fail(true, fmt.Errorf("truncated segment: got %d records, want %d", len(frames), want))
+		return fail(true, fmt.Errorf("truncated segment: got %d records, want %d", n, want))
 	}
-	return &Segment{Peer: p, Meta: meta, Frames: frames}, false, nil
+	return &Segment{Peer: p, Meta: meta, Body: body, Records: n}, false, nil
 }
 
 // PeerStats is one peer's slice of Stats.

@@ -89,16 +89,14 @@ func TestFetchHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seg.Frames) != 3 {
-		t.Fatalf("frames = %d, want 3", len(seg.Frames))
+	if seg.Records != 3 {
+		t.Fatalf("records = %d, want 3", seg.Records)
 	}
 	if string(seg.Meta) != testMeta {
 		t.Fatalf("meta = %s", seg.Meta)
 	}
-	for _, f := range seg.Frames {
-		if len(f.Line) == 0 || f.Line[len(f.Line)-1] != '\n' {
-			t.Fatal("frame line not a canonical JSONL line")
-		}
+	if !bytes.Equal(seg.Body, body) {
+		t.Fatal("segment body is not the served bytes verbatim")
 	}
 	st := c.Stats()
 	if len(st.Peers) != 1 || st.Peers[0].Fetches != 1 || st.Peers[0].Failures != 0 {
@@ -362,7 +360,7 @@ func TestFetchSingleFlight(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fetch %d: %v", i, err)
 		}
-		if segs[i] == nil || len(segs[i].Frames) != 2 {
+		if segs[i] == nil || segs[i].Records != 2 {
 			t.Fatalf("fetch %d: bad segment", i)
 		}
 	}

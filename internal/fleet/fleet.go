@@ -9,8 +9,8 @@
 //     the configured peers with virtual nodes, so every daemon derives the
 //     same deterministic owner for a fingerprint with no coordination;
 //   - a peer protocol rides the daemons' existing HTTP listeners:
-//     GET /fleet/segments/{fingerprint} streams a committed segment's
-//     frames in the wire format (CRC-checked end to end) and GET
+//     GET /fleet/segments/{fingerprint} sends a committed segment file
+//     verbatim (the wire format, CRC-checked end to end) and GET
 //     /fleet/ring reports peer identity and ring version so membership
 //     disagreements are detected, not silently split-brained;
 //   - a Client implements read-through replication: on a local miss the
@@ -59,7 +59,7 @@ const (
 	// metadata JSON — the storedMeta the owner committed with the segment.
 	HeaderMeta = "X-Fleet-Meta"
 	// HeaderRecords is the decimal record count of the body; a reader that
-	// decodes fewer frames than advertised has a truncated segment and
+	// finds fewer records than advertised has a truncated segment and
 	// must discard it.
 	HeaderRecords = "X-Fleet-Records"
 )

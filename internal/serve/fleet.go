@@ -5,13 +5,11 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/wire"
 )
@@ -20,7 +18,7 @@ import (
 // (internal/fleet): the server side of the peer protocol, and the submit
 // path's read-through replication. The division of labor: fleet owns the
 // ring, per-peer health and the fetch wire client; serve owns where
-// segments live (registry + durable store) and what adopting one means.
+// segments live (registry and store) and what adopting one means.
 //
 // Fleet traffic is deliberately outside both the tenant keyring and the
 // rate limiter — it authenticates with the shared fleet secret, and a
@@ -96,10 +94,11 @@ func (s *Server) handleFleetRing(w http.ResponseWriter, r *http.Request) {
 
 var errRingMismatch = errors.New("serve: fleet ring version mismatch")
 
-// handleFleetSegment streams a committed characterization to a peer: the
-// manifest metadata in a header, the records as a binary wire segment (with
-// per-record CRCs) in the body. Only finished, whole campaigns are served;
-// anything else is a 404 and the requester characterizes locally.
+// handleFleetSegment sends a committed characterization to a peer: the
+// manifest metadata and record count in headers, the stored segment file,
+// verbatim, as the body (the binary wire format, per-record CRCs
+// included). Only committed segments are served; anything else is a 404
+// and the requester characterizes locally.
 func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 	ring := s.fleet.Ring()
 	w.Header().Set(fleet.HeaderPeer, s.fleet.Self().ID)
@@ -116,83 +115,37 @@ func (s *Server) handleFleetSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := r.PathValue("fp")
-	recs, meta, err := s.fleetSegment(fp)
-	body := wire.Header()
-	for i := 0; err == nil && i < len(recs); i++ {
-		body, err = wire.AppendBinaryRecord(body, recs[i])
+	// Serving is a use in the registry's recency order, as the load is in
+	// the store's. Peer traffic never adopts into the registry, so
+	// replication cannot evict cache entries.
+	s.mu.Lock()
+	if c := s.byFP[fp]; c != nil {
+		s.touchLocked(c)
 	}
-	switch {
-	case errors.Is(err, errNoSegment):
+	s.mu.Unlock()
+	seg, e, err := s.store.LoadSegment(fp)
+	if err != nil {
+		if _, ok := s.store.Get(fp); ok {
+			// The segment is still on disk: a transient read error.
+			w.Header().Set("Retry-After", "1")
+			s.writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("%w: %v", errStoreUnavailable, err))
+			return
+		}
 		s.writeError(w, r, http.StatusNotFound,
 			fmt.Errorf("serve: no committed segment for %q", fp))
 		return
-	case err != nil:
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, r, http.StatusServiceUnavailable, err)
-		return
 	}
-	w.Header().Set(fleet.HeaderMeta, base64.StdEncoding.EncodeToString(meta))
-	w.Header().Set(fleet.HeaderRecords, strconv.Itoa(len(recs)))
+	w.Header().Set(fleet.HeaderMeta, base64.StdEncoding.EncodeToString(e.Meta))
+	w.Header().Set(fleet.HeaderRecords, strconv.Itoa(e.Records))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	if err := s.countWrite(w.Write(body)); err != nil {
+	if err := s.countWrite(w.Write(seg)); err != nil {
 		return
 	}
 	s.metrics.fleetServed.Inc()
 	s.logger.Info("fleet segment served",
-		"fingerprint", fp, "records", len(recs),
+		"fingerprint", fp, "records", e.Records,
 		"peer", r.Header.Get(fleet.HeaderPeer))
-}
-
-// errNoSegment means this daemon has no committed characterization for
-// the fingerprint — the peer protocol's 404.
-var errNoSegment = errors.New("serve: segment not here")
-
-// fleetSegment locates a finished characterization's records and manifest
-// metadata: the store's segment if it has one, else a done campaign's
-// arena, parsed back into records on this rare path (a memory-only daemon,
-// or a segment that never committed). Peer traffic never adopts into the
-// registry, so replication cannot evict cache entries.
-func (s *Server) fleetSegment(fp string) ([]core.RunRecord, json.RawMessage, error) {
-	s.mu.Lock()
-	c := s.byFP[fp]
-	if c != nil {
-		s.touchLocked(c)
-	}
-	s.mu.Unlock()
-	if s.store != nil {
-		if e, ok := s.store.Get(fp); ok {
-			frames, err := s.store.LoadFrames(fp)
-			if err == nil {
-				return recordsOfFrames(frames), e.Meta, nil
-			}
-			if _, still := s.store.Get(fp); still {
-				return nil, nil, fmt.Errorf("%w: %v", errStoreUnavailable, err)
-			}
-			// Quarantined: a hydrated campaign may still hold the lines.
-		}
-	}
-	if c == nil {
-		return nil, nil, errNoSegment
-	}
-	lines, m, ok := c.doneLines()
-	if !ok {
-		return nil, nil, errNoSegment
-	}
-	meta, merr := json.Marshal(m)
-	recs, err := core.ParseLog(bytes.NewReader(lines))
-	return recs, meta, errors.Join(merr, err)
-}
-
-// doneLines snapshots a done campaign's arena and manifest summary; ok is
-// false unless its lines are in memory. The arena is append-only.
-func (c *Campaign) doneLines() ([]byte, storedMeta, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.status != StatusDone || (c.fromStore && !c.hydrated) {
-		return nil, storedMeta{}, false
-	}
-	return c.lines, metaOf(c.spec, c.workers, c.stats), true
 }
 
 // fleetFetch is the submit path's read-through: resolve the fingerprint
@@ -224,30 +177,32 @@ func (s *Server) fleetFetch(fp, trace, tenant string) {
 	}
 	s.logger.Info("characterization replicated from peer", withTenant([]any{
 		"trace_id", trace, "fingerprint", fp, "peer", seg.Peer.ID,
-		"records", len(seg.Frames)}, tenant)...)
+		"records", seg.Records}, tenant)...)
 }
 
-// adoptRemote installs a fetched segment: persist it (best-effort), then
-// register a done campaign hydrated with the segment's lines, so the
-// submit loop's next pass is a cache hit. Like adoptLocked, it refuses
-// metadata that parseStoredMeta refuses.
+// adoptRemote installs a fetched segment: persist its bytes (best-effort),
+// then register a done campaign whose arena is rendered from the same
+// bytes, so the submit loop's next pass is a cache hit that reads no file.
+// Like adoptLocked, it refuses metadata that parseStoredMeta refuses.
 func (s *Server) adoptRemote(fp string, seg *fleet.Segment) error {
 	m, stats, err := parseStoredMeta(seg.Meta, fp)
 	if err != nil {
 		return fmt.Errorf("peer segment meta: %w", err)
 	}
-	if len(seg.Frames) == 0 {
+	if seg.Records == 0 {
 		return errors.New("peer segment is empty")
 	}
-	if s.store != nil {
-		// Best-effort: losing durability must not turn a replicated hit
-		// into a failure — the in-memory adoption below still answers the
-		// submission, exactly like a local campaign whose commit failed.
-		if err := s.store.Adopt(fp, seg.Meta, seg.Frames); err != nil {
-			s.metrics.storeErrors.Inc()
-			s.logger.Warn("replicated segment not persisted",
-				"fingerprint", fp, "err", err)
-		}
+	// Best-effort: losing durability must not turn a replicated hit into a
+	// failure — the in-memory adoption below still answers the submission,
+	// exactly like a local campaign whose commit failed.
+	if err := s.store.Adopt(fp, seg.Meta, seg.Body, seg.Records); err != nil {
+		s.metrics.storeErrors.Inc()
+		s.logger.Warn("replicated segment not persisted",
+			"fingerprint", fp, "err", err)
+	}
+	lines, ends, err := wire.AppendSegmentLines(nil, nil, bytes.NewBuffer(seg.Body))
+	if err != nil {
+		return fmt.Errorf("peer segment: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -255,9 +210,8 @@ func (s *Server) adoptRemote(fp string, seg *fleet.Segment) error {
 		return nil // a racer satisfied the fingerprint while we fetched
 	}
 	c := newStoredCampaign(fmt.Sprintf("c%06d", s.nextID), m.Spec, fp,
-		s.spool, stats, m.Workers, len(seg.Frames))
+		s.spool, stats, m.Workers, seg.Records)
 	s.registerLocked(c)
-	lines, ends := appendLines(nil, make([]int, 0, len(seg.Frames)), seg.Frames)
 	c.hydrateWith(lines, ends, nil)
 	s.metrics.fleetReplications.Inc()
 	return nil

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -437,9 +440,9 @@ func TestFleetPeerDeathMidFetchRunsLocally(t *testing.T) {
 	if c == nil {
 		t.Fatal("campaign missing")
 	}
-	got, _, ok := c.doneLines()
-	if !ok {
-		t.Fatal("campaign not done")
+	got, _, status := c.next(context.Background(), 0)
+	if status != StatusDone {
+		t.Fatalf("campaign %s, want done", status)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("local fallback stream is not byte-identical")
@@ -518,11 +521,72 @@ func TestFleetMetricsScopedToPeer(t *testing.T) {
 	}
 }
 
-// TestFleetMemoryOnlyPeerServesSegment: a peer without a store serves a
-// finished campaign by parsing its records back from its line arena. The
-// fetching, store-backed peer adopts the segment without running a grid,
-// persists it, and streams bytes identical to a store-backed daemon that
-// ran the spec itself.
+// TestFleetSegmentMovesVerbatim: a segment crosses the fleet as the
+// store's own bytes. The owner's 200 body is its segment file byte for
+// byte, the replica the receiver installs is that file again, and the
+// receiver streams the batch report.
+func TestFleetSegmentMovesVerbatim(t *testing.T) {
+	dirs := make([]string, 2)
+	hs := startFleet(t, 2, "hush", func(i int, o *Options) {
+		dirs[i] = t.TempDir()
+		o.StoreDir = dirs[i]
+	})
+	a, b := hs[0], hs[1]
+	spec := testSpec(2)
+	ca, _, err := a.srv.Submit(spec, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForStatus(t, a.srv, ca.id, StatusDone)
+	e, ok := a.srv.store.Get(ca.fingerprint)
+	if !ok {
+		t.Fatal("owner committed no segment")
+	}
+	file, err := os.ReadFile(filepath.Join(dirs[0], e.Segment))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, a.base+"/fleet/segments/"+ca.fingerprint, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(fleet.HeaderSecret, "hush")
+	req.Header.Set(fleet.HeaderRing, a.srv.fleet.Ring().Version())
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET segment: status %d, err %v", resp.StatusCode, err)
+	}
+	if !bytes.Equal(body, file) {
+		t.Fatalf("served body (%d bytes) is not the owner's segment file (%d bytes)", len(body), len(file))
+	}
+
+	cb, cached, err := b.srv.Submit(spec, "", "")
+	if err != nil || !cached {
+		t.Fatalf("receiver: cached=%v err=%v, want a replica", cached, err)
+	}
+	replica, err := os.ReadFile(filepath.Join(dirs[1], e.Segment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(replica, file) {
+		t.Fatal("installed replica is not the owner's segment file")
+	}
+	if got := fleetStreamBytes(t, b.base, cb.id); !bytes.Equal(got, batchJSONL(t, spec)) {
+		t.Fatal("receiver's stream is not byte-identical to the batch report")
+	}
+}
+
+// TestFleetMemoryOnlyPeerServesSegment: a peer started without StoreDir
+// serves a finished campaign from its private store like any other. The
+// fetching peer, which has a store directory, adopts the segment without
+// running a grid, persists it, and streams bytes identical to a daemon
+// that ran the spec itself.
 func TestFleetMemoryOnlyPeerServesSegment(t *testing.T) {
 	hs := startFleet(t, 2, "hush", func(i int, o *Options) {
 		if i == 1 {

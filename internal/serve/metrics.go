@@ -146,13 +146,13 @@ func (m *metrics) observeEngine(st campaign.Stats, t campaign.Tally) {
 }
 
 // handleMetrics serves every layer's counters in one scrape: this
-// server's registry, then its store's and its fleet client's when it has
-// them. Each registry belongs to its instance, so a scrape reports this
+// server's registry, then its store's, then its fleet client's when it
+// has one. Each registry belongs to its instance, so a scrape reports this
 // daemon alone.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	err := s.metrics.reg.WritePrometheus(w)
-	if err == nil && s.store != nil {
+	if err == nil {
 		err = s.store.Metrics().WritePrometheus(w)
 	}
 	if err == nil && s.fleet != nil {

@@ -19,7 +19,7 @@ func tinySpec(seed uint64) Spec {
 }
 
 // peerSegment renders the characterization a fleet peer would serve for
-// spec: its manifest summary and its frames.
+// spec: its manifest summary and its segment bytes.
 func peerSegment(t *testing.T, spec Spec) *fleet.Segment {
 	t.Helper()
 	spec = spec.withDefaults()
@@ -35,11 +35,13 @@ func peerSegment(t *testing.T, spec Spec) *fleet.Segment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := wire.EncodeFrames(rep.Records)
-	if err != nil {
-		t.Fatal(err)
+	body := wire.Header()
+	for _, rec := range rep.Records {
+		if body, err = wire.AppendBinaryRecord(body, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return &fleet.Segment{Meta: meta, Frames: frames}
+	return &fleet.Segment{Meta: meta, Body: body, Records: len(rep.Records)}
 }
 
 // TestRegistryInsertionPathsShareLRU drives every way a campaign enters

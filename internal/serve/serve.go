@@ -8,14 +8,15 @@
 // deterministic fingerprint — the paper's multi-day campaigns become a
 // shared service instead of a batch job. The cache itself is bounded
 // (Options.CacheMax): least-recently-used finished campaigns are evicted,
-// so retained line arenas cannot grow without limit; an evicted fingerprint
-// simply re-runs on resubmission — unless the durable store is enabled
-// (Options.StoreDir), in which case every successful campaign's stream is
-// also committed to disk (internal/store) and evicted or restarted
-// campaigns replay their segment instead of re-running. Characterization
-// is the expensive thing this whole service exists to amortize; with a
-// store directory, neither a crash, a restart, nor memory pressure throws
-// a finished measurement away.
+// so retained line arenas cannot grow without limit. Every server also
+// commits each successful campaign's stream to its store (internal/store),
+// and evicted or restarted campaigns replay their segment instead of
+// re-running. Options.StoreDir chooses where the store lives and whether it
+// outlives the process: with it, neither a crash, a restart, nor memory
+// pressure throws a finished measurement away — characterization is the
+// expensive thing this whole service exists to amortize; without it the
+// store sits in a private temporary directory, bounded like the registry,
+// that Close removes (a SIGKILLed process leaves it under TMPDIR).
 //
 // Determinism is the load-bearing invariant, inherited from the engine:
 // the stream a subscriber sees is byte-identical to the serial driver's
@@ -39,6 +40,7 @@
 package serve
 
 import (
+	"cmp"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -47,6 +49,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,24 +84,25 @@ type Options struct {
 	// arenas that back the characterization cache. When admitting a new
 	// campaign would exceed the cap, the least-recently-used terminal
 	// (done or failed) campaign is evicted: its arena is dropped, its id
-	// stops resolving, and a resubmission of its fingerprint re-runs the
-	// grid — unless the durable store holds its segment, in which case the
-	// resubmission replays from disk instead. Running and queued campaigns
-	// are never evicted, so the registry can transiently exceed the cap by
-	// the in-flight count when every entry is live. Zero means 256.
+	// stops resolving, and a resubmission of its fingerprint replays from
+	// the store, or re-runs the grid once the store has compacted the
+	// segment away (see StoreDir). Running and queued campaigns are never
+	// evicted, so the registry can transiently exceed the cap by the
+	// in-flight count when every entry is live. Zero means 256.
 	CacheMax int
-	// StoreDir, when set, enables the durable characterization store
-	// (internal/store) under this directory: every successful campaign's
-	// record stream is committed as a segment, accepted submissions are
-	// journaled so a crash requeues them, and restarted or evicted
-	// campaigns replay from disk instead of re-running. Boot adopts the
-	// CacheMax most recently used manifest entries into the registry (more
-	// would be evicted at once); the rest stay on disk and page in on
-	// first demand, replaying exactly as an evicted entry would.
+	// StoreDir is where the server's store (internal/store) lives: every
+	// successful campaign's record stream is committed there as a segment,
+	// accepted submissions are journaled so a crash requeues them, and
+	// evicted campaigns replay from disk instead of re-running. Boot adopts
+	// the CacheMax most recently used manifest entries into the registry
+	// (more would be evicted at once); the rest stay on disk and page in on
+	// first demand. Empty means a private temporary directory that Close
+	// removes, holding at most CacheMax segments unless StoreMaxSegments is
+	// set, so an evicted fingerprint re-runs after the next commit.
 	StoreDir string
 	// StoreMaxSegments / StoreMaxBytes bound the store; commits past a
 	// bound compact least-recently-used segments first. Zero means
-	// unbounded.
+	// unbounded (but see StoreDir).
 	StoreMaxSegments int
 	StoreMaxBytes    int64
 	// QuarantineMaxFiles / QuarantineMaxBytes bound the store's
@@ -158,6 +162,8 @@ type Server struct {
 	logger *slog.Logger
 	start  time.Time
 	build  buildInfo
+	// privateDir is the store directory New made; Close removes it.
+	privateDir string
 	// metrics are this server's counters, behind both /metrics and /stats.
 	metrics *metrics
 
@@ -202,14 +208,13 @@ type Server struct {
 	gate chan struct{}
 }
 
-// New builds a Server and starts its scheduler workers. With
-// Options.StoreDir set it also opens (recovering if necessary) the durable
-// store, warm-loads the registry from its manifest — at most CacheMax
-// entries, most recent last so the in-memory LRU order continues where the
-// last process left off; anything beyond stays on disk and pages in on
-// first demand — and requeues the submissions the last process accepted
-// but never finished.
-func New(opts Options) (*Server, error) {
+// New builds a Server and starts its scheduler workers. It opens
+// (recovering if necessary) the store, warm-loads the registry from its
+// manifest — at most CacheMax entries, most recent last so the in-memory
+// LRU order continues where the last process left off; anything beyond
+// stays on disk and pages in on first demand — and requeues the
+// submissions the last process accepted but never finished.
+func New(opts Options) (_ *Server, err error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 16
 	}
@@ -237,6 +242,45 @@ func New(opts Options) (*Server, error) {
 		lru:     list.New(),
 		limiter: newLimiter(),
 	}
+	bootStart := time.Now()
+	storeOpts := store.Options{
+		Dir:                opts.StoreDir,
+		MaxSegments:        opts.StoreMaxSegments,
+		MaxBytes:           opts.StoreMaxBytes,
+		QuarantineMaxFiles: opts.QuarantineMaxFiles,
+		QuarantineMaxBytes: opts.QuarantineMaxBytes,
+	}
+	if storeOpts.Dir == "" {
+		// A private store holds the set the registry holds: the two share
+		// one recency order, so an evicted fingerprint is compacted at the
+		// next commit and re-runs.
+		if s.privateDir, err = os.MkdirTemp("", "campaignd-store-"); err != nil {
+			return nil, err
+		}
+		storeOpts.Dir = s.privateDir
+		storeOpts.MaxSegments = cmp.Or(storeOpts.MaxSegments, opts.CacheMax)
+	}
+	if s.store, err = store.Open(storeOpts); err != nil {
+		s.removePrivateDir()
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			s.closeStore()
+		}
+	}()
+	// Entries arrive least-recently-used first; adopting the most recent
+	// CacheMax of them preserves relative LRU order, and the skipped
+	// prefix is exactly the part eviction would drop first.
+	entries := s.store.Entries()
+	skip := max(len(entries)-opts.CacheMax, 0)
+	s.mu.Lock()
+	for _, e := range entries[skip:] {
+		s.adoptLocked(e)
+	}
+	s.warmLoaded, s.warmDeferred = len(entries)-skip, skip
+	s.bootDur = time.Since(bootStart)
+	s.mu.Unlock()
 	if len(opts.AuthKeys) > 0 {
 		if err := s.SetKeys(opts.AuthKeys); err != nil {
 			return nil, err
@@ -253,38 +297,7 @@ func New(opts Options) (*Server, error) {
 		}
 		s.fleet = fl
 	}
-	var pendingIntents []store.Intent
-	if opts.StoreDir != "" {
-		bootStart := time.Now()
-		st, err := store.Open(store.Options{
-			Dir:                opts.StoreDir,
-			MaxSegments:        opts.StoreMaxSegments,
-			MaxBytes:           opts.StoreMaxBytes,
-			QuarantineMaxFiles: opts.QuarantineMaxFiles,
-			QuarantineMaxBytes: opts.QuarantineMaxBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.store = st
-		pendingIntents = st.Intents()
-		// Entries arrive least-recently-used first; adopting the most
-		// recent CacheMax of them preserves relative LRU order, and the
-		// skipped prefix is exactly the part eviction would drop first.
-		entries := st.Entries()
-		skip := 0
-		if len(entries) > opts.CacheMax {
-			skip = len(entries) - opts.CacheMax
-		}
-		s.mu.Lock()
-		for _, e := range entries[skip:] {
-			s.adoptLocked(e)
-		}
-		s.warmLoaded = len(entries) - skip
-		s.warmDeferred = skip
-		s.bootDur = time.Since(bootStart)
-		s.mu.Unlock()
-	}
+	pendingIntents := s.store.Intents()
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 
 	s.mux = http.NewServeMux()
@@ -327,7 +340,7 @@ func New(opts Options) (*Server, error) {
 		"queue_depth", opts.QueueDepth,
 		"concurrency", opts.Concurrency,
 		"cache_max", opts.CacheMax,
-		"store_dir", opts.StoreDir,
+		"store_dir", cmp.Or(opts.StoreDir, s.privateDir),
 		"warm_loaded", s.warmLoaded,
 		"warm_deferred", s.warmDeferred,
 		"auth_enabled", s.AuthEnabled(),
@@ -338,6 +351,21 @@ func New(opts Options) (*Server, error) {
 		"version", s.build.Version,
 	)
 	return s, nil
+}
+
+// closeStore releases the store (flushing its manifest) and removes a
+// private store directory.
+func (s *Server) closeStore() {
+	s.store.Close()
+	s.removePrivateDir()
+}
+
+// removePrivateDir deletes the store directory New made, if any. One that
+// will not go is left behind, as a killed process leaves it.
+func (s *Server) removePrivateDir() {
+	if s.privateDir != "" {
+		_ = os.RemoveAll(s.privateDir)
+	}
 }
 
 // discardHandler drops every record: the default logger for library use.
@@ -359,9 +387,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Close() {
 	s.cancel()
 	s.wg.Wait()
-	if s.store != nil {
-		s.store.Close()
-	}
+	s.closeStore()
 }
 
 // errDraining rejects submissions during graceful shutdown.
@@ -426,9 +452,9 @@ func (s *Server) scheduler() {
 }
 
 // execute runs one campaign through the engine — the spec's strategy picks
-// the scheduler — streaming into the campaign's line arena and, when
-// the store is enabled, into an uncommitted segment that becomes durable
-// exactly when the campaign finishes cleanly.
+// the scheduler — streaming into the campaign's line arena and into an
+// uncommitted segment that becomes durable exactly when the campaign
+// finishes cleanly.
 func (s *Server) execute(c *Campaign) {
 	s.metrics.queueLen.Dec()
 	s.metrics.queueWait.Observe(time.Since(c.queuedAt))
@@ -456,43 +482,41 @@ func (s *Server) execute(c *Campaign) {
 	var sink core.Sink = c
 	var tee *storeTee
 	var resume []core.RunRecord
-	if s.store != nil {
-		ck := s.checkpointFrames(c, grid)
-		var w *store.Writer
-		var werr error
-		if len(ck) > 0 {
-			// Replay the checkpointed prefix into a fresh segment writer;
-			// if the replay fails, fall back to a clean from-scratch run.
-			if w, werr = s.store.Resume(c.fingerprint, ck); werr != nil {
-				ck = nil
-			}
-		}
-		if w == nil {
-			w, werr = s.store.Begin(c.fingerprint)
-		}
-		if werr == nil {
-			tee = &storeTee{s: s, c: c, w: w}
-			sink = tee
-		} else {
-			s.metrics.storeErrors.Inc()
+	ck := s.checkpointFrames(c, grid)
+	var w *store.Writer
+	var werr error
+	if len(ck) > 0 {
+		// Replay the checkpointed prefix into a fresh segment writer;
+		// if the replay fails, fall back to a clean from-scratch run.
+		if w, werr = s.store.Resume(c.fingerprint, ck); werr != nil {
 			ck = nil
 		}
-		if len(ck) > 0 {
-			// The restored prefix re-enters the live arena (and spool) as
-			// the exact pre-rendered bytes the interrupted process streamed;
-			// the engine then executes only the remaining cells, and the
-			// committed segment comes out byte-identical to an uninterrupted
-			// run. The prefix must not pass through the engine sink again,
-			// which is why campaign.Config.Resume suppresses emission for
-			// restored cells.
-			c.Frames(ck)
-			resume = recordsOfFrames(ck)
-			s.metrics.gridsResumed.Inc()
-			s.metrics.runsSaved.Add(uint64(len(ck)))
-			s.logger.Info("campaign resumed from checkpoint", withTenant([]any{
-				"trace_id", c.traceID, "campaign", c.id, "fingerprint", c.fingerprint,
-				"runs_saved", len(ck)}, c.tenant)...)
-		}
+	}
+	if w == nil {
+		w, werr = s.store.Begin(c.fingerprint)
+	}
+	if werr == nil {
+		tee = &storeTee{s: s, c: c, w: w}
+		sink = tee
+	} else {
+		s.metrics.storeErrors.Inc()
+		ck = nil
+	}
+	if len(ck) > 0 {
+		// The restored prefix re-enters the live arena (and spool) as
+		// the exact pre-rendered bytes the interrupted process streamed;
+		// the engine then executes only the remaining cells, and the
+		// committed segment comes out byte-identical to an uninterrupted
+		// run. The prefix must not pass through the engine sink again,
+		// which is why campaign.Config.Resume suppresses emission for
+		// restored cells.
+		c.Frames(ck)
+		resume = recordsOfFrames(ck)
+		s.metrics.gridsResumed.Inc()
+		s.metrics.runsSaved.Add(uint64(len(ck)))
+		s.logger.Info("campaign resumed from checkpoint", withTenant([]any{
+			"trace_id", c.traceID, "campaign", c.id, "fingerprint", c.fingerprint,
+			"runs_saved", len(ck)}, c.tenant)...)
 	}
 	stats, workers, err := campaign.Stats{}, 0, gridErr
 	if err == nil {
@@ -529,7 +553,7 @@ func (s *Server) execute(c *Campaign) {
 	// requeue at next boot would add nothing. The intent end and the
 	// terminal log precede finish, so a client that has read the whole
 	// stream can rely on both having happened.
-	s.endIntent(c.fingerprint)
+	s.store.EndIntent(c.fingerprint)
 	status := "done"
 	if err != nil {
 		status = "failed"
@@ -556,7 +580,7 @@ func errString(err error) string {
 // whole cells (the engine's resume unit) and capped at the grid's total; a
 // torn tail inside a cell re-runs rather than splices.
 func (s *Server) checkpointFrames(c *Campaign, grid *campaign.Grid) []core.Frame {
-	if s.store == nil || grid == nil {
+	if grid == nil {
 		return nil
 	}
 	ck := s.store.Checkpoint(c.fingerprint)
@@ -649,7 +673,7 @@ var errQueueFull = errors.New("serve: run queue full")
 
 // Submit registers a spec and enqueues it, or returns the cached campaign
 // for an already-known fingerprint — from the in-memory registry, or
-// adopted from the durable store (a restarted daemon or an evicted entry:
+// adopted from the store (a restarted daemon or an evicted entry:
 // the records replay from disk, no grid re-runs). cached is true when no
 // new grid run was scheduled. A previously failed campaign does not
 // satisfy its fingerprint: resubmitting replaces it with a fresh attempt.
@@ -697,7 +721,7 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 			return nil, false, errDraining
 		}
 		prev := s.byFP[fp]
-		if prev == nil && s.store != nil {
+		if prev == nil {
 			if e, ok := s.store.Get(fp); ok {
 				prev, fromDisk = s.adoptLocked(e)
 			}
@@ -722,7 +746,7 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 			}
 			// One hit is one use in each layer's recency order.
 			s.touchLocked(prev)
-			if s.store != nil && !loaded {
+			if !loaded {
 				s.store.Touch(fp)
 			}
 			s.mu.Unlock()
@@ -770,16 +794,14 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 		s.metrics.submissions.With("rejected").Inc()
 		return nil, false, errQueueFull
 	}
-	if s.store != nil {
-		meta, werr := json.Marshal(intentMeta{Spec: c.spec, TraceID: trace, Tenant: tenant})
-		if werr == nil {
-			werr = s.store.BeginIntent(fp, meta)
-		}
-		if werr != nil {
-			// Journal trouble must not reject measurable work; the
-			// campaign just loses crash-requeue coverage.
-			s.logger.Warn("intent journal write failed", "fingerprint", fp, "err", werr)
-		}
+	meta, werr := json.Marshal(intentMeta{Spec: c.spec, TraceID: trace, Tenant: tenant})
+	if werr == nil {
+		werr = s.store.BeginIntent(fp, meta)
+	}
+	if werr != nil {
+		// Journal trouble must not reject measurable work; the campaign
+		// just loses crash-requeue coverage.
+		s.logger.Warn("intent journal write failed", "fingerprint", fp, "err", werr)
 	}
 	s.registerLocked(c)
 	s.mu.Unlock()
@@ -822,8 +844,9 @@ func (s *Server) touchLocked(c *Campaign) { s.lru.MoveToBack(c.lruElem) }
 
 // evictLocked makes room for one more registry entry under Options.CacheMax
 // by dropping least-recently-used terminal campaigns — the registry IS the
-// characterization cache, so eviction trades a future re-run (or, with the
-// durable store enabled, a cheap replay from disk) for bounded memory.
+// characterization cache, so eviction trades a future replay from disk (or,
+// once the store has compacted the segment away, a re-run) for bounded
+// memory.
 // Live (queued/running) campaigns are never evicted; when every campaign
 // is live the new one is admitted over the cap. Callers hold s.mu.
 func (s *Server) evictLocked() {
@@ -1158,8 +1181,8 @@ type statsResponse struct {
 	UptimeS  float64        `json:"uptime_s"`
 	Build    buildInfo      `json:"build"`
 	Statuses map[Status]int `json:"statuses"`
-	// Store reports the durable store, when enabled.
-	Store *storeStatsView `json:"store,omitempty"`
+	// Store reports the server's store.
+	Store *storeStatsView `json:"store"`
 	// Fleet reports the peer federation, when enabled.
 	Fleet *fleetStatsView `json:"fleet,omitempty"`
 }
@@ -1222,9 +1245,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UptimeS:      time.Since(s.start).Seconds(),
 		Build:        s.build,
 		Statuses:     make(map[Status]int),
-	}
-	if s.store != nil {
-		resp.Store = &storeStatsView{
+		Store: &storeStatsView{
 			Stats:        s.store.Stats(),
 			ReplayHits:   int(m.replayHits.Value()),
 			Errors:       int(m.storeErrors.Value()),
@@ -1237,7 +1258,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Deferred:   s.warmDeferred,
 				BootMS:     float64(s.bootDur.Microseconds()) / 1000,
 			},
-		}
+		},
 	}
 	campaigns := s.campaignsLocked()
 	s.mu.Unlock()

@@ -135,7 +135,7 @@ var errStoreUnavailable = errors.New("serve: store temporarily unavailable")
 // re-runs cleanly; if the entry survived (a transient read error) it stays
 // done/unhydrated and errStoreUnavailable tells the caller to retry.
 func (s *Server) hydrate(c *Campaign) (loaded bool, err error) {
-	if s.store == nil || !c.needsHydration() {
+	if !c.needsHydration() {
 		return false, nil
 	}
 	lines, ends, err := s.store.LoadLines(c.fingerprint, nil, nil)
@@ -214,14 +214,6 @@ type intentMeta struct {
 	Tenant  string `json:"tenant,omitempty"`
 }
 
-// endIntent retires a fingerprint's journaled submission, if a store
-// journals them.
-func (s *Server) endIntent(fp string) {
-	if s.store != nil {
-		s.store.EndIntent(fp)
-	}
-}
-
 // requeueIntents re-admits the campaigns a previous process accepted but
 // never finished: every pending begin becomes a queued campaign with its
 // original spec, trace ID and tenant, exactly as if the submitter had
@@ -245,7 +237,7 @@ func (s *Server) requeueIntents(pending []store.Intent) {
 			// fingerprints to its key) cannot be trusted to re-run.
 			s.logger.Warn("dropping unreplayable intent",
 				"fingerprint", in.Fingerprint, "err", errString(err))
-			s.endIntent(in.Fingerprint)
+			s.store.EndIntent(in.Fingerprint)
 			continue
 		}
 		s.mu.Lock()
@@ -253,12 +245,12 @@ func (s *Server) requeueIntents(pending []store.Intent) {
 			// The campaign committed after its begin landed but before its
 			// end did; the manifest already answers this fingerprint.
 			s.mu.Unlock()
-			s.endIntent(in.Fingerprint)
+			s.store.EndIntent(in.Fingerprint)
 			continue
 		}
 		if prev := s.byFP[in.Fingerprint]; prev != nil && prev.Status() != StatusFailed {
 			s.mu.Unlock()
-			s.endIntent(in.Fingerprint)
+			s.store.EndIntent(in.Fingerprint)
 			continue
 		}
 		c := newCampaign(fmt.Sprintf("c%06d", s.nextID), spec, in.Fingerprint, s.spool)

@@ -484,3 +484,53 @@ func TestMetaRoundTrip(t *testing.T) {
 		t.Errorf("entry records %d, view %d", e.Records, origView.Records)
 	}
 }
+
+// TestPrivateStoreLifecycle: a Server without StoreDir keeps its store in
+// one directory of its own under TMPDIR, which Close removes, and which a
+// failing New removes too. Unless StoreMaxSegments says otherwise, that
+// store holds no more segments than the registry holds campaigns.
+func TestPrivateStoreLifecycle(t *testing.T) {
+	tmpEntries := func(t *testing.T, dir string) []os.DirEntry {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return entries
+	}
+	t.Run("close removes it", func(t *testing.T) {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		s, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if entries := tmpEntries(t, tmp); len(entries) != 1 || !entries[0].IsDir() {
+			t.Errorf("TMPDIR holds %v, want one store directory", entries)
+		}
+		s.Close()
+		if entries := tmpEntries(t, tmp); len(entries) != 0 {
+			t.Errorf("TMPDIR holds %v after Close, want nothing", entries)
+		}
+	})
+	t.Run("failed New removes it", func(t *testing.T) {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		if _, err := New(Options{AuthKeys: []Key{{Secret: "", Tenant: "a"}}}); err == nil {
+			t.Fatal("New accepted an empty key secret")
+		}
+		if entries := tmpEntries(t, tmp); len(entries) != 0 {
+			t.Errorf("TMPDIR holds %v after a failed New, want nothing", entries)
+		}
+	})
+	t.Run("bounded at CacheMax", func(t *testing.T) {
+		_, ts := newTestServer(t, Options{CacheMax: 2})
+		for seed := uint64(301); seed <= 305; seed++ {
+			streamBytes(t, ts, submit(t, ts, tinySpec(seed), http.StatusAccepted).ID)
+		}
+		if st := serverStats(t, ts); st.Store.Segments > 2 || st.GridsRun != 5 {
+			t.Errorf("after 5 campaigns at CacheMax 2: %d segments, %d grids run; want at most 2 and 5",
+				st.Store.Segments, st.GridsRun)
+		}
+	})
+}

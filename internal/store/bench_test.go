@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // benchSizes are the store sizes the scaling benchmarks compare: a store's
@@ -55,31 +55,18 @@ func storeFixture(b *testing.B, n int) string {
 	return dir
 }
 
-// benchSegment encodes one benchRecords-record segment.
+// benchSegment encodes one benchRecords-record segment, byte for byte the
+// file a store's writer would commit for the same records.
 func benchSegment(b *testing.B) []byte {
 	b.Helper()
-	dir := b.TempDir()
-	s, err := Open(Options{Dir: dir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Adopt("seed", nil, benchFrames()); err != nil {
-		b.Fatal(err)
-	}
-	seg, err := os.ReadFile(filepath.Join(dir, segName("seed")))
-	if err != nil {
-		b.Fatal(err)
+	seg := wire.Header()
+	for _, rec := range testRecords("mcf", benchRecords) {
+		var err error
+		if seg, err = wire.AppendBinaryRecord(seg, rec); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return seg
-}
-
-func benchFrames() []core.Frame {
-	frames := make([]core.Frame, benchRecords)
-	for i, rec := range testRecords("mcf", benchRecords) {
-		frames[i].Rec = rec
-	}
-	return frames
 }
 
 // BenchmarkOpen boots a store over n committed segments: manifest replay,
@@ -103,11 +90,11 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkCommitAtBound commits one 100-record segment into a store held
-// at MaxSegments = n, so every commit also evicts the least recently used
-// segment.
+// BenchmarkCommitAtBound commits one 100-record segment, adopted as bytes,
+// into a store held at MaxSegments = n, so every commit also evicts the
+// least recently used segment.
 func BenchmarkCommitAtBound(b *testing.B) {
-	frames := benchFrames()
+	seg := benchSegment(b)
 	for _, n := range benchSizes {
 		dir := storeFixture(b, n)
 		next := 0 // fingerprints stay new across the runs b.Run makes
@@ -121,7 +108,7 @@ func BenchmarkCommitAtBound(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				next++
-				if err := s.Adopt(fmt.Sprintf("bench%08d", next), nil, frames); err != nil {
+				if err := s.Adopt(fmt.Sprintf("bench%08d", next), nil, seg, benchRecords); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -36,7 +36,7 @@
 // files have their intact record prefix salvaged into a checkpoint (the
 // wire reader's prefix-salvage contract), seg-* files the manifest doesn't
 // claim are quarantined, and so is every claimed segment whose size
-// differs from its manifest line. Boot reads no segment: LoadFrames checks
+// differs from its manifest line. Boot reads no segment: a load checks
 // record count and CRCs when the bytes are used. Either way a damaged
 // segment's entry is dropped, so the campaign simply re-runs while intact
 // ones replay. The same rules upgrade a store written before binary
@@ -162,7 +162,7 @@ type Stats struct {
 	Bytes    int64 `json:"bytes"`
 	// Quarantined counts segments this Store moved aside: damaged or
 	// orphaned files found by recovery plus segments that failed a later
-	// LoadFrames.
+	// load.
 	Quarantined int `json:"quarantined"`
 	// Compactions counts segments evicted by the size/count bounds.
 	Compactions int `json:"compactions"`
@@ -619,7 +619,7 @@ func (s *Store) pruneQuarantine() error {
 
 // verifySegments stats every claimed segment and drops (quarantining) any
 // whose size no longer matches its manifest line: a torn tail or a lost
-// file. It reads no segment; LoadFrames checks records and CRCs when the
+// file. It reads no segment; a load checks records and CRCs when the
 // bytes are used, so boot cost does not grow with the records stored.
 func (s *Store) verifySegments(dirty *bool) error {
 	for fp, e := range s.entries {
@@ -906,24 +906,25 @@ func (w *Writer) Commit(meta json.RawMessage) error {
 	return err
 }
 
-// Adopt commits an externally produced segment — a characterization
-// replicated from a fleet peer — as if this store had written it: the
-// frames stream through an ordinary segment writer and durability follows the same flush/fsync/rename
-// path as a local commit, so every recovery and quarantine invariant
-// applies unchanged. Replay re-renders each record's canonical JSONL line,
-// which is what makes the adopted segment replay byte-identically to the
-// peer that ran it. meta is the peer's manifest metadata, stored verbatim;
-// validating that it belongs to fp is the caller's job (the serve layer
-// refuses segments whose spec does not fingerprint back to fp).
-func (s *Store) Adopt(fp string, meta json.RawMessage, frames []core.Frame) error {
+// Adopt commits a segment replicated from a fleet peer as if this store had
+// written it: body is the peer's segment file (LoadSegment), stored byte
+// for byte through the store.write fault site and a local commit's
+// flush/fsync/rename/put path. Checking body against records
+// (wire.SegmentRecords) and meta against fp is the caller's job.
+func (s *Store) Adopt(fp string, meta json.RawMessage, body []byte, records int) error {
+	hdr := wire.Header()
+	if !bytes.HasPrefix(body, hdr) {
+		return fmt.Errorf("store: adopt %s: not a binary segment", fp)
+	}
 	w, err := s.Begin(fp)
 	if err != nil {
 		return err
 	}
-	if err := w.Frames(frames); err != nil {
+	if err := w.write(body[len(hdr):]); err != nil {
 		w.Abort()
 		return err
 	}
+	w.records = records
 	return w.Commit(meta)
 }
 
@@ -965,21 +966,13 @@ func (s *Store) Entries() []Entry {
 	return out
 }
 
-// LoadFrames reads a fingerprint's segment back as frames — each record
-// with its canonical JSONL line, so replaying to a subscriber costs no
-// further encoding and is byte-identical to the original live stream. The
-// segment is verified against its
-// manifest line; one that fails verification here (damaged after boot) is
-// quarantined and its entry dropped, so the caller can fall back to
-// re-running the campaign. A failure to even open the segment is treated
-// as transient (fd exhaustion, permissions): the entry survives, because
-// forgetting a durable characterization over a retryable error would force
-// exactly the re-run the store exists to prevent. Loading counts as a use
-// for the LRU order.
+// LoadFrames reads a fingerprint's segment back as frames, each record with
+// its canonical JSONL line. Verification, quarantine and recency are
+// load's.
 func (s *Store) LoadFrames(fp string) ([]core.Frame, error) {
 	var frames []core.Frame
-	err := s.load(fp, func(b *bytes.Buffer) (n int, err error) {
-		frames, err = wire.ReadSegment(b)
+	_, err := s.load(fp, func(b []byte) (n int, err error) {
+		frames, err = wire.ReadSegment(bytes.NewBuffer(b))
 		return len(frames), err
 	})
 	if err != nil {
@@ -988,16 +981,16 @@ func (s *Store) LoadFrames(fp string) ([]core.Frame, error) {
 	return frames, nil
 }
 
-// LoadLines is LoadFrames without the frames: it appends the segment's
-// canonical JSONL lines to lines and their end offsets to ends
-// (wire.AppendSegmentLines), which is all a replaying subscriber reads.
-// Verification, quarantine and recency are LoadFrames'. On error lines and
-// ends come back as passed in.
+// LoadLines appends the segment's canonical JSONL lines to lines and their
+// end offsets to ends (wire.AppendSegmentLines), which is all a replaying
+// subscriber reads: byte-identical to the original live stream. On error
+// lines and ends come back as passed in. Verification, quarantine and
+// recency are load's.
 func (s *Store) LoadLines(fp string, lines []byte, ends []int) ([]byte, []int, error) {
 	l, e := lines, ends
-	err := s.load(fp, func(b *bytes.Buffer) (int, error) {
+	_, err := s.load(fp, func(b []byte) (int, error) {
 		var err error
-		l, e, err = wire.AppendSegmentLines(lines, ends, b)
+		l, e, err = wire.AppendSegmentLines(lines, ends, bytes.NewBuffer(b))
 		return len(e) - len(ends), err
 	})
 	if err != nil {
@@ -1006,26 +999,45 @@ func (s *Store) LoadLines(fp string, lines []byte, ends []int) ([]byte, []int, e
 	return l, e, nil
 }
 
+// LoadSegment returns fp's segment file verbatim, checked record by record
+// without rendering a line, and its entry: what a fleet peer adopts.
+// Verification, quarantine and recency are load's.
+func (s *Store) LoadSegment(fp string) ([]byte, Entry, error) {
+	var seg []byte
+	e, err := s.load(fp, func(b []byte) (int, error) {
+		seg = b
+		return wire.SegmentRecords(b)
+	})
+	if err != nil {
+		return nil, Entry{}, err
+	}
+	return seg, e, nil
+}
+
 // load reads fp's segment file and hands it to read, which reports how many
-// records it read, then applies LoadFrames' verification, quarantine and
-// recency contract.
-func (s *Store) load(fp string, read func(*bytes.Buffer) (int, error)) error {
-	s.mu.Lock()
-	e := s.entries[fp]
-	s.mu.Unlock()
-	if e == nil {
-		return fmt.Errorf("store: unknown fingerprint %s", fp)
+// records it read, and returns the entry the file was checked against. A
+// segment that fails verification against its manifest line (damaged after
+// boot) is quarantined and its entry dropped, so the caller can fall back
+// to re-running the campaign. A failure to even open the segment is
+// treated as transient (fd exhaustion, permissions): the entry survives,
+// because forgetting a durable characterization over a retryable error
+// would force exactly the re-run the store exists to prevent. Loading
+// counts as a use for the LRU order.
+func (s *Store) load(fp string, read func([]byte) (int, error)) (Entry, error) {
+	e, ok := s.Get(fp)
+	if !ok {
+		return Entry{}, fmt.Errorf("store: unknown fingerprint %s", fp)
 	}
 	b, err := os.ReadFile(filepath.Join(s.opts.Dir, e.Segment))
 	n := 0
 	if err == nil {
-		n, err = read(bytes.NewBuffer(b))
+		n, err = read(b)
 	}
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		var re *wire.ReadError
 		if !errors.As(err, &re) {
 			// Could not open or read the file at all: transient.
-			return fmt.Errorf("store: load %s: %w", fp, err)
+			return Entry{}, fmt.Errorf("store: load %s: %w", fp, err)
 		}
 	}
 	if err == nil && n != e.Records {
@@ -1036,18 +1048,18 @@ func (s *Store) load(fp string, read func(*bytes.Buffer) (int, error)) error {
 		defer s.mu.Unlock()
 		if _, statErr := os.Stat(filepath.Join(s.opts.Dir, e.Segment)); statErr == nil {
 			if qerr := s.quarantine(e.Segment); qerr != nil {
-				return qerr
+				return Entry{}, qerr
 			}
 		}
 		s.dropEntryLocked(fp)
 		if derr := s.appendOpLocked(manifestOp{Op: "del", Fingerprint: fp}, true); derr != nil {
-			return derr
+			return Entry{}, derr
 		}
-		return fmt.Errorf("store: load %s: %w", fp, err)
+		return Entry{}, fmt.Errorf("store: load %s: %w", fp, err)
 	}
 	s.m.segmentLoads.Inc()
 	s.Touch(fp)
-	return nil
+	return e, nil
 }
 
 // Touch moves a fingerprint to the most recently used end of the store's

@@ -495,6 +495,46 @@ func flipPayloadByte(t *testing.T, path string) {
 	}
 }
 
+// TestLoadSegmentVerbatim: LoadSegment hands back the committed file byte
+// for byte with the entry it was checked against, and moves the entry to
+// the recency front like any load; a segment that fails its CRCs is
+// refused, quarantined and dropped, as LoadFrames would.
+func TestLoadSegmentVerbatim(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	commit(t, s, "aaaa", "mcf", 3)
+	commit(t, s, "bbbb", "lbm", 2)
+	seg, e, err := s.LoadSegment("aaaa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, segName("aaaa")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seg, file) || e.Records != 3 || e.Fingerprint != "aaaa" {
+		t.Fatalf("LoadSegment = %d bytes, entry %+v; want the %d-byte file and 3 records", len(seg), e, len(file))
+	}
+	if entries := s.Entries(); entries[len(entries)-1].Fingerprint != "aaaa" {
+		t.Error("a segment load did not count as a use")
+	}
+
+	flipPayloadByte(t, filepath.Join(dir, segName("bbbb")))
+	if _, _, err := s.LoadSegment("bbbb"); err == nil {
+		t.Fatal("damaged segment loaded")
+	}
+	if _, ok := s.Get("bbbb"); ok {
+		t.Error("damaged entry still indexed")
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, segName("bbbb"))); err != nil {
+		t.Errorf("damaged segment not in quarantine: %v", err)
+	}
+}
+
 // TestTouchChurnCompactsManifest: touch churn compacts the journal while
 // the store is still open — a long-lived daemon's hot fingerprint must not
 // grow the manifest without bound — and neither entries nor LRU order are
@@ -543,17 +583,22 @@ func TestAdoptReplaysByteIdentically(t *testing.T) {
 }
 
 func adoptReplaysByteIdentically(t *testing.T) {
-	// A segment adopted from a peer (frames + verbatim meta) must behave
-	// exactly like a locally committed one: indexed, durable across
-	// reopen, and replaying the peer's canonical bytes.
+	// A segment adopted from a peer (its file bytes + verbatim meta) must
+	// behave exactly like a locally committed one: indexed, stored byte for
+	// byte, durable across reopen, and replaying the peer's canonical
+	// bytes.
 	recs := testRecords("adopted", 5)
 	frames, err := wire.EncodeFrames(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
+	seg := wire.Header()
 	for _, f := range frames {
 		want.Write(f.Line)
+		if seg, err = wire.AppendBinaryRecord(seg, f.Rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	meta := json.RawMessage(`{"label":"adopted","workers":3}`)
 
@@ -562,12 +607,15 @@ func adoptReplaysByteIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Adopt("feedface00000001", meta, frames); err != nil {
+	if err := s.Adopt("feedface00000001", meta, seg, len(recs)); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := s.Get("feedface00000001")
-	if !ok || e.Records != 5 || string(e.Meta) != string(meta) {
+	if !ok || e.Records != 5 || e.Bytes != int64(len(seg)) || string(e.Meta) != string(meta) {
 		t.Fatalf("entry = %+v, ok = %v", e, ok)
+	}
+	if file, err := os.ReadFile(filepath.Join(dir, e.Segment)); err != nil || !bytes.Equal(file, seg) {
+		t.Fatalf("stored segment differs from the adopted bytes (err %v)", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ const maxPayload = 1 << 20
 // take: the header, then n records of at most maxPayload bytes, each behind
 // its length prefix and ahead of its CRC. A reader of a stream that
 // advertises its record count bounds the stream by it, so a misbehaving
-// sender cannot make ReadSegment hold more.
+// sender cannot make its reader hold more.
 func MaxSegmentSize(n int) int64 {
 	const head = int64(len(magic) + 1)
 	const perRecord = binary.MaxVarintLen64 + maxPayload + 4
@@ -76,10 +76,8 @@ func Header() []byte {
 // payload, CRC) to dst. Errors only on non-finite floats, matching the
 // JSONL encoder, so a record that can be streamed can always be persisted.
 func AppendBinaryRecord(dst []byte, rec core.RunRecord) ([]byte, error) {
-	for _, f := range floatFields(rec) {
-		if math.IsInf(f, 0) || math.IsNaN(f) {
-			return dst, fmt.Errorf("wire: unsupported value: %v", f)
-		}
+	if err := checkFinite(rec); err != nil {
+		return dst, err
 	}
 	// The payload length is not known until it is built, so encode into
 	// pooled scratch first and splice behind the varint prefix.
@@ -93,11 +91,17 @@ func AppendBinaryRecord(dst []byte, rec core.RunRecord) ([]byte, error) {
 	return dst, nil
 }
 
-// floatFields lists every float in the record for the finiteness check.
-func floatFields(rec core.RunRecord) [3 + silicon.NumPMDs]float64 {
-	out := [3 + silicon.NumPMDs]float64{rec.Setup.PMDVoltage, rec.Setup.SoCVoltage, rec.DroopMV}
-	copy(out[3:], rec.Setup.PMDFreqHz[:])
-	return out
+// checkFinite refuses a record the JSONL encoder cannot render: one with a
+// non-finite float.
+func checkFinite(rec core.RunRecord) error {
+	floats := [3 + silicon.NumPMDs]float64{rec.Setup.PMDVoltage, rec.Setup.SoCVoltage, rec.DroopMV}
+	copy(floats[3:], rec.Setup.PMDFreqHz[:])
+	for _, f := range floats {
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return fmt.Errorf("wire: unsupported value: %v", f)
+		}
+	}
+	return nil
 }
 
 // appendPayload encodes the record body in fixed field order.
@@ -301,9 +305,9 @@ func (e *ReadError) Unwrap() error { return e.Err }
 //
 // The input is decoded from one byte slice. A *bytes.Buffer's unread bytes
 // are decoded in place (the store hands whole segment files over this
-// way); any other reader (a peer's response body) is read to its end
-// first, and a read error is reported as damage where the bytes run out.
-// A caller reading an untrusted stream bounds it first (MaxSegmentSize).
+// way); any other reader is read to its end first, and a read error is
+// reported as damage where the bytes run out. A caller reading an
+// untrusted stream bounds it first (MaxSegmentSize).
 func ReadSegment(r io.Reader) ([]core.Frame, error) {
 	body, damage, readErr := segmentBody(r)
 	if damage != nil {
@@ -354,6 +358,25 @@ func AppendSegmentLines(lines []byte, ends []int, r io.Reader) ([]byte, []int, e
 		return lines, ends, damage
 	}
 	return lines, ends, nil
+}
+
+// SegmentRecords checks a segment held in memory as ReadSegment reads it
+// (header, framing, CRCs, payload decode, renderable floats) and counts
+// its records without rendering a line. It fails exactly where ReadSegment
+// would, returning the intact prefix's count with the *ReadError.
+func SegmentRecords(seg []byte) (int, error) {
+	body, damage, _ := segmentBody(bytes.NewBuffer(seg))
+	n := 0
+	if damage == nil {
+		damage = walkRecords(body, nil, func(rec core.RunRecord) error {
+			n++
+			return checkFinite(rec)
+		})
+	}
+	if damage != nil {
+		return max(damage.Record-1, 0), damage
+	}
+	return n, nil
 }
 
 // growExact returns s with room for n more elements, reallocated to exactly

@@ -9,7 +9,8 @@ package wire_test
 // record. Input without the magic, JSONL included, must fail at record 0.
 // AppendSegmentLines, the frameless read a daemon hydrates with, must
 // append exactly the salvaged frames' lines onto an existing arena and
-// locate the same damage.
+// locate the same damage. SegmentRecords, the renderless walk, must count
+// the salvaged frames and fail exactly when and where the read does.
 // Damage seeds (truncations, bit flips, lying length prefixes) live in the
 // in-code corpus below and in committed files under
 // testdata/fuzz/FuzzWireReader.
@@ -21,8 +22,11 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
+	"math"
 	"testing"
 	"time"
 
@@ -64,6 +68,24 @@ func fuzzSegment(tb testing.TB) []byte {
 	return seg
 }
 
+// nanSegment returns seg with record 2's DroopMV (38.25) replaced by a
+// NaN under a CRC that matches: intact framing that only the JSONL render
+// refuses.
+func nanSegment(seg []byte) []byte {
+	out := bytes.Clone(seg)
+	at := bytes.Index(out, binary.LittleEndian.AppendUint64(nil, math.Float64bits(38.25)))
+	binary.LittleEndian.PutUint64(out[at:], math.Float64bits(math.NaN()))
+	for off := len(wire.Header()); ; {
+		plen, k := binary.Uvarint(out[off:])
+		start, end := off+k, off+k+int(plen)
+		if at < end {
+			binary.LittleEndian.PutUint32(out[end:], crc32.ChecksumIEEE(out[start:end]))
+			return out
+		}
+		off = end + 4
+	}
+}
+
 func FuzzWireReader(f *testing.F) {
 	seg := fuzzSegment(f)
 	f.Add(seg)              // clean segment
@@ -83,6 +105,7 @@ func FuzzWireReader(f *testing.F) {
 	f.Add(badVer)
 	lying := append(wire.Header(), 0xff, 0xff, 0xff, 0xff, 0x0f) // 4 GiB length prefix
 	f.Add(lying)
+	f.Add(nanSegment(seg)) // record 2 framed intact, but not renderable
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames, err := wire.ReadSegment(bytes.NewReader(data))
@@ -112,6 +135,15 @@ func FuzzWireReader(f *testing.F) {
 			if perr := json.Unmarshal(fr.Line, &rec); perr != nil {
 				t.Fatalf("frame %d line does not parse back: %v", i, perr)
 			}
+		}
+		// SegmentRecords, the walk a segment passed on verbatim is checked
+		// with, counts ReadSegment's frames and fails exactly when and where
+		// it does.
+		n, werr := wire.SegmentRecords(data)
+		var wre, fre *wire.ReadError
+		if (werr == nil) != (err == nil) || n != len(frames) ||
+			(err != nil && (!errors.As(werr, &wre) || !errors.As(err, &fre) || wre.Record != fre.Record)) {
+			t.Fatalf("SegmentRecords = %d, %v; ReadSegment = %d frames, %v", n, werr, len(frames), err)
 		}
 		prefix, prefixEnds := []byte("{}\n"), []int{3}
 		lines, ends, lerr := wire.AppendSegmentLines(bytes.Clone(prefix), []int{3}, bytes.NewReader(data))

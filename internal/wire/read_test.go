@@ -97,6 +97,14 @@ func TestReadSegmentEveryTruncation(t *testing.T) {
 		if (err == nil) != clean {
 			t.Fatalf("cut at %d: err = %v, want clean read %v", cut, err, clean)
 		}
+		// The record walk behind verbatim segment transfer fails wherever
+		// ReadSegment does, at the same record, and counts the same prefix.
+		n, werr := wire.SegmentRecords(seg[:cut])
+		var wre, fre *wire.ReadError
+		if (werr == nil) != clean || n != whole ||
+			(werr != nil && (!errors.As(werr, &wre) || !errors.As(err, &fre) || wre.Record != fre.Record)) {
+			t.Fatalf("cut at %d: SegmentRecords = %d, %v; ReadSegment err = %v with %d whole records", cut, n, werr, err, whole)
+		}
 		stream, serr := wire.ReadSegment(io.MultiReader(bytes.NewReader(seg[:cut]), iotest.ErrReader(severed)))
 		var re *wire.ReadError
 		if !errors.Is(serr, severed) || !errors.As(serr, &re) || re.Record != damaged {
