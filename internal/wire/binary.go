@@ -26,8 +26,8 @@ import (
 // re-rendering is bit-exact). The CRC covers the payload only; the length
 // prefix is implicitly checked by the CRC failing when it lies. A segment
 // ends at a clean record boundary; anything else — truncation inside a
-// record, a bit flip, an over-long length — surfaces as a *ReadError with
-// the intact prefix, mirroring core.ParseLog's salvage contract.
+// record, a bit flip, an over-long length — surfaces as a *ReadError
+// returned with the intact prefix (ReadSegment's salvage contract).
 //
 // This is the only on-disk record format: the store writes committed
 // segments and crash checkpoints in it. The live stream, the spool and batch
@@ -274,11 +274,10 @@ func (d *recordDecoder) decode(b []byte, rec *core.RunRecord) error {
 	return nil
 }
 
-// ReadError is ReadSegment's failure report, mirroring core.LogError's
-// prefix-salvage contract: Record is the 1-based index of the first
-// damaged record (0 for a bad header), the frames decoded before it are
-// returned alongside the error, and nothing beyond the damage is ever
-// returned.
+// ReadError is ReadSegment's failure report: Record is the 1-based index
+// of the first damaged record (0 for a bad header), the frames decoded
+// before it are returned alongside the error, and nothing beyond the
+// damage is ever returned.
 type ReadError struct {
 	// Record is the 1-based index of the damage; 0 is the header.
 	Record int
@@ -299,9 +298,10 @@ func (e *ReadError) Unwrap() error { return e.Err }
 // produced it. The frames slice is allocated once at its final size, and
 // all lines share one exact-size backing.
 //
-// Salvage contract (same as core.ParseLog): on damage, the frames decoded
-// before the damage are returned together with a *ReadError locating it —
-// never a nil slice alongside frames, never frames from beyond the damage.
+// Salvage contract: on damage, the frames decoded before the damage are
+// returned together with a *ReadError locating it, and no frame from
+// beyond the damage is ever returned. Crash recovery relies on this to
+// keep every record a truncated segment still holds intact.
 //
 // The input is decoded from one byte slice. A *bytes.Buffer's unread bytes
 // are decoded in place (the store hands whole segment files over this

@@ -4,8 +4,8 @@
 // (binary.go), the store's only on-disk record format, with a reader that
 // replays a segment as the canonical JSONL stream.
 //
-// The encoder exists because, with simulation at ~µs per run (see
-// BENCH_hotpath.json), JSONL encoding dominates a streamed campaign and
+// The encoder exists because, with simulation at ~µs per run (perfbench's
+// xgene.run_us), JSONL encoding dominates a streamed campaign and
 // every subscriber used to pay it independently. Encoding each record
 // exactly once — into a core.Frame whose Line every NDJSON/SSE subscriber
 // and spool file shares — only works if the rendered bytes are exactly
