@@ -33,14 +33,24 @@
 // indices of its weakest eighth in ascending Ret40 order and the
 // positions of its VRT cells, under one byte per weak cell — built under
 // sync.Once on the fabric's first scan, never at fabrication, so modules
-// that are never scanned do not pay for it. A bank whose lowest Ret40 is
-// at or above the bound is skipped without touching its cells; a bank
-// whose candidates all fall in its weakest eighth visits just those; any
-// other bank is walked linearly. At ambient temperature and the paper's
-// 35x-relaxed refresh a few dozen of the ~240k cells are candidates, in
-// a few dozen of the 576 banks; at 60 degC all of them are. Either way
-// every candidate goes through the exact per-cell test and results match
-// an exhaustive scan byte for byte.
+// that are never scanned do not pay for it. The index turns a set of
+// per-DIMM bounds into its candidates: a bank whose lowest Ret40 is at or
+// above the bound is skipped without touching its cells, a bank whose
+// candidates all fall in its weakest eighth visits just those, and any
+// other bank is walked linearly. The bounds depend only on the refresh
+// period and the DIMM temperatures, so the fabric keeps the last
+// enumeration, a list of each candidate's coordinates, cell key and VRT
+// ordinal, and a scan at the same bounds (every run of a campaign on a warm
+// board) iterates that list and nothing else. A list longer than
+// weakTotal/8 is not kept, so it costs at most 4 bytes per weak cell.
+// Each scan draws one bit of its dram/vrt stream per VRT cell in storage
+// order; the draws of VRT cells that are not candidates are skipped at
+// the generator's register speed, without computing its output. At
+// ambient temperature and the paper's 35x-relaxed refresh ~47 of the
+// ~240k cells are candidates, in ~45 of the 576 banks, and a scan costs a
+// few microseconds; at 60 degC all cells are candidates and each scan
+// walks them. Either way every candidate goes through the exact per-cell
+// test and results match an exhaustive scan byte for byte.
 package dram
 
 import (
@@ -218,6 +228,9 @@ type fabric struct {
 	// (see scanIndex); fabrication never touches it.
 	indexOnce sync.Once
 	index     []bankIndex
+	// cands is the candidate list of the last scan's bounds (see
+	// collectFailures), shared by every Module of the population.
+	cands atomic.Pointer[candidateList]
 }
 
 // fabKey identifies a fabric. Config is a plain value type (geometry ints,

@@ -577,6 +577,7 @@ func benchScanPatternRandom(b *testing.B, tempC float64) {
 var (
 	fabSink   *fabric
 	indexSink []bankIndex
+	scanSink  *ScanResult
 )
 
 // BenchmarkFabricate fabricates the paper's full memory system on a fresh

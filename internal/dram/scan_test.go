@@ -477,9 +477,93 @@ func TestConcurrentFirstScan(t *testing.T) {
 	}
 }
 
+// TestScanMemoFollowsBounds walks one Module through the changes that
+// move the per-DIMM bounds, and back, so each scan either misses the
+// fabric's candidate list or hits one built at other settings' bounds:
+// every result must equal the exhaustive reference. Two Modules of one
+// fabric at different temperatures then scan concurrently, each replacing
+// the list the other just built. Last, a 60 degC scan, where every cell is
+// a candidate, must not leave a list longer than weakTotal/sparseShare.
+func TestScanMemoFollowsBounds(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Geometry.RowsPerBank = 8192
+	const seed = 0x3e30
+	m, err := NewModule(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	random, _ := NewPattern(RandomPattern)
+	check := func(m *Module, what string, trefp time.Duration, runSeed uint64) {
+		for _, w := range oracleWorkloads[:4] {
+			got, err := m.ScanWorkload(w.mem, trefp, runSeed)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if want := referenceScanWorkload(m, w.mem, trefp, runSeed); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: scan differs from reference (%d vs %d failures)", what, w.name, len(got.Failures), len(want.Failures))
+			}
+		}
+		got, err := m.ScanPattern(random, trefp, runSeed)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if want := referenceScanPattern(m, random, trefp, runSeed); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s random DPBench: scan differs from reference", what)
+		}
+	}
+
+	relaxed := 2283 * time.Millisecond
+	_ = m.SetAllTemps(30)
+	check(m, "30C", relaxed, 1)
+	if cl := m.fab.cands.Load(); cl == nil || cl.dense || len(cl.list) == 0 {
+		t.Fatal("30C scans kept no candidate list")
+	}
+	check(m, "30C again", relaxed, 2)
+	_ = m.SetDIMMTemp(2, 55)
+	check(m, "DIMM 2 at 55C", relaxed, 3)
+	check(m, "DIMM 2 at 55C, 5s", 5*time.Second, 4)
+	_ = m.SetDIMMTemp(2, 30)
+	check(m, "back to 30C, 5s", 5*time.Second, 5)
+	check(m, "back to 30C", relaxed, 6)
+
+	other, err := NewModule(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = other.SetAllTemps(50)
+	var wg sync.WaitGroup
+	for i, mod := range []*Module{m, other} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := uint64(0); r < 4; r++ {
+				check(mod, fmt.Sprintf("concurrent module %d", i), relaxed, 10+r)
+			}
+		}()
+	}
+	wg.Wait()
+	if m.fab != other.fab {
+		t.Fatal("modules of one (config, seed) do not share the pooled fabric")
+	}
+
+	_ = m.SetAllTemps(60)
+	check(m, "60C", relaxed, 7)
+	limit := m.fab.weakTotal / sparseShare
+	if cl := m.fab.cands.Load(); cl == nil {
+		t.Error("60C scan left no entry on the fabric")
+	} else if !cl.dense || len(cl.list) > limit {
+		t.Errorf("60C scan left a list of %d candidates (dense %v), want a dense entry of at most %d", len(cl.list), cl.dense, limit)
+	}
+	check(m, "60C again", relaxed, 8)
+}
+
 // BenchmarkScanWorkload measures the nw workload scan at the paper's
-// relaxed refresh period: at 30 degC a few dozen cells can fail, at
-// 60 degC every materialized cell is a candidate.
+// relaxed refresh period. At 30 degC ~45 cells are candidates and at
+// 50 degC ~14k, both few enough that each scan after the first tests the
+// fabric's kept candidate list. At 60 degC every materialized cell is a
+// candidate, too many to keep, so each scan walks the retention index.
 func BenchmarkScanWorkload(b *testing.B) {
 	m, err := NewModule(DefaultConfig(), 1)
 	if err != nil {
@@ -494,5 +578,28 @@ func BenchmarkScanWorkload(b *testing.B) {
 				_, _ = m.ScanWorkload(nw, 2283*time.Millisecond, uint64(i))
 			}
 		})
+	}
+}
+
+// BenchmarkScanWorkloadWarmBoard measures the scans of the dram-refresh
+// campaign shape: one warm board (seed 0x5EED_D4A3) at ambient 30 degC and
+// the paper's 2283 ms refresh period, cycling through the four Rodinia
+// profiles with a fresh run seed per scan. One scan before the timer
+// fetches the fabric and builds its index, as the board's first campaign
+// does.
+func BenchmarkScanWorkloadWarmBoard(b *testing.B) {
+	m, err := NewModule(DefaultConfig(), 0x5EED_D4A3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_ = m.SetAllTemps(30)
+	rodinia := oracleWorkloads[:4]
+	if _, err := m.ScanWorkload(rodinia[0].mem, 2283*time.Millisecond, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanSink, _ = m.ScanWorkload(rodinia[i%len(rodinia)].mem, 2283*time.Millisecond, uint64(i))
 	}
 }

@@ -81,6 +81,27 @@ func (r *Stream) Uint64() uint64 {
 	return result
 }
 
+// Advance discards the next n draws, leaving the stream where n Uint64
+// calls would. It runs only the state update, on locals, and skips the
+// scrambled output, so a consumer that owns draws by position can jump
+// over the ones it does not need at register speed.
+func (r *Stream) Advance(n int) {
+	if n <= 0 {
+		return
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; n > 0; n-- {
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Float64 returns a uniform value in [0, 1).
 func (r *Stream) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

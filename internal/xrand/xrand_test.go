@@ -230,3 +230,28 @@ func TestBoolRoughlyFair(t *testing.T) {
 		t.Errorf("Bool true fraction = %v, want ~0.5", frac)
 	}
 }
+
+// TestAdvanceMatchesUint64 pins Advance to the draws it discards: after
+// Advance(n) the next Uint64 is the one n+1 Uint64 calls would return,
+// on root and split streams alike.
+func TestAdvanceMatchesUint64(t *testing.T) {
+	streams := map[string]func() *Stream{
+		"New":   func() *Stream { return New(0x5EED_D4A3) },
+		"Split": func() *Stream { return New(1).Split("dram/vrt") },
+	}
+	for name, mk := range streams {
+		for _, n := range []int{0, 1, 2, 17, 3344, 100003} {
+			skip, step := mk(), mk()
+			skip.Advance(n)
+			for i := 0; i < n; i++ {
+				step.Uint64()
+			}
+			if g, w := skip.Uint64(), step.Uint64(); g != w {
+				t.Errorf("%s: Advance(%d) then Uint64 = %x, want %x", name, n, g, w)
+			}
+			if *skip != *step {
+				t.Errorf("%s: Advance(%d) left a different state than %d Uint64 calls", name, n, n)
+			}
+		}
+	}
+}
