@@ -7,7 +7,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/silicon"
 	"repro/internal/viruses"
-	"repro/internal/xgene"
 )
 
 // Section III of the paper crafts synthetic programs that isolate either
@@ -134,39 +133,4 @@ func fmtModes(m map[string]int) string {
 		}
 	}
 	return s
-}
-
-// cacheOutcomeSet classifies outcome names as cache-style.
-var cacheOutcomeSet = map[string]bool{
-	xgene.OutcomeCE.String():  true,
-	xgene.OutcomeUE.String():  true,
-	xgene.OutcomeSDC.String(): true,
-}
-
-// CacheModesOnly reports whether a core's cache-virus failure modes were
-// exclusively SRAM-style (no direct crash at the boundary).
-func (c CoreAttribution) CacheModesOnly() bool {
-	if len(c.CacheOutcomes) == 0 {
-		return false
-	}
-	for k := range c.CacheOutcomes {
-		if !cacheOutcomeSet[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// LogicModesOnly reports whether a core's ALU-virus failures were
-// exclusively pipeline-style (crash/hang).
-func (c CoreAttribution) LogicModesOnly() bool {
-	if len(c.LogicOutcomes) == 0 {
-		return false
-	}
-	for k := range c.LogicOutcomes {
-		if cacheOutcomeSet[k] {
-			return false
-		}
-	}
-	return true
 }

@@ -40,7 +40,7 @@ func dump(b *testing.B, key, text string) {
 // 870-885 mV TFF, 870-900 mV TSS vs 980 mV nominal).
 func BenchmarkFig4SpecVmin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Fig4SpecVmin(DefaultSeed, 10)
+		res, err := Fig4SpecVminWorkers(DefaultSeed, 10, DefaultWorkers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig4SpecVminSerial(b *testing.B) {
 // with the two weakest PMDs at 1.2 GHz).
 func BenchmarkFig5Tradeoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Fig5Tradeoff(DefaultSeed, 10)
+		res, err := Fig5TradeoffWorkers(DefaultSeed, 10, DefaultWorkers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func BenchmarkFig5Tradeoff(b *testing.B) {
 // virus exhibits the highest Vmin of all workloads.
 func BenchmarkFig6VirusVsNAS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Fig6VirusVsNAS(DefaultSeed, 10)
+		res, err := Fig6VirusVsNASWorkers(DefaultSeed, 10, DefaultWorkers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkFig6VirusVsNAS(b *testing.B) {
 // inter-chip variation (paper margins: TTT 60 mV, TFF 20 mV, TSS ~0).
 func BenchmarkFig7InterChip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Fig7InterChip(DefaultSeed, 10)
+		res, err := Fig7InterChipWorkers(DefaultSeed, 10, DefaultWorkers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func BenchmarkFig7InterChipSerial(b *testing.B) {
 // spreads 41%% and 16%%; all errors ECC-corrected).
 func BenchmarkTable1BankVariation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Table1BankVariation(DefaultSeed)
+		res, err := Table1BankVariationWorkers(DefaultSeed, DefaultWorkers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkTable1BankVariation(b *testing.B) {
 // ~2.5x and stay below the virus).
 func BenchmarkFig8aBER(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Fig8aBER(DefaultSeed)
+		res, err := Fig8aBERWorkers(DefaultSeed, DefaultWorkers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkFig8bRefreshPower(b *testing.B) {
 // PMD 20.3%%, SoC 6.9%%, DRAM 33.3%%; QoS intact).
 func BenchmarkFig9JammerSavings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Fig9JammerSavings(DefaultSeed)
+		res, err := Fig9JammerSavingsWorkers(DefaultSeed, DefaultWorkers)
 		if err != nil {
 			b.Fatal(err)
 		}

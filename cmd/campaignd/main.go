@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	campaignd [-addr host:port] [-queue N] [-concurrency N] [-spool file]
+//	campaignd [-addr host:port] [-queue N] [-concurrency N]
 //	          [-cache-max N] [-store-dir dir] [-store-max N]
 //	          [-quarantine-max N] [-quarantine-max-bytes N]
 //	          [-drain-timeout d] [-fault-plan plan]
@@ -123,7 +123,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/serve"
@@ -147,7 +146,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	queue := fs.Int("queue", 16, "run queue depth: campaigns waiting beyond the running ones")
 	concurrency := fs.Int("concurrency", 1, "campaigns executing at once")
-	spool := fs.String("spool", "", "append every run record to this JSONL spool file")
 	cacheMax := fs.Int("cache-max", 256, "characterization cache bound: finished campaigns retained before LRU eviction")
 	storeDir := fs.String("store-dir", "", "store directory: finished campaigns persist here and replay across restarts (default: a private directory under $TMPDIR, removed at shutdown)")
 	storeMax := fs.Int("store-max", 0, "store bound (segments, LRU-compacted); 0 = unbounded with -store-dir, -cache-max without")
@@ -326,16 +324,6 @@ func run(ctx context.Context, w io.Writer, args []string, ready chan<- string) e
 		go ps.Serve(pln)
 		defer ps.Close()
 		fmt.Fprintf(w, "campaignd pprof on http://%s/debug/pprof/\n", pln.Addr())
-	}
-
-	if *spool != "" {
-		f, err := os.OpenFile(*spool, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("open spool: %w", err)
-		}
-		defer f.Close()
-		srv.AttachSink(core.NewJSONLSink(f))
-		fmt.Fprintf(w, "campaignd spooling records to %s\n", *spool)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

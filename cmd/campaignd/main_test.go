@@ -43,9 +43,6 @@ func TestBadFlagsRejected(t *testing.T) {
 	if err := run(context.Background(), &out, []string{"-addr", "not-an-address"}, nil); err == nil {
 		t.Error("unlistenable address accepted")
 	}
-	if err := run(context.Background(), &out, []string{"-spool", filepath.Join(t.TempDir(), "no", "such", "dir", "s.jsonl")}, nil); err == nil {
-		t.Error("unopenable spool accepted")
-	}
 	file := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -184,10 +181,9 @@ func TestDaemonStoreRestart(t *testing.T) {
 }
 
 // TestDaemonSmoke boots the daemon on a free port, submits a tiny grid,
-// tails the stream to completion, checks the record count and the spool,
-// and shuts down cleanly.
+// tails the stream to completion, checks the record count, and shuts down
+// cleanly.
 func TestDaemonSmoke(t *testing.T) {
-	spool := filepath.Join(t.TempDir(), "spool.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -195,7 +191,7 @@ func TestDaemonSmoke(t *testing.T) {
 	ready := make(chan string, 1)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run(ctx, &out, []string{"-addr", "127.0.0.1:0", "-spool", spool}, ready)
+		errc <- run(ctx, &out, []string{"-addr", "127.0.0.1:0"}, ready)
 	}()
 	var addr string
 	select {
@@ -246,15 +242,6 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	if lines != 4 {
 		t.Errorf("stream yielded %d records, want 4 (1 bench x 2 voltages x 2 reps)", lines)
-	}
-
-	// The spool sink saw the same records.
-	data, err := os.ReadFile(spool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Count(data, []byte("\n")); got != 4 {
-		t.Errorf("spool holds %d records, want 4", got)
 	}
 
 	cancel()

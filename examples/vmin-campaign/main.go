@@ -23,7 +23,7 @@ func main() {
 func run(w io.Writer) error {
 	// Three repetitions per voltage step keep the example quick; the
 	// paper (and the benchmark harness) use ten.
-	res, err := guardband.Fig4SpecVmin(guardband.DefaultSeed, 3)
+	res, err := guardband.Fig4SpecVminWorkers(guardband.DefaultSeed, 3, guardband.DefaultWorkers)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package guardband
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -44,17 +43,11 @@ type Fig4Result struct {
 	Entries []Fig4Entry
 }
 
-// Fig4SpecVmin reproduces Fig. 4: the full undervolting flow for the ten
-// SPEC CPU2006 profiles on the TTT, TFF and TSS chips' most robust cores,
-// repetitions runs per voltage step (the paper uses ten). The grid runs
-// through the fleet campaign engine at the default worker count.
-func Fig4SpecVmin(seed uint64, repetitions int) (Fig4Result, error) {
-	return Fig4SpecVminWorkers(seed, repetitions, DefaultWorkers)
-}
-
-// Fig4SpecVminWorkers is Fig4SpecVmin with an explicit worker count. One
-// shard per (chip, benchmark) cell; results are byte-identical for every
-// worker count at a fixed seed.
+// Fig4SpecVminWorkers reproduces Fig. 4: the full undervolting flow for
+// the ten SPEC CPU2006 profiles on the TTT, TFF and TSS chips' most robust
+// cores, repetitions runs per voltage step (the paper uses ten). The grid
+// runs through the fleet campaign engine, one shard per (chip, benchmark)
+// cell; results are byte-identical for every worker count at a fixed seed.
 func Fig4SpecVminWorkers(seed uint64, repetitions, workers int) (Fig4Result, error) {
 	var shards []campaign.Shard[Fig4Entry]
 	for _, corner := range silicon.Corners() {
@@ -156,14 +149,6 @@ type Fig5Result struct {
 	MaxSavingsPct float64
 }
 
-// Fig5Tradeoff reproduces Fig. 5: the multi-programmed eight-benchmark
-// mix (bwaves...namd), down-clocking k = 0..4 of the weakest PMDs to
-// 1.2 GHz, measuring the chip-level safe Vmin at each step, and reporting
-// the power/performance trade-off.
-func Fig5Tradeoff(seed uint64, repetitions int) (Fig5Result, error) {
-	return Fig5TradeoffWorkers(seed, repetitions, DefaultWorkers)
-}
-
 // fig5Assignments computes the Fig. 5 placement: lightest benchmarks on
 // the weakest PMDs, so the modules that must stay fast carry the heavy
 // current. It is a pure function of the chip, so every ladder shard
@@ -183,8 +168,11 @@ func fig5Assignments(chip *silicon.Chip) (predictor.DownclockPlan, []xgene.Assig
 	return plan, assignments
 }
 
-// Fig5TradeoffWorkers is Fig5Tradeoff with an explicit worker count: each
-// rung of the ladder (k slow PMDs) is one shard of the campaign.
+// Fig5TradeoffWorkers reproduces Fig. 5: the multi-programmed
+// eight-benchmark mix (bwaves...namd), down-clocking k = 0..4 of the
+// weakest PMDs to 1.2 GHz, measuring the chip-level safe Vmin at each
+// step, and reporting the power/performance trade-off. Each rung of the
+// ladder (k slow PMDs) is one shard of the campaign.
 func Fig5TradeoffWorkers(seed uint64, repetitions, workers int) (Fig5Result, error) {
 	var shards []campaign.Shard[Fig5Step]
 	for k := 0; k <= silicon.NumPMDs; k++ {
@@ -267,13 +255,6 @@ type Fig6Result struct {
 	NAS []NamedVmin
 }
 
-// Fig6VirusVsNAS reproduces Fig. 6: craft a dI/dt virus with the GA+EM
-// flow on the TTT chip, then Vmin-test it against every NAS benchmark on
-// the same (weakest) core. The virus must exhibit the highest Vmin.
-func Fig6VirusVsNAS(seed uint64, repetitions int) (Fig6Result, error) {
-	return Fig6VirusVsNASWorkers(seed, repetitions, DefaultWorkers)
-}
-
 // fig6Shard is one bar of Fig. 6 plus the virus metadata when the shard
 // crafted it.
 type fig6Shard struct {
@@ -316,8 +297,10 @@ func craftVirus(srv *Server, seed uint64) (viruses.DIdtResult, Profile, error) {
 	return crafted, profile, nil
 }
 
-// Fig6VirusVsNASWorkers is Fig6VirusVsNAS with an explicit worker count:
-// the virus (crafting plus Vmin test) and each NAS benchmark are
+// Fig6VirusVsNASWorkers reproduces Fig. 6: craft a dI/dt virus with the
+// GA+EM flow on the TTT chip, then Vmin-test it against every NAS
+// benchmark on the same (weakest) core. The virus must exhibit the highest
+// Vmin. The virus (crafting plus Vmin test) and each NAS benchmark are
 // independent shards on the TTT board. The crafting shard demands a fresh
 // board because the GA's fitness signal advances the EM probe's
 // measurement-noise stream.
@@ -398,14 +381,9 @@ type Fig7Result struct {
 	Entries []Fig7Entry
 }
 
-// Fig7InterChip reproduces Fig. 7: the EM virus is crafted and Vmin-tested
-// on each corner chip; the remaining margin below nominal differs sharply
-// across corners (TTT ~60 mV, TFF ~20 mV, TSS ~none).
-func Fig7InterChip(seed uint64, repetitions int) (Fig7Result, error) {
-	return Fig7InterChipWorkers(seed, repetitions, DefaultWorkers)
-}
-
-// Fig7InterChipWorkers is Fig7InterChip with an explicit worker count: one
+// Fig7InterChipWorkers reproduces Fig. 7: the EM virus is crafted and
+// Vmin-tested on each corner chip; the remaining margin below nominal
+// differs sharply across corners (TTT ~60 mV, TFF ~20 mV, TSS ~none). One
 // shard per corner chip, each crafting and Vmin-testing the virus on a
 // fresh board (crafting advances the EM probe's noise stream, so the shard
 // must see the probe in its fabrication state).
@@ -449,17 +427,4 @@ func (r Fig7Result) Table() *report.Table {
 			fmt.Sprintf("%.0fmV", e.MarginMV))
 	}
 	return t
-}
-
-// errNoEntries guards result accessors used by benches.
-var errNoEntries = errors.New("guardband: result has no entries")
-
-// Entry returns the named entry of a Fig. 7 result.
-func (r Fig7Result) Entry(chip string) (Fig7Entry, error) {
-	for _, e := range r.Entries {
-		if e.Chip == chip {
-			return e, nil
-		}
-	}
-	return Fig7Entry{}, errNoEntries
 }

@@ -120,12 +120,6 @@ func DPBenchScanShard(name string, kind dram.PatternKind, temps []float64, trefp
 	}
 }
 
-// Table1BankVariation runs the full flow at the engine's default worker
-// count; see Table1BankVariationWorkers.
-func Table1BankVariation(seed uint64) (Table1Result, error) {
-	return Table1BankVariationWorkers(seed, DefaultWorkers)
-}
-
 // Table1BankVariationWorkers reproduces Table I using the full flow: the
 // thermal testbed regulates every DIMM to each target temperature
 // (settling under PID control, serial because the testbed is stateful),
@@ -209,12 +203,6 @@ type Fig8aResult struct {
 	Rodinia []BEREntry
 	// AllCorrected reports ECC coverage over every scan.
 	AllCorrected bool
-}
-
-// Fig8aBER runs the comparison at the engine's default worker count; see
-// Fig8aBERWorkers.
-func Fig8aBER(seed uint64) (Fig8aResult, error) {
-	return Fig8aBERWorkers(seed, DefaultWorkers)
 }
 
 // fig8aShard is one bar of Fig. 8a.
@@ -345,16 +333,6 @@ func (r Fig8bResult) Chart() *report.BarChart {
 		c.Add(e.Name, e.SavingsPct)
 	}
 	return c
-}
-
-// Entry returns the named Fig. 8b entry.
-func (r Fig8bResult) Entry(name string) (SavingsEntry, error) {
-	for _, e := range r.Entries {
-		if e.Name == name {
-			return e, nil
-		}
-	}
-	return SavingsEntry{}, errNoEntries
 }
 
 // StencilResult is the Section IV.C access-pattern scheduling case study.

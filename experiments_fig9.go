@@ -49,12 +49,6 @@ func SafeOperatingPoint() (pmdV, socV float64, trefp float64) {
 	return 0.930, 0.920, RelaxedTREFP.Seconds()
 }
 
-// Fig9JammerSavings runs the demo at the engine's default worker count;
-// see Fig9JammerSavingsWorkers.
-func Fig9JammerSavings(seed uint64) (Fig9Result, error) {
-	return Fig9JammerSavingsWorkers(seed, DefaultWorkers)
-}
-
 // Fig9JammerSavingsWorkers reproduces Fig. 9: run four parallel
 // jammer-detector instances at nominal settings and at the safe operating
 // point (one campaign shard per operating point), read the per-domain

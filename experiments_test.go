@@ -1,10 +1,13 @@
 package guardband
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workloads"
 )
 
 func TestPublicSurface(t *testing.T) {
@@ -21,13 +24,13 @@ func TestPublicSurface(t *testing.T) {
 	if _, err := Workload("not-a-benchmark"); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if len(WorkloadNames()) < 20 {
-		t.Errorf("only %d workloads registered", len(WorkloadNames()))
+	if len(workloads.All()) < 20 {
+		t.Errorf("only %d workloads registered", len(workloads.All()))
 	}
 }
 
 func TestFig4Shape(t *testing.T) {
-	res, err := Fig4SpecVmin(DefaultSeed, 3)
+	res, err := Fig4SpecVminWorkers(DefaultSeed, 3, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Ladder(t *testing.T) {
-	res, err := Fig5Tradeoff(DefaultSeed, 3)
+	res, err := Fig5TradeoffWorkers(DefaultSeed, 3, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestFig5Ladder(t *testing.T) {
 }
 
 func TestFig6VirusHighest(t *testing.T) {
-	res, err := Fig6VirusVsNAS(DefaultSeed, 3)
+	res, err := Fig6VirusVsNASWorkers(DefaultSeed, 3, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,22 +166,22 @@ func TestFig6VirusHighest(t *testing.T) {
 }
 
 func TestFig7Margins(t *testing.T) {
-	res, err := Fig7InterChip(DefaultSeed, 3)
+	res, err := Fig7InterChipWorkers(DefaultSeed, 3, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Entries) != 3 {
 		t.Fatalf("entries = %d, want 3 chips", len(res.Entries))
 	}
-	ttt, err := res.Entry("TTT")
+	ttt, err := fig7Entry(res, "TTT")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tff, err := res.Entry("TFF")
+	tff, err := fig7Entry(res, "TFF")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tss, err := res.Entry("TSS")
+	tss, err := fig7Entry(res, "TSS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,16 +198,13 @@ func TestFig7Margins(t *testing.T) {
 	if tss.MarginMV > 10.5 {
 		t.Errorf("TSS margin = %v mV, paper ~zero", tss.MarginMV)
 	}
-	if _, err := res.Entry("XYZ"); err == nil {
-		t.Error("unknown chip lookup succeeded")
-	}
 	if !strings.Contains(res.Table().String(), "TSS") {
 		t.Error("table missing chips")
 	}
 }
 
 func TestTable1(t *testing.T) {
-	res, err := Table1BankVariation(DefaultSeed)
+	res, err := Table1BankVariationWorkers(DefaultSeed, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig8aOrdering(t *testing.T) {
-	res, err := Fig8aBER(DefaultSeed)
+	res, err := Fig8aBERWorkers(DefaultSeed, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +286,11 @@ func TestFig8bSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := res.Entry("nw")
+	nw, err := fig8bEntry(res, "nw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	km, err := res.Entry("kmeans")
+	km, err := fig8bEntry(res, "kmeans")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,13 +309,10 @@ func TestFig8bSavings(t *testing.T) {
 			t.Errorf("%s savings below kmeans", e.Name)
 		}
 	}
-	if _, err := res.Entry("quake"); err == nil {
-		t.Error("unknown entry lookup succeeded")
-	}
 }
 
 func TestFig9EndToEnd(t *testing.T) {
-	res, err := Fig9JammerSavings(DefaultSeed)
+	res, err := Fig9JammerSavingsWorkers(DefaultSeed, DefaultWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +379,7 @@ func TestFig4ShapeHoldsAcrossSeeds(t *testing.T) {
 		t.Skip("seed sweep skipped in -short mode")
 	}
 	for _, seed := range []uint64{2, 3} {
-		res, err := Fig4SpecVmin(seed, 3)
+		res, err := Fig4SpecVminWorkers(seed, 3, DefaultWorkers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +418,7 @@ func TestFig9HoldsAcrossSeeds(t *testing.T) {
 		t.Skip("seed sweep skipped in -short mode")
 	}
 	for _, seed := range []uint64{5, 9} {
-		res, err := Fig9JammerSavings(seed)
+		res, err := Fig9JammerSavingsWorkers(seed, DefaultWorkers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,4 +429,24 @@ func TestFig9HoldsAcrossSeeds(t *testing.T) {
 			t.Errorf("seed %d: total savings %v outside band", seed, res.TotalSavings)
 		}
 	}
+}
+
+// fig7Entry returns the named chip's entry of a Fig. 7 result.
+func fig7Entry(r Fig7Result, chip string) (Fig7Entry, error) {
+	for _, e := range r.Entries {
+		if e.Chip == chip {
+			return e, nil
+		}
+	}
+	return Fig7Entry{}, fmt.Errorf("no Fig. 7 entry for chip %q", chip)
+}
+
+// fig8bEntry returns the named benchmark's entry of a Fig. 8b result.
+func fig8bEntry(r Fig8bResult, name string) (SavingsEntry, error) {
+	for _, e := range r.Entries {
+		if e.Name == name {
+			return e, nil
+		}
+	}
+	return SavingsEntry{}, fmt.Errorf("no Fig. 8b entry for %q", name)
 }

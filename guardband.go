@@ -73,10 +73,7 @@ func NewFramework(srv *Server) (*Framework, error) {
 	return core.NewFramework(srv)
 }
 
-// Workload looks up a benchmark profile by name (see WorkloadNames).
+// Workload looks up a benchmark profile by name.
 func Workload(name string) (Profile, error) {
 	return workloads.ByName(name)
 }
-
-// WorkloadNames lists every available benchmark profile.
-func WorkloadNames() []string { return workloads.Names() }

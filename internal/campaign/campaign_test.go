@@ -307,7 +307,7 @@ func TestGridShape(t *testing.T) {
 	if rep.Stats.Runs != 12 {
 		t.Errorf("stats runs = %d", rep.Stats.Runs)
 	}
-	if len(rep.Summaries()) != 4 {
-		t.Errorf("summaries = %d, want one per (bench, voltage)", len(rep.Summaries()))
+	if n := len(core.Summarize(rep.Records)); n != 4 {
+		t.Errorf("summaries = %d, want one per (bench, voltage)", n)
 	}
 }

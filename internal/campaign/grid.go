@@ -69,11 +69,6 @@ type GridReport struct {
 	Workers int
 }
 
-// Summaries aggregates the grid's records per (benchmark, voltage) cell.
-func (r *GridReport) Summaries() []core.Summary {
-	return core.Summarize(r.Records)
-}
-
 // Interned split labels of a cell's repetition seed streams.
 var (
 	gridRepsLabel  = xrand.NewLabel("grid/reps")

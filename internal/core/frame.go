@@ -2,10 +2,10 @@ package core
 
 // A Frame is a run record together with its pre-rendered JSON Lines
 // encoding: the exact bytes a JSONL subscriber receives, newline included.
-// Frames exist so the daemon's fan-out encodes each record exactly once —
-// at commit into the engine's ordering buffer — and every NDJSON/SSE
-// subscriber, spool file and durable-store segment writer shares the same
-// immutable byte slice instead of re-encoding the record independently.
+// Frames exist so the daemon encodes each record exactly once — at commit
+// into the engine's ordering buffer — and every NDJSON/SSE subscriber and
+// the durable-store segment writer share the same immutable byte slice
+// instead of re-encoding the record independently.
 //
 // Line is shared: receivers must treat it as read-only and must not retain
 // a mutated copy. It always renders the same bytes encoding/json would

@@ -12,7 +12,7 @@ import (
 // fed by the campaign engine; each line decodes back into a RunRecord with
 // encoding/json.
 
-// JSONLSink streams runs as JSON Lines to a writer (the spool file or
+// JSONLSink streams runs as JSON Lines to a writer (a batch log, or the
 // network channel of Fig. 2). It writes each frame's shared pre-rendered
 // line as-is, paying no encoding cost of its own.
 type JSONLSink struct {

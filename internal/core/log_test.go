@@ -90,3 +90,15 @@ func TestOutcomeJSONAllValues(t *testing.T) {
 		t.Error("unknown abbreviation accepted")
 	}
 }
+
+// TestJSONLSinkFrames: a batch is written as its lines, in order.
+func TestJSONLSinkFrames(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewJSONLSink(&buf)
+	if err := s.Frames([]Frame{{Line: []byte("a\n")}, {Line: []byte("b\n")}}); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "a\nb\n" {
+		t.Errorf("wrote %q, want the batch's lines", buf.String())
+	}
+}

@@ -421,14 +421,6 @@ func (m *Module) SetAllTemps(tempC float64) error {
 	return nil
 }
 
-// DIMMTemp returns the current temperature of a DIMM.
-func (m *Module) DIMMTemp(dimm int) (float64, error) {
-	if dimm < 0 || dimm >= len(m.dimmTempC) {
-		return 0, fmt.Errorf("dram: DIMM %d out of range", dimm)
-	}
-	return m.dimmTempC[dimm], nil
-}
-
 // EffectiveRetention returns a cell's retention time (seconds) at the given
 // temperature and coupling stress, in the given VRT state.
 func (m *Module) EffectiveRetention(c WeakCell, tempC, stress float64, vrtActive bool) float64 {

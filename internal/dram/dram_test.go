@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -187,9 +188,8 @@ func TestSetDIMMTemp(t *testing.T) {
 	if err := m.SetDIMMTemp(0, 55); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.DIMMTemp(0)
-	if err != nil || got != 55 {
-		t.Errorf("DIMMTemp = %v, %v", got, err)
+	if got := m.dimmTempC[0]; got != 55 {
+		t.Errorf("DIMM 0 temperature = %v, want 55", got)
 	}
 	if err := m.SetDIMMTemp(9, 50); err == nil {
 		t.Error("out-of-range DIMM accepted")
@@ -197,7 +197,7 @@ func TestSetDIMMTemp(t *testing.T) {
 	if err := m.SetDIMMTemp(0, 500); err == nil {
 		t.Error("absurd temperature accepted")
 	}
-	if _, err := m.DIMMTemp(-1); err == nil {
+	if err := m.SetDIMMTemp(-1, 50); err == nil {
 		t.Error("negative DIMM index accepted")
 	}
 }
@@ -624,5 +624,31 @@ func TestExpectedFailureUpperBound(t *testing.T) {
 	_ = m.SetDIMMTemp(0, 60)
 	if b := m.ExpectedFailureUpperBound(2283 * time.Millisecond); b < bound/8 {
 		t.Errorf("single-hot-DIMM bound %v too low vs all-hot %v", b, bound)
+	}
+}
+
+func TestEffectiveRetentionMonotoneProperties(t *testing.T) {
+	m, err := NewModule(smallConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := quick.Check(func(retRaw, tempRaw, stressRaw uint8) bool {
+		cell := WeakCell{Ret40: 1 + float64(retRaw)/8, TrueCell: true, CoupleSens: 1}
+		temp := 30 + float64(tempRaw%50)
+		stress := float64(stressRaw) / 255
+		base := m.EffectiveRetention(cell, temp, stress, false)
+		// Hotter is always shorter.
+		if m.EffectiveRetention(cell, temp+5, stress, false) >= base {
+			return false
+		}
+		// More coupling stress is always shorter or equal.
+		if m.EffectiveRetention(cell, temp, stress, false) >
+			m.EffectiveRetention(cell, temp, 0, false) {
+			return false
+		}
+		// Retention stays positive.
+		return base > 0
+	}, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -643,3 +643,15 @@ func (r *ScanResult) UniqueBankSpread() float64 {
 	}
 	return float64(mx-mn) / float64(mn)
 }
+
+// PerDIMMFailures groups a scan's failures by DIMM index — the view the
+// thermal-gradient experiment needs.
+func (r *ScanResult) PerDIMMFailures(dimms int) []int {
+	out := make([]int, dimms)
+	for _, f := range r.Failures {
+		if f.DIMM >= 0 && f.DIMM < dimms {
+			out[f.DIMM]++
+		}
+	}
+	return out
+}

@@ -603,3 +603,81 @@ func BenchmarkScanWorkloadWarmBoard(b *testing.B) {
 		scanSink, _ = m.ScanWorkload(rodinia[i%len(rodinia)].mem, 2283*time.Millisecond, uint64(i))
 	}
 }
+
+func TestPerDIMMFailures(t *testing.T) {
+	r := &ScanResult{Failures: []CellAddr{
+		{DIMM: 0}, {DIMM: 0}, {DIMM: 2}, {DIMM: 3},
+	}}
+	got := r.PerDIMMFailures(4)
+	want := []int{2, 0, 1, 1}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("dimm %d count = %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+func TestScanFailuresMonotoneInTREFP(t *testing.T) {
+	// Property over the ladder: a longer refresh period can only expose a
+	// superset of weak cells (with fixed VRT state).
+	m := defaultModule(t)
+	_ = m.SetAllTemps(55)
+	p, _ := NewPattern(RandomPattern)
+	prev := -1
+	for _, trefp := range []time.Duration{
+		200 * time.Millisecond, 800 * time.Millisecond,
+		2283 * time.Millisecond, 6 * time.Second,
+	} {
+		res, err := m.ScanPattern(p, trefp, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Failures) < prev {
+			t.Fatalf("failures decreased at %v: %d < %d", trefp, len(res.Failures), prev)
+		}
+		prev = len(res.Failures)
+	}
+}
+
+// TestScanPatternVRTFlicker: VRT cells toggle between retention states, so
+// two scans at identical conditions with different run seeds fail
+// slightly different cell sets, while the same run seed repeats its set.
+func TestScanPatternVRTFlicker(t *testing.T) {
+	m := defaultModule(t)
+	if err := m.SetAllTemps(60); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := NewPattern(RandomPattern)
+	scan := func(seed uint64) []CellAddr {
+		t.Helper()
+		res, err := m.ScanPattern(p, 2283*time.Millisecond, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Failures
+	}
+	a, b := scan(100), scan(101)
+	if !reflect.DeepEqual(a, scan(100)) {
+		t.Error("same run seed produced a different failure set")
+	}
+	inA := make(map[CellAddr]bool, len(a))
+	for _, c := range a {
+		inA[c] = true
+	}
+	inter := 0
+	for _, c := range b {
+		if inA[c] {
+			inter++
+		}
+	}
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		t.Fatal("no failures at 60 degC and 2283 ms")
+	}
+	if inter == union {
+		t.Error("no VRT flicker across run seeds: identical failure sets")
+	}
+	if j := float64(inter) / float64(union); j < 0.90 {
+		t.Errorf("failure sets overlap %.3f (|A∩B|/|A∪B|), want >= 0.90", j)
+	}
+}

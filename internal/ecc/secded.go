@@ -1,7 +1,6 @@
 // Package ecc implements the error-correcting codes of the X-Gene2 memory
 // system: a (72,64) Hamming SECDED code as used by the DDR3 memory control
-// units (single-error-correct, double-error-detect), and simple even parity
-// as used by the L1 caches.
+// units (single-error-correct, double-error-detect).
 //
 // The SECDED code is an extended Hamming code over 72 bit positions
 // (numbered 1..72): positions 1, 2, 4, 8, 16, 32 and 64 hold the seven
@@ -76,14 +75,6 @@ func (c Codeword) FlipBit(pos int) Codeword {
 		c.lo ^= 1 << uint(i)
 	default:
 		c.hi ^= 1 << uint(i-64)
-	}
-	return c
-}
-
-// FlipBits flips every listed 1-based position.
-func (c Codeword) FlipBits(positions ...int) Codeword {
-	for _, p := range positions {
-		c = c.FlipBit(p)
 	}
 	return c
 }
@@ -218,15 +209,4 @@ func Verify(cw Codeword, golden uint64) (data uint64, outcome Outcome) {
 		return data, Miscorrected
 	}
 	return data, outcome
-}
-
-// WordParity computes even parity over a 32-bit word, as used by the L1
-// cache parity protection (detect-only).
-func WordParity(w uint32) uint {
-	return uint(bits.OnesCount32(w)) & 1
-}
-
-// ParityCheck reports whether a stored (word, parity) pair is consistent.
-func ParityCheck(w uint32, parity uint) bool {
-	return WordParity(w) == parity&1
 }

@@ -48,7 +48,7 @@ func TestDoubleBitErrorsAllDetected(t *testing.T) {
 	cw := Encode(data)
 	for a := 1; a <= 72; a++ {
 		for b := a + 1; b <= 72; b++ {
-			_, outcome := Decode(cw.FlipBits(a, b))
+			_, outcome := Decode(cw.FlipBit(a).FlipBit(b))
 			if outcome != Detected {
 				t.Fatalf("flips at %d,%d: outcome = %v, want Detected", a, b, outcome)
 			}
@@ -76,7 +76,7 @@ func TestTripleErrorsNeverSilentlyOK(t *testing.T) {
 	miscorrected, detected := 0, 0
 	for trial := 0; trial < 2000; trial++ {
 		p := rng.Perm(72)
-		bad := cw.FlipBits(p[0]+1, p[1]+1, p[2]+1)
+		bad := cw.FlipBit(p[0] + 1).FlipBit(p[1] + 1).FlipBit(p[2] + 1)
 		got, outcome := Verify(bad, data)
 		switch outcome {
 		case Detected:
@@ -141,31 +141,6 @@ func TestDataPositionsDisjointFromCheckBits(t *testing.T) {
 	}
 	if len(seen) != 64 {
 		t.Fatalf("expected 64 distinct data positions, got %d", len(seen))
-	}
-}
-
-func TestWordParity(t *testing.T) {
-	cases := []struct {
-		w    uint32
-		want uint
-	}{
-		{0, 0}, {1, 1}, {3, 0}, {0xffffffff, 0}, {0x80000001, 0}, {0x7, 1},
-	}
-	for _, c := range cases {
-		if got := WordParity(c.w); got != c.want {
-			t.Errorf("WordParity(%#x) = %d, want %d", c.w, got, c.want)
-		}
-	}
-}
-
-func TestParityCheck(t *testing.T) {
-	w := uint32(0xdeadbeef)
-	p := WordParity(w)
-	if !ParityCheck(w, p) {
-		t.Error("consistent parity rejected")
-	}
-	if ParityCheck(w^1, p) {
-		t.Error("single-bit flip not caught by parity")
 	}
 }
 

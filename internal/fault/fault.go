@@ -261,9 +261,6 @@ func Arm(p *Plan) {
 // Disarm deactivates any armed plan.
 func Disarm() { armed.Store(nil) }
 
-// Active reports the armed plan, or nil.
-func Active() *Plan { return armed.Load() }
-
 // Inject evaluates the armed plan at the named site. With no plan armed
 // it returns nil after one atomic load. With a plan armed that has no
 // rules for this site, the call is not even counted, so unrelated sites

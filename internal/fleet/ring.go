@@ -81,11 +81,6 @@ func (r *Ring) start(key string) int {
 	return i
 }
 
-// Owner returns the peer that owns a key.
-func (r *Ring) Owner(key string) Peer {
-	return r.peers[r.points[r.start(key)].peer]
-}
-
 // Successors returns every peer in ring order starting at the key's owner:
 // the preference order for fetching the key, owner first, each remaining
 // peer exactly once. The order is deterministic per key, so retries across

@@ -266,67 +266,3 @@ func (m Mix) IPC() float64 {
 	}
 	return 1 / cpi
 }
-
-// SynthesizeLoop builds a deterministic loop of approximately n
-// instructions matching the mix (largest-remainder apportionment,
-// round-robin interleaved so the waveform is representative rather than
-// phase-sorted).
-func (m Mix) SynthesizeLoop(n int) (Loop, error) {
-	if err := m.Validate(); err != nil {
-		return Loop{}, err
-	}
-	if n <= 0 {
-		return Loop{}, errors.New("isa: non-positive loop size")
-	}
-	type alloc struct {
-		class Class
-		count int
-		rem   float64
-	}
-	allocs := make([]alloc, 0, len(m))
-	total := 0
-	for _, c := range Classes() {
-		f, ok := m[c]
-		if !ok || f == 0 {
-			continue
-		}
-		exact := f * float64(n)
-		cnt := int(exact)
-		allocs = append(allocs, alloc{class: c, count: cnt, rem: exact - float64(cnt)})
-		total += cnt
-	}
-	if len(allocs) == 0 {
-		return Loop{}, errors.New("isa: mix has no positive fractions")
-	}
-	// Distribute the remainder to the largest fractional parts.
-	for total < n {
-		best := 0
-		for i := range allocs {
-			if allocs[i].rem > allocs[best].rem {
-				best = i
-			}
-		}
-		allocs[best].count++
-		allocs[best].rem = -1
-		total++
-	}
-	// Round-robin interleave.
-	body := make([]Class, 0, n)
-	for len(body) < n {
-		emitted := false
-		for i := range allocs {
-			if allocs[i].count > 0 {
-				body = append(body, allocs[i].class)
-				allocs[i].count--
-				emitted = true
-				if len(body) == n {
-					break
-				}
-			}
-		}
-		if !emitted {
-			break
-		}
-	}
-	return NewLoop(body...)
-}

@@ -190,48 +190,6 @@ func TestMixIPC(t *testing.T) {
 	}
 }
 
-func TestSynthesizeLoopMatchesMix(t *testing.T) {
-	m := Mix{IntALU: 0.5, LoadL1: 0.25, FPALU: 0.25}
-	l, err := m.SynthesizeLoop(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 100 {
-		t.Fatalf("loop length = %d, want 100", l.Len())
-	}
-	counts := map[Class]int{}
-	for _, c := range l.Body {
-		counts[c]++
-	}
-	if counts[IntALU] != 50 || counts[LoadL1] != 25 || counts[FPALU] != 25 {
-		t.Errorf("composition = %v", counts)
-	}
-	// Interleaving: first three instructions should be three distinct classes.
-	if l.Body[0] == l.Body[1] && l.Body[1] == l.Body[2] {
-		t.Error("loop appears phase-sorted rather than interleaved")
-	}
-}
-
-func TestSynthesizeLoopRoundsRemainders(t *testing.T) {
-	m := Mix{IntALU: 1.0 / 3, LoadL1: 1.0 / 3, FPALU: 1.0 / 3}
-	l, err := m.SynthesizeLoop(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 10 {
-		t.Errorf("length = %d, want 10", l.Len())
-	}
-}
-
-func TestSynthesizeLoopErrors(t *testing.T) {
-	if _, err := (Mix{IntALU: 1.0}).SynthesizeLoop(0); err == nil {
-		t.Error("accepted zero size")
-	}
-	if _, err := (Mix{IntALU: 0.5}).SynthesizeLoop(10); err == nil {
-		t.Error("accepted invalid mix")
-	}
-}
-
 func TestLoopString(t *testing.T) {
 	l, _ := NewLoop(FPSIMD, NOP)
 	if got := l.String(); got != "fmla.v; nop" {

@@ -60,42 +60,6 @@ func StencilSweep(rows, passes int, sweepTime time.Duration) (Trace, error) {
 	return t, nil
 }
 
-// MaxRowInterval returns the worst gap between consecutive touches of the
-// same row, including the leading gap from time zero and the trailing gap
-// to the trace end (a row untouched at the edges is as vulnerable there).
-func MaxRowInterval(t Trace) (time.Duration, error) {
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
-	if t.Len() == 0 {
-		return 0, errors.New("memsched: empty trace")
-	}
-	end := t.Times[t.Len()-1]
-	last := make(map[int]time.Duration)
-	first := make(map[int]time.Duration)
-	var worst time.Duration
-	for i, r := range t.Rows {
-		now := t.Times[i]
-		if prev, ok := last[r]; ok {
-			if g := now - prev; g > worst {
-				worst = g
-			}
-		} else {
-			first[r] = now
-		}
-		last[r] = now
-	}
-	for r, f := range first {
-		if f > worst {
-			worst = f
-		}
-		if g := end - last[r]; g > worst {
-			worst = g
-		}
-	}
-	return worst, nil
-}
-
 // ScheduleTiled reorders a multi-pass sweep into row tiles: the grid is
 // split into tiles small enough that all passes over one tile complete
 // within the target interval, then tiles execute in sequence with the
@@ -182,11 +146,11 @@ func Analyze(rows, passes int, sweepTime, target time.Duration) (Report, error) 
 	}, nil
 }
 
-// maxLiveInterval is MaxRowInterval restricted to gaps between consecutive
-// touches of the same row (the window in which the row holds live data
-// between a producer and consumer pass); edge gaps are excluded because
-// before first touch the row holds no live stencil data and after the last
-// touch the result has been consumed.
+// maxLiveInterval returns the worst gap between consecutive touches of the
+// same row (the window in which the row holds live data between a producer
+// and consumer pass); edge gaps are excluded because before first touch the
+// row holds no live stencil data and after the last touch the result has
+// been consumed.
 func maxLiveInterval(t Trace) (time.Duration, error) {
 	if err := t.Validate(); err != nil {
 		return 0, err

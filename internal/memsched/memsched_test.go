@@ -42,33 +42,6 @@ func TestStencilSweepErrors(t *testing.T) {
 	}
 }
 
-func TestMaxRowIntervalEdges(t *testing.T) {
-	// A row touched once in the middle has leading and trailing gaps.
-	tr := Trace{
-		Rows:  []int{0, 1, 0},
-		Times: []time.Duration{0, 500 * time.Millisecond, time.Second},
-	}
-	iv, err := MaxRowInterval(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row 0: gap 1s between touches. Row 1: leading 0.5s + trailing 0.5s.
-	if iv != time.Second {
-		t.Errorf("interval = %v, want 1s", iv)
-	}
-	if _, err := MaxRowInterval(Trace{}); err == nil {
-		t.Error("empty trace accepted")
-	}
-	bad := Trace{Rows: []int{0}, Times: []time.Duration{0, 1}}
-	if _, err := MaxRowInterval(bad); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	unordered := Trace{Rows: []int{0, 1}, Times: []time.Duration{5, 1}}
-	if _, err := MaxRowInterval(unordered); err == nil {
-		t.Error("non-monotone times accepted")
-	}
-}
-
 func TestScheduleTiledMeetsTarget(t *testing.T) {
 	// Baseline: 4096 rows swept in 4s, 5 passes => 4s revisit gap.
 	// Relaxed refresh at 2.283s would leave every row exposed; tiling

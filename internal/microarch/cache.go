@@ -166,15 +166,6 @@ func (c *Cache) Hits() uint64 { return c.hits }
 // Misses returns the miss count since construction or Reset.
 func (c *Cache) Misses() uint64 { return c.misses }
 
-// HitRate returns hits/(hits+misses), or 0 with no accesses.
-func (c *Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}
-
 // ResetStats clears the hit/miss counters without flushing contents.
 func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 

@@ -42,9 +42,6 @@ func TestCacheHitsAfterFill(t *testing.T) {
 	if c.Hits() != 2 || c.Misses() != 1 {
 		t.Errorf("hits/misses = %d/%d, want 2/1", c.Hits(), c.Misses())
 	}
-	if got := c.HitRate(); got < 0.66 || got > 0.67 {
-		t.Errorf("hit rate = %v", got)
-	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -83,13 +80,6 @@ func TestCacheResetStatsAndReset(t *testing.T) {
 	}
 }
 
-func TestHitRateNoAccesses(t *testing.T) {
-	c, _ := NewCache(CacheConfig{SizeBytes: 4 << 10, LineBytes: 64, Ways: 4})
-	if c.HitRate() != 0 {
-		t.Error("empty cache hit rate should be 0")
-	}
-}
-
 func TestHierarchyLevels(t *testing.T) {
 	h, err := NewXGene2Hierarchy()
 	if err != nil {
@@ -122,7 +112,7 @@ func TestHierarchyCapacityCascade(t *testing.T) {
 			h.Access(addr)
 		}
 	}
-	if hr := h.L2.HitRate(); hr < 0.4 {
+	if hr := float64(h.L2.Hits()) / float64(h.L2.Hits()+h.L2.Misses()); hr < 0.4 {
 		t.Errorf("L2 hit rate %v too low for L2-resident working set", hr)
 	}
 	if h.L3.Misses() > ws/64+16 {
@@ -204,8 +194,8 @@ func TestSimulateLargeRandomFootprintMemoryBound(t *testing.T) {
 	if ipc := ctr.IPC(); ipc > 0.25 {
 		t.Errorf("IPC %v too high for a memory-bound workload", ipc)
 	}
-	if ctr.DRAMBandwidthBytesPerSec(2.4e9) <= 0 {
-		t.Error("memory-bound workload reports no DRAM bandwidth")
+	if ctr.DRAMAccesses == 0 {
+		t.Error("memory-bound workload reports no DRAM accesses")
 	}
 }
 
@@ -268,8 +258,7 @@ func TestCountersDerivedMetrics(t *testing.T) {
 		t.Errorf("L1 miss rate = %v", mr)
 	}
 	var zero Counters
-	if zero.IPC() != 0 || zero.MPKI() != 0 || zero.L1MissRate() != 0 ||
-		zero.DRAMBandwidthBytesPerSec(2.4e9) != 0 {
+	if zero.IPC() != 0 || zero.MPKI() != 0 || zero.L1MissRate() != 0 {
 		t.Error("zero counters should yield zero metrics")
 	}
 }
@@ -302,7 +291,7 @@ func TestInstructionFetchSide(t *testing.T) {
 	if small.Fetches != small.Instructions {
 		t.Errorf("fetches %d != instructions %d", small.Fetches, small.Instructions)
 	}
-	if mr := small.L1IMissRate(); mr > 0.01 {
+	if mr := float64(small.L1IMisses) / float64(small.Fetches); mr > 0.01 {
 		t.Errorf("L1I miss rate %v for resident code", mr)
 	}
 	// Code footprint 3x the L1I with random jumps: substantial misses.
@@ -314,7 +303,7 @@ func TestInstructionFetchSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mr := big.L1IMissRate(); mr < 0.02 {
+	if mr := float64(big.L1IMisses) / float64(big.Fetches); mr < 0.02 {
 		t.Errorf("L1I miss rate %v too low for a 96KB code body", mr)
 	}
 	// Front-end stalls must cost cycles: IPC drops vs the resident case.

@@ -101,24 +101,6 @@ func (c Counters) L1MissRate() float64 {
 	return 1 - float64(c.L1DHits)/float64(c.MemAccesses)
 }
 
-// L1IMissRate returns the instruction-cache miss ratio.
-func (c Counters) L1IMissRate() float64 {
-	if c.Fetches == 0 {
-		return 0
-	}
-	return float64(c.L1IMisses) / float64(c.Fetches)
-}
-
-// DRAMBandwidthBytesPerSec returns the sustained DRAM traffic at the given
-// core clock, assuming 64-byte lines.
-func (c Counters) DRAMBandwidthBytesPerSec(clockHz float64) float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	secs := float64(c.Cycles) / clockHz
-	return float64(c.DRAMAccesses) * 64 / secs
-}
-
 // hierPool recycles X-Gene2 hierarchies across Simulate calls: a Reset
 // hierarchy is state-identical to a fresh one (pinned by the counter-golden
 // tests), and reuse avoids re-making the ~1.2 MB of flat tag arrays and

@@ -232,38 +232,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum reports the total observed time.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) by linear
-// interpolation within the bucket that crosses the target rank —
-// the same estimate Prometheus's histogram_quantile computes. Returns 0
-// for an empty histogram; observations in the +Inf bucket clamp to the
-// highest finite bound.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	lower := int64(0)
-	for i := range h.buckets {
-		n := float64(h.buckets[i].Load())
-		if cum+n >= rank && n > 0 {
-			if i >= len(h.boundsNS) {
-				// +Inf bucket: clamp to the highest finite bound.
-				return time.Duration(h.boundsNS[len(h.boundsNS)-1])
-			}
-			upper := h.boundsNS[i]
-			frac := (rank - cum) / n
-			return time.Duration(float64(lower) + frac*float64(upper-lower))
-		}
-		cum += n
-		if i < len(h.boundsNS) {
-			lower = h.boundsNS[i]
-		}
-	}
-	return time.Duration(h.boundsNS[len(h.boundsNS)-1])
-}
-
 // family is one registered metric family: name, metadata, and a snapshot
 // hook the exposition writer calls under the registry lock.
 type family struct {

@@ -147,12 +147,9 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	r.Counter("dup_total", "second")
 }
 
-func TestHistogramObserveAndQuantile(t *testing.T) {
+func TestHistogramObserve(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_seconds", "latency", nil)
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
-	}
 	// 100 observations spread over two decades: 90 fast, 10 slow.
 	for i := 0; i < 90; i++ {
 		h.Observe(2 * time.Millisecond)
@@ -166,27 +163,6 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	wantSum := 90*2*time.Millisecond + 10*800*time.Millisecond
 	if got := h.Sum(); got != wantSum {
 		t.Errorf("sum = %v, want %v", got, wantSum)
-	}
-	// p50 lands in the (1ms, 2.5ms] bucket, p99 in (500ms, 1s].
-	p50 := h.Quantile(0.50)
-	if p50 <= 1*time.Millisecond || p50 > 2500*time.Microsecond {
-		t.Errorf("p50 = %v, want in (1ms, 2.5ms]", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 <= 500*time.Millisecond || p99 > time.Second {
-		t.Errorf("p99 = %v, want in (500ms, 1s]", p99)
-	}
-	if p99 <= p50 {
-		t.Errorf("p99 %v <= p50 %v", p99, p50)
-	}
-}
-
-func TestHistogramOverflowClamps(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_clamp_seconds", "latency", []time.Duration{time.Millisecond, time.Second})
-	h.Observe(time.Hour) // +Inf bucket
-	if got := h.Quantile(0.99); got != time.Second {
-		t.Errorf("overflow quantile = %v, want clamp to 1s", got)
 	}
 }
 

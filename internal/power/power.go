@@ -68,19 +68,6 @@ type CoreLoad struct {
 	PMDFreqHz [silicon.NumPMDs]float64
 }
 
-// UniformLoad builds a CoreLoad with every core running code drawing
-// currentA at the given frequency.
-func UniformLoad(currentA, freqHz float64) CoreLoad {
-	var l CoreLoad
-	for i := range l.CurrentA {
-		l.CurrentA[i] = currentA
-	}
-	for i := range l.PMDFreqHz {
-		l.PMDFreqHz[i] = freqHz
-	}
-	return l
-}
-
 // Validate reports load errors.
 func (l CoreLoad) Validate() error {
 	for _, c := range l.CurrentA {

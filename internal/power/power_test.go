@@ -19,7 +19,7 @@ func tttChip(t *testing.T) *silicon.Chip {
 }
 
 func jammerLoad() CoreLoad {
-	return UniformLoad(workloads.Jammer().AvgCurrentA(), silicon.NominalFreqHz)
+	return uniformLoad(workloads.Jammer().AvgCurrentA(), silicon.NominalFreqHz)
 }
 
 func TestFig9NominalTotal(t *testing.T) {
@@ -173,7 +173,7 @@ func TestPMDPowerLeakageCorners(t *testing.T) {
 func TestIdleCoresCheaperThanBusy(t *testing.T) {
 	chip := tttChip(t)
 	busy := jammerLoad()
-	idle := UniformLoad(IdleCoreCurrentA, silicon.NominalFreqHz)
+	idle := uniformLoad(IdleCoreCurrentA, silicon.NominalFreqHz)
 	pb, err := PMDPowerW(chip, NominalVoltage, busy)
 	if err != nil {
 		t.Fatal(err)
@@ -268,4 +268,17 @@ func TestSavingsGuard(t *testing.T) {
 	if Savings(10, 5) != 0.5 {
 		t.Error("Savings(10,5) != 0.5")
 	}
+}
+
+// uniformLoad builds a CoreLoad with every core running code drawing
+// currentA at the given frequency.
+func uniformLoad(currentA, freqHz float64) CoreLoad {
+	var l CoreLoad
+	for i := range l.CurrentA {
+		l.CurrentA[i] = currentA
+	}
+	for i := range l.PMDFreqHz {
+		l.PMDFreqHz[i] = freqHz
+	}
+	return l
 }

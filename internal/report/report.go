@@ -7,7 +7,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -22,22 +21,6 @@ type Table struct {
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
-}
-
-// AddRow appends a row; cells are formatted with %v.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = strconv.FormatFloat(v, 'g', 6, 64)
-		case string:
-			row[i] = v
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.Rows = append(t.Rows, row)
 }
 
 // AddRowf appends a pre-formatted row of string cells.
@@ -170,43 +153,6 @@ func (c *BarChart) WriteText(w io.Writer) error {
 func (c *BarChart) String() string {
 	var b strings.Builder
 	_ = c.WriteText(&b)
-	return b.String()
-}
-
-// Series is a named sequence of (x, y) points, used for line-style figures.
-type Series struct {
-	Name string
-	X, Y []float64
-}
-
-// Add appends a point to the series.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// FormatSeries renders one line per point: "name x y".
-func FormatSeries(series []Series) string {
-	var b strings.Builder
-	for _, s := range series {
-		for i := range s.X {
-			fmt.Fprintf(&b, "%s\t%g\t%g\n", s.Name, s.X[i], s.Y[i])
-		}
-	}
-	return b.String()
-}
-
-// KV renders a map as sorted "key = value" lines; convenient for summaries.
-func KV(m map[string]float64) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s = %g\n", k, m[k])
-	}
 	return b.String()
 }
 

@@ -7,8 +7,8 @@ import (
 
 func TestTableText(t *testing.T) {
 	tb := NewTable("Demo", "bench", "vmin")
-	tb.AddRow("mcf", 0.875)
-	tb.AddRow("milc", "880mV")
+	tb.AddRowf("mcf", "0.875")
+	tb.AddRowf("milc", "880mV")
 	out := tb.String()
 	if !strings.Contains(out, "Demo") {
 		t.Error("missing title")
@@ -71,24 +71,6 @@ func TestBarChart(t *testing.T) {
 	nNone := strings.Count(lines[3], "#")
 	if nRand <= nZero || nNone != 0 {
 		t.Errorf("bar lengths wrong: %d, %d, %d\n%s", nRand, nZero, nNone, out)
-	}
-}
-
-func TestSeriesAndFormat(t *testing.T) {
-	var s Series
-	s.Name = "ttt"
-	s.Add(1, 2)
-	s.Add(3, 4)
-	out := FormatSeries([]Series{s})
-	if !strings.Contains(out, "ttt\t1\t2") || !strings.Contains(out, "ttt\t3\t4") {
-		t.Errorf("unexpected series output: %q", out)
-	}
-}
-
-func TestKVSorted(t *testing.T) {
-	out := KV(map[string]float64{"zeta": 1, "alpha": 2})
-	if strings.Index(out, "alpha") > strings.Index(out, "zeta") {
-		t.Errorf("keys not sorted: %q", out)
 	}
 }
 

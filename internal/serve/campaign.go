@@ -31,9 +31,6 @@ type Campaign struct {
 	id          string
 	spec        Spec
 	fingerprint string
-	// extra is the server-wide broadcast (spool files, monitoring sinks);
-	// it receives every record after the arena does.
-	extra *core.MultiSink
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -73,12 +70,11 @@ type Campaign struct {
 	orderElem, lruElem *list.Element
 }
 
-func newCampaign(id string, spec Spec, fingerprint string, extra *core.MultiSink) *Campaign {
+func newCampaign(id string, spec Spec, fingerprint string) *Campaign {
 	c := &Campaign{
 		id:          id,
 		spec:        spec,
 		fingerprint: fingerprint,
-		extra:       extra,
 		status:      StatusQueued,
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -88,9 +84,9 @@ func newCampaign(id string, spec Spec, fingerprint string, extra *core.MultiSink
 // newStoredCampaign materializes a registry entry from a durable-store
 // manifest line: already done, stats restored, arena empty until
 // hydration reads the segment back.
-func newStoredCampaign(id string, spec Spec, fingerprint string, extra *core.MultiSink,
+func newStoredCampaign(id string, spec Spec, fingerprint string,
 	stats campaign.Stats, workers, records int) *Campaign {
-	c := newCampaign(id, spec, fingerprint, extra)
+	c := newCampaign(id, spec, fingerprint)
 	c.status = StatusDone
 	c.stats = stats
 	c.workers = workers
@@ -138,7 +134,7 @@ func (c *Campaign) Frames(batch []core.Frame) error {
 	c.lines, c.ends = appendLines(c.lines, c.ends, batch)
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	return c.extra.Frames(batch)
+	return nil
 }
 
 var _ core.Sink = (*Campaign)(nil)

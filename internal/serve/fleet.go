@@ -210,7 +210,7 @@ func (s *Server) adoptRemote(fp string, seg *fleet.Segment) error {
 		return nil // a racer satisfied the fingerprint while we fetched
 	}
 	c := newStoredCampaign(fmt.Sprintf("c%06d", s.nextID), m.Spec, fp,
-		s.spool, stats, m.Workers, seg.Records)
+		stats, m.Workers, seg.Records)
 	s.registerLocked(c)
 	c.hydrateWith(lines, ends, nil)
 	s.metrics.fleetReplications.Inc()

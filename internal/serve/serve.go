@@ -157,7 +157,6 @@ type Options struct {
 type Server struct {
 	opts   Options
 	mux    *http.ServeMux
-	spool  *core.MultiSink
 	store  *store.Store
 	logger *slog.Logger
 	start  time.Time
@@ -230,7 +229,6 @@ func New(opts Options) (_ *Server, err error) {
 	}
 	s := &Server{
 		opts:    opts,
-		spool:   core.NewMultiSink(),
 		logger:  logger,
 		start:   time.Now(),
 		build:   readBuildInfo(),
@@ -430,14 +428,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// AttachSink subscribes a sink to every record of every campaign (the
-// daemon's spool/monitoring channel, Fig. 2's cloud log). Records arrive
-// in deterministic order within a campaign, one frame batch per engine
-// shard; campaigns running concurrently (Concurrency > 1) interleave. The
-// sink runs synchronously on the engine's path: a slow sink slows every
-// campaign, and a sink whose Frames fails is unsubscribed.
-func (s *Server) AttachSink(sink core.Sink) { s.spool.Subscribe(sink) }
-
 // scheduler drains the run queue until the server closes.
 func (s *Server) scheduler() {
 	defer s.wg.Done()
@@ -503,7 +493,7 @@ func (s *Server) execute(c *Campaign) {
 		ck = nil
 	}
 	if len(ck) > 0 {
-		// The restored prefix re-enters the live arena (and spool) as
+		// The restored prefix re-enters the live arena as
 		// the exact pre-rendered bytes the interrupted process streamed;
 		// the engine then executes only the remaining cells, and the
 		// committed segment comes out byte-identical to an uninterrupted
@@ -775,7 +765,7 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 		}
 		break // miss (or failed predecessor): schedule a fresh run
 	}
-	c = newCampaign(fmt.Sprintf("c%06d", s.nextID), spec, fp, s.spool)
+	c = newCampaign(fmt.Sprintf("c%06d", s.nextID), spec, fp)
 	c.traceID = trace
 	c.tenant = tenant
 	c.queuedAt = time.Now()
@@ -1168,7 +1158,6 @@ type statsResponse struct {
 	Draining    bool `json:"draining,omitempty"`
 	// Subscribers counts the HTTP stream clients (NDJSON and SSE)
 	// currently attached: the campaignd_active_subscribers gauge.
-	// AttachSink sinks are not counted.
 	Subscribers int64 `json:"subscribers"`
 	// AuthEnabled reports whether a keyring is installed; AuthFailures and
 	// RateLimited count rejected requests (401/403 and 429). All three are

@@ -8,12 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 )
 
 // testSpec is a small grid with a deep-undervolt setup so streams cross
@@ -386,45 +384,6 @@ func TestSSEStream(t *testing.T) {
 	}
 	if !bytes.Contains(data, []byte("event: done")) {
 		t.Error("SSE stream missing done event")
-	}
-}
-
-// spoolSink collects the lines of every frame batch it receives.
-type spoolSink struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (s *spoolSink) Frames(batch []core.Frame) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range batch {
-		s.buf.Write(f.Line)
-	}
-	return nil
-}
-
-func (s *spoolSink) bytes() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.buf.Bytes()...)
-}
-
-// TestAttachSink wires the server-wide spool: every record of every
-// campaign reaches an attached sink, as the same bytes the HTTP stream
-// carries.
-func TestAttachSink(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	spool := &spoolSink{}
-	s.AttachSink(spool)
-	spec := Spec{Seed: 13, Benches: []string{"mcf"}, VoltagesMV: []float64{980, 940}, Repetitions: 2}
-	sr := submit(t, ts, spec, http.StatusAccepted)
-	stream := streamBytes(t, ts, sr.ID)
-	if got := bytes.Count(stream, []byte("\n")); got != expectedRecords(spec) {
-		t.Errorf("stream carried %d records, want %d", got, expectedRecords(spec))
-	}
-	if !bytes.Equal(spool.bytes(), stream) {
-		t.Errorf("spool received %q, HTTP stream %q", spool.bytes(), stream)
 	}
 }
 

@@ -117,7 +117,7 @@ func (s *Server) adoptLocked(e store.Entry) (*Campaign, bool) {
 		return nil, false
 	}
 	c := newStoredCampaign(fmt.Sprintf("c%06d", s.nextID), m.Spec, e.Fingerprint,
-		s.spool, stats, m.Workers, e.Records)
+		stats, m.Workers, e.Records)
 	s.registerLocked(c)
 	return c, true
 }
@@ -253,7 +253,7 @@ func (s *Server) requeueIntents(pending []store.Intent) {
 			s.store.EndIntent(in.Fingerprint)
 			continue
 		}
-		c := newCampaign(fmt.Sprintf("c%06d", s.nextID), spec, in.Fingerprint, s.spool)
+		c := newCampaign(fmt.Sprintf("c%06d", s.nextID), spec, in.Fingerprint)
 		c.traceID = meta.TraceID
 		if !obs.ValidTraceID(c.traceID) {
 			c.traceID = obs.NewTraceID()

@@ -1,7 +1,6 @@
 // Package stats provides the small statistical toolkit the characterization
-// harness needs: summary statistics, percentiles, histograms, Kahan
-// summation, and ordinary least-squares linear regression (used by the Vmin
-// predictor).
+// harness needs: summary statistics, percentiles, Kahan summation, and
+// ordinary least-squares multiple regression (used by the Vmin predictor).
 package stats
 
 import (
@@ -51,34 +50,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs. It returns ErrEmpty for an empty slice.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns ErrEmpty for an empty slice.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns ErrEmpty for empty input.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -104,142 +75,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
-// Spread returns (max-min)/min expressed as a fraction, the "variation"
-// measure the paper uses for bank-to-bank weak-cell counts (e.g. 41% at
-// 50 degC). It returns ErrEmpty for empty input and 0 if min is zero.
-func Spread(xs []float64) (float64, error) {
-	mn, err := Min(xs)
-	if err != nil {
-		return 0, err
-	}
-	mx, _ := Max(xs)
-	if mn == 0 {
-		return 0, nil
-	}
-	return (mx - mn) / mn, nil
-}
-
-// Summary captures the usual five-number-ish description of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for empty input.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	md, _ := Median(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    mn,
-		Max:    mx,
-		Median: md,
-	}, nil
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // samples below Lo
-	Over     int // samples >= Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, errors.New("stats: histogram needs at least one bin")
-	}
-	if !(hi > lo) {
-		return nil, errors.New("stats: histogram needs hi > lo")
-	}
-	return &Histogram{
-		Lo:       lo,
-		Hi:       hi,
-		Counts:   make([]int, bins),
-		binWidth: (hi - lo) / float64(bins),
-	}, nil
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // guard against float edge cases
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded samples, including out-of-range ones.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
-}
-
-// LinearFit is the result of an ordinary least-squares fit y = Alpha + Beta·x.
-type LinearFit struct {
-	Alpha, Beta float64
-	R2          float64
-}
-
-// LinFit fits y = alpha + beta*x by least squares. It returns an error when
-// fewer than two points are supplied or x is degenerate.
-func LinFit(x, y []float64) (LinearFit, error) {
-	if len(x) != len(y) {
-		return LinearFit{}, errors.New("stats: mismatched x/y lengths")
-	}
-	if len(x) < 2 {
-		return LinearFit{}, errors.New("stats: need at least two points")
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, errors.New("stats: degenerate x values")
-	}
-	beta := sxy / sxx
-	alpha := my - beta*mx
-	r2 := 0.0
-	if syy > 0 {
-		r2 = sxy * sxy / (sxx * syy)
-	}
-	return LinearFit{Alpha: alpha, Beta: beta, R2: r2}, nil
 }
 
 // MultiLinFit fits y = b0 + b1*x1 + ... + bk*xk by solving the normal

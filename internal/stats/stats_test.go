@@ -52,21 +52,6 @@ func TestVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-	xs := []float64{3, -2, 8, 0}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	if mn != -2 || mx != 8 {
-		t.Errorf("Min/Max = %v/%v, want -2/8", mn, mx)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{
@@ -91,92 +76,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	_, _ = Percentile(xs, 50)
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Errorf("Percentile mutated input: %v", xs)
-	}
-}
-
-func TestSpread(t *testing.T) {
-	// Table I at 50C: min 163, max 230 -> 41% spread.
-	xs := []float64{180, 213, 228, 230, 163, 198, 204, 208}
-	got, err := Spread(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 0.411, 0.001) {
-		t.Errorf("Spread(TableI 50C) = %v, want ~0.411", got)
-	}
-	if _, err := Spread(nil); err != ErrEmpty {
-		t.Errorf("Spread(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("unexpected summary: %+v", s)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	if got := h.BinCenter(0); !almostEq(got, 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("expected error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("expected error for hi == lo")
-	}
-}
-
-func TestLinFitExact(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{3, 5, 7, 9} // y = 1 + 2x
-	fit, err := LinFit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(fit.Alpha, 1, 1e-9) || !almostEq(fit.Beta, 2, 1e-9) {
-		t.Errorf("fit = %+v, want alpha 1 beta 2", fit)
-	}
-	if !almostEq(fit.R2, 1, 1e-9) {
-		t.Errorf("R2 = %v, want 1", fit.R2)
-	}
-}
-
-func TestLinFitErrors(t *testing.T) {
-	if _, err := LinFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("expected error for single point")
-	}
-	if _, err := LinFit([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("expected error for mismatched lengths")
-	}
-	if _, err := LinFit([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("expected error for degenerate x")
 	}
 }
 

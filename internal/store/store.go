@@ -759,7 +759,7 @@ func (s *Store) appendOpLocked(op manifestOp, sync bool) error {
 }
 
 // Writer streams one campaign's records into an uncommitted segment. It
-// implements core.Sink, so it can ride the existing sink fan-out: it
+// implements core.Sink, so the engine's frame batches reach it directly: it
 // frames the already-decoded records without JSON work.
 // Exactly one of Commit or Abort must be called.
 type Writer struct {

@@ -1,10 +1,11 @@
 // Package thermal models the paper's first-of-its-kind temperature-
 // controlled DRAM testbed: resistive heating elements taped to each DIMM,
-// a thermocouple plus the on-DIMM SPD sensor for measurement, and a
-// controller board (a Raspberry Pi with four closed-loop PID controllers
-// and eight solid-state relays, one per DIMM rank) that regulates each
-// heating element so the measured DIMM temperature tracks the setpoint
-// within 1 degC.
+// a thermocouple for measurement (the paper cross-checks it against the
+// on-DIMM SPD sensor, which this model leaves out), and a controller board
+// (a Raspberry Pi with four closed-loop PID controllers and eight
+// solid-state relays, one per DIMM rank) that regulates each heating
+// element so the measured DIMM temperature tracks the setpoint within
+// 1 degC.
 //
 // The plant is a lumped thermal RC model per channel; the control loop is
 // a discrete PID with anti-windup driving a duty-cycled relay. Both the
@@ -131,12 +132,6 @@ func (pl *Plant) Step(duty, dt float64) {
 	pl.TempC += (pIn - pOut) / pl.CthJPerK * dt
 }
 
-// SteadyStateTemp returns the equilibrium temperature for a constant duty.
-func (pl *Plant) SteadyStateTemp(duty float64) float64 {
-	duty = clampF(duty, 0, 1)
-	return pl.AmbientC + (duty*pl.HeaterMaxW+pl.SelfHeatW)*pl.RthKPerW
-}
-
 // Channel is one regulated DIMM: plant + sensors + PID + relay.
 type Channel struct {
 	Plant    Plant
@@ -145,9 +140,6 @@ type Channel struct {
 
 	// thermocouple noise (fast sensor used by the control loop).
 	tcNoiseC float64
-	// SPD sensor quantization step (slow on-DIMM sensor used for
-	// cross-checking, as in the paper).
-	spdStepC float64
 
 	rng *xrand.Stream
 }
@@ -155,11 +147,6 @@ type Channel struct {
 // Thermocouple returns a noisy instantaneous temperature reading.
 func (ch *Channel) Thermocouple() float64 {
 	return ch.Plant.TempC + ch.rng.NormMS(0, ch.tcNoiseC)
-}
-
-// SPDTemp returns the quantized SPD (TSOD) sensor reading.
-func (ch *Channel) SPDTemp() float64 {
-	return math.Round(ch.Plant.TempC/ch.spdStepC) * ch.spdStepC
 }
 
 // Testbed is the full controller board: one channel per DIMM rank pair.
@@ -194,7 +181,6 @@ func NewTestbed(n int, ambientC float64, seed uint64) (*Testbed, error) {
 			PID:      pid,
 			Setpoint: ambientC,
 			tcNoiseC: 0.05,
-			spdStepC: 0.25,
 			rng:      root.Split(fmt.Sprintf("ch/%d", i)),
 		}
 	}

@@ -139,9 +139,3 @@ func ALUVirus(kind string) (workloads.Profile, error) {
 		Duration:         20 * time.Second,
 	}, nil
 }
-
-// DPBench returns the configured data-pattern benchmark of the given kind,
-// re-exported from the DRAM model for a single stress-test entry point.
-func DPBench(kind dram.PatternKind) (dram.Pattern, error) {
-	return dram.NewPattern(kind)
-}

@@ -3,7 +3,6 @@ package viruses
 import (
 	"testing"
 
-	"repro/internal/dram"
 	"repro/internal/isa"
 	"repro/internal/silicon"
 	"repro/internal/workloads"
@@ -186,19 +185,6 @@ func TestALUVirusFailsByCrashOnly(t *testing.T) {
 	}
 	if srv.Booted() {
 		t.Error("ALU virus descent never crashed")
-	}
-}
-
-func TestDPBenchPassthrough(t *testing.T) {
-	p, err := DPBench(dram.RandomPattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Kind != dram.RandomPattern || p.Rounds != 8 {
-		t.Errorf("unexpected DPBench config %+v", p)
-	}
-	if _, err := DPBench(dram.PatternKind(0)); err == nil {
-		t.Error("unknown pattern accepted")
 	}
 }
 

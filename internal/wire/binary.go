@@ -30,8 +30,8 @@ import (
 // returned with the intact prefix (ReadSegment's salvage contract).
 //
 // This is the only on-disk record format: the store writes committed
-// segments and crash checkpoints in it. The live stream, the spool and batch
-// logs stay JSONL, rendered from the decoded records.
+// segments and crash checkpoints in it. The live stream and batch logs stay
+// JSONL, rendered from the decoded records.
 //
 // Compatibility rule: the version byte is bumped for any incompatible
 // payload change; readers reject versions they do not know, and input that

@@ -8,7 +8,7 @@
 // xgene.run_us), JSONL encoding dominates a streamed campaign and
 // every subscriber used to pay it independently. Encoding each record
 // exactly once — into a core.Frame whose Line every NDJSON/SSE subscriber
-// and spool file shares — only works if the rendered bytes are exactly
+// shares — only works if the rendered bytes are exactly
 // what encoding/json would have produced; the golden and equivalence tests
 // in this package pin that, field by field, including encoding/json's
 // float formatting and HTML-escaping quirks. Replayed and live frames
@@ -69,7 +69,7 @@ func AppendRecord(dst []byte, rec core.RunRecord) ([]byte, error) {
 }
 
 // AppendRecordLine appends the record's full JSONL line — AppendRecord plus
-// the terminating newline, the exact bytes a core.JSONLSink subscriber
+// the terminating newline, the exact bytes an NDJSON stream subscriber
 // receives.
 func AppendRecordLine(dst []byte, rec core.RunRecord) ([]byte, error) {
 	dst, err := AppendRecord(dst, rec)
@@ -272,8 +272,8 @@ var scratchPool = sync.Pool{
 }
 
 // EncodeFrame renders one record into a core.Frame whose Line is an
-// exact-size immutable allocation (the shared slice every subscriber and
-// the spool will hold); encoding scratch comes from a pool.
+// exact-size immutable allocation (the shared slice every subscriber will
+// hold); encoding scratch comes from a pool.
 func EncodeFrame(rec core.RunRecord) (core.Frame, error) {
 	frame := [1]core.Frame{{Rec: rec}}
 	if _, err := renderLines(frame[:]); err != nil {

@@ -16,7 +16,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/dram"
@@ -478,15 +477,4 @@ func ByName(name string) (Profile, error) {
 		}
 	}
 	return Profile{}, fmt.Errorf("workloads: unknown benchmark %q", name)
-}
-
-// Names returns every profile name, sorted.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, p := range all {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -30,17 +30,13 @@ func TestSuiteSizes(t *testing.T) {
 	}
 }
 
-func TestNamesUniqueAndSorted(t *testing.T) {
-	names := Names()
+func TestProfileNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for i, n := range names {
-		if seen[n] {
-			t.Errorf("duplicate profile name %q", n)
+	for _, p := range All() {
+		if seen[p.Name] {
+			t.Errorf("duplicate profile name %q", p.Name)
 		}
-		seen[n] = true
-		if i > 0 && names[i-1] > n {
-			t.Error("Names() not sorted")
-		}
+		seen[p.Name] = true
 	}
 }
 

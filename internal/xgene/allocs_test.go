@@ -10,9 +10,8 @@ import (
 // TestRunAllocFree pins the steady-state allocation behaviour of the run
 // hot path: after warmup (simcache populated), a clean characterization
 // run must not allocate at all. This guards the interned split labels
-// (no fmt.Sprintf), the bitmask duplicate-core check (no map), and the
-// lazy SLIMpro snapshot (no per-run temperature slice on event-less
-// runs) against regressions.
+// (no fmt.Sprintf) and the bitmask duplicate-core check (no map) against
+// regressions.
 func TestRunAllocFree(t *testing.T) {
 	s := newTTT(t)
 	p, err := workloads.ByName("mcf")

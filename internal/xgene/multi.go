@@ -150,6 +150,5 @@ func (s *Server) RunMulti(assignments []Assignment, seed uint64) (RunResult, err
 	}
 	res.Power = pw
 	res.Duration = maxDur
-	s.recordRunEvents(&res, scan)
 	return res, nil
 }

@@ -374,9 +374,6 @@ func (s *Server) Run(spec RunSpec) (RunResult, error) {
 		}
 	}
 	res.Duration = time.Duration(float64(spec.Workload.Duration) * slowest)
-
-	// SLIMpro telemetry: ECC and machine-check events with context.
-	s.recordRunEvents(&res, scan)
 	return res, nil
 }
 

@@ -2,8 +2,7 @@
 // die (4 PMDs x 2 ARMv8 cores behind the central switch), the DDR3 memory
 // system, the power-delivery network, an EM probe over the package, and
 // the SLIMpro management processor's configuration/telemetry surface
-// (voltage rails, per-PMD clocks, MCU refresh period, power sensors, ECC
-// error reports).
+// (voltage rails, per-PMD clocks, MCU refresh period, power sensors).
 //
 // The characterization framework in internal/core drives a Server only
 // through this surface, exactly as the paper's framework drove the real
@@ -46,9 +45,6 @@ type Server struct {
 	// through the board's reset/power switches before new runs.
 	booted bool
 	boots  int
-
-	// events is the SLIMpro telemetry ring buffer (see slimpro.go).
-	events []Event
 
 	// prep is the last profile Run prepared (see run.go).
 	prep preparedProfile

@@ -141,20 +141,6 @@ func (r *Stream) NormMS(mean, sigma float64) float64 {
 	return mean + sigma*r.Norm()
 }
 
-// LogNormal returns a lognormal variate where the underlying normal has the
-// given mu and sigma (i.e. exp(N(mu, sigma))).
-func (r *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
-}
-
-// Exp returns an exponential variate with the given rate (mean 1/rate).
-func (r *Stream) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("xrand: Exp with non-positive rate")
-	}
-	return -math.Log(1-r.Float64()) / rate
-}
-
 // Poisson returns a Poisson variate with the given mean. Small means use
 // Knuth's product method; large means use a clamped normal approximation,
 // which is accurate to well under the sampling noise for lambda >= 30.
@@ -191,12 +177,4 @@ func (r *Stream) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
