@@ -285,18 +285,18 @@ func fig4StreamSpec() serve.Spec {
 	}
 }
 
-// nullSink counts frames and writes nothing: measures the ordering buffer
-// plus the engine's encode-once framing, without a consumer.
+// nullSink counts records and writes nothing: measures the ordering buffer
+// plus the streamer's one render per record, without a consumer.
 type nullSink struct{ n int }
 
-func (s *nullSink) Frames(batch []core.Frame) error { s.n += len(batch); return nil }
+func (s *nullSink) Shard(recs []core.RunRecord, _ []byte) error { s.n += len(recs); return nil }
 
 // BenchmarkStreamFig4 compares streamed vs batch campaign overhead on the
 // Fig. 4 grid; instrumentation added to the engine's stream path must stay
 // under 2% here. Sub-benchmarks: "batch" (no sink), "stream-null" (ordering
-// buffer + frame encoding, no consumer), "stream-jsonl" (ordering buffer +
-// frame encoding + JSONL writes to a discarded writer — the daemon's
-// stream path without the socket).
+// buffer + line rendering, no consumer), "stream-jsonl" (ordering buffer +
+// line rendering + one JSONL write per shard to a discarded writer — the
+// daemon's stream path without the socket).
 func BenchmarkStreamFig4(b *testing.B) {
 	grid, err := fig4StreamSpec().Grid()
 	if err != nil {

@@ -18,7 +18,7 @@ var interfaceMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true,
 	"MarshalJSON": true, "UnmarshalJSON": true,
 	"Enabled": true, "Handle": true, "WithAttrs": true, "WithGroup": true,
-	"Less": true, "ServeHTTP": true, "Frames": true, "Write": true,
+	"Less": true, "ServeHTTP": true, "Shard": true, "Write": true,
 }
 
 // keptOracles have no caller outside tests, yet another package's tests use

@@ -12,12 +12,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// discardSink accepts frame batches and keeps nothing, so a benchmark
-// through it prices the engine, the runs and the encode-once frame path,
+// discardSink accepts shards and keeps nothing, so a benchmark through it
+// prices the engine, the runs and the streamer's one render per record,
 // not a consumer.
 type discardSink struct{}
 
-func (discardSink) Frames([]core.Frame) error { return nil }
+func (discardSink) Shard([]core.RunRecord, []byte) error { return nil }
 
 // fig4Grid is the Fig. 4 grid on one board: the ten SPEC CPU2006
 // profiles at five PMD voltages, two repetitions each (100 runs, 50
@@ -39,7 +39,7 @@ func fig4Grid() Grid {
 }
 
 // BenchmarkRunGridFig4 prices one warm exhaustive campaign of the Fig. 4
-// grid through a frame-capable sink, at one worker and at GOMAXPROCS.
+// grid through a discarding sink, at one worker and at GOMAXPROCS.
 // Every iteration is a fresh campaign seed on the same board, as a daemon
 // serving repeated Fig. 4 submissions sees it.
 func BenchmarkRunGridFig4(b *testing.B) {
@@ -58,6 +58,31 @@ func BenchmarkRunGridFig4(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunGridFig4Allocs bounds the allocations of one warm Fig. 4 campaign
+// at one worker through a discarding sink, the run BenchmarkRunGridFig4
+// prices: the grid's runs, the ordering buffer and the streamer's one
+// render per record. Measured on Go 1.24: 441 (541 while the streamer
+// built frames). The slack of 20 absorbs toolchain drift; one more
+// allocation per shard (50 shards) fails it.
+func TestRunGridFig4Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the plain build's")
+	}
+	g := fig4Grid()
+	run := func() {
+		if _, err := RunGrid(Config{Workers: 1, Seed: 2, Sink: discardSink{}}, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: fabricate the board and simulate the counters
+	const bound = 441 + 20
+	allocs := testing.AllocsPerRun(10, run)
+	t.Logf("RunGrid: %.0f allocs per warm Fig. 4 campaign", allocs)
+	if allocs > bound {
+		t.Errorf("RunGrid allocates %.0f objects per warm Fig. 4 campaign, want <= %d", allocs, bound)
 	}
 }
 

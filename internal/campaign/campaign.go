@@ -393,10 +393,10 @@ type Tally struct {
 	// match (or the shard asked for a Fresh board); PoolCheckouts counts
 	// boards checked out of the pool instead, each a fabrication avoided.
 	BoardFabs, PoolCheckouts int
-	// Frames and Bytes count the records and JSONL bytes encoded for
-	// Config.Sink; restored shards encode nothing, and neither does a
+	// Records and Bytes count the records and JSONL bytes rendered for
+	// Config.Sink; restored shards render nothing, and neither does a
 	// campaign without a sink.
-	Frames, Bytes int
+	Records, Bytes int
 }
 
 // Values returns the shard values in submission order. Call only on an
@@ -496,56 +496,58 @@ func (p *boardPool) release(key boardKey, srv *xgene.Server) {
 // sink strictly in shard-submission order, so the live stream replays the
 // batch report byte for byte at any worker count.
 //
-// This is also the encode-once point of the whole pipeline: each worker
-// renders its shard's records into frames (shared pre-encoded JSONL lines)
-// before taking the lock, so encoding parallelizes with the campaign and
-// happens exactly once per record no matter how many subscribers hang off
-// the sink. A released shard reaches the sink as one batch, so the sink's
-// per-delivery costs are paid once per shard.
+// This is also the one render of the whole pipeline: each worker renders
+// its shard's records into one block of JSONL lines (wire.AppendLines, into
+// a pooled buffer) before taking the lock, so encoding parallelizes with
+// the campaign and happens exactly once per record no matter how many
+// subscribers hang off the sink. A released shard reaches the sink as its
+// records plus that block, so the sink's per-delivery costs are paid once
+// per shard; the block then goes back to the pool.
 type streamer struct {
 	sink core.Sink
 
-	mu            sync.Mutex
-	next          int
-	done          []bool
-	encoded       [][]core.Frame
-	err           error
-	frames, bytes int // encoded so far, for Tally
+	mu   sync.Mutex
+	next int
+	// recs[i] and lines[i] hold shard i's records and rendered lines (a
+	// pooled buffer) from its completion until its release; lines[i] is
+	// nil until shard i completes.
+	recs           [][]core.RunRecord
+	lines          []*[]byte
+	err            error
+	records, bytes int // rendered so far, for Tally
 }
 
 func newStreamer(sink core.Sink, shards int) *streamer {
-	return &streamer{sink: sink, done: make([]bool, shards), encoded: make([][]core.Frame, shards)}
+	return &streamer{sink: sink, recs: make([][]core.RunRecord, shards), lines: make([]*[]byte, shards)}
 }
 
-// complete buffers shard i's frames and flushes every released prefix
-// shard to the sink. Safe for concurrent use by the worker pool; frames are
-// encoded outside the lock, emission happens under it, so records can never
-// interleave out of order.
+// complete buffers shard i's records and flushes every released prefix
+// shard to the sink. Safe for concurrent use by the worker pool; lines are
+// rendered outside the lock, emission happens under it, so records can
+// never interleave out of order.
 func (s *streamer) complete(i int, records []core.RunRecord) {
 	if s == nil {
 		return
 	}
-	frames, encErr := wire.EncodeFrames(records)
+	lines := wire.GetScratch()
+	var encErr error
+	*lines, encErr = wire.AppendLines(*lines, records)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.done[i] = true
-	s.encoded[i] = frames
-	s.frames += len(frames)
-	for _, f := range frames {
-		s.bytes += len(f.Line)
-	}
+	s.recs[i], s.lines[i] = records, lines
+	s.records += len(records)
+	s.bytes += len(*lines)
 	if encErr != nil && s.err == nil {
 		// A record encoding/json itself would refuse (non-finite float).
 		s.err = fmt.Errorf("campaign: sink: %w", encErr)
 	}
-	for s.next < len(s.done) && s.done[s.next] {
-		if batch := s.encoded[s.next]; s.err == nil && len(batch) > 0 {
-			if err := s.sink.Frames(batch); err != nil {
+	for ; s.next < len(s.lines) && s.lines[s.next] != nil; s.next++ {
+		if recs := s.recs[s.next]; s.err == nil && len(recs) > 0 {
+			if err := s.sink.Shard(recs, *s.lines[s.next]); err != nil {
 				s.err = fmt.Errorf("campaign: sink: %w", err)
 			}
 		}
-		s.encoded[s.next] = nil
-		s.next++
+		wire.PutScratch(s.lines[s.next])
 	}
 }
 
@@ -673,7 +675,7 @@ func Run[T any](cfg Config, shards []Shard[T]) (*Report[T], error) {
 	// Every worker has returned, so the pool and stream counts are final.
 	rep.Tally = Tally{Wall: time.Since(start), BoardFabs: int(pool.fabs.Load()), PoolCheckouts: pool.checkouts}
 	if stream != nil {
-		rep.Tally.Frames, rep.Tally.Bytes = stream.frames, stream.bytes
+		rep.Tally.Records, rep.Tally.Bytes = stream.records, stream.bytes
 	}
 	err := rep.Err()
 	if err == nil {

@@ -75,13 +75,9 @@ func TestColdGridSimulatesOncePerWorkload(t *testing.T) {
 	}
 }
 
-// lines concatenates the frames a sink received.
+// lines returns the line blocks a sink received, concatenated.
 func lines(s *collectSink) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []byte
-	for _, f := range s.frames {
-		out = append(out, f.Line...)
-	}
-	return out
+	return s.lines
 }

@@ -51,8 +51,8 @@ func TestGridResumeSinkEmitsOnlyNewRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Tally.Frames != 0 || base.Tally.Bytes != 0 {
-		t.Errorf("sink-less campaign encoded %d frames, %d bytes", base.Tally.Frames, base.Tally.Bytes)
+	if base.Tally.Records != 0 || base.Tally.Bytes != 0 {
+		t.Errorf("sink-less campaign rendered %d records, %d bytes", base.Tally.Records, base.Tally.Bytes)
 	}
 	cell := g.Repetitions
 	sink := &collectSink{}
@@ -64,13 +64,9 @@ func TestGridResumeSinkEmitsOnlyNewRecords(t *testing.T) {
 		t.Errorf("sink saw %d records, want the %d non-restored ones",
 			len(got), len(base.Records)-2*cell)
 	}
-	bytes := 0
-	for _, f := range sink.frames {
-		bytes += len(f.Line)
-	}
-	if rep.Tally.Frames != len(sink.frames) || rep.Tally.Bytes != bytes {
-		t.Errorf("Tally encoded %d frames, %d bytes; the sink saw %d, %d",
-			rep.Tally.Frames, rep.Tally.Bytes, len(sink.frames), bytes)
+	if rep.Tally.Records != len(sink.recs) || rep.Tally.Bytes != len(sink.lines) {
+		t.Errorf("Tally rendered %d records, %d bytes; the sink saw %d, %d",
+			rep.Tally.Records, rep.Tally.Bytes, len(sink.recs), len(sink.lines))
 	}
 	// Each executed single-board cell takes one board, fabricated or
 	// pooled; restored cells take none.

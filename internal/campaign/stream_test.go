@@ -16,29 +16,29 @@ import (
 	"repro/internal/workloads"
 )
 
-// collectSink gathers streamed frames; safe for concurrent use (the
-// streamer serializes emission, but the race detector should see a locked
-// sink regardless).
+// collectSink gathers streamed records and lines; safe for concurrent use
+// (the streamer serializes emission, but the race detector should see a
+// locked sink regardless).
 type collectSink struct {
 	mu      sync.Mutex
 	recs    []core.RunRecord
-	frames  []core.Frame
-	batches []int // size of each delivered batch
+	lines   []byte // every delivered block, copied: a block is the caller's
+	batches []int  // records in each delivered shard
 	// onRecord, if set, observes each record under the lock.
 	onRecord func(n int, rec core.RunRecord)
 }
 
-func (s *collectSink) Frames(batch []core.Frame) error {
+func (s *collectSink) Shard(recs []core.RunRecord, lines []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, f := range batch {
+	for _, rec := range recs {
 		if s.onRecord != nil {
-			s.onRecord(len(s.recs), f.Rec)
+			s.onRecord(len(s.recs), rec)
 		}
-		s.recs = append(s.recs, f.Rec)
+		s.recs = append(s.recs, rec)
 	}
-	s.frames = append(s.frames, batch...)
-	s.batches = append(s.batches, len(batch))
+	s.lines = append(s.lines, lines...)
+	s.batches = append(s.batches, len(recs))
 	return nil
 }
 
@@ -161,8 +161,8 @@ type failAfterSink struct {
 	err    error
 }
 
-func (s *failAfterSink) Frames(batch []core.Frame) error {
-	s.n += len(batch)
+func (s *failAfterSink) Shard(recs []core.RunRecord, _ []byte) error {
+	s.n += len(recs)
 	if s.n > s.failAt {
 		return s.err
 	}
@@ -311,11 +311,11 @@ func TestStreamManyShards(t *testing.T) {
 	}
 }
 
-// TestStreamFramesMatchBatch pins the encode-once path at every worker
-// count: the sink receives each record exactly once as a pre-rendered
-// frame, in grid order, one batch per grid cell, with the line
-// byte-identical to what encoding/json produces for the record. Run under
-// -race in CI at workers 1/4/16.
+// TestStreamFramesMatchBatch pins the one-render path at every worker
+// count: the sink receives each record exactly once, in grid order, one
+// shard per grid cell, with a line block holding one newline-terminated
+// line per record, each byte-identical to what encoding/json produces for
+// the record. Run under -race in CI at workers 1/4/16.
 func TestStreamFramesMatchBatch(t *testing.T) {
 	g := recoveryGrid(t)
 	for _, workers := range []int{1, 4, 16} {
@@ -324,29 +324,27 @@ func TestStreamFramesMatchBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sink.frames) != len(rep.Records) {
-			t.Fatalf("workers=%d: streamed %d frames, batch has %d records", workers, len(sink.frames), len(rep.Records))
+		if !reflect.DeepEqual(sink.recs, rep.Records) {
+			t.Fatalf("workers=%d: streamed records differ from the batch report", workers)
 		}
 		if cells := len(g.Benches) * len(g.Setups); len(sink.batches) != cells {
-			t.Errorf("workers=%d: %d batches for %d cells, want one per cell", workers, len(sink.batches), cells)
+			t.Errorf("workers=%d: %d shards for %d cells, want one per cell", workers, len(sink.batches), cells)
 		}
 		for i, n := range sink.batches {
 			if n != g.Repetitions {
-				t.Errorf("workers=%d: batch %d holds %d frames, want one cell's %d", workers, i, n, g.Repetitions)
+				t.Errorf("workers=%d: shard %d holds %d records, want one cell's %d", workers, i, n, g.Repetitions)
 			}
 		}
-		for i, f := range sink.frames {
-			if !reflect.DeepEqual(f.Rec, rep.Records[i]) {
-				t.Fatalf("workers=%d: frame %d record differs from batch report", workers, i)
-			}
-			want, err := json.Marshal(rep.Records[i])
+		var want []byte
+		for _, rec := range rep.Records {
+			line, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, '\n')
-			if !bytes.Equal(f.Line, want) {
-				t.Fatalf("workers=%d: frame %d line %q, encoding/json %q", workers, i, f.Line, want)
-			}
+			want = append(append(want, line...), '\n')
+		}
+		if !bytes.Equal(sink.lines, want) {
+			t.Fatalf("workers=%d: streamed lines differ from encoding/json of the batch report", workers)
 		}
 	}
 }

@@ -1,33 +1,26 @@
 package core
 
-// A Frame is a run record together with its pre-rendered JSON Lines
-// encoding: the exact bytes a JSONL subscriber receives, newline included.
-// Frames exist so the daemon encodes each record exactly once — at commit
-// into the engine's ordering buffer — and every NDJSON/SSE subscriber and
-// the durable-store segment writer share the same immutable byte slice
-// instead of re-encoding the record independently.
-//
-// Line is shared: receivers must treat it as read-only and must not retain
-// a mutated copy. It always renders the same bytes encoding/json would
-// produce for Rec (plus the trailing newline); internal/wire pins that
-// equivalence, which is what keeps the encode-once stream byte-identical
-// to encoding each record with encoding/json.
+// A Frame is a run record together with its JSON Lines encoding: the exact
+// bytes a JSONL subscriber receives, newline included. The live path hands
+// sinks records and line blocks (Sink.Shard), not frames; a Frame is the
+// per-record view of the same bytes that benchmarks of the encoder and of
+// segment reads take.
 type Frame struct {
-	// Rec is the decoded record, for consumers that aggregate rather than
-	// forward bytes.
+	// Rec is the decoded record.
 	Rec RunRecord
-	// Line is the record's JSONL encoding, "…\n", immutable and shared.
+	// Line is the record's JSONL encoding, "…\n".
 	Line []byte
 }
 
 // Sink receives a campaign's finished runs as they are produced (the
-// serial/network/cloud log channels of Fig. 2). Frames arrive in batches —
-// the campaign engine hands over each completed shard's records as one
-// batch — so a sink pays its per-delivery costs (a lock, a wake-up, a
-// flush) once per batch rather than once per record.
+// serial/network/cloud log channels of Fig. 2). Runs arrive one engine
+// shard at a time, so a sink pays its per-delivery costs (a lock, a
+// wake-up, a flush) once per shard rather than once per record.
 type Sink interface {
-	// Frames consumes a batch of finished runs, in order, with their shared
-	// pre-rendered lines. The slice is the caller's: a sink may keep the
-	// frames but must not retain or modify the slice itself.
-	Frames(batch []Frame) error
+	// Shard consumes one shard's finished runs, in order. lines holds their
+	// JSONL lines back to back, one newline-terminated line per record, so
+	// a sink that forwards bytes renders nothing. Both slices are the
+	// caller's and valid only for the call: a sink that keeps either must
+	// copy it.
+	Shard(recs []RunRecord, lines []byte) error
 }

@@ -13,8 +13,8 @@ import (
 // encoding/json.
 
 // JSONLSink streams runs as JSON Lines to a writer (a batch log, or the
-// network channel of Fig. 2). It writes each frame's shared pre-rendered
-// line as-is, paying no encoding cost of its own.
+// network channel of Fig. 2). It writes each shard's rendered lines as-is,
+// in one Write, paying no encoding cost of its own.
 type JSONLSink struct {
 	w io.Writer
 }
@@ -24,12 +24,10 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{w: w}
 }
 
-// Frames implements Sink.
-func (s *JSONLSink) Frames(batch []Frame) error {
-	for _, f := range batch {
-		if _, err := s.w.Write(f.Line); err != nil {
-			return fmt.Errorf("core: write run record: %w", err)
-		}
+// Shard implements Sink.
+func (s *JSONLSink) Shard(_ []RunRecord, lines []byte) error {
+	if _, err := s.w.Write(lines); err != nil {
+		return fmt.Errorf("core: write run records: %w", err)
 	}
 	return nil
 }

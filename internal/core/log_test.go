@@ -91,14 +91,26 @@ func TestOutcomeJSONAllValues(t *testing.T) {
 	}
 }
 
-// TestJSONLSinkFrames: a batch is written as its lines, in order.
+// TestJSONLSinkFrames: a shard's line block is written as-is, in one
+// Write.
 func TestJSONLSinkFrames(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewJSONLSink(&buf)
-	if err := s.Frames([]Frame{{Line: []byte("a\n")}, {Line: []byte("b\n")}}); err != nil {
+	var w countingWriter
+	s := NewJSONLSink(&w)
+	if err := s.Shard(make([]RunRecord, 2), []byte("a\nb\n")); err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != "a\nb\n" {
-		t.Errorf("wrote %q, want the batch's lines", buf.String())
+	if w.buf.String() != "a\nb\n" || w.writes != 1 {
+		t.Errorf("wrote %q in %d writes, want the shard's lines in one", w.buf.String(), w.writes)
 	}
+}
+
+// countingWriter records what it is given and in how many calls.
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
 }

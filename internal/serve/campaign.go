@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"sync"
@@ -125,13 +126,13 @@ func (c *Campaign) hydrateWith(lines []byte, ends []int, lost error) {
 	c.cond.Broadcast()
 }
 
-// Frames implements core.Sink, the campaign engine's streaming hook:
-// batches arrive in deterministic grid order, so appending their lines
-// keeps byte-identity with the batch report. A batch (one engine shard) is
+// Shard implements core.Sink, the campaign engine's streaming hook:
+// shards arrive in deterministic grid order, so appending their lines
+// keeps byte-identity with the batch report. A shard's line block is
 // copied into the arena under one lock and wakes the subscribers once.
-func (c *Campaign) Frames(batch []core.Frame) error {
+func (c *Campaign) Shard(recs []core.RunRecord, lines []byte) error {
 	c.mu.Lock()
-	c.lines, c.ends = appendLines(c.lines, c.ends, batch)
+	c.lines, c.ends = appendLines(c.lines, c.ends, len(recs), lines)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	return nil
@@ -139,23 +140,25 @@ func (c *Campaign) Frames(batch []core.Frame) error {
 
 var _ core.Sink = (*Campaign)(nil)
 
-// appendLines appends batch's lines to an arena and their end offsets to
-// ends. An empty arena is sized for cap(ends) records (at least the batch)
-// at the batch's mean line length, plus a sixteenth.
-func appendLines(lines []byte, ends []int, batch []core.Frame) ([]byte, []int) {
-	size := 0
-	for _, f := range batch {
-		size += len(f.Line)
+// appendLines appends a block of n newline-terminated lines to an arena,
+// and the offset where each ends to ends. An empty arena is sized for
+// cap(ends) records (at least n) at the block's mean line length, plus a
+// sixteenth.
+func appendLines(arena []byte, ends []int, n int, block []byte) ([]byte, []int) {
+	if len(ends) == 0 && n > 0 && len(block) > cap(arena) {
+		size := len(block) * max(cap(ends), n) / n
+		arena = make([]byte, 0, size+size/16)
 	}
-	if len(ends) == 0 && len(batch) > 0 && size > cap(lines) {
-		n := size * max(cap(ends), len(batch)) / len(batch)
-		lines = make([]byte, 0, n+n/16)
+	base := len(arena)
+	arena = append(arena, block...)
+	for off := 0; ; {
+		i := bytes.IndexByte(block[off:], '\n')
+		if i < 0 {
+			return arena, ends
+		}
+		off += i + 1
+		ends = append(ends, base+off)
 	}
-	for _, f := range batch {
-		lines = append(lines, f.Line...)
-		ends = append(ends, len(lines))
-	}
-	return lines, ends
 }
 
 // maxReserve caps how many records reserve sizes an arena for. A grid's
@@ -164,7 +167,7 @@ func appendLines(lines []byte, ends []int, batch []core.Frame) ([]byte, []int) {
 const maxReserve = 4096
 
 // reserve sizes the arena's record index for n records, at most
-// maxReserve, before any arrive; the first batch sizes the lines from it.
+// maxReserve, before any arrive; the first shard sizes the lines from it.
 func (c *Campaign) reserve(n int) {
 	n = min(n, maxReserve)
 	c.mu.Lock()

@@ -17,8 +17,7 @@ import (
 // cannot disagree, and two Servers in one process never mix their
 // traffic. Counters sit off the record hot path: submissions, queue
 // transitions, stream lifecycles and engine reports are per-campaign
-// events, and the per-frame stream byte counter is one atomic add per
-// write.
+// events, and the stream byte counter is one atomic add per write.
 type metrics struct {
 	reg *obs.Registry
 
@@ -79,9 +78,9 @@ func newMetrics() *metrics {
 		boardFabs: r.Counter("campaign_board_fabrications_total",
 			"Boards fabricated because the pool held no idle match (or the shard demanded a fresh board)."),
 		framesEncoded: r.Counter("wire_frames_encoded_total",
-			"Run records rendered into shared frames by the encode-once pipeline."),
+			"Run records rendered to JSONL, once each, by the engine's streamer."),
 		encodedBytes: r.Counter("wire_encoded_bytes_total",
-			"Bytes of canonical JSONL produced by the frame encoders; every subscriber shares these bytes, so fan-out volume is this times the subscriber count."),
+			"Bytes of canonical JSONL rendered by the engine's streamer; every subscriber replays these bytes, so fan-out volume is this times the subscriber count."),
 
 		fleetReplications: r.Counter("fleet_replications_total",
 			"Characterizations adopted from fleet peers instead of running locally — each one is a whole campaign not re-measured."),
@@ -106,7 +105,7 @@ func newMetrics() *metrics {
 		subscribers: r.Gauge("campaignd_active_subscribers",
 			"Stream subscribers currently attached (NDJSON and SSE)."),
 		streamBytes: r.Counter("campaignd_stream_bytes_total",
-			"Bytes written to stream subscribers, shared pre-rendered frames included."),
+			"Bytes written to stream subscribers, SSE framing included."),
 		draining: r.Gauge("campaignd_draining",
 			"1 while the server is draining for shutdown (new submissions get 503)."),
 		storeErrors: r.Counter("campaignd_store_errors_total",
@@ -141,7 +140,7 @@ func (m *metrics) observeEngine(st campaign.Stats, t campaign.Tally) {
 	m.recoveries.Add(uint64(st.Recoveries))
 	m.poolCheckouts.Add(uint64(t.PoolCheckouts))
 	m.boardFabs.Add(uint64(t.BoardFabs))
-	m.framesEncoded.Add(uint64(t.Frames))
+	m.framesEncoded.Add(uint64(t.Records))
 	m.encodedBytes.Add(uint64(t.Bytes))
 }
 

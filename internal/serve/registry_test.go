@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,5 +226,47 @@ func TestLocalHitsReachStoreLRU(t *testing.T) {
 	}
 	if _, ok := s.store.Get(fp(specB)); ok {
 		t.Error("compaction kept B, the least recently used segment")
+	}
+}
+
+// TestAdmissionBoundsPlannedRuns: a spec planning more than maxPlannedRuns
+// records is a 400 and journals no intent; the bound counts an exhaustive
+// grid's cells and an adaptive descent's resolution steps, and a spec at
+// the bound is admitted.
+func TestAdmissionBoundsPlannedRuns(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := storeServer(t, dir, Options{})
+	tooMany := []Spec{
+		{Seed: 1, Benches: []string{"mcf"}, VoltagesMV: []float64{980}, Repetitions: 1e8},
+		{Seed: 1, Benches: []string{"mcf"}, VoltagesMV: []float64{980}, Repetitions: 1, Boards: 1e6},
+		// 1000 -> 700 mV at 0.001 mV is 300001 levels.
+		{Seed: 1, Strategy: StrategyAdaptive, Benches: []string{"mcf"}, Repetitions: 1,
+			StartMV: 1000, FloorMV: 700, CoarseStepMV: 0.001, ResolutionMV: 0.001},
+	}
+	for i, spec := range tooMany {
+		body, _ := json.Marshal(spec)
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %d planning over %d runs: status %d, want 400", i, maxPlannedRuns, resp.StatusCode)
+		}
+	}
+	if journal, err := os.ReadFile(filepath.Join(dir, "MANIFEST.jsonl")); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	} else if strings.Contains(string(journal), `"op":"begin"`) {
+		t.Errorf("a rejected spec journaled an intent:\n%s", journal)
+	}
+
+	atBound := tinySpec(1)
+	atBound.Repetitions = maxPlannedRuns
+	if err := atBound.withDefaults().Validate(); err != nil {
+		t.Errorf("spec planning exactly %d runs rejected: %v", maxPlannedRuns, err)
+	}
+	atBound.Repetitions++
+	if err := atBound.withDefaults().Validate(); err == nil {
+		t.Errorf("spec planning %d runs accepted", maxPlannedRuns+1)
 	}
 }

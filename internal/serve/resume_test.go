@@ -46,7 +46,7 @@ func crashDaemonDir(t *testing.T, spec Spec, crashRecords int) (string, string) 
 			t.Fatal(err)
 		}
 		for _, rec := range rep.Records[:crashRecords] {
-			if err := w.Frames([]core.Frame{{Rec: rec}}); err != nil {
+			if err := w.Append([]core.RunRecord{rec}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -241,7 +241,7 @@ func TestIntentEndAfterCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range rep.Records {
-		if err := w.Frames([]core.Frame{{Rec: rec}}); err != nil {
+		if err := w.Append([]core.RunRecord{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}

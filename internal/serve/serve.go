@@ -62,6 +62,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 func init() {
@@ -472,7 +473,7 @@ func (s *Server) execute(c *Campaign) {
 	var sink core.Sink = c
 	var tee *storeTee
 	var resume []core.RunRecord
-	ck := s.checkpointFrames(c, grid)
+	ck := s.checkpointRecords(c, grid)
 	var w *store.Writer
 	var werr error
 	if len(ck) > 0 {
@@ -493,15 +494,17 @@ func (s *Server) execute(c *Campaign) {
 		ck = nil
 	}
 	if len(ck) > 0 {
-		// The restored prefix re-enters the live arena as
-		// the exact pre-rendered bytes the interrupted process streamed;
-		// the engine then executes only the remaining cells, and the
-		// committed segment comes out byte-identical to an uninterrupted
-		// run. The prefix must not pass through the engine sink again,
-		// which is why campaign.Config.Resume suppresses emission for
-		// restored cells.
-		c.Frames(ck)
-		resume = recordsOfFrames(ck)
+		// The restored prefix re-enters the live arena as the exact
+		// bytes the interrupted process streamed; the engine then
+		// executes only the remaining cells, and the committed segment
+		// comes out byte-identical to an uninterrupted run. The prefix
+		// must not pass through the engine sink again, which is why
+		// campaign.Config.Resume suppresses emission for restored cells.
+		// The checkpoint read refused any record AppendLines could fail
+		// on (wire.ReadSegment), so its error is nil here.
+		lines, _ := wire.AppendLines(nil, ck)
+		c.Shard(ck, lines)
+		resume = ck
 		s.metrics.gridsResumed.Inc()
 		s.metrics.runsSaved.Add(uint64(len(ck)))
 		s.logger.Info("campaign resumed from checkpoint", withTenant([]any{
@@ -563,13 +566,13 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// checkpointFrames returns the resumable prefix of a crash checkpoint for
+// checkpointRecords returns the resumable prefix of a crash checkpoint for
 // this campaign, or nil. Only exhaustive grids resume (grid is nil for an
 // adaptive schedule, whose shard list depends on earlier results, so its
 // checkpoint cannot be mapped back onto cells). The prefix is trimmed to
 // whole cells (the engine's resume unit) and capped at the grid's total; a
 // torn tail inside a cell re-runs rather than splices.
-func (s *Server) checkpointFrames(c *Campaign, grid *campaign.Grid) []core.Frame {
+func (s *Server) checkpointRecords(c *Campaign, grid *campaign.Grid) []core.RunRecord {
 	if grid == nil {
 		return nil
 	}
@@ -590,16 +593,6 @@ func (s *Server) checkpointFrames(c *Campaign, grid *campaign.Grid) []core.Frame
 // gridRuns is the number of runs, and so of records, in an exhaustive grid.
 func gridRuns(g campaign.Grid) int {
 	return len(g.Benches) * len(g.Setups) * max(g.Boards, 1) * g.Repetitions
-}
-
-// recordsOfFrames projects checkpoint frames onto the decoded records the
-// engine's resume path consumes.
-func recordsOfFrames(frames []core.Frame) []core.RunRecord {
-	out := make([]core.RunRecord, len(frames))
-	for i, f := range frames {
-		out[i] = f.Rec
-	}
-	return out
 }
 
 // runEngine dispatches to the spec's scheduler and normalizes the

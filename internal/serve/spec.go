@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/campaign"
@@ -209,6 +210,9 @@ func (s Spec) Validate() error {
 	if s.TREFPMillis < 0 {
 		return errors.New("serve: negative TREFP")
 	}
+	if !s.plansAtMostMaxRuns() {
+		return fmt.Errorf("serve: spec plans more than %d runs", maxPlannedRuns)
+	}
 	switch s.Core {
 	case "robust", "weakest":
 	default:
@@ -224,6 +228,32 @@ func (s Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// maxPlannedRuns bounds the records one campaign may plan. The engine
+// hands a grid cell's repetitions to its sink as one block and the arena
+// retains every line, so the bound caps a campaign's memory: ~80 MB of
+// arena at ~305 bytes per Fig. 4 record.
+const maxPlannedRuns = 1 << 18
+
+// plansAtMostMaxRuns reports whether the spec plans at most
+// maxPlannedRuns runs: benches x voltage levels x boards x repetitions,
+// where an adaptive spec's levels are every resolution step from start_mv
+// down to floor_mv. Call on a spec whose shape Validate has checked; the
+// product is taken in floating point, so it cannot overflow.
+func (s Spec) plansAtMostMaxRuns() bool {
+	levels := float64(len(s.VoltagesMV))
+	if s.Strategy == StrategyAdaptive {
+		// The scheduler's descent ladder (campaign.adaptiveSearch).
+		levels = math.Floor((s.StartMV-s.FloorMV)/s.ResolutionMV+1e-6) + 1
+	}
+	n := 1.0
+	for _, f := range []float64{float64(len(s.Benches)), levels, float64(max(s.Boards, 1)), float64(s.Repetitions)} {
+		if n *= f; n > maxPlannedRuns {
+			return false
+		}
+	}
+	return true
 }
 
 // nearlyEqualMV absorbs float drift on the millivolt grid.

@@ -189,17 +189,16 @@ func (t *storeTee) persist(write func() error) {
 	t.s.setStoreDegraded(t.c, err)
 }
 
-// Frames implements core.Sink on the encode-once path: the live arena takes
-// the pre-rendered lines and the segment writer the decoded
-// records, one batch and one flush per engine shard. A retry after a
-// failed write resumes at the first record the writer did not take, so a
-// transient error never duplicates a record in the segment.
-func (t *storeTee) Frames(batch []core.Frame) error {
-	if err := t.c.Frames(batch); err != nil {
+// Shard implements core.Sink: the live arena takes the rendered lines and
+// the segment writer the records, one flush per engine shard. A retry
+// after a failed write resumes at the first record the writer did not
+// take, so a transient error never duplicates a record in the segment.
+func (t *storeTee) Shard(recs []core.RunRecord, lines []byte) error {
+	if err := t.c.Shard(recs, lines); err != nil {
 		return err
 	}
 	start := t.w.Records()
-	t.persist(func() error { return t.w.Frames(batch[t.w.Records()-start:]) })
+	t.persist(func() error { return t.w.Append(recs[t.w.Records()-start:]) })
 	return nil
 }
 

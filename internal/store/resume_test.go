@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -24,7 +25,7 @@ func crashWriter(t *testing.T, s *Store, fp, label string, n int) {
 		t.Fatal(err)
 	}
 	for _, rec := range testRecords(label, n) {
-		if err := w.Frames([]core.Frame{{Rec: rec}}); err != nil {
+		if err := w.Append([]core.RunRecord{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,18 +59,9 @@ func tmpSalvagedIntoCheckpoint(t *testing.T) {
 	if st.Quarantined != 0 || st.Checkpoints != 1 {
 		t.Fatalf("stats = %+v, want 0 quarantined, 1 checkpoint", st)
 	}
-	frames := s2.Checkpoint("deadbeef")
-	if len(frames) != 3 {
-		t.Fatalf("checkpoint holds %d frames, want 3", len(frames))
-	}
-	want := testRecords("mcf", 3)
-	for i, f := range frames {
-		if f.Rec.Benchmark != want[i].Benchmark || f.Rec.Repetition != want[i].Repetition {
-			t.Errorf("frame %d = %+v", i, f.Rec)
-		}
-		if len(f.Line) == 0 || f.Line[len(f.Line)-1] != '\n' {
-			t.Errorf("frame %d line not canonical JSONL: %q", i, f.Line)
-		}
+	ck := s2.Checkpoint("deadbeef")
+	if want := testRecords("mcf", 3); !reflect.DeepEqual(ck, want) {
+		t.Fatalf("checkpoint holds %d records %+v, want the 3 written %+v", len(ck), ck, want)
 	}
 	// The checkpoint is in the segment framing; the .tmp itself is gone.
 	if raw, err := os.ReadFile(s2.checkpointPath("deadbeef")); err != nil || !bytes.HasPrefix(raw, wire.Header()) {
@@ -105,8 +97,8 @@ func TestTornTmpSalvagesPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if frames := s2.Checkpoint("deadbeef"); len(frames) != 2 {
-		t.Fatalf("checkpoint holds %d frames, want the 2 intact ones", len(frames))
+	if ck := s2.Checkpoint("deadbeef"); len(ck) != 2 {
+		t.Fatalf("checkpoint holds %d records, want the 2 intact ones", len(ck))
 	}
 }
 
@@ -133,7 +125,7 @@ func resumeCommitsIdenticalSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if err := w.Frames([]core.Frame{{Rec: r}}); err != nil {
+		if err := w.Append([]core.RunRecord{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,14 +153,14 @@ func resumeCommitsIdenticalSegment(t *testing.T) {
 	defer s2.Close()
 	ck := s2.Checkpoint("cafe")
 	if len(ck) != 4 {
-		t.Fatalf("checkpoint holds %d frames, want 4", len(ck))
+		t.Fatalf("checkpoint holds %d records, want 4", len(ck))
 	}
 	w2, err := s2.Resume("cafe", ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs[4:] {
-		if err := w2.Frames([]core.Frame{{Rec: r}}); err != nil {
+		if err := w2.Append([]core.RunRecord{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +176,7 @@ func resumeCommitsIdenticalSegment(t *testing.T) {
 	}
 	// Commit cleared the checkpoint.
 	if ck := s2.Checkpoint("cafe"); ck != nil {
-		t.Errorf("checkpoint survived commit: %d frames", len(ck))
+		t.Errorf("checkpoint survived commit: %d records", len(ck))
 	}
 	if st := s2.Stats(); st.Checkpoints != 0 {
 		t.Errorf("stats = %+v, want 0 checkpoints", st)
@@ -217,7 +209,7 @@ func TestStaleCheckpointDropped(t *testing.T) {
 	}
 	defer s3.Close()
 	if ck := s3.Checkpoint("aaaa"); ck != nil {
-		t.Fatalf("stale checkpoint survived: %d frames", len(ck))
+		t.Fatalf("stale checkpoint survived: %d records", len(ck))
 	}
 	if _, err := os.Stat(filepath.Join(dir, ckptPrefix+"aaaa")); !os.IsNotExist(err) {
 		t.Error("stale checkpoint file still on disk")
@@ -326,10 +318,10 @@ func TestFaultInjectedWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := testRecords("mcf", 2)
-	if err := w.Frames([]core.Frame{{Rec: recs[0]}}); err != nil {
+	if err := w.Append([]core.RunRecord{recs[0]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Frames([]core.Frame{{Rec: recs[1]}}); !errors.Is(err, syscall.ENOSPC) {
+	if err := w.Append([]core.RunRecord{recs[1]}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("got %v, want ENOSPC", err)
 	}
 	if err := w.Abort(); err != nil {
@@ -361,7 +353,7 @@ func TestFaultInjectedCommitFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Frames([]core.Frame{{Rec: testRecords("mcf", 1)[0]}}); err != nil {
+			if err := w.Append([]core.RunRecord{testRecords("mcf", 1)[0]}); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Commit(nil); !errors.Is(err, syscall.EIO) {
@@ -406,7 +398,7 @@ func TestFaultInjectedDirSyncError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Frames([]core.Frame{{Rec: testRecords("mcf", 1)[0]}}); err != nil {
+	if err := w.Append([]core.RunRecord{testRecords("mcf", 1)[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(nil); !errors.Is(err, syscall.EIO) {
@@ -464,7 +456,7 @@ func TestCheckpointSetFollowsDisk(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 checkpoints", st)
 	}
 	if ck := s2.Checkpoint("deadbeef"); len(ck) != 3 {
-		t.Fatalf("salvaged checkpoint holds %d frames, want 3", len(ck))
+		t.Fatalf("salvaged checkpoint holds %d records, want 3", len(ck))
 	}
 
 	raw, err := os.ReadFile(s2.checkpointPath("deadbeef"))
@@ -476,7 +468,7 @@ func TestCheckpointSetFollowsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ck := s2.Checkpoint("f00d"); ck != nil {
-		t.Errorf("checkpoint written after Open returned %d frames, want none", len(ck))
+		t.Errorf("checkpoint written after Open returned %d records, want none", len(ck))
 	}
 	s2.ClearCheckpoint("f00d")
 	if _, err := os.Stat(late); err != nil {
@@ -487,7 +479,7 @@ func TestCheckpointSetFollowsDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Frames([]core.Frame{{Rec: testRecords("mcf", 1)[0]}}); err != nil {
+	if err := w.Append([]core.RunRecord{testRecords("mcf", 1)[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(nil); err != nil {

@@ -43,9 +43,8 @@
 // became the only format: its seg-<fp>.jsonl files lose their claims, are
 // quarantined, and re-run on demand; likewise a separate INTENT.jsonl left
 // by a daemon that journaled intents outside the manifest is quarantined.
-// The writer flushes its buffer after every Frames batch (one campaign
-// shard), so the bytes a crash can lose are bounded to the batch being
-// written.
+// The writer flushes its buffer after every Append (one campaign shard),
+// so the bytes a crash can lose are bounded to the shard being written.
 //
 // Intents. The manifest is also the caller's write-ahead journal of
 // accepted work: BeginIntent journals a fingerprint with opaque meta
@@ -285,10 +284,10 @@ func (s *Store) manifestPath() string { return filepath.Join(s.opts.Dir, manifes
 // segName is the segment file name for a fingerprint.
 func segName(fp string) string { return segPrefix + fp + segSuffix }
 
-// readSegmentFile reads a segment or checkpoint back into frames. The file
-// is read whole (a segment is a few KB) and handed over as a
+// readSegmentFile reads a segment or checkpoint back into records. The
+// file is read whole (a segment is a few KB) and handed over as a
 // *bytes.Buffer, which wire.ReadSegment decodes in place, without a copy.
-func readSegmentFile(path string) ([]core.Frame, error) {
+func readSegmentFile(path string) ([]core.RunRecord, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -440,19 +439,19 @@ func tmpFingerprint(name string) string {
 func (s *Store) salvageTmp(name string) error {
 	fp := tmpFingerprint(name)
 	_, committed := s.entries[fp]
-	var frames []core.Frame
+	var recs []core.RunRecord
 	if fp != "" && !committed {
 		var err error
-		frames, err = readSegmentFile(filepath.Join(s.opts.Dir, name))
+		recs, err = readSegmentFile(filepath.Join(s.opts.Dir, name))
 		var re *wire.ReadError
 		if err != nil && !errors.As(err, &re) {
-			frames = nil // unreadable outright; quarantine below
+			recs = nil // unreadable outright; quarantine below
 		}
 	}
-	if len(frames) == 0 {
+	if len(recs) == 0 {
 		return s.quarantine(name)
 	}
-	if prev, err := s.readCheckpoint(fp); err == nil && len(prev) >= len(frames) {
+	if prev, err := s.readCheckpoint(fp); err == nil && len(prev) >= len(recs) {
 		// A previous crash already salvaged at least this much (the .tmp
 		// of a resumed run replays the full prefix, so newer is normally
 		// longer); keep the longer checkpoint.
@@ -461,7 +460,7 @@ func (s *Store) salvageTmp(name string) error {
 		}
 		return nil
 	}
-	if err := s.writeCheckpoint(fp, frames); err != nil {
+	if err := s.writeCheckpoint(fp, recs); err != nil {
 		return err
 	}
 	if err := os.Remove(filepath.Join(s.opts.Dir, name)); err != nil {
@@ -476,16 +475,16 @@ func (s *Store) checkpointPath(fp string) string {
 	return filepath.Join(s.opts.Dir, ckptPrefix+fp)
 }
 
-// writeCheckpoint persists frames as a binary checkpoint, fsync'd, and
+// writeCheckpoint persists records as a binary checkpoint, fsync'd, and
 // adds fp to the checkpoint set.
-func (s *Store) writeCheckpoint(fp string, frames []core.Frame) error {
+func (s *Store) writeCheckpoint(fp string, recs []core.RunRecord) error {
 	f, err := os.OpenFile(s.checkpointPath(fp), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: write checkpoint %s: %w", fp, err)
 	}
 	buf := wire.Header()
-	for _, fr := range frames {
-		if buf, err = wire.AppendBinaryRecord(buf, fr.Rec); err != nil {
+	for _, rec := range recs {
+		if buf, err = wire.AppendBinaryRecord(buf, rec); err != nil {
 			f.Close()
 			return fmt.Errorf("store: encode checkpoint %s: %w", fp, err)
 		}
@@ -505,33 +504,32 @@ func (s *Store) writeCheckpoint(fp string, frames []core.Frame) error {
 	return nil
 }
 
-// readCheckpoint loads a checkpoint's frames; os.ErrNotExist when none.
+// readCheckpoint loads a checkpoint's records; os.ErrNotExist when none.
 // A checkpoint torn by yet another crash yields its intact prefix.
-func (s *Store) readCheckpoint(fp string) ([]core.Frame, error) {
-	frames, err := readSegmentFile(s.checkpointPath(fp))
+func (s *Store) readCheckpoint(fp string) ([]core.RunRecord, error) {
+	recs, err := readSegmentFile(s.checkpointPath(fp))
 	var re *wire.ReadError
-	if err != nil && errors.As(err, &re) && len(frames) > 0 {
-		return frames, nil
+	if err != nil && errors.As(err, &re) && len(recs) > 0 {
+		return recs, nil
 	}
-	return frames, err
+	return recs, err
 }
 
 // Checkpoint returns the completed records salvaged from a crashed
-// campaign for this fingerprint, as frames carrying their canonical
-// JSONL lines, or nil when no checkpoint exists. Callers that resume
-// should replay (a prefix of) these frames through Resume and clear the
-// checkpoint once the resumed segment commits (Commit does this
-// automatically). A fingerprint recovery found no checkpoint for costs no
-// filesystem call.
-func (s *Store) Checkpoint(fp string) []core.Frame {
+// campaign for this fingerprint, or nil when no checkpoint exists.
+// Callers that resume should replay (a prefix of) these records through
+// Resume and clear the checkpoint once the resumed segment commits
+// (Commit does this automatically). A fingerprint recovery found no
+// checkpoint for costs no filesystem call.
+func (s *Store) Checkpoint(fp string) []core.RunRecord {
 	if !s.hasCheckpoint(fp) {
 		return nil
 	}
-	frames, err := s.readCheckpoint(fp)
+	recs, err := s.readCheckpoint(fp)
 	if err != nil {
 		return nil
 	}
-	return frames
+	return recs
 }
 
 // ClearCheckpoint drops a fingerprint's checkpoint, if any.
@@ -556,16 +554,16 @@ func (s *Store) hasCheckpoint(fp string) bool {
 }
 
 // Resume begins a fresh segment writer for fp and replays the given
-// frames (normally a prefix of Checkpoint(fp)) into it, handing back a
+// records (normally a prefix of Checkpoint(fp)) into it, handing back a
 // writer positioned to append the campaign's remaining records. The
 // rewrite-from-zero keeps every durability invariant of a normal Begin:
 // the .tmp is truncated, so a second crash just salvages again.
-func (s *Store) Resume(fp string, frames []core.Frame) (*Writer, error) {
+func (s *Store) Resume(fp string, recs []core.RunRecord) (*Writer, error) {
 	w, err := s.Begin(fp)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Frames(frames); err != nil {
+	if err := w.Append(recs); err != nil {
 		w.Abort()
 		return nil, err
 	}
@@ -758,9 +756,8 @@ func (s *Store) appendOpLocked(op manifestOp, sync bool) error {
 	return nil
 }
 
-// Writer streams one campaign's records into an uncommitted segment. It
-// implements core.Sink, so the engine's frame batches reach it directly: it
-// frames the already-decoded records without JSON work.
+// Writer streams one campaign's records into an uncommitted segment,
+// framing the records in the binary format without JSON work.
 // Exactly one of Commit or Abort must be called.
 type Writer struct {
 	st      *Store
@@ -812,23 +809,22 @@ func (w *Writer) write(p []byte) error {
 	return nil
 }
 
-// Frames implements core.Sink: the segment stores the decoded records,
-// not the pre-rendered lines, which replay re-renders. The batch is
-// appended record by record (each through the store.write fault site) and
-// flushed once, so one campaign shard costs one write syscall; a crash
-// mid-batch loses only that batch — the write syscall puts the bytes in
-// the page cache, which survives process death (fsync still only happens
-// at Commit; power loss can cost the whole uncommitted segment either way,
-// which recovery already tolerates). On error, Records tells how many of
-// the batch's records made it in: a retry resumes with the first one that
-// did not.
-func (w *Writer) Frames(batch []core.Frame) error {
+// Append adds records to the segment: the records themselves, not their
+// JSONL lines, which replay re-renders. They are appended one by one (each
+// through the store.write fault site) and flushed once, so one campaign
+// shard costs one write syscall; a crash mid-shard loses only that shard —
+// the write syscall puts the bytes in the page cache, which survives
+// process death (fsync still only happens at Commit; power loss can cost
+// the whole uncommitted segment either way, which recovery already
+// tolerates). On error, Records tells how many of the records made it in:
+// a retry resumes with the first one that did not.
+func (w *Writer) Append(recs []core.RunRecord) error {
 	if w.done {
 		return errors.New("store: segment writer already finished")
 	}
-	for _, f := range batch {
+	for _, rec := range recs {
 		var err error
-		if w.scratch, err = wire.AppendBinaryRecord(w.scratch[:0], f.Rec); err != nil {
+		if w.scratch, err = wire.AppendBinaryRecord(w.scratch[:0], rec); err != nil {
 			return fmt.Errorf("store: encode record: %w", err)
 		}
 		if err := w.write(w.scratch); err != nil {
@@ -844,8 +840,6 @@ func (w *Writer) Frames(batch []core.Frame) error {
 
 // Records returns how many records the writer has appended so far.
 func (w *Writer) Records() int { return w.records }
-
-var _ core.Sink = (*Writer)(nil)
 
 // Commit makes the segment durable and indexes it under the fingerprint:
 // flush + fsync the segment, rename it into place, fsync the directory,
@@ -967,16 +961,30 @@ func (s *Store) Entries() []Entry {
 }
 
 // LoadFrames reads a fingerprint's segment back as frames, each record with
-// its canonical JSONL line. Verification, quarantine and recency are
-// load's.
+// its canonical JSONL line, every line a capacity-capped slice of one
+// exact-size backing. Verification, quarantine and recency are load's.
+// Hydration uses LoadLines; this per-record view serves perfbench's
+// store.load_frames ladder.
 func (s *Store) LoadFrames(fp string) ([]core.Frame, error) {
-	var frames []core.Frame
+	var recs []core.RunRecord
 	_, err := s.load(fp, func(b []byte) (n int, err error) {
-		frames, err = wire.ReadSegment(bytes.NewBuffer(b))
-		return len(frames), err
+		recs, err = wire.ReadSegment(bytes.NewBuffer(b))
+		return len(recs), err
 	})
 	if err != nil {
 		return nil, err
+	}
+	bp := wire.GetScratch()
+	defer wire.PutScratch(bp)
+	if *bp, err = wire.AppendLines(*bp, recs); err != nil {
+		return nil, err
+	}
+	backing := bytes.Clone(*bp)
+	frames := make([]core.Frame, len(recs))
+	for i, rec := range recs {
+		n := bytes.IndexByte(backing, '\n') + 1
+		frames[i] = core.Frame{Rec: rec, Line: backing[:n:n]}
+		backing = backing[n:]
 	}
 	return frames, nil
 }

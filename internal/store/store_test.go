@@ -38,7 +38,7 @@ func commit(t *testing.T, s *Store, fp, label string, n int) {
 		t.Fatal(err)
 	}
 	for _, rec := range testRecords(label, n) {
-		if err := w.Frames([]core.Frame{{Rec: rec}}); err != nil {
+		if err := w.Append([]core.RunRecord{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestCrashDebrisQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Frames([]core.Frame{{Rec: core.RunRecord{Benchmark: "x"}}})
+	w.Append([]core.RunRecord{core.RunRecord{Benchmark: "x"}})
 	// Simulate the crash: no Commit, no Abort; also drop an orphan that
 	// looks committed but is absent from the manifest.
 	orphan := filepath.Join(dir, segName("orphan"))
@@ -356,7 +356,7 @@ func TestAbortLeavesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Frames([]core.Frame{{Rec: core.RunRecord{Benchmark: "x"}}})
+	w.Append([]core.RunRecord{core.RunRecord{Benchmark: "x"}})
 	if err := w.Abort(); err != nil {
 		t.Fatal(err)
 	}
@@ -588,15 +588,13 @@ func adoptReplaysByteIdentically(t *testing.T) {
 	// byte, durable across reopen, and replaying the peer's canonical
 	// bytes.
 	recs := testRecords("adopted", 5)
-	frames, err := wire.EncodeFrames(recs)
+	want, err := wire.AppendLines(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
 	seg := wire.Header()
-	for _, f := range frames {
-		want.Write(f.Line)
-		if seg, err = wire.AppendBinaryRecord(seg, f.Rec); err != nil {
+	for _, rec := range recs {
+		if seg, err = wire.AppendBinaryRecord(seg, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -634,7 +632,7 @@ func adoptReplaysByteIdentically(t *testing.T) {
 	for _, f := range got {
 		replay.Write(f.Line)
 	}
-	if !bytes.Equal(replay.Bytes(), want.Bytes()) {
+	if !bytes.Equal(replay.Bytes(), want) {
 		t.Fatal("adopted segment did not replay byte-identically")
 	}
 }

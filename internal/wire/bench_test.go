@@ -12,25 +12,25 @@ import (
 	"repro/internal/wire"
 )
 
-// BenchmarkEncodeFrames renders the full 100-record Fig. 4 grid into
-// shared frames — the exact work the campaign streamer adds per grid on
-// top of the ordering buffer when a sink subscribes.
-func BenchmarkEncodeFrames(b *testing.B) {
+// BenchmarkAppendLines renders the full 100-record Fig. 4 grid into one
+// reused line block — the exact work the campaign streamer adds per grid
+// on top of the ordering buffer when a sink subscribes (it renders into a
+// pooled buffer, one block per shard).
+func BenchmarkAppendLines(b *testing.B) {
 	recs, err := fig4Records()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var total int64
+	var buf []byte
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frames, err := wire.EncodeFrames(recs)
-		if err != nil {
+		if buf, err = wire.AppendLines(buf[:0], recs); err != nil {
 			b.Fatal(err)
 		}
-		total += int64(len(frames))
 	}
-	if total != int64(b.N)*int64(len(recs)) {
-		b.Fatalf("encoded %d frames, want %d", total, int64(b.N)*int64(len(recs)))
+	if n := bytes.Count(buf, []byte{'\n'}); n != len(recs) {
+		b.Fatalf("rendered %d lines, want %d", n, len(recs))
 	}
 }
 
@@ -53,28 +53,29 @@ func BenchmarkAppendBinaryRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkReadSegment hydrates the Fig. 4 grid from its binary segment:
-// decode, CRC checks and the JSONL re-render a store replay pays per
-// submission before the first byte streams. The segment is handed over as
-// a *bytes.Buffer, the way the store passes a whole segment file.
+// BenchmarkReadSegment reads the Fig. 4 grid's records back from its
+// binary segment: decode and CRC checks, as a crash checkpoint is read.
+// The segment is handed over as a *bytes.Buffer, the way the store passes
+// a whole segment file.
 func BenchmarkReadSegment(b *testing.B) {
 	seg := fig4Segment(b)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(seg)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frames, err := wire.ReadSegment(bytes.NewBuffer(seg))
+		recs, err := wire.ReadSegment(bytes.NewBuffer(seg))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(frames) != 100 {
-			b.Fatalf("read %d frames, want 100", len(frames))
+		if len(recs) != 100 {
+			b.Fatalf("read %d records, want 100", len(recs))
 		}
 	}
 }
 
 // BenchmarkHydrateFig4 hydrates the same segment the way a daemon's
-// campaign replays it: straight into an empty line arena, with no frames.
+// campaign replays it: straight into an empty line arena, keeping no
+// records.
 func BenchmarkHydrateFig4(b *testing.B) {
 	seg := fig4Segment(b)
 	b.ReportAllocs()

@@ -81,13 +81,12 @@ func AppendBinaryRecord(dst []byte, rec core.RunRecord) ([]byte, error) {
 	}
 	// The payload length is not known until it is built, so encode into
 	// pooled scratch first and splice behind the varint prefix.
-	bp := scratchPool.Get().(*[]byte)
-	payload := appendPayload((*bp)[:0], rec)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	*bp = payload[:0]
-	scratchPool.Put(bp)
+	bp := GetScratch()
+	*bp = appendPayload(*bp, rec)
+	dst = binary.AppendUvarint(dst, uint64(len(*bp)))
+	dst = append(dst, *bp...)
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(*bp))
+	PutScratch(bp)
 	return dst, nil
 }
 
@@ -274,10 +273,10 @@ func (d *recordDecoder) decode(b []byte, rec *core.RunRecord) error {
 	return nil
 }
 
-// ReadError is ReadSegment's failure report: Record is the 1-based index
-// of the first damaged record (0 for a bad header), the frames decoded
-// before it are returned alongside the error, and nothing beyond the
-// damage is ever returned.
+// ReadError is a segment reader's failure report: Record is the 1-based
+// index of the first damaged record (0 for a bad header), the records
+// decoded before it are returned alongside the error, and nothing beyond
+// the damage is ever returned.
 type ReadError struct {
 	// Record is the 1-based index of the damage; 0 is the header.
 	Record int
@@ -291,15 +290,15 @@ func (e *ReadError) Error() string {
 
 func (e *ReadError) Unwrap() error { return e.Err }
 
-// ReadSegment reads a stored binary segment back into frames: each frame
-// carries the decoded record and its canonical JSONL line, rendered by the
-// same code that renders a live shard (EncodeFrames), so replaying a
-// segment to a subscriber is byte-identical to the live stream that
-// produced it. The frames slice is allocated once at its final size, and
-// all lines share one exact-size backing.
+// ReadSegment reads a stored binary segment back into its records, in
+// order, into one slice allocated at its final size. It renders no lines:
+// AppendLines of the records gives exactly the lines AppendSegmentLines
+// replays. A record with a non-finite float, which the JSONL encoder
+// refuses, is damage like a bad CRC, so every record returned can be
+// streamed.
 //
-// Salvage contract: on damage, the frames decoded before the damage are
-// returned together with a *ReadError locating it, and no frame from
+// Salvage contract: on damage, the records decoded before the damage are
+// returned together with a *ReadError locating it, and no record from
 // beyond the damage is ever returned. Crash recovery relies on this to
 // keep every record a truncated segment still holds intact.
 //
@@ -308,27 +307,21 @@ func (e *ReadError) Unwrap() error { return e.Err }
 // way); any other reader is read to its end first, and a read error is
 // reported as damage where the bytes run out. A caller reading an
 // untrusted stream bounds it first (MaxSegmentSize).
-func ReadSegment(r io.Reader) ([]core.Frame, error) {
+func ReadSegment(r io.Reader) ([]core.RunRecord, error) {
 	body, damage, readErr := segmentBody(r)
 	if damage != nil {
 		return nil, damage
 	}
-	frames := make([]core.Frame, 0, countRecords(body))
-	damage = walkRecords(body, readErr, func(rec core.RunRecord) error {
-		frames = append(frames, core.Frame{Rec: rec})
-		return nil
-	})
-	if n, err := renderLines(frames); err != nil {
-		frames, damage = frames[:n], &ReadError{Record: n + 1, Err: err}
-	}
+	recs := make([]core.RunRecord, 0, countRecords(body))
+	damage = walkRecords(body, readErr, func(rec core.RunRecord) { recs = append(recs, rec) })
 	if damage != nil {
-		return frames, damage
+		return recs, damage
 	}
-	return frames, nil
+	return recs, nil
 }
 
-// AppendSegmentLines reads a binary segment like ReadSegment, but builds no
-// frames: it appends each record's canonical JSONL line to lines, back to
+// AppendSegmentLines reads a binary segment like ReadSegment, but keeps no
+// records: it appends each record's canonical JSONL line to lines, back to
 // back, and the offset in lines where that line ends to ends. lines grows
 // at most once, to exactly its final length, and ends at most once, to the
 // segment's intact record count; the lines render into pooled scratch
@@ -340,20 +333,15 @@ func AppendSegmentLines(lines []byte, ends []int, r io.Reader) ([]byte, []int, e
 		return lines, ends, damage
 	}
 	ends = growExact(ends, countRecords(body))
-	bp := scratchPool.Get().(*[]byte)
-	b := (*bp)[:0]
+	bp := GetScratch()
 	base := len(lines)
-	damage = walkRecords(body, readErr, func(rec core.RunRecord) error {
-		var err error
-		if b, err = AppendRecordLine(b, rec); err != nil {
-			return err
-		}
-		ends = append(ends, base+len(b))
-		return nil
+	damage = walkRecords(body, readErr, func(rec core.RunRecord) {
+		// walkRecords refused non-finite floats, AppendRecordLine's only error.
+		*bp, _ = AppendRecordLine(*bp, rec)
+		ends = append(ends, base+len(*bp))
 	})
-	lines = append(growExact(lines, len(b)), b...)
-	*bp = b[:0]
-	scratchPool.Put(bp)
+	lines = append(growExact(lines, len(*bp)), *bp...)
+	PutScratch(bp)
 	if damage != nil {
 		return lines, ends, damage
 	}
@@ -362,16 +350,13 @@ func AppendSegmentLines(lines []byte, ends []int, r io.Reader) ([]byte, []int, e
 
 // SegmentRecords checks a segment held in memory as ReadSegment reads it
 // (header, framing, CRCs, payload decode, renderable floats) and counts
-// its records without rendering a line. It fails exactly where ReadSegment
+// its records without keeping them. It fails exactly where ReadSegment
 // would, returning the intact prefix's count with the *ReadError.
 func SegmentRecords(seg []byte) (int, error) {
 	body, damage, _ := segmentBody(bytes.NewBuffer(seg))
 	n := 0
 	if damage == nil {
-		damage = walkRecords(body, nil, func(rec core.RunRecord) error {
-			n++
-			return checkFinite(rec)
-		})
+		damage = walkRecords(body, nil, func(core.RunRecord) { n++ })
 	}
 	if damage != nil {
 		return max(damage.Record-1, 0), damage
@@ -421,11 +406,11 @@ func truncated(readErr error) error {
 }
 
 // walkRecords checks the framing and CRC of each record in body, the
-// records after the header, decodes it and hands it to emit, in order. It
-// stops at the first damaged record, or the first one emit refuses, and
-// reports it; readErr, the error that ended the input early, is the damage
-// at whatever record the bytes run out in.
-func walkRecords(body []byte, readErr error, emit func(core.RunRecord) error) *ReadError {
+// records after the header, decodes it, refuses it if the JSONL encoder
+// would (checkFinite), and hands it to emit, in order. It stops at the
+// first damaged record and reports it; readErr, the error that ended the
+// input early, is the damage at whatever record the bytes run out in.
+func walkRecords(body []byte, readErr error, emit func(core.RunRecord)) *ReadError {
 	var d recordDecoder
 	var rec core.RunRecord
 	for off, n := 0, 1; ; n++ {
@@ -461,9 +446,10 @@ func walkRecords(body []byte, readErr error, emit func(core.RunRecord) error) *R
 		if err := d.decode(payload, &rec); err != nil {
 			return &ReadError{Record: n, Err: err}
 		}
-		if err := emit(rec); err != nil {
+		if err := checkFinite(rec); err != nil {
 			return &ReadError{Record: n, Err: err}
 		}
+		emit(rec)
 	}
 }
 

@@ -1,16 +1,16 @@
 package wire_test
 
-// FuzzWireReader throws arbitrary bytes at the segment reader. The
+// FuzzWireReader throws arbitrary bytes at the segment readers. The
 // invariants, regardless of input: never panic, never return an error
-// other than *wire.ReadError, locate the damage exactly one past the
-// salvaged prefix (or at record 0 for a bad header, with nothing
-// salvaged), and every returned frame must be internally consistent — a
-// newline-terminated valid-JSON line that decodes back to the frame's
-// record. Input without the magic, JSONL included, must fail at record 0.
-// AppendSegmentLines, the frameless read a daemon hydrates with, must
-// append exactly the salvaged frames' lines onto an existing arena and
-// locate the same damage. SegmentRecords, the renderless walk, must count
-// the salvaged frames and fail exactly when and where the read does.
+// other than *wire.ReadError, and locate the damage exactly one past the
+// salvaged prefix of records (or at record 0 for a bad header, with
+// nothing salvaged). Input without the magic, JSONL included, must fail at
+// record 0. AppendSegmentLines, the read a daemon hydrates with, must
+// append exactly the salvaged records' lines onto an existing arena and
+// locate the same damage, and every line it appends must be a
+// newline-terminated valid-JSON line with no embedded newline that parses
+// back. SegmentRecords, the walk that keeps nothing, must count the
+// salvaged records and fail exactly when and where the read does.
 // Damage seeds (truncations, bit flips, lying length prefixes) live in the
 // in-code corpus below and in committed files under
 // testdata/fuzz/FuzzWireReader.
@@ -108,45 +108,46 @@ func FuzzWireReader(f *testing.F) {
 	f.Add(nanSegment(seg)) // record 2 framed intact, but not renderable
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, err := wire.ReadSegment(bytes.NewReader(data))
+		recs, err := wire.ReadSegment(bytes.NewReader(data))
 		if err != nil {
 			var re *wire.ReadError
 			if !errors.As(err, &re) {
 				t.Fatalf("non-ReadError failure: %v", err)
 			}
-			// Every record before the damage yields a frame, so the damage
+			// Every record before the damage is returned, so the damage
 			// index is exactly one past the salvaged prefix; 0 means the
 			// header itself was bad and nothing was salvaged.
-			if (re.Record == 0 && len(frames) != 0) || (re.Record != 0 && re.Record != len(frames)+1) {
-				t.Fatalf("damage at record %d with %d salvaged frames", re.Record, len(frames))
+			if (re.Record == 0 && len(recs) != 0) || (re.Record != 0 && re.Record != len(recs)+1) {
+				t.Fatalf("damage at record %d with %d salvaged records", re.Record, len(recs))
 			}
 		}
-		if !bytes.HasPrefix(data, wire.Header()[:8]) && (err == nil || len(frames) != 0) {
-			t.Fatalf("input without the magic: frames=%d err=%v, want a record-0 failure", len(frames), err)
-		}
-		for i, fr := range frames {
-			if len(fr.Line) == 0 || fr.Line[len(fr.Line)-1] != '\n' {
-				t.Fatalf("frame %d line not newline-terminated: %q", i, fr.Line)
-			}
-			if bytes.ContainsRune(fr.Line[:len(fr.Line)-1], '\n') {
-				t.Fatalf("frame %d line embeds a newline: %q", i, fr.Line)
-			}
-			var rec core.RunRecord
-			if perr := json.Unmarshal(fr.Line, &rec); perr != nil {
-				t.Fatalf("frame %d line does not parse back: %v", i, perr)
-			}
+		if !bytes.HasPrefix(data, wire.Header()[:8]) && (err == nil || len(recs) != 0) {
+			t.Fatalf("input without the magic: records=%d err=%v, want a record-0 failure", len(recs), err)
 		}
 		// SegmentRecords, the walk a segment passed on verbatim is checked
-		// with, counts ReadSegment's frames and fails exactly when and where
-		// it does.
+		// with, counts ReadSegment's records and fails exactly when and
+		// where it does.
 		n, werr := wire.SegmentRecords(data)
 		var wre, fre *wire.ReadError
-		if (werr == nil) != (err == nil) || n != len(frames) ||
+		if (werr == nil) != (err == nil) || n != len(recs) ||
 			(err != nil && (!errors.As(werr, &wre) || !errors.As(err, &fre) || wre.Record != fre.Record)) {
-			t.Fatalf("SegmentRecords = %d, %v; ReadSegment = %d frames, %v", n, werr, len(frames), err)
+			t.Fatalf("SegmentRecords = %d, %v; ReadSegment = %d records, %v", n, werr, len(recs), err)
 		}
 		prefix, prefixEnds := []byte("{}\n"), []int{3}
 		lines, ends, lerr := wire.AppendSegmentLines(bytes.Clone(prefix), []int{3}, bytes.NewReader(data))
-		checkSameRead(t, prefix, prefixEnds, lines, ends, lerr, frames, err)
+		checkSameRead(t, prefix, prefixEnds, lines, ends, lerr, recs, err)
+		for i := range recs {
+			line := lines[ends[i]:ends[i+1]]
+			if len(line) == 0 || line[len(line)-1] != '\n' {
+				t.Fatalf("line %d not newline-terminated: %q", i, line)
+			}
+			if bytes.ContainsRune(line[:len(line)-1], '\n') {
+				t.Fatalf("line %d embeds a newline: %q", i, line)
+			}
+			var rec core.RunRecord
+			if perr := json.Unmarshal(line, &rec); perr != nil {
+				t.Fatalf("line %d does not parse back: %v", i, perr)
+			}
+		}
 	})
 }

@@ -109,13 +109,9 @@ func TestGoldenFig4JSONL(t *testing.T) {
 	if len(recs) != 100 {
 		t.Fatalf("Fig. 4 grid produced %d records, want 100", len(recs))
 	}
-	frames, err := wire.EncodeFrames(recs)
+	got, err := wire.AppendLines(nil, recs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var got []byte
-	for _, f := range frames {
-		got = append(got, f.Line...)
 	}
 	if legacy := legacyJSONL(t, recs); !bytes.Equal(got, legacy) {
 		t.Errorf("pooled encoder diverges from encoding/json at byte %d", firstDiff(got, legacy))
@@ -127,7 +123,8 @@ func TestGoldenFig4JSONL(t *testing.T) {
 }
 
 // TestGoldenFig4Binary persists the grid as a binary segment and checks
-// the decoded frames are record- and byte-identical to the golden JSONL.
+// the decoded records are the grid's, and that the lines replayed from
+// the segment are byte-identical to the golden JSONL.
 func TestGoldenFig4Binary(t *testing.T) {
 	recs, err := fig4Records()
 	if err != nil {
@@ -139,19 +136,21 @@ func TestGoldenFig4Binary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	frames, err := wire.ReadSegment(bytes.NewReader(seg))
+	decoded, err := wire.ReadSegment(bytes.NewReader(seg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frames) != len(recs) {
-		t.Fatalf("decoded %d frames, want %d", len(frames), len(recs))
+	if len(decoded) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(decoded), len(recs))
 	}
-	var got []byte
-	for i, f := range frames {
-		if !reflect.DeepEqual(f.Rec, recs[i]) {
-			t.Fatalf("record %d round-tripped to %+v, want %+v", i, f.Rec, recs[i])
+	for i, rec := range decoded {
+		if !reflect.DeepEqual(rec, recs[i]) {
+			t.Fatalf("record %d round-tripped to %+v, want %+v", i, rec, recs[i])
 		}
-		got = append(got, f.Line...)
+	}
+	got, _, err := wire.AppendSegmentLines(nil, nil, bytes.NewReader(seg))
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := goldenBytes(t, got)
 	if !bytes.Equal(got, want) {

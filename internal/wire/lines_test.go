@@ -1,9 +1,9 @@
 package wire_test
 
-// Tests for the frameless read path, AppendSegmentLines: it must append
-// exactly the lines ReadSegment renders, salvage the same prefix at every
-// truncation, and hydrate the Fig. 4 segment within a fixed allocation
-// budget that leaves no room for a frames slice.
+// Tests for the hydration read path, AppendSegmentLines: it must append
+// exactly the lines of the records ReadSegment decodes, salvage the same
+// prefix at every truncation, and hydrate the Fig. 4 segment within a
+// fixed allocation budget that leaves no room for a records slice.
 
 import (
 	"bytes"
@@ -21,20 +21,22 @@ import (
 
 // checkSameRead fails unless AppendSegmentLines, called on an arena that
 // already holds prefix with prefixEnds, appended exactly the lines of
-// frames and ended in the same error record as ReadSegment.
-func checkSameRead(t *testing.T, prefix []byte, prefixEnds []int, lines []byte, ends []int, lerr error, frames []core.Frame, ferr error) {
+// recs (wire.AppendRecordLine) and ended in the same error record as
+// ReadSegment.
+func checkSameRead(t *testing.T, prefix []byte, prefixEnds []int, lines []byte, ends []int, lerr error, recs []core.RunRecord, ferr error) {
 	t.Helper()
 	if !bytes.Equal(lines[:len(prefix)], prefix) || !slices.Equal(ends[:len(prefixEnds)], prefixEnds) {
 		t.Fatal("the arena's existing lines or ends changed")
 	}
-	if len(ends)-len(prefixEnds) != len(frames) {
-		t.Fatalf("appended %d line ends, ReadSegment read %d frames", len(ends)-len(prefixEnds), len(frames))
+	if len(ends)-len(prefixEnds) != len(recs) {
+		t.Fatalf("appended %d line ends, ReadSegment read %d records", len(ends)-len(prefixEnds), len(recs))
 	}
 	off := len(prefix)
-	for i, f := range frames {
+	for i, rec := range recs {
 		end := ends[len(prefixEnds)+i]
-		if end < off || end > len(lines) || !bytes.Equal(lines[off:end], f.Line) {
-			t.Fatalf("line %d differs from ReadSegment's frame", i)
+		want, err := wire.AppendRecordLine(nil, rec)
+		if err != nil || end < off || end > len(lines) || !bytes.Equal(lines[off:end], want) {
+			t.Fatalf("line %d differs from the line of ReadSegment's record", i)
 		}
 		off = end
 	}
@@ -52,18 +54,18 @@ func checkSameRead(t *testing.T, prefix []byte, prefixEnds []int, lines []byte, 
 // follow its bytes, with ends offset by them.
 func TestAppendSegmentLinesMatchesReadSegment(t *testing.T) {
 	seg := fig4Segment(t)
-	frames, ferr := wire.ReadSegment(bytes.NewBuffer(seg))
+	recs, ferr := wire.ReadSegment(bytes.NewBuffer(seg))
 	if ferr != nil {
 		t.Fatal(ferr)
 	}
 	lines, ends, err := wire.AppendSegmentLines(nil, nil, bytes.NewBuffer(seg))
-	checkSameRead(t, nil, nil, lines, ends, err, frames, ferr)
+	checkSameRead(t, nil, nil, lines, ends, err, recs, ferr)
 	if cap(lines) != len(lines) || cap(ends) != len(ends) {
 		t.Errorf("lines cap %d len %d, ends cap %d len %d: want exact sizes", cap(lines), len(lines), cap(ends), len(ends))
 	}
 	prefix, prefixEnds := []byte("{}\n"), []int{3}
 	lines, ends, err = wire.AppendSegmentLines(append([]byte(nil), prefix...), append([]int(nil), prefixEnds...), bytes.NewBuffer(seg))
-	checkSameRead(t, prefix, prefixEnds, lines, ends, err, frames, ferr)
+	checkSameRead(t, prefix, prefixEnds, lines, ends, err, recs, ferr)
 }
 
 // TestAppendSegmentLinesEveryTruncation cuts the Fig. 4 segment at every
@@ -119,7 +121,7 @@ func TestAppendSegmentLinesEveryTruncation(t *testing.T) {
 // TestHydrateFig4Allocs gates hydration into an empty arena, the segment
 // file's read included (one copy of the segment stands in for it). Per
 // hydration: the file, the *bytes.Buffer, the lines, the ends, one string
-// per distinct benchmark (10) and one core list. No frames slice: bytes
+// per distinct benchmark (10) and one core list. No records slice: bytes
 // stay within the file plus the arena plus a small constant.
 func TestHydrateFig4Allocs(t *testing.T) {
 	if raceEnabled {

@@ -1,9 +1,9 @@
 package wire_test
 
 // Tests for the segment read path on real campaign data: the Fig. 4 grid
-// persisted as one binary segment must hydrate into exactly the frames the
-// live encoder renders, through every truncation, and both paths must stay
-// within a fixed allocation budget.
+// persisted as one binary segment must read back into exactly the records
+// the live stream rendered, and replay exactly its lines, through every
+// truncation, and both paths must stay within a fixed allocation budget.
 
 import (
 	"bytes"
@@ -19,50 +19,39 @@ import (
 	"repro/internal/wire"
 )
 
-// checkLines fails unless every Line is capacity-capped, so that no
-// subscriber appending to its Line can write into the next one.
-func checkLines(t *testing.T, frames []core.Frame) {
-	t.Helper()
-	for i, f := range frames {
-		if cap(f.Line) != len(f.Line) {
-			t.Fatalf("frame %d: Line cap %d != len %d", i, cap(f.Line), len(f.Line))
-		}
-	}
-}
-
-// TestReadSegmentMatchesEncodeFrames: a replayed segment and the live
-// render of the same records are the same frames, record and line.
-func TestReadSegmentMatchesEncodeFrames(t *testing.T) {
+// TestAppendLinesMatchesSegmentLines: the lines the live streamer renders
+// for the Fig. 4 records (AppendLines) are the lines a replay of their
+// segment appends (AppendSegmentLines), and the segment reads back as the
+// same records.
+func TestAppendLinesMatchesSegmentLines(t *testing.T) {
 	recs, err := fig4Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := wire.EncodeFrames(recs)
+	live, err := wire.AppendLines(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := wire.ReadSegment(bytes.NewBuffer(fig4Segment(t)))
+	seg := fig4Segment(t)
+	replayed, _, err := wire.AppendSegmentLines(nil, nil, bytes.NewBuffer(seg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replayed) != len(live) {
-		t.Fatalf("replayed %d frames, live rendered %d", len(replayed), len(live))
+	if !bytes.Equal(replayed, live) {
+		t.Fatalf("replayed lines differ from the live render at byte %d", firstDiff(replayed, live))
 	}
-	for i := range live {
-		if !reflect.DeepEqual(replayed[i].Rec, live[i].Rec) {
-			t.Fatalf("frame %d: replayed record %+v, live %+v", i, replayed[i].Rec, live[i].Rec)
-		}
-		if !bytes.Equal(replayed[i].Line, live[i].Line) {
-			t.Fatalf("frame %d: replayed line %q, live %q", i, replayed[i].Line, live[i].Line)
-		}
+	decoded, err := wire.ReadSegment(bytes.NewBuffer(seg))
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkLines(t, replayed)
-	checkLines(t, live)
+	if !reflect.DeepEqual(decoded, recs) {
+		t.Fatal("segment read back different records from the live ones")
+	}
 }
 
 // TestReadSegmentEveryTruncation cuts the Fig. 4 segment at every byte
-// offset: the frames that come back are exactly the records wholly before
-// the cut, with the full read's lines, and only a cut on a record boundary
+// offset: the records that come back are exactly those wholly before the
+// cut, as the full read decoded them, and only a cut on a record boundary
 // reads clean. Each cut is read in place from a *bytes.Buffer, as the store
 // reads, and through a stream that fails there, as a severed peer body
 // does; the stream's error must surface as the damage.
@@ -110,33 +99,26 @@ func TestReadSegmentEveryTruncation(t *testing.T) {
 		if !errors.Is(serr, severed) || !errors.As(serr, &re) || re.Record != damaged {
 			t.Fatalf("cut at %d, stream severed: err = %v, want a record-%d ReadError wrapping %v", cut, serr, damaged, severed)
 		}
-		for _, frames := range [][]core.Frame{inPlace, stream} {
-			if len(frames) != whole {
-				t.Fatalf("cut at %d: %d frames, want %d", cut, len(frames), whole)
+		for _, recs := range [][]core.RunRecord{inPlace, stream} {
+			if len(recs) != whole || (whole > 0 && !reflect.DeepEqual(recs, full[:whole])) {
+				t.Fatalf("cut at %d: %d records, want the full read's first %d", cut, len(recs), whole)
 			}
-			for i, f := range frames {
-				if !bytes.Equal(f.Line, full[i].Line) {
-					t.Fatalf("cut at %d: frame %d line differs from the full read", cut, i)
-				}
-			}
-			checkLines(t, frames)
 		}
 	}
 }
 
 // TestReadSegmentAllocs gates the read path's allocation count on the
-// Fig. 4 segment. Per read: the *bytes.Buffer, the frames slice, the
-// shared line backing, one string per distinct benchmark (10) and one
-// core list reused by every record. Every rendered number is a memo hit.
-// Before the single-pass decode this was 922, and 22 while the number
-// memo was direct-mapped and two pairs of SimTime values evicted each
-// other.
+// Fig. 4 segment. Per read: the *bytes.Buffer, the records slice, one
+// string per distinct benchmark (10) and one core list reused by every
+// record: 13, measured on Go 1.24. Before the single-pass decode this was
+// 922, and 14 while ReadSegment also rendered every line into a shared
+// backing.
 func TestReadSegmentAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector randomly drops sync.Pool items, so scratch regrows")
+		t.Skip("allocation counts under the race detector are not the plain build's")
 	}
 	seg := fig4Segment(t)
-	const bound = 14
+	const bound = 13
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := wire.ReadSegment(bytes.NewBuffer(seg)); err != nil {
 			t.Fatal(err)
@@ -148,26 +130,32 @@ func TestReadSegmentAllocs(t *testing.T) {
 	}
 }
 
-// TestEncodeFramesAllocs gates the live encoder on the Fig. 4 batch: the
-// frames slice and the shared line backing, and nothing per record. It
-// was 10 while the number memo was direct-mapped.
-func TestEncodeFramesAllocs(t *testing.T) {
+// TestAppendLinesAllocs gates the live render on the Fig. 4 records: into
+// a buffer that already has room, as the streamer's pooled one does once
+// warm, it allocates nothing; every rendered number is a memo hit.
+// Measured on Go 1.24: 0. The frames-based encoder this replaces took 2
+// per batch (the frames slice and the line backing).
+func TestAppendLinesAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector randomly drops sync.Pool items, so scratch regrows")
+		t.Skip("allocation counts under the race detector are not the plain build's")
 	}
 	recs, err := fig4Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bound = 2
+	buf, err := wire.AppendLines(nil, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 0
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := wire.EncodeFrames(recs); err != nil {
+		if buf, err = wire.AppendLines(buf[:0], recs); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("EncodeFrames: %.1f allocs per %d-record Fig. 4 batch", allocs, len(recs))
+	t.Logf("AppendLines: %.1f allocs per %d-record Fig. 4 block", allocs, len(recs))
 	if allocs > bound {
-		t.Errorf("EncodeFrames allocates %.1f objects per Fig. 4 batch, want <= %d", allocs, bound)
+		t.Errorf("AppendLines allocates %.1f objects per Fig. 4 block, want <= %d", allocs, bound)
 	}
 }
 
@@ -186,6 +174,3 @@ func TestMaxSegmentSize(t *testing.T) {
 		t.Errorf("MaxSegmentSize(MaxInt) = %d, want saturation at MaxInt64", got)
 	}
 }
-
-// raceEnabled is set under the race detector (race_test.go).
-var raceEnabled bool

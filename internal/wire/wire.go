@@ -1,22 +1,19 @@
 // Package wire is the daemon's wire-format layer: an allocation-lean,
 // append-style encoder for core.RunRecord that renders byte-identical
 // output to encoding/json, plus the compact binary segment format
-// (binary.go), the store's only on-disk record format, with a reader that
-// replays a segment as the canonical JSONL stream.
+// (binary.go), the store's only on-disk record format, with readers that
+// replay a segment as records or as the canonical JSONL stream.
 //
 // The encoder exists because, with simulation at ~µs per run (perfbench's
-// xgene.run_us), JSONL encoding dominates a streamed campaign and
-// every subscriber used to pay it independently. Encoding each record
-// exactly once — into a core.Frame whose Line every NDJSON/SSE subscriber
-// shares — only works if the rendered bytes are exactly
-// what encoding/json would have produced; the golden and equivalence tests
-// in this package pin that, field by field, including encoding/json's
-// float formatting and HTML-escaping quirks. Replayed and live frames
-// share one render path: ReadSegment decodes a stored segment and renders
-// its lines through the same helper as EncodeFrames (one exact-size
-// backing per batch), so a replayed stream is byte-identical to the live
-// one and costs about what the live render did. AppendSegmentLines renders
-// the same lines straight into a caller's line arena, with no frames.
+// xgene.run_us), JSONL encoding dominates a streamed campaign. The engine
+// renders each shard's records once, with AppendLines, into one block of
+// lines that every sink forwards as-is; that only works if the rendered
+// bytes are exactly what encoding/json would have produced. The golden and
+// equivalence tests in this package pin that, field by field, including
+// encoding/json's float formatting and HTML-escaping quirks. A replayed
+// segment renders through the same AppendRecordLine: AppendSegmentLines
+// writes its lines straight into a caller's line arena, so a replayed
+// stream is byte-identical to the live one.
 package wire
 
 import (
@@ -264,70 +261,57 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// scratchPool recycles encoder scratch buffers across frames, shards and
-// campaigns; each buffer grows to the process's longest line and stays
-// there.
+// scratchPool recycles encoder scratch buffers across records, shards and
+// campaigns; each buffer grows to the longest block it has held.
 var scratchPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 512); return &b },
 }
 
+// maxPooled is the largest scratch buffer PutScratch keeps: a Fig. 4 shard
+// renders ~600 bytes and a whole Fig. 4 segment ~30 KB, while one huge
+// grid cell could otherwise pin its block in the pool for good.
+const maxPooled = 64 << 10
+
+// GetScratch returns an empty buffer from the encoder's scratch pool. Give
+// it back with PutScratch once nothing references its bytes.
+func GetScratch() *[]byte {
+	bp := scratchPool.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+// PutScratch returns a buffer to the scratch pool, or leaves it to the
+// garbage collector when it has grown past maxPooled.
+func PutScratch(bp *[]byte) {
+	if cap(*bp) <= maxPooled {
+		scratchPool.Put(bp)
+	}
+}
+
+// AppendLines appends the JSONL line of each record to dst, back to back,
+// and returns the extended slice: the block a core.Sink receives. On a
+// record AppendRecord refuses, it returns dst with the lines of the records
+// before it, and the error.
+func AppendLines(dst []byte, recs []core.RunRecord) ([]byte, error) {
+	for _, rec := range recs {
+		var err error
+		if dst, err = AppendRecordLine(dst, rec); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
 // EncodeFrame renders one record into a core.Frame whose Line is an
-// exact-size immutable allocation (the shared slice every subscriber will
-// hold); encoding scratch comes from a pool.
+// exact-size allocation; encoding scratch comes from the pool.
 func EncodeFrame(rec core.RunRecord) (core.Frame, error) {
-	frame := [1]core.Frame{{Rec: rec}}
-	if _, err := renderLines(frame[:]); err != nil {
+	bp := GetScratch()
+	defer PutScratch(bp)
+	var err error
+	if *bp, err = AppendRecordLine(*bp, rec); err != nil {
 		return core.Frame{}, err
 	}
-	return frame[0], nil
-}
-
-// EncodeFrames renders a batch of records — a shard's worth — into frames
-// backed by one shared allocation: every Line is a sub-slice of a single
-// exact-size buffer, so a 100-record shard costs two allocations, not 100.
-func EncodeFrames(recs []core.RunRecord) ([]core.Frame, error) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	frames := make([]core.Frame, len(recs))
-	for i, rec := range recs {
-		frames[i].Rec = rec
-	}
-	if _, err := renderLines(frames); err != nil {
-		return nil, err
-	}
-	return frames, nil
-}
-
-// renderLines renders each frame's Rec into its Line, the record's JSONL
-// line. This is the one render path for live shards (EncodeFrames) and
-// replayed segments (ReadSegment). The lines are rendered into pooled
-// scratch and then copied into one exact-size backing that every Line
-// sub-slices, capacity-capped so no Line can be appended into its
-// neighbour. On error it returns the index of the record that failed; the
-// frames before it are complete.
-func renderLines(frames []core.Frame) (int, error) {
-	bp := scratchPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	var err error
-	n := 0
-	for ; n < len(frames); n++ {
-		start := len(b)
-		if b, err = AppendRecordLine(b, frames[n].Rec); err != nil {
-			break
-		}
-		// Until the backing exists, Line only carries the line's length.
-		frames[n].Line = b[start:]
-	}
-	backing := make([]byte, len(b))
-	copy(backing, b)
-	*bp = b[:0]
-	scratchPool.Put(bp)
-	off := 0
-	for i := range frames[:n] {
-		end := off + len(frames[i].Line)
-		frames[i].Line = backing[off:end:end]
-		off = end
-	}
-	return n, err
+	line := make([]byte, len(*bp))
+	copy(line, *bp)
+	return core.Frame{Rec: rec, Line: line}, nil
 }

@@ -126,29 +126,42 @@ func TestEncodeFrame(t *testing.T) {
 	}
 }
 
-// TestEncodeFrames checks the batch path: same bytes, shared backing, and
-// full capacity slicing so one frame cannot append into the next.
-func TestEncodeFrames(t *testing.T) {
+// TestAppendLines checks the shard path: after dst's existing bytes, each
+// record's encoding/json line, back to back; no records append nothing;
+// and a record the encoder refuses stops the block after the lines before
+// it.
+func TestAppendLines(t *testing.T) {
 	recs := sampleRecords()
-	frames, err := EncodeFrames(recs)
-	if err != nil {
-		t.Fatalf("EncodeFrames: %v", err)
+	want := []byte("prefix\n")
+	for _, rec := range recs {
+		line, _ := json.Marshal(rec)
+		want = append(append(want, line...), '\n')
 	}
-	if len(frames) != len(recs) {
-		t.Fatalf("EncodeFrames returned %d frames for %d records", len(frames), len(recs))
+	got, err := AppendLines([]byte("prefix\n"), recs)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("AppendLines = %q, %v; want %q", got, err, want)
 	}
-	for i, f := range frames {
-		want, _ := json.Marshal(recs[i])
-		want = append(want, '\n')
-		if !bytes.Equal(f.Line, want) {
-			t.Errorf("frame %d line mismatch", i)
+	if out, err := AppendLines(nil, nil); err != nil || out != nil {
+		t.Errorf("AppendLines(nil, nil) = %v, %v; want nil, nil", out, err)
+	}
+	bad := append(recs[:2:2], core.RunRecord{DroopMV: math.NaN()}, recs[2])
+	first, _ := AppendLines(nil, recs[:2])
+	if out, err := AppendLines(nil, bad); err == nil || !bytes.Equal(out, first) {
+		t.Errorf("AppendLines over a NaN record = %q, %v; want the first two lines and an error", out, err)
+	}
+}
+
+// TestPutScratchDropsHugeBuffers: a buffer grown past maxPooled goes to
+// the garbage collector, so one huge shard cannot pin its block in the
+// pool.
+func TestPutScratchDropsHugeBuffers(t *testing.T) {
+	huge := GetScratch()
+	*huge = make([]byte, 0, 2*maxPooled)
+	PutScratch(huge)
+	for i := 0; i < 4; i++ {
+		if bp := GetScratch(); cap(*bp) > maxPooled {
+			t.Fatalf("GetScratch returned a %d-byte buffer, over the %d-byte bound", cap(*bp), maxPooled)
 		}
-		if cap(f.Line) != len(f.Line) {
-			t.Errorf("frame %d: capacity %d > length %d; appending to one line could clobber the next", i, cap(f.Line), len(f.Line))
-		}
-	}
-	if out, err := EncodeFrames(nil); err != nil || out != nil {
-		t.Errorf("EncodeFrames(nil) = %v, %v; want nil, nil", out, err)
 	}
 }
 
@@ -164,27 +177,27 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("AppendBinaryRecord: %v", err)
 		}
 	}
-	frames, err := ReadSegment(bytes.NewReader(seg))
+	decoded, err := ReadSegment(bytes.NewReader(seg))
 	if err != nil {
 		t.Fatalf("ReadSegment: %v", err)
 	}
-	if len(frames) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(frames), len(recs))
+	if len(decoded) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(decoded), len(recs))
 	}
 	// A reader without ReadByte goes through ReadSegment's own buffer and
-	// must decode the same frames.
+	// must decode the same records.
 	buffered, err := ReadSegment(iotest.OneByteReader(bytes.NewReader(seg)))
-	if err != nil || !reflect.DeepEqual(buffered, frames) {
-		t.Fatalf("buffered ReadSegment: err=%v, frames equal=%v", err, reflect.DeepEqual(buffered, frames))
+	if err != nil || !reflect.DeepEqual(buffered, decoded) {
+		t.Fatalf("buffered ReadSegment: err=%v, records equal=%v", err, reflect.DeepEqual(buffered, decoded))
 	}
-	for i, f := range frames {
+	for i, rec := range decoded {
 		want, _ := json.Marshal(recs[i])
 		want = append(want, '\n')
-		if !bytes.Equal(f.Line, want) {
-			t.Errorf("record %d: replayed line differs from live stream\n got %q\nwant %q", i, f.Line, want)
+		if got, _ := AppendRecordLine(nil, rec); !bytes.Equal(got, want) {
+			t.Errorf("record %d: replayed line differs from live stream\n got %q\nwant %q", i, got, want)
 		}
 		// Cores nil-ness must survive (it changes the JSON rendering).
-		if (f.Rec.Setup.Cores == nil) != (recs[i].Setup.Cores == nil) {
+		if (rec.Setup.Cores == nil) != (recs[i].Setup.Cores == nil) {
 			t.Errorf("record %d: Cores nil-ness not preserved", i)
 		}
 	}
@@ -201,10 +214,10 @@ func TestReadSegmentJSONL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	frames, err := ReadSegment(bytes.NewReader(buf.Bytes()))
+	decoded, err := ReadSegment(bytes.NewReader(buf.Bytes()))
 	var re *ReadError
-	if !errors.As(err, &re) || re.Record != 0 || len(frames) != 0 {
-		t.Fatalf("JSONL input: frames=%d err=%v, want 0 frames and a record-0 ReadError", len(frames), err)
+	if !errors.As(err, &re) || re.Record != 0 || len(decoded) != 0 {
+		t.Fatalf("JSONL input: records=%d err=%v, want 0 records and a record-0 ReadError", len(decoded), err)
 	}
 }
 
@@ -262,20 +275,19 @@ func TestReadSegmentSalvage(t *testing.T) {
 	for _, d := range damage {
 		t.Run(d.name, func(t *testing.T) {
 			for _, r := range readers {
-				frames, err := ReadSegment(r.wrap(d.mangle(append([]byte(nil), seg...))))
+				salvaged, err := ReadSegment(r.wrap(d.mangle(append([]byte(nil), seg...))))
 				var re *ReadError
 				if !errors.As(err, &re) {
 					t.Fatalf("%s: error = %v, want *ReadError", r.name, err)
 				}
-				if len(frames) != d.keep {
-					t.Errorf("%s: salvaged %d records, want %d", r.name, len(frames), d.keep)
+				if len(salvaged) != d.keep {
+					t.Errorf("%s: salvaged %d records, want %d", r.name, len(salvaged), d.keep)
 				}
 				if re.Record != d.rec {
 					t.Errorf("%s: ReadError.Record = %d, want %d", r.name, re.Record, d.rec)
 				}
-				for i, f := range frames {
-					want, _ := json.Marshal(recs[i])
-					if !bytes.Equal(f.Line, append(want, '\n')) {
+				for i, rec := range salvaged {
+					if !reflect.DeepEqual(rec, recs[i]) {
 						t.Errorf("%s: salvaged record %d corrupted", r.name, i)
 					}
 				}
@@ -288,10 +300,10 @@ func TestReadSegmentSalvage(t *testing.T) {
 // empty input lacks even the header, so it fails at record 0.
 func TestReadSegmentEmpty(t *testing.T) {
 	var re *ReadError
-	if frames, err := ReadSegment(bytes.NewReader(nil)); !errors.As(err, &re) || re.Record != 0 || len(frames) != 0 {
-		t.Errorf("empty input: frames=%d err=%v, want 0 frames and a record-0 ReadError", len(frames), err)
+	if recs, err := ReadSegment(bytes.NewReader(nil)); !errors.As(err, &re) || re.Record != 0 || len(recs) != 0 {
+		t.Errorf("empty input: records=%d err=%v, want 0 records and a record-0 ReadError", len(recs), err)
 	}
-	if frames, err := ReadSegment(bytes.NewReader(Header())); err != nil || len(frames) != 0 {
-		t.Errorf("header-only segment: frames=%d err=%v, want 0, nil", len(frames), err)
+	if recs, err := ReadSegment(bytes.NewReader(Header())); err != nil || len(recs) != 0 {
+		t.Errorf("header-only segment: records=%d err=%v, want 0, nil", len(recs), err)
 	}
 }
