@@ -32,7 +32,7 @@ func TestCrashHelper(t *testing.T) {
 
 // TestDaemonCrashResume is the end-to-end crash-resume contract with a
 // genuine process death: life 1 is a re-exec'd daemon armed with
-// store.write:panic@3 that dies mid-segment, life 2 reboots on the same
+// store.write:panic@3 (after a 200 ms delay) that dies mid-segment, life 2 reboots on the same
 // store dir, requeues the journaled intent, finishes the grid from the
 // checkpoint, and serves a stream byte-identical to an uninterrupted run.
 func TestDaemonCrashResume(t *testing.T) {
@@ -40,12 +40,14 @@ func TestDaemonCrashResume(t *testing.T) {
 	spec := `{"seed":7,"benches":["mcf"],"voltages_mv":[980,940],"repetitions":2}`
 
 	// Life 1: a real child process, armed to panic on the 3rd segment
-	// write (one full cell of two records survives on disk).
+	// write (one full cell of two records survives on disk). The armed
+	// write is held 200 ms first, so the 202 reaches the client before the
+	// daemon dies even when the engine gets there first.
 	cmd := exec.Command(os.Args[0], "-test.run=^TestCrashHelper$", "-test.v")
 	cmd.Env = append(os.Environ(),
 		"CAMPAIGND_CRASH_HELPER=1",
 		"CAMPAIGND_CRASH_DIR="+dir,
-		"CAMPAIGND_FAULT_PLAN=store.write:panic@3",
+		"CAMPAIGND_FAULT_PLAN=store.write:delay@3=200ms;store.write:panic@3",
 	)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/silicon"
-	"repro/internal/simcache"
 	"repro/internal/workloads"
 )
 
@@ -77,7 +76,7 @@ func TestRunGridFig4Allocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm: fabricate the board and simulate the counters
+	run() // warm: fabricate the board
 	const bound = 441 + 20
 	allocs := testing.AllocsPerRun(10, run)
 	t.Logf("RunGrid: %.0f allocs per warm Fig. 4 campaign", allocs)
@@ -87,17 +86,15 @@ func TestRunGridFig4Allocs(t *testing.T) {
 }
 
 // BenchmarkRunGridFig4Cold prices the first Fig. 4 campaign of a fresh
-// process: every iteration empties the simulate memo and both fab pools,
-// then runs the grid, so each pays ten counter simulations, the board's
-// fabrication and the runs. At one worker the simulations run one after
-// another; at GOMAXPROCS the cold phase spreads them over the workers.
+// process: every iteration empties both fab pools, then runs the grid, so
+// each pays the board's fabrication and the runs. The ten workloads'
+// counters come from xgene's generated table, as in a fresh process.
 func BenchmarkRunGridFig4Cold(b *testing.B) {
 	g := fig4Grid()
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				simcache.CountersReset()
 				silicon.FabReset()
 				dram.FabReset()
 				if _, err := RunGrid(Config{Workers: workers, Seed: uint64(i + 1), Sink: discardSink{}}, g); err != nil {

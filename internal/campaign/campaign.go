@@ -41,15 +41,6 @@
 // records it returns to one slice the shard owns (sized from
 // Shard.Expected when the shard declares it), and that slice is the
 // shard's Result.Records. Frameworks keep no records themselves.
-//
-// A grid has a cold phase. Each workload's performance counters come from
-// one ~10 ms cache simulation, memoized process-wide and single-flight,
-// and grid shards run benchmark-major, so on a cold memo the workers'
-// first shards share a workload and wait on each other's simulation.
-// Before its first shard RunGrid therefore simulates the grid's workloads
-// that are not memoized yet, side by side across its workers. It does so
-// only when at least two workloads are cold and there are two workers; a
-// warm campaign asks the memo once per benchmark and starts no goroutine.
 package campaign
 
 import (

@@ -3,13 +3,9 @@ package campaign
 import (
 	"errors"
 	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/workloads"
-	"repro/internal/xgene"
 	"repro/internal/xrand"
 )
 
@@ -133,14 +129,6 @@ func RunGrid(cfg Config, g Grid) (*GridReport, error) {
 			})
 		}
 	}
-	// Cells a resume restores run nothing, and cells are bench-major, so
-	// the benchmarks before the first unrestored cell need no counters.
-	restored := len(cfg.Resume) / (boards * g.Repetitions * len(g.Setups))
-	start := time.Now()
-	if cfg.Context == nil || cfg.Context.Err() == nil {
-		simulateCold(g.Benches[min(restored, len(g.Benches)):], cfg.effectiveWorkers(len(shards)))
-	}
-	cold := time.Since(start)
 	rep, err := Run(cfg, shards)
 	if rep == nil {
 		return nil, err
@@ -148,54 +136,9 @@ func RunGrid(cfg Config, g Grid) (*GridReport, error) {
 	// Mirror Run's contract: on a shard error or cancellation the report
 	// is still returned, so partial records and bookkeeping survive.
 	out := &GridReport{Stats: rep.Stats, Tally: rep.Tally, Workers: rep.Workers}
-	out.Tally.Wall += cold
 	out.Records = make([]core.RunRecord, 0, rep.Stats.Runs+rep.Stats.Restored)
 	for _, cell := range rep.Results {
 		out.Records = append(out.Records, cell.Records...)
 	}
 	return out, err
-}
-
-// simulateCold is the grid's cold phase. Counter simulation costs ~10 ms
-// per workload and is memoized process-wide (xgene.SimulateCounters), and
-// shards run bench-major, so on a cold memo every worker's first shards
-// share one workload: the second worker waits in the single-flight memo
-// on the first worker's simulation instead of starting the next, and the
-// workloads simulate one after another. simulateCold pays the
-// simulations of the benchmarks not yet memoized side by side across the
-// campaign's workers before the first shard runs. It fans out only when
-// at least two workloads are cold and two workers can share them, so a
-// warm campaign asks the memo once per benchmark and starts no
-// goroutine. Duplicate profiles coalesce in the memo.
-func simulateCold(benches []workloads.Profile, workers int) {
-	if workers < 2 {
-		return
-	}
-	var cold []int
-	for i := range benches {
-		if !xgene.CountersCached(benches[i]) {
-			cold = append(cold, i)
-		}
-	}
-	if len(cold) < 2 {
-		return
-	}
-	var next atomic.Int64
-	simulate := func() {
-		for i := int(next.Add(1) - 1); i < len(cold); i = int(next.Add(1) - 1) {
-			// A failed simulation is not memoized: the cell's first run
-			// meets the same error and the shard reports it.
-			_ = xgene.SimulateCounters(benches[cold[i]])
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, len(cold)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			simulate()
-		}()
-	}
-	simulate()
-	wg.Wait()
 }

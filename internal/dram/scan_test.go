@@ -604,6 +604,55 @@ func BenchmarkScanWorkloadWarmBoard(b *testing.B) {
 	}
 }
 
+// TestScanWorkloadAllocs bounds the allocations of the two scans the
+// DRAM benchmarks time: the warm-board scan (BenchmarkScanWorkloadWarmBoard's
+// board, temperature and Rodinia cycle) and the 30 degC nw scan
+// (BenchmarkScanWorkload/30C), each after a first scan that fetches the
+// fabric and keeps its candidate list. Each read 5 allocations per scan
+// on Go 1.24 (the run's random streams and the result). The bound has no
+// slack: one more allocation per scan is the regression it exists to
+// catch.
+func TestScanWorkloadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the plain build's")
+	}
+	const bound = 5
+	var rodinia []WorkloadMem
+	for _, w := range oracleWorkloads[:4] {
+		rodinia = append(rodinia, w.mem)
+	}
+	for _, tc := range []struct {
+		name string
+		seed uint64
+		mems []WorkloadMem
+	}{
+		{"warm-board", 0x5EED_D4A3, rodinia},
+		{"nw-30C", 1, rodinia[2:3]},
+	} {
+		m, err := NewModule(DefaultConfig(), tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetAllTemps(30); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ScanWorkload(tc.mems[0], 2283*time.Millisecond, 0); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			i++
+			if _, err := m.ScanWorkload(tc.mems[i%len(tc.mems)], 2283*time.Millisecond, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs per scan", tc.name, allocs)
+		if allocs > bound {
+			t.Errorf("%s scan allocates %.1f objects, want <= %d", tc.name, allocs, bound)
+		}
+	}
+}
+
 func TestPerDIMMFailures(t *testing.T) {
 	r := &ScanResult{Failures: []CellAddr{
 		{DIMM: 0}, {DIMM: 0}, {DIMM: 2}, {DIMM: 3},

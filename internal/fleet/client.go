@@ -369,8 +369,13 @@ func (c *Client) fetchFrom(ctx context.Context, p Peer, fp string) (seg *Segment
 	if err != nil {
 		return fail(true, err)
 	}
+	// A drained body lets the connection be reused; a refused one is
+	// closed unread.
+	drain := true
 	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		if drain {
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		}
 		resp.Body.Close()
 	}()
 
@@ -398,8 +403,11 @@ func (c *Client) fetchFrom(ctx context.Context, p Peer, fp string) (seg *Segment
 		return fail(false, fmt.Errorf("bad %s header: %v", HeaderMeta, err))
 	}
 	want, err := strconv.Atoi(resp.Header.Get(HeaderRecords))
-	if err != nil || want <= 0 {
-		return fail(false, fmt.Errorf("bad %s header %q", HeaderRecords, resp.Header.Get(HeaderRecords)))
+	if err != nil || want <= 0 || want > wire.MaxRecords {
+		// The count bounds the body read below, so a count no campaign
+		// can produce is refused before a byte of the body is read.
+		drain = false
+		return fail(false, fmt.Errorf("bad %s header %q (at most %d)", HeaderRecords, resp.Header.Get(HeaderRecords), wire.MaxRecords))
 	}
 	if err := fault.Inject("fleet.fetch.body"); err != nil {
 		// The fault point sits where the replica body transfer happens, so

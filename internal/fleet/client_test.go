@@ -199,6 +199,37 @@ func TestFetchBoundsOversizedBody(t *testing.T) {
 	}
 }
 
+func TestFetchRefusesOverLimitRecordsUnread(t *testing.T) {
+	// A peer that advertises more records than any campaign can plan is
+	// refused on its headers alone: the body, which the peer holds back
+	// until the test ends, is never read, so the fetch returns long
+	// before the attempt's deadline.
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderRing, r.Header.Get(HeaderRing))
+		w.Header().Set(HeaderMeta, base64.StdEncoding.EncodeToString([]byte(testMeta)))
+		w.Header().Set(HeaderRecords, strconv.Itoa(wire.MaxRecords+1))
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+			w.Write(wire.Header())
+		case <-r.Context().Done():
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+	c := newTestClient(t, Options{AttemptsPerPeer: 1, Timeout: 10 * time.Second}, ts)
+	start := time.Now()
+	_, err := c.Fetch(context.Background(), "00000000000000df")
+	if err == nil || !strings.Contains(err.Error(), HeaderRecords) {
+		t.Fatalf("err = %v, want the %s header refused", err, HeaderRecords)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("over-limit count took %v to refuse: the body was waited for", d)
+	}
+}
+
 func TestFetchRingMismatchAborts(t *testing.T) {
 	for name, handler := range map[string]http.HandlerFunc{
 		"409": func(w http.ResponseWriter, r *http.Request) {

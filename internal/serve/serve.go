@@ -762,20 +762,15 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 	c.traceID = trace
 	c.tenant = tenant
 	c.queuedAt = time.Now()
-	// Enqueue and register under one critical section: a rejected
-	// submission leaves no trace, and a registered campaign is always
-	// queued. The send is non-blocking, so holding the lock is safe.
+	// Journal, enqueue and register under one critical section: a
+	// rejected submission leaves no pending intent, and a registered
+	// campaign is always queued. The begin is durable before the send, so
+	// the engine cannot run the campaign, or journal its end, ahead of
+	// its begin. The send is non-blocking, so holding the lock is safe.
 	if ferr := fault.Inject("serve.queue"); ferr != nil {
 		s.mu.Unlock()
 		s.metrics.submissions.With("rejected").Inc()
 		return nil, false, fmt.Errorf("%w: %v", errQueueFull, ferr)
-	}
-	select {
-	case s.queue <- c:
-	default:
-		s.mu.Unlock()
-		s.metrics.submissions.With("rejected").Inc()
-		return nil, false, errQueueFull
 	}
 	meta, werr := json.Marshal(intentMeta{Spec: c.spec, TraceID: trace, Tenant: tenant})
 	if werr == nil {
@@ -785,6 +780,14 @@ func (s *Server) Submit(spec Spec, trace, tenant string) (c *Campaign, cached bo
 		// Journal trouble must not reject measurable work; the campaign
 		// just loses crash-requeue coverage.
 		s.logger.Warn("intent journal write failed", "fingerprint", fp, "err", werr)
+	}
+	select {
+	case s.queue <- c:
+	default:
+		s.store.EndIntent(fp)
+		s.mu.Unlock()
+		s.metrics.submissions.With("rejected").Inc()
+		return nil, false, errQueueFull
 	}
 	s.registerLocked(c)
 	s.mu.Unlock()

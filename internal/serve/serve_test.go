@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -274,7 +275,8 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestQueueBound pins the bounded run queue: with the scheduler gated, a
-// running campaign plus a full queue yields 503 for the next submission.
+// running campaign plus a full queue yields 503 for the next submission,
+// which leaves no pending intent behind.
 func TestQueueBound(t *testing.T) {
 	s, ts := newTestServer(t, Options{QueueDepth: 1, Concurrency: 1})
 	gate := make(chan struct{})
@@ -305,6 +307,15 @@ func TestQueueBound(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-bound submission status %d, want 503", resp.StatusCode)
+	}
+	// The rejection ended the intent it journaled: only the running and
+	// the queued campaign would requeue after a crash.
+	var pending []string
+	for _, in := range s.store.Intents() {
+		pending = append(pending, in.Fingerprint)
+	}
+	if want := []string{running.Fingerprint, queued.Fingerprint}; !reflect.DeepEqual(pending, want) {
+		t.Errorf("pending intents after the rejection: %v, want %v", pending, want)
 	}
 
 	// The rejection rolled back cleanly: retrying after the queue drains

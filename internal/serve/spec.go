@@ -11,6 +11,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/silicon"
+	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
@@ -230,11 +231,12 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// maxPlannedRuns bounds the records one campaign may plan. The engine
-// hands a grid cell's repetitions to its sink as one block and the arena
-// retains every line, so the bound caps a campaign's memory: ~80 MB of
-// arena at ~305 bytes per Fig. 4 record.
-const maxPlannedRuns = 1 << 18
+// maxPlannedRuns bounds the records one campaign may plan: a segment's
+// bound, so every admitted campaign's segment can be replicated. The
+// engine hands a grid cell's repetitions to its sink as one block and the
+// arena retains every line, so the bound caps a campaign's memory: ~80 MB
+// of arena at ~305 bytes per Fig. 4 record.
+const maxPlannedRuns = wire.MaxRecords
 
 // plansAtMostMaxRuns reports whether the spec plans at most
 // maxPlannedRuns runs: benches x voltage levels x boards x repetitions,

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/fault"
 	"repro/internal/store"
 )
 
@@ -533,4 +536,67 @@ func TestPrivateStoreLifecycle(t *testing.T) {
 				st.Store.Segments, st.GridsRun)
 		}
 	})
+}
+
+// beginProbe is a log handler that, at each "campaign running" line,
+// reads the store's journal from disk and notes any campaign the engine
+// picked up before its begin was written.
+type beginProbe struct {
+	dir     string
+	mu      sync.Mutex
+	running int
+	early   []string // fingerprints running with no begin on disk
+}
+
+func (h *beginProbe) Enabled(context.Context, slog.Level) bool { return true }
+func (h *beginProbe) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *beginProbe) WithGroup(string) slog.Handler            { return h }
+
+func (h *beginProbe) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "campaign running" {
+		return nil
+	}
+	fp := ""
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "fingerprint" {
+			fp = a.Value.String()
+		}
+		return true
+	})
+	journal, _ := os.ReadFile(filepath.Join(h.dir, "MANIFEST.jsonl"))
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.running++
+	if !bytes.Contains(journal, []byte(`{"op":"begin","fp":"`+fp+`"`)) {
+		h.early = append(h.early, fp)
+	}
+	return nil
+}
+
+// TestIntentJournaledBeforeEnqueue pins Submit's order: a campaign's
+// begin is on disk before the engine can pick the campaign up, so a run
+// (and its end) never precedes its begin. Every fsync'd journal line is held 20 ms before it reaches the file,
+// so an engine that could see a campaign before its begin is durable
+// runs it well inside that window.
+func TestIntentJournaledBeforeEnqueue(t *testing.T) {
+	dir := t.TempDir()
+	probe := &beginProbe{dir: dir}
+	_, ts := storeServer(t, dir, Options{Logger: slog.New(probe)})
+	plan, err := fault.Parse("store.journal:delay@1+=20ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(plan)
+	t.Cleanup(fault.Disarm)
+	const n = 4
+	for i := 0; i < n; i++ {
+		sr := submit(t, ts, tinySpec(uint64(100+i)), http.StatusAccepted)
+		streamBytes(t, ts, sr.ID)
+	}
+	fault.Disarm()
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	if probe.running != n || len(probe.early) != 0 {
+		t.Errorf("%d of %d campaigns ran before their begin was journaled: %v", len(probe.early), probe.running, probe.early)
+	}
 }

@@ -41,14 +41,6 @@ func Counters(mix isa.Mix, spec microarch.StreamSpec, nInstr int, seed uint64) (
 	})
 }
 
-// CountersCached reports whether Counters of these inputs is memoized or
-// in flight, without counting a hit or a miss. Inputs Counters would not
-// memoize report false.
-func CountersCached(mix isa.Mix, spec microarch.StreamSpec, nInstr int, seed uint64) bool {
-	key, ok := keyOf(mix, spec, nInstr, seed)
-	return ok && counters.Has(key)
-}
-
 // keyOf canonicalizes Simulate's inputs; ok is false when the mix names a
 // class outside the instruction set.
 func keyOf(mix isa.Mix, spec microarch.StreamSpec, nInstr int, seed uint64) (key countersKey, ok bool) {

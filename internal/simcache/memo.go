@@ -133,16 +133,6 @@ func (m *Memo[K, V]) evictLocked(keep *entry[K, V]) {
 	// everything left is in flight; the bound is exceeded transiently.
 }
 
-// Has reports whether key is memoized or being computed, without
-// counting a hit or a miss and without touching its recency: a caller can
-// ask which keys are cold before deciding to fill them.
-func (m *Memo[K, V]) Has(key K) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.entries[key]
-	return ok
-}
-
 // Len returns the current entry count.
 func (m *Memo[K, V]) Len() int {
 	m.mu.Lock()

@@ -138,54 +138,3 @@ func TestMemoEvictionMatchesScan(t *testing.T) {
 		t.Fatalf("len = %d, want %d", m.Len(), max)
 	}
 }
-
-// TestMemoHas: Has reports stored and in-flight keys and nothing else,
-// and asking never counts a hit or a miss or refreshes a key's recency.
-func TestMemoHas(t *testing.T) {
-	m := NewMemo[int, int](2)
-	for k := 1; k <= 2; k++ {
-		if _, err := m.Get(k, func() (int, error) { return k, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := m.Stats()
-	if !m.Has(1) || !m.Has(2) || m.Has(3) {
-		t.Fatalf("Has(1, 2, 3) = %v, %v, %v; want true, true, false", m.Has(1), m.Has(2), m.Has(3))
-	}
-	if got := m.Stats(); got != before {
-		t.Fatalf("Has changed stats: %+v -> %+v", before, got)
-	}
-	// 1 is the least recently used despite the Has above, so a third key
-	// evicts it and keeps 2.
-	if _, err := m.Get(3, func() (int, error) { return 3, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := memoKeys(m); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("survivors %v, want [2 3]: Has refreshed recency", got)
-	}
-
-	release := make(chan struct{})
-	parked := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		m.Get(4, func() (int, error) {
-			close(parked)
-			<-release
-			return 4, nil
-		})
-		close(done)
-	}()
-	<-parked
-	before = m.Stats()
-	if !m.Has(4) {
-		t.Error("Has misses a key whose fill is in flight")
-	}
-	if got := m.Stats(); got != before {
-		t.Errorf("Has changed stats on an in-flight key: %+v -> %+v", before, got)
-	}
-	close(release)
-	<-done
-	if !m.Has(4) {
-		t.Error("Has misses a filled key")
-	}
-}

@@ -21,7 +21,7 @@ const benchRecords = 100
 // storeFixture writes n committed 100-record segments and the manifest
 // that claims them straight to a fresh directory, as a store would have
 // left them, without paying n fsync'd commits.
-func storeFixture(b *testing.B, n int) string {
+func storeFixture(b testing.TB, n int) string {
 	b.Helper()
 	dir := b.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
@@ -57,7 +57,7 @@ func storeFixture(b *testing.B, n int) string {
 
 // benchSegment encodes one benchRecords-record segment, byte for byte the
 // file a store's writer would commit for the same records.
-func benchSegment(b *testing.B) []byte {
+func benchSegment(b testing.TB) []byte {
 	b.Helper()
 	seg := wire.Header()
 	for _, rec := range testRecords("mcf", benchRecords) {
@@ -117,5 +117,36 @@ func BenchmarkCommitAtBound(b *testing.B) {
 				b.Fatalf("stats = %+v, want %d segments and %d compactions", st, n, b.N)
 			}
 		})
+	}
+}
+
+// TestCommitAtBoundAllocs bounds BenchmarkCommitAtBound's unit of work
+// at 100 segments: one adopted 100-record segment committed into a full
+// store, evicting the least recently used segment. Measured on Go 1.24:
+// 28 allocations per commit; the bound allows 8 more for other
+// toolchains.
+func TestCommitAtBoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the plain build's")
+	}
+	const n = 100
+	seg := benchSegment(t)
+	s, err := Open(Options{Dir: storeFixture(t, n), MaxSegments: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	next := 0
+	commit := func() {
+		next++
+		if err := s.Adopt(fmt.Sprintf("bench%08d", next), nil, seg, benchRecords); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bound = 28 + 8
+	allocs := testing.AllocsPerRun(20, commit)
+	t.Logf("commit at bound: %.1f allocs", allocs)
+	if allocs > bound {
+		t.Errorf("a commit at the bound allocates %.1f objects, want <= %d", allocs, bound)
 	}
 }

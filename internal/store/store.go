@@ -62,8 +62,9 @@
 // bloated it.
 //
 // Fault injection. The hot durability transitions are instrumented as
-// fault sites (store.write, store.fsync, store.rename, store.dirsync) so
-// chaos plans can fail or crash exact calls; see internal/fault.
+// fault sites (store.write, store.fsync, store.rename, store.dirsync, and
+// store.journal before each fsync'd journal line: begin, put, del) so
+// chaos plans can fail, stall or crash exact calls; see internal/fault.
 package store
 
 import (
@@ -103,6 +104,7 @@ func init() {
 	fault.Register("store.fsync")
 	fault.Register("store.rename")
 	fault.Register("store.dirsync")
+	fault.Register("store.journal")
 }
 
 // Options parameterizes a Store.
@@ -746,6 +748,9 @@ func (s *Store) appendOpLocked(op manifestOp, sync bool) error {
 	s.ops++
 	if !sync {
 		return nil
+	}
+	if err := fault.Inject("store.journal"); err != nil {
+		return fmt.Errorf("store: sync manifest: %w", err)
 	}
 	if err := s.bw.Flush(); err != nil {
 		return fmt.Errorf("store: flush manifest: %w", err)

@@ -49,6 +49,11 @@ const (
 // leaves three orders of magnitude of headroom.
 const maxPayload = 1 << 20
 
+// MaxRecords is the most records one segment may hold. Admission refuses
+// a campaign that plans more, and a peer that advertises more is refused
+// before its body is read.
+const MaxRecords = 1 << 18
+
 // MaxSegmentSize is the most bytes a well-formed segment of n records can
 // take: the header, then n records of at most maxPayload bytes, each behind
 // its length prefix and ahead of its CRC. A reader of a stream that

@@ -138,13 +138,16 @@ func TestRunPreparedProfileMatchesFreshServer(t *testing.T) {
 }
 
 // TestRunRepeatedProfileSkipsLookup pins what a repeated profile costs:
-// no allocation and no simulate-memo lookup.
+// no allocation and no simulate-memo lookup. The profile is an edited
+// copy of a built-in one, so its counters come from the memo, not the
+// table.
 func TestRunRepeatedProfileSkipsLookup(t *testing.T) {
 	s := newTTT(t)
 	p, err := workloads.ByName("milc")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Stream.FootprintBytes *= 2
 	spec := allCoresSpec(p, 1)
 	if _, err := s.Run(spec); err != nil {
 		t.Fatal(err)

@@ -167,43 +167,37 @@ const (
 	simSeed         = 0xC0FFEE
 )
 
-// counters returns the performance counters of a profile. They do not
-// depend on voltage — or on which server runs the profile — so the lookup
-// goes through the process-wide simulate memo (internal/simcache): one
-// cache-hierarchy simulation per workload serves every server, worker,
-// shard and daemon submission in the process.
-func counters(p workloads.Profile) (microarch.Counters, error) {
+// simKey is the input of a profile's counter simulation in comparable
+// form: the Mix flattened into a class-indexed array (a class listed at
+// zero weighs exactly as an absent one in validation, simulation and mean
+// current) and the access stream. The instruction count and seed are the
+// package's constants.
+type simKey struct {
+	mix    [isa.NumClasses]float64
+	stream microarch.StreamSpec
+}
+
+// counters returns the performance counters of a valid profile whose
+// simulation input is k. They do not depend on voltage, or on which server
+// runs the profile. Every built-in profile's row is in builtinCounters,
+// generated ahead of time, so a fresh process pays no simulation for them;
+// any other profile (GA loops, virus micro-profiles, edited copies) goes
+// through the process-wide simulate memo (internal/simcache), one
+// simulation per distinct input per process.
+func counters(k simKey, p workloads.Profile) (microarch.Counters, error) {
+	if c, ok := builtinCounters[k]; ok {
+		return c, nil
+	}
 	return simcache.Counters(p.Mix, p.Stream, simInstructions, simSeed)
 }
 
-// CountersCached reports whether p's counters are in the simulate memo or
-// being simulated, without counting a memo hit or miss.
-func CountersCached(p workloads.Profile) bool {
-	return simcache.CountersCached(p.Mix, p.Stream, simInstructions, simSeed)
-}
-
-// SimulateCounters pays p's counter simulation into the simulate memo
-// ahead of p's first run, on the caller's goroutine: the campaign engine
-// simulates a grid's cold workloads side by side before its shards run.
-// An invalid profile is refused as Run refuses it, and simulates nothing.
-func SimulateCounters(p workloads.Profile) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	_, err := counters(p)
-	return err
-}
-
-// profileKey is a workload profile in comparable form: the Mix map
-// flattened into a class-indexed array (a class listed at zero weighs
-// exactly as an absent one in validation, simulation and mean current)
-// and every other Profile field as is. Validity, counters and mean
+// profileKey is a workload profile in comparable form: its simulation
+// input and every other Profile field as is. Validity, counters and mean
 // current are pure functions of it.
 type profileKey struct {
-	mix         [isa.NumClasses]float64
+	sim         simKey
 	name        string
 	suite       workloads.Suite
-	stream      microarch.StreamSpec
 	mem         dram.WorkloadMem
 	resonantA   float64
 	cacheStress bool
@@ -219,11 +213,11 @@ func keyOf(p workloads.Profile) (k profileKey, ok bool) {
 		if !c.Valid() {
 			return profileKey{}, false
 		}
-		k.mix[int(c)-int(isa.NOP)] = f
+		k.sim.mix[int(c)-int(isa.NOP)] = f
 	}
+	k.sim.stream = p.Stream
 	k.name = p.Name
 	k.suite = p.Suite
-	k.stream = p.Stream
 	k.mem = p.Mem
 	k.resonantA = p.ResonantCurrentA
 	k.cacheStress = p.CacheStress
@@ -252,7 +246,7 @@ func (s *Server) Run(spec RunSpec) (RunResult, error) {
 	// A campaign runs one profile many times in a row, so the server keeps
 	// the last profile's validated inputs: a repeat costs one pass over
 	// the Mix and a key comparison instead of the validation walk, the
-	// simulate-memo lookup and the mean-current sum.
+	// counter lookup and the mean-current sum.
 	key, keyed := keyOf(spec.Workload)
 	prepared := keyed && s.prep.ok && s.prep.key == key
 	if !prepared {
@@ -270,7 +264,7 @@ func (s *Server) Run(spec RunSpec) (RunResult, error) {
 	runRng := s.rng.SplitLabel(runLabelPrefix.Str(spec.Workload.Name).Byte('/').Uint(spec.Seed))
 
 	if !prepared {
-		ctr, err := counters(spec.Workload)
+		ctr, err := counters(key.sim, spec.Workload)
 		if err != nil {
 			return RunResult{}, err
 		}
