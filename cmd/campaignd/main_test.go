@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -52,7 +52,8 @@ func TestBadFlagsRejected(t *testing.T) {
 	}
 }
 
-// startDaemon boots the daemon with args and waits for the bound address.
+// startDaemon runs the daemon in-process with args and returns its base
+// URL once /readyz answers ready, plus the channel run's error arrives on.
 func startDaemon(t *testing.T, ctx context.Context, out *syncWriter, args []string) (string, chan error) {
 	t.Helper()
 	ready := make(chan string, 1)
@@ -62,7 +63,9 @@ func startDaemon(t *testing.T, ctx context.Context, out *syncWriter, args []stri
 	}()
 	select {
 	case addr := <-ready:
-		return "http://" + addr, errc
+		base := "http://" + addr
+		waitReady(t, base)
+		return base, errc
 	case err := <-errc:
 		t.Fatalf("daemon exited before ready: %v", err)
 	case <-time.After(10 * time.Second):
@@ -71,86 +74,134 @@ func startDaemon(t *testing.T, ctx context.Context, out *syncWriter, args []stri
 	return "", nil
 }
 
-// TestDaemonStoreRestart is the CLI half of the restart-replay contract:
-// a daemon rebooted on the same -store-dir serves a prior characterization
-// from disk, byte for byte, without running a grid — and the shutdown in
-// between is the graceful drain path.
+// waitReady polls GET /readyz until the daemon answers "ready": a daemon
+// that is draining or has a degraded store answers 503.
+func waitReady(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/readyz")
+		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK && strings.TrimSpace(string(body)) == "ready" {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s/readyz never answered ready (last error %v)", base, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// submission is the part of a POST /campaigns reply the tests read.
+type submission struct {
+	status int
+	Stream string `json:"stream"`
+	Cached bool   `json:"cached"`
+}
+
+// submitSpec POSTs spec to the daemon at base and decodes the reply.
+func submitSpec(t *testing.T, base, spec string) submission {
+	t.Helper()
+	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sub := submission{status: resp.StatusCode}
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// tail reads a campaign's stream to its end.
+func tail(t *testing.T, base, stream string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// getJSON GETs base+path and decodes the JSON reply into v.
+func getJSON(t *testing.T, base, path string, v any) {
+	t.Helper()
+	resp, err := http.Get(base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// post sends body to POST /campaigns with the given header name/value
+// pairs and returns the response, its body drained and closed.
+func post(t *testing.T, base, body string, header ...string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest("POST", base+"/campaigns", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp
+}
+
+// fig4Tiny is the tiny Fig. 4 grid the daemon tests characterize:
+// 1 bench x 2 voltages x 2 reps = 4 records.
+const fig4Tiny = `{"seed":7,"benches":["mcf"],"voltages_mv":[980,940],"repetitions":2}`
+
+// TestDaemonStoreRestart is the restart-replay contract over real
+// processes: life 1 characterizes, then SIGTERM drains it through main's
+// own signal wiring; life 2, booted on the same -store-dir, serves the
+// characterization from disk, byte for byte, without running a grid.
 func TestDaemonStoreRestart(t *testing.T) {
 	dir := t.TempDir()
-	spec := `{"seed":7,"benches":["mcf"],"voltages_mv":[980,940],"repetitions":2}`
-	args := []string{"-addr", "127.0.0.1:0", "-store-dir", dir}
-
-	post := func(base string) (id, stream string, cached bool) {
-		t.Helper()
-		resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sub struct {
-			ID     string `json:"id"`
-			Stream string `json:"stream"`
-			Cached bool   `json:"cached"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-			t.Fatal(err)
-		}
-		return sub.ID, sub.Stream, sub.Cached
-	}
-	tail := func(base, stream string) []byte {
-		t.Helper()
-		resp, err := http.Get(base + stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data := new(bytes.Buffer)
-		if _, err := data.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return data.Bytes()
-	}
-
-	// Life 1: characterize and shut down gracefully.
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	var out1 syncWriter
-	base1, errc1 := startDaemon(t, ctx1, &out1, args)
-	_, stream1, cached := post(base1)
-	if cached {
+	life1 := startProc(t, nil, "-addr", "127.0.0.1:0", "-store-dir", dir)
+	sub := submitSpec(t, life1.base, fig4Tiny)
+	if sub.Cached {
 		t.Fatal("first submission claimed cached")
 	}
-	live := tail(base1, stream1)
+	live := tail(t, life1.base, sub.Stream)
 	if n := bytes.Count(live, []byte("\n")); n != 4 {
 		t.Fatalf("life 1 streamed %d records, want 4", n)
 	}
-	cancel1()
-	select {
-	case err := <-errc1:
-		if err != nil {
-			t.Fatalf("life 1 shutdown: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("life 1 did not shut down")
+	life1.signal(syscall.SIGTERM)
+	if err := life1.wait(); err != nil {
+		t.Fatalf("life 1 exit after SIGTERM: %v\n%s", err, life1.log.String())
 	}
-	if !strings.Contains(out1.String(), "durable store at "+dir) {
-		t.Errorf("daemon log missing store banner:\n%s", out1.String())
+	for _, want := range []string{"durable store at " + dir, "campaignd: shut down"} {
+		if !strings.Contains(life1.log.String(), want) {
+			t.Errorf("life 1 log missing %q:\n%s", want, life1.log.String())
+		}
 	}
 
-	// Life 2: replay from disk.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	var out2 syncWriter
-	base2, errc2 := startDaemon(t, ctx2, &out2, args)
-	_, stream2, cached := post(base2)
-	if !cached {
+	life2 := life1.reboot()
+	sub = submitSpec(t, life2.base, fig4Tiny)
+	if !sub.Cached {
 		t.Fatal("restarted daemon re-ran a stored characterization")
 	}
-	if replay := tail(base2, stream2); !bytes.Equal(replay, live) {
+	if replay := tail(t, life2.base, sub.Stream); !bytes.Equal(replay, live) {
 		t.Error("replayed stream differs from life 1's live stream")
-	}
-	resp, err := http.Get(base2 + "/stats")
-	if err != nil {
-		t.Fatal(err)
 	}
 	var stats struct {
 		GridsRun int `json:"grids_run"`
@@ -159,24 +210,16 @@ func TestDaemonStoreRestart(t *testing.T) {
 			ReplayHits int `json:"replay_hits"`
 		} `json:"store"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, life2.base, "/stats", &stats)
 	if stats.GridsRun != 0 {
 		t.Errorf("life 2 ran %d grids, want 0", stats.GridsRun)
 	}
 	if stats.Store == nil || stats.Store.Segments != 1 || stats.Store.ReplayHits != 1 {
 		t.Errorf("life 2 store stats = %+v", stats.Store)
 	}
-	cancel2()
-	select {
-	case err := <-errc2:
-		if err != nil {
-			t.Errorf("life 2 shutdown: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("life 2 did not shut down")
+	life2.signal(syscall.SIGTERM)
+	if err := life2.wait(); err != nil {
+		t.Errorf("life 2 exit after SIGTERM: %v\n%s", err, life2.log.String())
 	}
 }
 
@@ -186,22 +229,8 @@ func TestDaemonStoreRestart(t *testing.T) {
 func TestDaemonSmoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
 	var out syncWriter
-	ready := make(chan string, 1)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run(ctx, &out, []string{"-addr", "127.0.0.1:0"}, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-errc:
-		t.Fatalf("daemon exited before ready: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon never became ready")
-	}
-	base := "http://" + addr
+	base, errc := startDaemon(t, ctx, &out, []string{"-addr", "127.0.0.1:0"})
 
 	if resp, err := http.Get(base + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %v %v", resp, err)
@@ -209,39 +238,12 @@ func TestDaemonSmoke(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	spec := `{"seed":7,"benches":["mcf"],"voltages_mv":[980,940],"repetitions":2}`
-	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
+	sub := submitSpec(t, base, fig4Tiny)
+	if sub.status != http.StatusAccepted || sub.Cached {
+		t.Fatalf("submit: status %d cached %v", sub.status, sub.Cached)
 	}
-	var sub struct {
-		ID     string `json:"id"`
-		Stream string `json:"stream"`
-		Cached bool   `json:"cached"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || sub.Cached {
-		t.Fatalf("submit: status %d cached %v", resp.StatusCode, sub.Cached)
-	}
-
-	stream, err := http.Get(base + sub.Stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	lines := 0
-	sc := bufio.NewScanner(stream.Body)
-	for sc.Scan() {
-		lines++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if lines != 4 {
-		t.Errorf("stream yielded %d records, want 4 (1 bench x 2 voltages x 2 reps)", lines)
+	if n := bytes.Count(tail(t, base, sub.Stream), []byte("\n")); n != 4 {
+		t.Errorf("stream yielded %d records, want 4 (1 bench x 2 voltages x 2 reps)", n)
 	}
 
 	cancel()
@@ -261,30 +263,12 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
-// postSpec submits a spec with an optional API key and returns the
-// status code (body drained and closed).
-func postSpec(t *testing.T, base, spec, key string) int {
-	t.Helper()
-	req, err := http.NewRequest("POST", base+"/campaigns", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if key != "" {
-		req.Header.Set("Authorization", "Bearer "+key)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
-// TestDaemonAuthFlags boots the daemon with inline keys and pins the CLI
-// wiring: anonymous 401, authed 202, ops surface open, and the bad-flag
-// combinations rejected before the listener comes up.
+// TestDaemonAuthFlags pins the front door's CLI wiring: the bad flag
+// combinations are rejected before the listener comes up, and a daemon
+// booted with a key and a rate limit walks the whole rejection matrix
+// (401, 403, 202, 200, 413, 400, then 429 with Retry-After) while the ops
+// surface stays open. The daemon has no -store-dir, so its store lives in
+// a private directory under its TMPDIR, which shutdown must remove.
 func TestDaemonAuthFlags(t *testing.T) {
 	var out syncWriter
 	if err := run(context.Background(), &out, []string{"-rate-burst", "4"}, nil); err == nil {
@@ -297,22 +281,52 @@ func TestDaemonAuthFlags(t *testing.T) {
 		t.Error("missing -auth-keyfile accepted")
 	}
 
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// One token per 100 s: the burst of 4 never refills during the test.
 	base, errc := startDaemon(t, ctx, &out, []string{
 		"-addr", "127.0.0.1:0", "-auth-keys", "smoke-key=smoketeam",
+		"-rate-limit", "0.01", "-rate-burst", "4",
 	})
 	spec := `{"seed":7,"benches":["mcf"],"voltages_mv":[980],"repetitions":1}`
-	if got := postSpec(t, base, spec, ""); got != http.StatusUnauthorized {
-		t.Errorf("anonymous submit status %d, want 401", got)
+	resp := post(t, base, spec)
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Errorf("anonymous submit status %d, want 401", resp.StatusCode)
 	}
-	if got := postSpec(t, base, spec, "wrong"); got != http.StatusForbidden {
+	if got := resp.Header.Get("WWW-Authenticate"); !strings.HasPrefix(got, "Bearer") {
+		t.Errorf("anonymous submit WWW-Authenticate %q, want a Bearer challenge", got)
+	}
+	if got := post(t, base, spec, "Authorization", "Bearer wrong").StatusCode; got != http.StatusForbidden {
 		t.Errorf("wrong-key submit status %d, want 403", got)
 	}
-	if got := postSpec(t, base, spec, "smoke-key"); got != http.StatusAccepted {
-		t.Errorf("authed submit status %d, want 202", got)
+	// The tenant's four tokens: both key forms, then an oversized body and
+	// trailing garbage, which spend a token too (admission runs before the
+	// body is parsed).
+	for _, c := range []struct {
+		body   string
+		header []string
+		want   int
+	}{
+		{spec, []string{"Authorization", "Bearer smoke-key"}, http.StatusAccepted},
+		{spec, []string{"X-API-Key", "smoke-key"}, http.StatusOK},
+		{strings.Repeat(" ", 1200000) + spec, []string{"Authorization", "Bearer smoke-key"}, http.StatusRequestEntityTooLarge},
+		{spec + `{"x":1}`, []string{"Authorization", "Bearer smoke-key"}, http.StatusBadRequest},
+	} {
+		if got := post(t, base, c.body, c.header...).StatusCode; got != c.want {
+			t.Errorf("%s submit (%d bytes) status %d, want %d", c.header[0], len(c.body), got, c.want)
+		}
 	}
-	for _, path := range []string{"/healthz", "/metrics", "/stats"} {
+	resp = post(t, base, `{"seed":9,"benches":["mcf"],"voltages_mv":[980],"repetitions":1}`,
+		"Authorization", "Bearer smoke-key")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("over-quota submit status %d, want 429", resp.StatusCode)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+		t.Errorf("over-quota Retry-After %q, want an integer >= 1", resp.Header.Get("Retry-After"))
+	}
+	for _, path := range []string{"/healthz", "/metrics", "/stats", "/version"} {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
@@ -327,7 +341,12 @@ func TestDaemonAuthFlags(t *testing.T) {
 		t.Errorf("missing auth banner:\n%s", out.String())
 	}
 	cancel()
-	<-errc
+	if err := <-errc; err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+		t.Errorf("TMPDIR holds %v after shutdown (%v), want nothing", entries, err)
+	}
 }
 
 // TestDaemonKeyfileReload pins the SIGHUP path end to end: rewrite the
@@ -346,7 +365,7 @@ func TestDaemonKeyfileReload(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-auth-keyfile", keyfile, "-log-format", "json",
 	})
 	spec := `{"seed":7,"benches":["mcf"],"voltages_mv":[980],"repetitions":1}`
-	if got := postSpec(t, base, spec, "old-key"); got != http.StatusAccepted {
+	if got := post(t, base, spec, "Authorization", "Bearer old-key").StatusCode; got != http.StatusAccepted {
 		t.Fatalf("pre-rotation submit status %d, want 202", got)
 	}
 
@@ -361,13 +380,13 @@ func TestDaemonKeyfileReload(t *testing.T) {
 	}
 	rotate(`[{"key":"new-key","tenant":"team"}]`)
 	deadline := time.Now().Add(10 * time.Second)
-	for postSpec(t, base, `{"seed":8,"benches":["mcf"],"voltages_mv":[980],"repetitions":1}`, "new-key") != http.StatusAccepted {
+	for post(t, base, `{"seed":8,"benches":["mcf"],"voltages_mv":[980],"repetitions":1}`, "Authorization", "Bearer new-key").StatusCode != http.StatusAccepted {
 		if time.Now().After(deadline) {
 			t.Fatalf("new key never took effect\nlogs:\n%s", out.String())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := postSpec(t, base, spec, "old-key"); got != http.StatusForbidden {
+	if got := post(t, base, spec, "Authorization", "Bearer old-key").StatusCode; got != http.StatusForbidden {
 		t.Errorf("rotated-out key status %d, want 403", got)
 	}
 
@@ -380,7 +399,7 @@ func TestDaemonKeyfileReload(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := postSpec(t, base, `{"seed":9,"benches":["mcf"],"voltages_mv":[980],"repetitions":1}`, "new-key"); got != http.StatusAccepted {
+	if got := post(t, base, `{"seed":9,"benches":["mcf"],"voltages_mv":[980],"repetitions":1}`, "Authorization", "Bearer new-key").StatusCode; got != http.StatusAccepted {
 		t.Errorf("working key lost after corrupt reload: %d", got)
 	}
 	cancel()
@@ -506,69 +525,33 @@ func TestDaemonFleetFlags(t *testing.T) {
 	}
 
 	spec := `{"seed":21,"benches":["mcf"],"voltages_mv":[980,940],"repetitions":1}`
-	post := func(base string) (cached bool, stream string) {
-		t.Helper()
-		resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sub struct {
-			Cached bool   `json:"cached"`
-			Stream string `json:"stream"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-			t.Fatal(err)
-		}
-		return sub.Cached, sub.Stream
-	}
-	tail := func(base, stream string) []byte {
-		t.Helper()
-		resp, err := http.Get(base + stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	cached, stream := post(bases[0])
-	if cached {
+	sub := submitSpec(t, bases[0], spec)
+	if sub.Cached {
 		t.Fatal("first submission claimed cached")
 	}
-	live := tail(bases[0], stream)
+	live := tail(t, bases[0], sub.Stream)
 
 	// The other peer answers the same fingerprint by replication: cache
 	// hit, byte-identical stream, zero grids run on its side.
-	cached, stream = post(bases[1])
-	if !cached {
+	sub = submitSpec(t, bases[1], spec)
+	if !sub.Cached {
 		t.Fatal("peer B re-ran a characterization peer A had committed")
 	}
-	if replica := tail(bases[1], stream); !bytes.Equal(replica, live) {
+	if replica := tail(t, bases[1], sub.Stream); !bytes.Equal(replica, live) {
 		t.Error("replicated stream differs from the origin's live stream")
-	}
-	resp, err := http.Get(bases[1] + "/stats")
-	if err != nil {
-		t.Fatal(err)
 	}
 	var stats struct {
 		GridsRun int `json:"grids_run"`
 		Fleet    *struct {
 			Replications uint64 `json:"replications"`
+			RingVersion  string `json:"ring_version"`
 		} `json:"fleet"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, bases[1], "/stats", &stats)
 	if stats.GridsRun != 0 {
 		t.Errorf("peer B ran %d grids, want 0", stats.GridsRun)
 	}
-	if stats.Fleet == nil || stats.Fleet.Replications != 1 {
-		t.Errorf("peer B fleet stats = %+v, want 1 replication", stats.Fleet)
+	if stats.Fleet == nil || stats.Fleet.Replications != 1 || len(stats.Fleet.RingVersion) != 16 {
+		t.Errorf("peer B fleet stats = %+v, want 1 replication and a 16-digit ring version", stats.Fleet)
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // This file is the exposition side of the metrics core: WritePrometheus
 // renders a registry in the Prometheus text format (version 0.0.4), and
-// Lint re-parses an exposition — every line, every sample — so tests and
-// CI can pin the format instead of trusting the writer.
+// Lint re-parses an exposition — every line, every sample — so tests can
+// pin the format instead of trusting the writer.
 
 // ContentType is the Content-Type of the text exposition format.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -74,8 +74,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // declarations, histogram families missing a +Inf bucket or whose
 // cumulative bucket counts decrease, or a histogram _count that
 // disagrees with its +Inf bucket. A nil error means every line parsed
-// and every family is internally consistent — this is what the CI
-// exposition lint and the /metrics pin test call.
+// and every family is internally consistent — this is what the /metrics
+// pin tests call.
 func Lint(r io.Reader) error {
 	type fam struct {
 		typ        string

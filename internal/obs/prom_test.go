@@ -26,7 +26,7 @@ func fullRegistry() *Registry {
 
 // TestWritePrometheusLints pins the exposition format: whatever the writer
 // produces must pass the package's own strict parser. This is the
-// format-validity pin the CI exposition lint relies on.
+// format-validity pin the /metrics tests' Lint calls rely on.
 func TestWritePrometheusLints(t *testing.T) {
 	var buf bytes.Buffer
 	if err := fullRegistry().WritePrometheus(&buf); err != nil {

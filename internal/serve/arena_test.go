@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"testing"
@@ -102,5 +103,48 @@ func TestStreamBytesCounted(t *testing.T) {
 	}
 	if got := s.metrics.streamBytes.Value() - before; got != uint64(len(body)) {
 		t.Errorf("SSE stream: counter grew %d, body is %d bytes", got, len(body))
+	}
+}
+
+// TestServedFig4Allocs bounds the allocations of one warm Fig. 4 campaign
+// served in-process, from Submit to the end of its stream, at one worker:
+// admission, the queue, the engine's runs and line renders, the arena, the
+// journal and segment commit, and the stream's read of the finished
+// arena. Each run submits a new fingerprint on the same board. Measured on
+// Go 1.24: 539-541. The slack of 30 absorbs toolchain drift and pool misses
+// after a GC; one more allocation per record (100 records) or per shard
+// (50 shards) fails it.
+func TestServedFig4Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the plain build's")
+	}
+	s, err := New(Options{StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec := fig4TestSpec(0)
+	spec.Workers = 1
+	run := func() {
+		spec.Seed++
+		c, cached, err := s.Submit(spec, "", "")
+		if err != nil || cached {
+			t.Fatalf("submit: cached %v, err %v", cached, err)
+		}
+		c.mu.Lock()
+		for !c.status.terminal() {
+			c.cond.Wait()
+		}
+		c.mu.Unlock()
+		if _, ends, status := c.next(context.Background(), 0); status != StatusDone || len(ends) != 100 {
+			t.Fatalf("campaign %s with %d records, want done with 100", status, len(ends))
+		}
+	}
+	run() // warm: fabricate the board
+	const bound = 541 + 30
+	allocs := testing.AllocsPerRun(10, run)
+	t.Logf("served Fig. 4 campaign: %.0f allocs", allocs)
+	if allocs > bound {
+		t.Errorf("a served warm Fig. 4 campaign allocates %.0f objects, want <= %d", allocs, bound)
 	}
 }

@@ -211,6 +211,15 @@ func TestFleetSecretGatesPeerProtocol(t *testing.T) {
 	if n := hs[0].srv.metrics.fleetAuthFailures.Value(); n != 2 {
 		t.Fatalf("fleet auth failures = %d, want 2: both rejections counted", n)
 	}
+	// The ring endpoint sits behind the same gate.
+	resp, err := http.Get(hs[0].base + "/fleet/ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("/fleet/ring without the secret: status = %d, want 403", resp.StatusCode)
+	}
 }
 
 func TestFleetBypassesTenantLimits(t *testing.T) {
@@ -512,6 +521,13 @@ func TestFleetMetricsScopedToPeer(t *testing.T) {
 		case "A":
 			if fetches == 0 || failures == 0 {
 				t.Errorf("A: %d fetches, %d failures; want both above zero", fetches, failures)
+			}
+			if got := metricValue(t, m, "fleet_segments_served_total"); got != 1 {
+				t.Errorf("A: fleet_segments_served_total = %g, want 1 (B's replica)", got)
+			}
+		case "B":
+			if got := metricValue(t, m, "fleet_replications_total"); got != 1 {
+				t.Errorf("B: fleet_replications_total = %g, want 1", got)
 			}
 		case "C":
 			if fetches != 0 || strings.Contains(m, "fleet_peer_fetches_total") {

@@ -97,6 +97,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Every layer's families must be present in one scrape: the server's
 	// own (service, engine, wire) and its store's, a single pane of glass.
+	// Among them are the seven perfbench's layer model reads, so a rename
+	// fails here instead of silently zeroing a per-layer number.
 	for _, family := range []string{
 		"campaignd_submissions_total",
 		"campaignd_campaigns_run_total",
@@ -107,9 +109,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		"campaignd_draining",
 		"campaign_run_seconds_bucket",
 		"campaign_runs_total",
+		"campaign_planned_runs_total",
+		"campaign_board_fabrications_total",
 		"campaign_board_pool_checkouts_total",
 		"store_segments",
 		"store_commits_total",
+		"store_commit_seconds_bucket",
+		"store_segment_loads_total",
 		"wire_frames_encoded_total",
 		"wire_encoded_bytes_total",
 	} {

@@ -1124,7 +1124,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // submissions and durably persisting them, 503 while draining (shutdown
 // imminent — find another daemon) or while the store is degraded
 // (campaigns running memory-only). Liveness stays /healthz; orchestrators,
-// load balancers and the CI smoke tests gate traffic here.
+// load balancers and the daemon tests' boot-wait gate traffic here.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
